@@ -5,8 +5,9 @@
 // that slows a hot path down.
 //
 // The suite is fixed in code (see suite below): micro-benchmarks over the
-// kernel fault/migrate path, allocator place/reclaim, trace emit, and
-// memsys bandwidth math, plus the end-to-end experiment sweep benchmark.
+// kernel fault/migrate path, allocator place/reclaim, trace emit,
+// memsys bandwidth math, and AutoTM's ILP planning, plus the end-to-end
+// experiment sweep benchmark.
 // Per-benchmark ns/op, B/op, and allocs/op are recorded together with an
 // environment fingerprint. Allocation counts are machine-independent and
 // gated tightly; ns/op is machine-dependent and gated with a generous
@@ -16,10 +17,10 @@
 //
 // Usage:
 //
-//	sentinel-benchgate -out BENCH_7.json -against BENCH_6.json   # run, record, gate
-//	sentinel-benchgate -against BENCH_6.json                     # run and gate only
-//	sentinel-benchgate -check BENCH_6.json                       # schema/shape validation
-//	sentinel-benchgate -compare BENCH_7.json -against BENCH_6.json  # offline compare
+//	sentinel-benchgate -out BENCH_13.json -against BENCH_12.json   # run, record, gate
+//	sentinel-benchgate -against BENCH_12.json                      # run and gate only
+//	sentinel-benchgate -check BENCH_12.json                        # schema/shape validation
+//	sentinel-benchgate -compare BENCH_13.json -against BENCH_12.json  # offline compare
 package main
 
 import (
@@ -105,6 +106,11 @@ var suite = []suiteEntry{
 		"BenchmarkChannelSubmit",
 		"BenchmarkChannelSubmitUrgent",
 		"BenchmarkBWTraceConsume",
+	}},
+	{pkg: "sentinel/internal/baseline", benches: []string{
+		// AutoTM's compile-time planning: runtime set-up plus the
+		// placement ILP's branch and bound.
+		"BenchmarkAutoTMSetup",
 	}},
 }
 

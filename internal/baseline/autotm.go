@@ -8,7 +8,6 @@ import (
 	"sentinel/internal/graph"
 	"sentinel/internal/ilp"
 	"sentinel/internal/memsys"
-	"sentinel/internal/simtime"
 	"sentinel/internal/tensor"
 )
 
@@ -34,29 +33,23 @@ type AutoTM struct {
 
 	// Per-tensor plans, indexed by tensor ID.
 	planFast, planOffload []bool
-	// burstEnd[id] is the layer after which an offloaded tensor moves
-	// out; burstResume[id] the layer before which it moves back in.
-	burstEnd, burstResume map[tensor.ID]int
 	// outAt[l] / inAt[l] are the moves scheduled at layer l boundaries.
 	outAt, inAt [][]tensor.ID
 	solved      bool
-	ilpOptimal  bool
+	// result is the placement ILP's outcome, kept for ILPOptimal and for
+	// tests that pin the search node for node.
+	result ilp.Result
 }
 
 // NewAutoTM returns the AutoTM baseline.
-func NewAutoTM() *AutoTM {
-	return &AutoTM{
-		burstEnd:    make(map[tensor.ID]int),
-		burstResume: make(map[tensor.ID]int),
-	}
-}
+func NewAutoTM() *AutoTM { return &AutoTM{} }
 
 // Name identifies the policy.
 func (p *AutoTM) Name() string { return "autotm" }
 
 // ILPOptimal reports whether the placement ILP was solved to optimality
 // within the node budget.
-func (p *AutoTM) ILPOptimal() bool { return p.ilpOptimal }
+func (p *AutoTM) ILPOptimal() bool { return p.result.Optimal }
 
 // AllocConfig mirrors nGraph's static memory plan: one planned pool per
 // placement class, with offloaded tensors on exclusive pages so their
@@ -112,15 +105,19 @@ func (p *AutoTM) Setup(rt *exec.Runtime) error {
 
 	// Variables: 2 per tensor (fast, offload). Offload is only
 	// meaningful for tensors with an idle gap of at least two layers.
-	prob := &ilp.Problem{Benefit: make([]float64, 2*n)}
-	layerRows := make([]ilp.Constraint, g.NumLayers)
-	for l := range layerRows {
-		layerRows[l] = ilp.Constraint{Coef: make(map[int]float64), Bound: float64(spec.Fast.Size)}
+	// Rows: one fast-capacity row per layer, then one exclusivity row per
+	// offloadable tensor. Columns are built tensor by tensor, so each
+	// lists its rows in ascending order.
+	prob := &ilp.Problem{
+		Benefit: make([]float64, 2*n),
+		Bound:   make([]float64, g.NumLayers, g.NumLayers+n),
+		Cols:    make([][]ilp.Term, 2*n),
 	}
-	exclusive := make([]ilp.Constraint, 0, n)
+	for l := range prob.Bound {
+		prob.Bound[l] = float64(spec.Fast.Size)
+	}
 
-	type gap struct{ end, resume int }
-	gaps := make(map[tensor.ID]gap)
+	gaps := make([]gapSpan, n)
 	for id := 0; id < n; id++ {
 		t := g.Tensors[id]
 		var reads, writes int
@@ -131,36 +128,36 @@ func (p *AutoTM) Setup(rt *exec.Runtime) error {
 		benefit := float64(t.Size) * (float64(reads)*deltaRead + float64(writes)*deltaWrite)
 		prob.Benefit[2*id] = benefit
 		size := float64(t.Size)
+		fast := make([]ilp.Term, 0, t.FreeLayer-t.AllocLayer+2)
 		for l := t.AllocLayer; l <= t.FreeLayer; l++ {
-			layerRows[l].Coef[2*id] = size
+			fast = append(fast, ilp.Term{Row: l, Coef: size})
 		}
 		// Offload variable: fast only outside the largest access gap.
-		if bestGap := largestGap(t); bestGap.resume-bestGap.end > 2 {
-			gaps[t.ID] = gap{end: bestGap.end, resume: bestGap.resume}
+		if gp := largestGap(t); gp.resume-gp.end > 2 {
+			gaps[id] = gp
 			prob.Benefit[2*id+1] = benefit - size*moveCost
+			off := make([]ilp.Term, 0, len(fast)+1)
 			for l := t.AllocLayer; l <= t.FreeLayer; l++ {
-				if l > bestGap.end && l < bestGap.resume {
+				if l > gp.end && l < gp.resume {
 					continue
 				}
-				layerRows[l].Coef[2*id+1] = size
+				off = append(off, ilp.Term{Row: l, Coef: size})
 			}
-			exclusive = append(exclusive, ilp.Constraint{
-				Coef:  map[int]float64{2 * id: 1, 2*id + 1: 1},
-				Bound: 1,
-			})
+			excl := len(prob.Bound)
+			prob.Bound = append(prob.Bound, 1)
+			fast = append(fast, ilp.Term{Row: excl, Coef: 1})
+			prob.Cols[2*id+1] = append(off, ilp.Term{Row: excl, Coef: 1})
 		}
+		prob.Cols[2*id] = fast
 	}
-	prob.Rows = append(layerRows, exclusive...)
 
 	res := ilp.Solve(prob, 100_000)
-	p.ilpOptimal = res.Optimal
+	p.result = res
 	for id := 0; id < n; id++ {
 		p.planFast[id] = res.X[2*id]
 		p.planOffload[id] = res.X[2*id+1]
 		if p.planOffload[id] {
-			gp := gaps[tensor.ID(id)]
-			p.burstEnd[tensor.ID(id)] = gp.end
-			p.burstResume[tensor.ID(id)] = gp.resume
+			gp := gaps[id]
 			p.outAt[gp.end] = append(p.outAt[gp.end], tensor.ID(id))
 			resumePrep := gp.resume - 1
 			p.inAt[resumePrep] = append(p.inAt[resumePrep], tensor.ID(id))
@@ -238,6 +235,3 @@ func (p *AutoTM) MakeRoom(rt *exec.Runtime, need int64) int64 {
 	}
 	return freed
 }
-
-// simtime anchors the duration types used in the cost model docs.
-var _ simtime.Duration

@@ -5,23 +5,30 @@
 // bound with a greedy incumbent and an optimistic remaining-benefit bound.
 // The solver is anytime: given a node budget it returns the best incumbent
 // found and whether it proved optimality.
+//
+// The constraint matrix is stored in column form: each variable lists its
+// non-zero coefficients as (row, coefficient) terms, so the search's
+// feasibility test and usage updates walk a slice per branch and allocate
+// nothing.
 package ilp
 
 import "sort"
 
-// Constraint is Σ Coef[i]·x[i] ≤ Bound. Coefficients must be
-// non-negative (capacity-style constraints).
-type Constraint struct {
-	Coef  map[int]float64
-	Bound float64
+// Term is one non-zero constraint coefficient of a variable: Coef in row
+// Row. Coefficients must be non-negative (capacity-style constraints).
+type Term struct {
+	Row  int
+	Coef float64
 }
 
-// Problem is: maximize Σ Benefit[i]·x[i] subject to the constraints,
-// x binary. Negative benefits are allowed (those variables are only worth
-// setting to satisfy nothing — the solver will leave them off).
+// Problem is: maximize Σ Benefit[i]·x[i] subject to, for every row r,
+// Σ_i Coef(r, i)·x[i] ≤ Bound[r], x binary. Cols has one entry per
+// variable: Cols[i] lists variable i's non-zeros in ascending row order.
+// Negative benefits are allowed (the solver leaves those variables off).
 type Problem struct {
 	Benefit []float64
-	Rows    []Constraint
+	Bound   []float64
+	Cols    [][]Term
 }
 
 // Result is the solver outcome.
@@ -40,36 +47,30 @@ func Solve(p *Problem, maxNodes int) Result {
 	}
 	n := len(p.Benefit)
 	s := &solver{
-		p:        p,
+		benefit:  p.Benefit,
+		bound:    p.Bound,
+		cols:     p.Cols,
 		maxNodes: maxNodes,
-		rowsFor:  make([][]int, n),
-		usage:    make([]float64, len(p.Rows)),
+		usage:    make([]float64, len(p.Bound)),
 		cur:      make([]bool, n),
-	}
-	for ri := range p.Rows {
-		for vi := range p.Rows[ri].Coef {
-			if vi >= 0 && vi < n {
-				s.rowsFor[vi] = append(s.rowsFor[vi], ri)
-			}
-		}
 	}
 	// Branch order: benefit-per-weight density, descending; pure-benefit
 	// variables (no weight) first.
 	s.order = make([]int, n)
+	density := make([]float64, n)
 	for i := range s.order {
 		s.order[i] = i
-	}
-	density := func(i int) float64 {
 		var w float64
-		for _, ri := range s.rowsFor[i] {
-			w += p.Rows[ri].Coef[i]
+		for _, t := range p.Cols[i] {
+			w += t.Coef
 		}
 		if w <= 0 {
-			return p.Benefit[i] * 1e18
+			density[i] = p.Benefit[i] * 1e18
+		} else {
+			density[i] = p.Benefit[i] / w
 		}
-		return p.Benefit[i] / w
 	}
-	sort.SliceStable(s.order, func(a, b int) bool { return density(s.order[a]) > density(s.order[b]) })
+	sort.SliceStable(s.order, func(a, b int) bool { return density[s.order[a]] > density[s.order[b]] })
 
 	// suffixBenefit[k] = sum of positive benefits of order[k:]; the
 	// optimistic bound for pruning.
@@ -104,9 +105,10 @@ func Solve(p *Problem, maxNodes int) Result {
 }
 
 type solver struct {
-	p        *Problem
+	benefit  []float64
+	bound    []float64
+	cols     [][]Term
 	order    []int
-	rowsFor  [][]int
 	suffix   []float64
 	usage    []float64
 	cur      []bool
@@ -116,28 +118,39 @@ type solver struct {
 	maxNodes int
 }
 
+// fits reports whether setting vi keeps every row within its bound.
+//
+//perf:hot
 func (s *solver) fits(vi int) bool {
-	for _, ri := range s.rowsFor[vi] {
-		if s.usage[ri]+s.p.Rows[ri].Coef[vi] > s.p.Rows[ri].Bound+1e-9 {
+	for _, t := range s.cols[vi] {
+		if s.usage[t.Row]+t.Coef > s.bound[t.Row]+1e-9 {
 			return false
 		}
 	}
 	return true
 }
 
+// take adds vi's coefficients to the row usage.
+//
+//perf:hot
 func (s *solver) take(vi int) {
-	for _, ri := range s.rowsFor[vi] {
-		s.usage[ri] += s.p.Rows[ri].Coef[vi]
+	for _, t := range s.cols[vi] {
+		s.usage[t.Row] += t.Coef
 	}
 }
 
+// drop undoes take.
+//
+//perf:hot
 func (s *solver) drop(vi int) {
-	for _, ri := range s.rowsFor[vi] {
-		s.usage[ri] -= s.p.Rows[ri].Coef[vi]
+	for _, t := range s.cols[vi] {
+		s.usage[t.Row] -= t.Coef
 	}
 }
 
 // dfs returns true if the subtree was fully explored (no budget cut).
+//
+//perf:hot
 func (s *solver) dfs(k int, value float64) bool {
 	s.nodes++
 	if s.nodes > s.maxNodes {
@@ -156,10 +169,10 @@ func (s *solver) dfs(k int, value float64) bool {
 	vi := s.order[k]
 	complete := true
 	// Branch: include first (density order makes inclusion promising).
-	if s.p.Benefit[vi] > 0 && s.fits(vi) {
+	if s.benefit[vi] > 0 && s.fits(vi) {
 		s.take(vi)
 		s.cur[vi] = true
-		if !s.dfs(k+1, value+s.p.Benefit[vi]) {
+		if !s.dfs(k+1, value+s.benefit[vi]) {
 			complete = false
 		}
 		s.cur[vi] = false

@@ -10,15 +10,18 @@ func bruteForce(p *Problem) float64 {
 	n := len(p.Benefit)
 	best := 0.0
 	for mask := 0; mask < 1<<n; mask++ {
-		feasible := true
-		for _, row := range p.Rows {
-			var sum float64
-			for vi, c := range row.Coef {
-				if mask&(1<<vi) != 0 {
-					sum += c
-				}
+		usage := make([]float64, len(p.Bound))
+		for vi, col := range p.Cols {
+			if mask&(1<<vi) == 0 {
+				continue
 			}
-			if sum > row.Bound+1e-9 {
+			for _, t := range col {
+				usage[t.Row] += t.Coef
+			}
+		}
+		feasible := true
+		for r, u := range usage {
+			if u > p.Bound[r]+1e-9 {
 				feasible = false
 				break
 			}
@@ -39,15 +42,18 @@ func bruteForce(p *Problem) float64 {
 	return best
 }
 
+// oneRow builds a single-constraint problem: Σ w[i]·x[i] ≤ bound.
+func oneRow(benefit, w []float64, bound float64) *Problem {
+	p := &Problem{Benefit: benefit, Bound: []float64{bound}, Cols: make([][]Term, len(w))}
+	for i, c := range w {
+		p.Cols[i] = []Term{{Row: 0, Coef: c}}
+	}
+	return p
+}
+
 func TestKnapsackExact(t *testing.T) {
 	// Classic knapsack: values 60/100/120, weights 10/20/30, capacity 50.
-	p := &Problem{
-		Benefit: []float64{60, 100, 120},
-		Rows: []Constraint{{
-			Coef:  map[int]float64{0: 10, 1: 20, 2: 30},
-			Bound: 50,
-		}},
-	}
+	p := oneRow([]float64{60, 100, 120}, []float64{10, 20, 30}, 50)
 	res := Solve(p, 0)
 	if !res.Optimal {
 		t.Fatal("tiny instance not proved optimal")
@@ -61,7 +67,7 @@ func TestKnapsackExact(t *testing.T) {
 }
 
 func TestNegativeBenefitsNeverChosen(t *testing.T) {
-	p := &Problem{Benefit: []float64{-5, 10, -1}}
+	p := &Problem{Benefit: []float64{-5, 10, -1}, Cols: make([][]Term, 3)}
 	res := Solve(p, 0)
 	if res.X[0] || res.X[2] {
 		t.Fatal("negative-benefit variable selected")
@@ -73,13 +79,7 @@ func TestNegativeBenefitsNeverChosen(t *testing.T) {
 
 func TestExclusivityConstraint(t *testing.T) {
 	// Two mutually exclusive variables; the better one must win.
-	p := &Problem{
-		Benefit: []float64{5, 8},
-		Rows: []Constraint{{
-			Coef:  map[int]float64{0: 1, 1: 1},
-			Bound: 1,
-		}},
-	}
+	p := oneRow([]float64{5, 8}, []float64{1, 1}, 1)
 	res := Solve(p, 0)
 	if res.Value != 8 || res.X[0] || !res.X[1] {
 		t.Fatalf("exclusivity broken: %v value %v", res.X, res.Value)
@@ -90,14 +90,16 @@ func TestMultiDimensional(t *testing.T) {
 	// Two capacity rows; only combinations feasible under both count.
 	p := &Problem{
 		Benefit: []float64{10, 10, 10},
-		Rows: []Constraint{
-			{Coef: map[int]float64{0: 5, 1: 5, 2: 5}, Bound: 10},
-			{Coef: map[int]float64{0: 9, 1: 1, 2: 1}, Bound: 10},
+		Bound:   []float64{10, 10},
+		Cols: [][]Term{
+			{{Row: 0, Coef: 5}, {Row: 1, Coef: 9}},
+			{{Row: 0, Coef: 5}, {Row: 1, Coef: 1}},
+			{{Row: 0, Coef: 5}, {Row: 1, Coef: 1}},
 		},
 	}
 	res := Solve(p, 0)
-	// All three violate row 1 (15 > 10); {0,1} and {0,2} violate row 2
-	// (10 <= 10 is ok!) — check against brute force.
+	// All three violate row 0 (15 > 10); {0,1} and {0,2} sit exactly on
+	// row 1's bound (10 <= 10 is ok!) — check against brute force.
 	want := bruteForce(p)
 	if res.Value != want {
 		t.Fatalf("value %v, brute force %v", res.Value, want)
@@ -108,19 +110,18 @@ func TestMatchesBruteForceRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 50; trial++ {
 		n := 2 + rng.Intn(8)
-		p := &Problem{Benefit: make([]float64, n)}
+		p := &Problem{Benefit: make([]float64, n), Cols: make([][]Term, n)}
 		for i := range p.Benefit {
 			p.Benefit[i] = float64(rng.Intn(40) - 5)
 		}
 		rows := 1 + rng.Intn(3)
 		for r := 0; r < rows; r++ {
-			c := Constraint{Coef: map[int]float64{}, Bound: float64(10 + rng.Intn(40))}
+			p.Bound = append(p.Bound, float64(10+rng.Intn(40)))
 			for i := 0; i < n; i++ {
 				if rng.Intn(2) == 0 {
-					c.Coef[i] = float64(1 + rng.Intn(20))
+					p.Cols[i] = append(p.Cols[i], Term{Row: r, Coef: float64(1 + rng.Intn(20))})
 				}
 			}
-			p.Rows = append(p.Rows, c)
 		}
 		res := Solve(p, 0)
 		want := bruteForce(p)
@@ -133,53 +134,53 @@ func TestMatchesBruteForceRandom(t *testing.T) {
 	}
 }
 
+// randomKnapsack draws a single-row instance with n variables from rng,
+// returning it with its weights.
+func randomKnapsack(rng *rand.Rand, n int, bound float64, maxB, maxW int) (*Problem, []float64) {
+	benefit := make([]float64, n)
+	w := make([]float64, n)
+	for i := range benefit {
+		benefit[i] = float64(1 + rng.Intn(maxB))
+		w[i] = float64(1 + rng.Intn(maxW))
+	}
+	return oneRow(benefit, w, bound), w
+}
+
 func TestAnytimeUnderBudget(t *testing.T) {
 	// A large instance with a tiny node budget: must return a feasible
 	// incumbent, not crash or claim optimality falsely.
-	rng := rand.New(rand.NewSource(5))
-	n := 200
-	p := &Problem{Benefit: make([]float64, n)}
-	row := Constraint{Coef: map[int]float64{}, Bound: 500}
-	for i := range p.Benefit {
-		p.Benefit[i] = float64(1 + rng.Intn(100))
-		row.Coef[i] = float64(1 + rng.Intn(50))
-	}
-	p.Rows = []Constraint{row}
+	p, weight := randomKnapsack(rand.New(rand.NewSource(5)), 200, 500, 100, 50)
 	res := Solve(p, 500)
 	if res.Value <= 0 {
 		t.Fatal("no incumbent found")
+	}
+	if res.Optimal {
+		t.Fatal("claimed optimality within a 500-node budget")
 	}
 	// Verify feasibility of the returned solution.
 	var w float64
 	for i, x := range res.X {
 		if x {
-			w += row.Coef[i]
+			w += weight[i]
 		}
 	}
-	if w > row.Bound {
-		t.Fatalf("infeasible incumbent: weight %v > %v", w, row.Bound)
+	if w > p.Bound[0] {
+		t.Fatalf("infeasible incumbent: weight %v > %v", w, p.Bound[0])
 	}
 }
 
 func TestSolverBeatsOrMatchesGreedy(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 20; trial++ {
-		n := 30
-		p := &Problem{Benefit: make([]float64, n)}
-		row := Constraint{Coef: map[int]float64{}, Bound: 100}
-		for i := range p.Benefit {
-			p.Benefit[i] = float64(1 + rng.Intn(50))
-			row.Coef[i] = float64(1 + rng.Intn(30))
-		}
-		p.Rows = []Constraint{row}
+		p, weight := randomKnapsack(rng, 30, 100, 50, 30)
 		// Greedy by density.
 		type item struct{ b, w float64 }
-		items := make([]item, n)
+		items := make([]item, len(weight))
 		for i := range items {
-			items[i] = item{p.Benefit[i], row.Coef[i]}
+			items[i] = item{p.Benefit[i], weight[i]}
 		}
 		var greedy float64
-		cap := row.Bound
+		cap := p.Bound[0]
 		for {
 			best, bi := 0.0, -1
 			for i, it := range items {
@@ -198,5 +199,23 @@ func TestSolverBeatsOrMatchesGreedy(t *testing.T) {
 		if res.Value < greedy {
 			t.Fatalf("trial %d: solver %v below greedy %v", trial, res.Value, greedy)
 		}
+	}
+}
+
+// TestSearchAllocatesNothing proves the branch and bound itself is
+// allocation-free: Solve's allocations are its set-up, so they do not
+// grow with the node budget.
+func TestSearchAllocatesNothing(t *testing.T) {
+	p, _ := randomKnapsack(rand.New(rand.NewSource(11)), 120, 400, 100, 50)
+	allocs := func(maxNodes int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if res := Solve(p, maxNodes); res.Nodes <= maxNodes {
+				t.Fatalf("budget %d not exhausted (%d nodes); the comparison proves nothing", maxNodes, res.Nodes)
+			}
+		})
+	}
+	small, large := allocs(1_000), allocs(100_000)
+	if small != large {
+		t.Fatalf("Solve allocates %v times with 1k nodes but %v with 100k: the search allocates", small, large)
 	}
 }

@@ -112,6 +112,10 @@ type Server struct {
 	dist     *metrics.DistStats
 	shards   *shardRegistry
 	draining atomic.Bool
+	// shardStart, when non-nil, holds every shard sweep until it is
+	// closed (or the lease is cancelled). Tests set it before granting so
+	// a quick sweep cannot finish, and free its slot, mid-test.
+	shardStart chan struct{}
 }
 
 // New builds a server around a fresh plan cache.

@@ -365,6 +365,7 @@ func (s *Server) handleShardStart(w http.ResponseWriter, r *http.Request) {
 		Cache: cache, Journal: journal, Ctx: ctx,
 		Shard: experiment.ShardPlan{Count: req.Shards, Index: req.Shard},
 	}
+	start := s.shardStart
 	go func() {
 		defer func() {
 			close(l.done)
@@ -372,6 +373,12 @@ func (s *Server) handleShardStart(w http.ResponseWriter, r *http.Request) {
 			// is ours to remove; otherwise expire/release removes it.
 			l.maybeRemoveDir()
 		}()
+		if start != nil {
+			select {
+			case <-start:
+			case <-ctx.Done():
+			}
+		}
 		var runErr error
 		for _, exp := range req.Exps {
 			if _, err := experiment.Run(exp, o); err != nil {

@@ -252,7 +252,10 @@ func TestShardValidation(t *testing.T) {
 }
 
 func TestShardSaturation(t *testing.T) {
-	_, h := shardServer(t, time.Minute)
+	s, h := shardServer(t, time.Minute)
+	// Hold the sweeps at their start: a quick shard that finished before
+	// the third POST would free its slot and turn the 429 into a 200.
+	s.shardStart = make(chan struct{})
 	var leases []string
 	for i := 0; i < 2; i++ {
 		st := startShard(t, h, fmt.Sprintf(`{"exps":["fig7"],"shard":%d,"shards":8,"quick":true,"steps":2}`, i))
@@ -266,6 +269,7 @@ func TestShardSaturation(t *testing.T) {
 	if w.Header().Get("Retry-After") == "" {
 		t.Fatal("429 without Retry-After")
 	}
+	close(s.shardStart)
 	// Finishing a shard frees its slot even before release: the cap
 	// counts running sweeps, not held leases.
 	waitShard(t, h, leases[0])
