@@ -107,10 +107,17 @@ var suite = []suiteEntry{
 		"BenchmarkChannelSubmitUrgent",
 		"BenchmarkBWTraceConsume",
 	}},
+	{pkg: "sentinel/internal/model", benches: []string{
+		// Graph construction, paid by every Table V probe.
+		"BenchmarkModelBuild",
+	}},
 	{pkg: "sentinel/internal/baseline", benches: []string{
 		// AutoTM's compile-time planning: runtime set-up plus the
 		// placement ILP's branch and bound.
 		"BenchmarkAutoTMSetup",
+		// SwapAdvisor's compile-time planning: runtime set-up plus the
+		// GA's fitness evaluations.
+		"BenchmarkSwapAdvisorSetup",
 	}},
 }
 

@@ -59,6 +59,8 @@ type SwapAdvisor struct {
 	// genes[i]: 0 = stay resident; 1..maxLead = swap out after the
 	// forward burst and prefetch that many layers before reuse.
 	genes ga.Genome
+	// cost is the GA's fitness of genes.
+	cost float64
 	// schedules by layer.
 	outAt, inAt [][]tensor.ID
 	// SearchCost is the simulated wall-clock the GA decision took; it is
@@ -89,7 +91,7 @@ func (p *SwapAdvisor) Setup(rt *exec.Runtime) error {
 	g := rt.Graph()
 	spec := rt.Spec()
 	p.cands = swapCandidates(g, 1<<20)
-	layerT := staticLayerTimes(g, spec)
+	sc := newSwapScorer(g, spec, p.cands)
 
 	domain := make([]int, len(p.cands))
 	for i := range domain {
@@ -98,11 +100,11 @@ func (p *SwapAdvisor) Setup(rt *exec.Runtime) error {
 	evals := 0
 	cost := func(gen ga.Genome) float64 {
 		evals++
-		return p.scoreSchedule(gen, layerT, spec)
+		return sc.score(gen)
 	}
 	cfg := ga.DefaultConfig()
-	best, _ := ga.Minimize(domain, cost, cfg)
-	p.genes = best
+	best, bestCost := ga.Minimize(domain, cost, cfg)
+	p.genes, p.cost = best, bestCost
 	// Each evaluation of the real SwapAdvisor runs a simulated schedule;
 	// model the decision latency it reports (~tens of minutes scaled to
 	// evaluation count).
@@ -125,41 +127,89 @@ func (p *SwapAdvisor) Setup(rt *exec.Runtime) error {
 	return nil
 }
 
-// scoreSchedule is the GA fitness: exposed transfer time plus capacity
-// violation penalties, from static layer times only.
-func (p *SwapAdvisor) scoreSchedule(gen ga.Genome, layerT []simtime.Duration, spec memsys.Spec) float64 {
-	g := p.rt.Graph()
-	// Fast usage per layer, assuming non-swapped tensors are resident.
-	usage := make([]int64, g.NumLayers)
-	for _, t := range g.Tensors {
-		for l := t.AllocLayer; l <= t.FreeLayer; l++ {
-			usage[l] += t.Size
-		}
+// swapScorer is the GA fitness: exposed transfer time plus capacity
+// violation penalties, from static layer times only. Everything that does
+// not depend on the genome is computed once, so an evaluation costs O(1)
+// per swapped candidate plus one pass over the layers.
+type swapScorer struct {
+	cands []swapCandidate
+	// base is the fast usage per layer with every tensor resident.
+	base []int64
+	// transfer is each candidate's one-way migration time.
+	transfer []simtime.Duration
+	// prefix[l] is the static time of layers [0, l).
+	prefix []simtime.Duration
+	// diff is the usage change swapped candidates make, as a difference
+	// array over layers; score leaves it zeroed.
+	diff     []int64
+	fastSize int64
+}
+
+func newSwapScorer(g *graph.Graph, spec memsys.Spec, cands []swapCandidate) *swapScorer {
+	n := g.NumLayers
+	s := &swapScorer{
+		cands:    cands,
+		base:     make([]int64, n),
+		transfer: make([]simtime.Duration, len(cands)),
+		prefix:   make([]simtime.Duration, n+1),
+		diff:     make([]int64, n+1),
+		fastSize: spec.Fast.Size,
 	}
+	for _, t := range g.Tensors {
+		s.diff[t.AllocLayer] += t.Size
+		s.diff[t.FreeLayer+1] -= t.Size
+	}
+	var u int64
+	for l := range s.base {
+		u += s.diff[l]
+		s.base[l] = u
+	}
+	clear(s.diff)
+	for i, c := range cands {
+		s.transfer[i] = simtime.TransferTime(c.size, spec.MigrationBW)
+	}
+	for l, d := range staticLayerTimes(g, spec) {
+		s.prefix[l+1] = s.prefix[l] + d
+	}
+	return s
+}
+
+// score rates a genome. Usage and durations are integers, so the result
+// does not depend on the order swaps are applied in; exposed time is
+// summed in candidate order.
+func (s *swapScorer) score(gen ga.Genome) float64 {
+	n := len(s.base)
 	var exposed float64
-	for i, c := range p.cands {
+	for i, c := range s.cands {
 		lead := gen[i]
 		if lead == 0 {
 			continue
 		}
-		for l := c.end + 1; l < c.resume && l < len(usage); l++ {
-			usage[l] -= c.size
+		// Swapped out over the idle gap, clipped at the last layer.
+		if lo, hi := c.end+1, min(c.resume, n); lo < hi {
+			s.diff[lo] -= c.size
+			s.diff[hi] += c.size
 		}
+		// The prefetch overlaps the lead layers before reuse; a lead
+		// reaching before layer 0 overlaps nothing.
 		var overlap simtime.Duration
-		for l := c.resume - lead; l < c.resume && l >= 0; l++ {
-			overlap += layerT[l]
+		if from := c.resume - lead; from >= 0 {
+			overlap = s.prefix[c.resume] - s.prefix[from]
 		}
-		transfer := simtime.TransferTime(c.size, spec.MigrationBW)
-		if transfer > overlap {
-			exposed += (transfer - overlap).Seconds()
+		if t := s.transfer[i]; t > overlap {
+			exposed += (t - overlap).Seconds()
 		}
 	}
 	var penalty float64
-	for l := range usage {
-		if over := usage[l] - spec.Fast.Size; over > 0 {
+	var delta int64
+	for l, u := range s.base {
+		delta += s.diff[l]
+		s.diff[l] = 0
+		if over := u + delta - s.fastSize; over > 0 {
 			penalty += float64(over) * 1e-6
 		}
 	}
+	s.diff[n] = 0
 	return exposed + penalty
 }
 

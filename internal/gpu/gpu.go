@@ -15,7 +15,6 @@ import (
 
 	"sentinel/internal/core"
 	"sentinel/internal/exec"
-	"sentinel/internal/graph"
 	"sentinel/internal/memsys"
 	"sentinel/internal/metrics"
 	"sentinel/internal/model"
@@ -74,13 +73,6 @@ func (s *SentinelGPU) StepEnd(step int, st *metrics.StepStats) {
 		s.rt.SetPinnedAccess(false)
 		s.rt.WaitUntil(s.rt.Now().Add(s.syncCost))
 	}
-}
-
-// MaxBatchResult is one Table V cell.
-type MaxBatchResult struct {
-	Model  string
-	Policy string
-	Batch  int
 }
 
 // MaxBatch finds the largest batch size (by doubling then bisecting) at
@@ -144,6 +136,3 @@ func MaxBatch(modelName string, spec memsys.Spec, factory func() exec.Policy, li
 	}
 	return lo, nil
 }
-
-// graph import anchor (MaxBatch builds graphs through the model registry).
-var _ *graph.Graph

@@ -9,7 +9,11 @@
 // The constraint matrix is stored in column form: each variable lists its
 // non-zero coefficients as (row, coefficient) terms, so the search's
 // feasibility test and usage updates walk a slice per branch and allocate
-// nothing.
+// nothing. Most feasibility tests fail, and they tend to fail on the same
+// crowded row as the variable's previous failure, so the test checks that
+// remembered term first. A conjunction's value does not depend on the
+// order its terms are checked in, so the hint changes no node of the
+// search, only how soon an infeasible branch is rejected.
 package ilp
 
 import "sort"
@@ -53,6 +57,7 @@ func Solve(p *Problem, maxNodes int) Result {
 		maxNodes: maxNodes,
 		usage:    make([]float64, len(p.Bound)),
 		cur:      make([]bool, n),
+		hint:     make([]int32, n),
 	}
 	// Branch order: benefit-per-weight density, descending; pure-benefit
 	// variables (no weight) first.
@@ -116,14 +121,27 @@ type solver struct {
 	bestVal  float64
 	nodes    int
 	maxNodes int
+	// hint[vi] is the position in cols[vi] of the term that last failed
+	// vi's feasibility test.
+	hint []int32
 }
 
-// fits reports whether setting vi keeps every row within its bound.
+// fits reports whether setting vi keeps every row within its bound. It
+// tests the term that failed last time first, and records where a full
+// scan fails.
 //
 //perf:hot
 func (s *solver) fits(vi int) bool {
-	for _, t := range s.cols[vi] {
+	col := s.cols[vi]
+	if len(col) == 0 {
+		return true
+	}
+	if t := col[s.hint[vi]]; s.usage[t.Row]+t.Coef > s.bound[t.Row]+1e-9 {
+		return false
+	}
+	for i, t := range col {
 		if s.usage[t.Row]+t.Coef > s.bound[t.Row]+1e-9 {
+			s.hint[vi] = int32(i)
 			return false
 		}
 	}

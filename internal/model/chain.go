@@ -11,6 +11,7 @@ package model
 
 import (
 	"fmt"
+	"strconv"
 
 	"sentinel/internal/graph"
 	"sentinel/internal/tensor"
@@ -141,7 +142,7 @@ func BuildChain(cs ChainSpec) (*graph.Graph, error) {
 	// ideal migration candidates.
 	for i, blk := range cs.Blocks {
 		for _, w := range blk.Weights {
-			id := b.Prealloc(fmt.Sprintf("%s.%s", blk.Name, w.Name), tensor.Weight, w.Size)
+			id := b.Prealloc(blk.Name+"."+w.Name, tensor.Weight, w.Size)
 			states[i].weights = append(states[i].weights, id)
 		}
 		states[i].moments[0] = b.Prealloc(blk.Name+".adam.m", tensor.Weight, blk.Weights[0].Size)
@@ -169,7 +170,7 @@ func BuildChain(cs ChainSpec) (*graph.Graph, error) {
 		}
 		writeTarget := tensor.ID(-1)
 		for mi, sz := range blk.MidBytes {
-			id := main.Alloc(fmt.Sprintf("%s.mid%d", blk.Name, mi), tensor.Activation, sz)
+			id := main.Alloc(blk.Name+".mid"+strconv.Itoa(mi), tensor.Activation, sz)
 			st.mids = append(st.mids, id)
 			main.Write(id, sw)
 			if mi == 0 {
@@ -181,7 +182,7 @@ func BuildChain(cs ChainSpec) (*graph.Graph, error) {
 		// intra-layer tensors, then the block output.
 		prevShort := writeTarget
 		for si, sz := range blk.ShortBytes {
-			op := b.Op(fmt.Sprintf("%s.norm%d", blk.Name, si), float64(sz))
+			op := b.Op(blk.Name+".norm"+strconv.Itoa(si), float64(sz))
 			if prevShort >= 0 {
 				op.Read(prevShort, sw)
 			}
@@ -189,7 +190,7 @@ func BuildChain(cs ChainSpec) (*graph.Graph, error) {
 			for wi := 1; wi < len(blk.Weights); wi++ {
 				op.Read(st.weights[wi], blk.Weights[wi].Hot)
 			}
-			id := op.Alloc(fmt.Sprintf("%s.short%d", blk.Name, si), tensor.Activation, sz)
+			id := op.Alloc(blk.Name+".short"+strconv.Itoa(si), tensor.Activation, sz)
 			op.Write(id, sw)
 			if prevShort >= 0 && si > 0 {
 				op.Free(prevShort)
@@ -199,7 +200,7 @@ func BuildChain(cs ChainSpec) (*graph.Graph, error) {
 
 		// Shape-inference and kernel-launch bookkeeping temporaries.
 		for ti := 0; ti < blk.TinyScratch/2; ti++ {
-			main.Scratch(fmt.Sprintf("%s.mtmp%d", blk.Name, ti),
+			main.Scratch(blk.Name+".mtmp"+strconv.Itoa(ti),
 				tinySizes[(i+ti+1)%len(tinySizes)], tinyReads[(i+ti+2)%len(tinyReads)])
 		}
 
@@ -217,14 +218,14 @@ func BuildChain(cs ChainSpec) (*graph.Graph, error) {
 			act.Free(prevShort)
 		}
 		for ti := 0; ti < blk.TinyScratch; ti++ {
-			act.Scratch(fmt.Sprintf("%s.tmp%d", blk.Name, ti),
+			act.Scratch(blk.Name+".tmp"+strconv.Itoa(ti),
 				tinySizes[(i+ti)%len(tinySizes)], tinyReads[(i+ti)%len(tinyReads)])
 		}
 		// A few allocations are never touched in main memory at all
 		// (cache-resident descriptors) — the paper's zero-access
 		// population.
 		for ti := 0; ti < 2; ti++ {
-			dead := act.Alloc(fmt.Sprintf("%s.dead%d", blk.Name, ti), tensor.Scratch,
+			dead := act.Alloc(blk.Name+".dead"+strconv.Itoa(ti), tensor.Scratch,
 				tinySizes[(i+ti)%len(tinySizes)])
 			act.Free(dead)
 		}
@@ -243,7 +244,7 @@ func BuildChain(cs ChainSpec) (*graph.Graph, error) {
 	dY := lossOp.Alloc("loss.grad", tensor.Gradient, gradSize)
 	lossOp.Write(dY, 1)
 	for ti := 0; ti < 4; ti++ {
-		lossOp.Scratch(fmt.Sprintf("loss.tmp%d", ti), tinySizes[ti], tinyReads[ti])
+		lossOp.Scratch("loss.tmp"+strconv.Itoa(ti), tinySizes[ti], tinyReads[ti])
 	}
 	b.EndLayer()
 
@@ -262,7 +263,7 @@ func BuildChain(cs ChainSpec) (*graph.Graph, error) {
 		actB.Write(dMid, sw)
 		actB.Free(st.out)
 		for ti := 0; ti < blk.TinyScratch/2; ti++ {
-			actB.Scratch(fmt.Sprintf("%s.abtmp%d", blk.Name, ti),
+			actB.Scratch(blk.Name+".abtmp"+strconv.Itoa(ti),
 				tinySizes[(i+ti+4)%len(tinySizes)], tinyReads[(i+ti+1)%len(tinyReads)])
 		}
 
@@ -276,7 +277,7 @@ func BuildChain(cs ChainSpec) (*graph.Graph, error) {
 			}
 			for wi := 1; wi < len(blk.Weights); wi++ {
 				normB.Read(st.weights[wi], blk.Weights[wi].Hot)
-				normB.Scratch(fmt.Sprintf("%s.dw%d", blk.Name, wi), blk.Weights[wi].Size, 2)
+				normB.Scratch(blk.Name+".dw"+strconv.Itoa(wi), blk.Weights[wi].Size, 2)
 			}
 			normB.Free(st.mids...)
 		}
@@ -314,7 +315,7 @@ func BuildChain(cs ChainSpec) (*graph.Graph, error) {
 		upd.Free(dW)
 		upd.Free(dY)
 		for ti := 0; ti < blk.TinyScratch; ti++ {
-			upd.Scratch(fmt.Sprintf("%s.btmp%d", blk.Name, ti),
+			upd.Scratch(blk.Name+".btmp"+strconv.Itoa(ti),
 				tinySizes[(i+ti+3)%len(tinySizes)], tinyReads[(i+ti+5)%len(tinyReads)])
 		}
 		b.EndLayer()
