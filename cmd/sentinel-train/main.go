@@ -125,9 +125,9 @@ func main() {
 	if of.Enabled {
 		fmt.Printf("online: %v  replans %d  recovered steps %d\n",
 			*of, run.Replans, run.RecoveredSteps)
-		for _, l := range run.ControllerLog {
-			fmt.Printf("  controller %s\n", l)
-		}
+	}
+	for _, l := range run.ControllerLog {
+		fmt.Printf("  controller %s\n", l)
 	}
 	fmt.Printf("steady step %v  throughput %.1f samples/s\n",
 		run.SteadyStepTime(), run.Throughput())

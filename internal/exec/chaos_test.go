@@ -3,6 +3,7 @@ package exec_test
 import (
 	"errors"
 	"reflect"
+	"regexp"
 	"testing"
 
 	"sentinel/internal/chaos"
@@ -267,17 +268,20 @@ func TestCapacityShrinkTypedError(t *testing.T) {
 	}
 }
 
-// TestDivergenceMonitor checks the plan-divergence monitor in both modes.
-// The slow allocator demand-migrates (and stalls) the first step, so an
-// aggressive stall threshold with a window of one fires immediately.
+// TestDivergenceMonitor checks the controller with replanning off — the
+// path a chaos-only run takes — in both modes. The slow allocator
+// demand-migrates (and stalls) the first step, so an aggressive stall
+// threshold with a window of one fires immediately.
 func TestDivergenceMonitor(t *testing.T) {
-	aggressive := exec.DivergenceConfig{StallFrac: 0.0001, DemandFactor: 1000, MinDemand: 1 << 60, Window: 1}
+	static := exec.DefaultOnline()
+	static.MaxReplans = 0
+	static.Div = exec.DivergenceConfig{StallFrac: 0.0001, DemandFactor: 1000, MinDemand: 1 << 60, Window: 1}
 
 	t.Run("soft", func(t *testing.T) {
 		g := microGraph(t, 64<<20)
 		bus := trace.NewBus(0)
 		rt, err := exec.NewRuntime(g, gpuSpec(256<<20), &slowAllocPolicy{},
-			exec.WithTrace(bus, ""), exec.WithDivergence(aggressive))
+			exec.WithTrace(bus, ""), exec.WithOnline(static))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -289,6 +293,7 @@ func TestDivergenceMonitor(t *testing.T) {
 			t.Fatal("run not marked diverged")
 		}
 		var sawDiverge, sawDemandOnly bool
+		var transitions int
 		for _, e := range bus.Events() {
 			switch e.Kind {
 			case trace.KPlanDiverged:
@@ -297,18 +302,41 @@ func TestDivergenceMonitor(t *testing.T) {
 				if e.Count == trace.DegradeDemandOnly {
 					sawDemandOnly = true
 				}
+			case trace.KCtlTransition:
+				transitions++
 			}
 		}
 		if !sawDiverge || !sawDemandOnly {
 			t.Fatalf("missing divergence trace events (diverged=%v demand-only=%v)",
 				sawDiverge, sawDemandOnly)
 		}
+		edge := regexp.MustCompile(`^step \d+: healthy->demand-only: replan budget exhausted: `)
+		if len(run.ControllerLog) != 1 || !edge.MatchString(run.ControllerLog[0]) {
+			t.Fatalf("controller log = %q, want one healthy->demand-only budget edge", run.ControllerLog)
+		}
+		if transitions != 1 {
+			t.Fatalf("%d controller-transition events, want 1", transitions)
+		}
+		if st := rt.ControllerState(); st != exec.CtlDemandOnly {
+			t.Fatalf("controller state %v, want demand-only", st)
+		}
+	})
+
+	t.Run("chaos-only", func(t *testing.T) {
+		rt, err := exec.NewRuntime(microGraph(t, 64<<20), gpuSpec(256<<20), &slowAllocPolicy{},
+			exec.WithChaos(chaos.New(chaos.Config{Seed: 1, MigrateFail: 0.1})))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rt.Online(); got != (exec.OnlineConfig{}) {
+			t.Fatalf("chaos-only runtime reports online config %+v, want the zero config", got)
+		}
 	})
 
 	t.Run("hard", func(t *testing.T) {
 		g := microGraph(t, 64<<20)
 		rt, err := exec.NewRuntime(g, gpuSpec(256<<20), &slowAllocPolicy{},
-			exec.WithDivergence(aggressive), exec.WithFailHard())
+			exec.WithOnline(static), exec.WithFailHard())
 		if err != nil {
 			t.Fatal(err)
 		}

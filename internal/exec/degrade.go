@@ -45,9 +45,9 @@ const (
 
 // WithChaos attaches a fault injector to the runtime. A nil injector (the
 // result of chaos.New on a disabled config) attaches nothing, keeping the
-// zero-knob run byte-identical to a clean one. Attaching a live injector
-// also arms the divergence monitor with default thresholds unless
-// WithDivergence configured it explicitly.
+// zero-knob run byte-identical to a clean one. A live injector also arms
+// the controller with replanning off (MaxReplans 0), unless WithOnline
+// armed it.
 func WithChaos(in *chaos.Injector) Option {
 	return func(rt *Runtime) { rt.chaos = in }
 }
@@ -88,12 +88,6 @@ func DefaultDivergence() DivergenceConfig {
 	return DivergenceConfig{StallFrac: 0.5, DemandFactor: 4, MinDemand: 8, Window: 2}
 }
 
-// WithDivergence arms the plan-divergence monitor with explicit
-// thresholds; it works with or without a fault injector.
-func WithDivergence(cfg DivergenceConfig) Option {
-	return func(rt *Runtime) { rt.div = &divMonitor{cfg: cfg, bestDemand: -1} }
-}
-
 // divMonitor accumulates the divergence evidence across steps.
 type divMonitor struct {
 	cfg DivergenceConfig
@@ -102,13 +96,11 @@ type divMonitor struct {
 	// the plan predicts".
 	bestDemand int64
 	bad        int
-	fired      bool
 }
 
 // flagged judges one step against the monitor's thresholds and updates
 // the best-step baseline. The returned detail is non-empty exactly when
-// the step is flagged. Both the static monitor (checkDivergence) and the
-// online controller's state machine run their evidence through here.
+// the step is flagged; the controller owns the windowing.
 func (m *divMonitor) flagged(st *metrics.StepStats) (bool, string) {
 	var reasons []byte
 	if st.Duration > 0 && m.cfg.StallFrac > 0 &&
@@ -134,36 +126,6 @@ func (m *divMonitor) flagged(st *metrics.StepStats) (bool, string) {
 func (m *divMonitor) reset() {
 	m.bestDemand = -1
 	m.bad = 0
-}
-
-// checkDivergence runs at each step's close. On divergence it either
-// degrades to demand-only mode (prefetch suppressed run-wide) or, under
-// WithFailHard, returns ErrPlanDiverged.
-func (rt *Runtime) checkDivergence(st *metrics.StepStats) error {
-	m := rt.div
-	if m == nil || m.fired {
-		return nil
-	}
-	bad, detail := m.flagged(st)
-	if !bad {
-		m.bad = 0
-		return nil
-	}
-	m.bad++
-	if m.bad < m.cfg.Window {
-		return nil
-	}
-	m.fired = true
-	st.Diverged = true
-	rt.run.Diverged = true
-	rt.emit(trace.Event{At: rt.now, Kind: trace.KPlanDiverged, Tensor: trace.NoTensor, Name: detail})
-	if rt.failHard {
-		return fmt.Errorf("%w: %s", ErrPlanDiverged, detail)
-	}
-	rt.demandOnly = true
-	rt.emit(trace.Event{At: rt.now, Kind: trace.KDegrade, Tensor: trace.NoTensor,
-		Count: trace.DegradeDemandOnly})
-	return nil
 }
 
 // noteRetry accounts one transiently failed migration batch.

@@ -9,10 +9,9 @@ import (
 )
 
 // Online Sentinel: the adaptive controller that closes the
-// detect -> re-profile -> replan -> recover loop. The static degradation
-// ladder (degrade.go) detects plan divergence only to give up — the
-// divergence monitor fires once and the run finishes on demand paging.
-// The controller promotes that monitor into a state machine:
+// detect -> re-profile -> replan -> recover loop. WithChaos alone arms it
+// with no replan budget, so the first declared divergence falls back to
+// demand-only mode; WithOnline gives it a budget. The state machine:
 //
 //	healthy -> suspect -> reprofiling -> replanning -> recovered
 //	                \______________________________/      |
@@ -23,8 +22,7 @@ import (
 // successful swap is followed by Cooldown steps during which verdicts are
 // ignored (the baseline still re-learns), and at most MaxReplans rebuilds
 // are attempted per run — after that, or when replanning itself fails,
-// the controller falls back to exactly the static ladder's demand-only
-// mode.
+// the controller falls back to demand-only mode.
 
 // CtlState is one state of the online controller.
 //
@@ -70,9 +68,9 @@ func (s CtlState) String() string {
 // OnlineConfig tunes the adaptive controller. The zero value is disabled;
 // DefaultOnline returns the enabled defaults the -online flag arms.
 type OnlineConfig struct {
-	// Enabled arms the controller. Off, the runtime behaves exactly as
-	// without this subsystem (byte-identical, including the static
-	// divergence monitor).
+	// Enabled arms the recovery loop. Off, WithOnline attaches nothing;
+	// a fault injector alone still arms the controller, with default
+	// thresholds and MaxReplans 0.
 	Enabled bool
 	// MinDwell is how many additional flagged steps the controller waits
 	// in the suspect state before starting to sample; a clean step in
@@ -90,7 +88,7 @@ type OnlineConfig struct {
 	// swap's own migration delta never re-triggers the controller.
 	Cooldown int
 	// MaxReplans caps plan rebuilds per run; exhausted, the controller
-	// falls back to demand-only mode like the static ladder.
+	// falls back to demand-only mode.
 	MaxReplans int
 	// Decay is the weight of the old profile in the blended access
 	// counts: blended = Decay*old + (1-Decay)*observed, in [0,1).
@@ -183,21 +181,26 @@ func RegisterOnlineFlags() *OnlineConfig {
 // online subsystem.
 func WithOnline(cfg OnlineConfig) Option {
 	return func(rt *Runtime) {
-		if !cfg.Enabled {
-			return
+		if cfg.Enabled {
+			rt.ctl = newController(cfg)
 		}
-		if cfg.Div == (DivergenceConfig{}) {
-			cfg.Div = DefaultDivergence()
-		}
-		rt.ctl = &onlineController{cfg: cfg, mon: divMonitor{cfg: cfg.Div, bestDemand: -1}}
 	}
 }
 
-// Online returns the controller configuration (zero when disabled).
-// Policies consult it for the knobs the replan path needs (SampleEvery,
-// Decay).
+// newController builds the per-run state machine that WithOnline and a
+// chaos-only NewRuntime both arm; the zero Div means DefaultDivergence.
+func newController(cfg OnlineConfig) *onlineController {
+	if cfg.Div == (DivergenceConfig{}) {
+		cfg.Div = DefaultDivergence()
+	}
+	return &onlineController{cfg: cfg, mon: divMonitor{cfg: cfg.Div, bestDemand: -1}}
+}
+
+// Online returns the controller configuration (zero unless WithOnline
+// enabled it). Policies consult it for the knobs the replan path needs
+// (SampleEvery, Decay).
 func (rt *Runtime) Online() OnlineConfig {
-	if rt.ctl == nil {
+	if rt.ctl == nil || !rt.ctl.cfg.Enabled {
 		return OnlineConfig{}
 	}
 	return rt.ctl.cfg
@@ -223,8 +226,7 @@ type Reprofiler interface {
 type onlineController struct {
 	cfg   OnlineConfig
 	state CtlState
-	// mon judges each step with the same evidence as the static ladder's
-	// monitor; the controller owns the windowing and what firing means.
+	// mon judges each step; the controller owns the windowing.
 	mon divMonitor
 	// dwell counts consecutive flagged steps while suspect.
 	dwell int
@@ -249,9 +251,9 @@ func (rt *Runtime) transition(step int, to CtlState, reason string) {
 		Name: edge, Count: int64(to)})
 }
 
-// fallbackDemandOnly is the controller's terminal degradation: exactly the
-// static ladder's demand-only mode (prefetch suppressed run-wide), or the
-// typed error under WithFailHard.
+// fallbackDemandOnly is the controller's terminal degradation: demand-only
+// mode (prefetch suppressed run-wide), or the typed error under
+// WithFailHard.
 func (rt *Runtime) fallbackDemandOnly(st *metrics.StepStats, reason string, err error) error {
 	st.Diverged = true
 	rt.run.Diverged = true
@@ -268,8 +270,7 @@ func (rt *Runtime) fallbackDemandOnly(st *metrics.StepStats, reason string, err 
 	return nil
 }
 
-// controllerStep advances the state machine at each step's close. It
-// replaces checkDivergence when the controller is armed.
+// controllerStep advances the state machine at each step's close.
 func (rt *Runtime) controllerStep(st *metrics.StepStats) error {
 	c := rt.ctl
 	switch c.state {
@@ -306,14 +307,7 @@ func (rt *Runtime) controllerStep(st *metrics.StepStats) error {
 		if c.dwell < c.cfg.MinDwell {
 			return nil
 		}
-		rp, ok := rt.policy.(Reprofiler)
-		if !ok || !rp.ReprofileStart(c.round) {
-			return rt.fallbackDemandOnly(st, "policy cannot re-profile: "+detail, nil)
-		}
-		c.round++
-		c.sampleLeft = c.cfg.SampleSteps
-		rt.transition(st.Step, CtlReprofiling, detail)
-		return nil
+		return rt.startSampling(st, detail)
 
 	case CtlReprofiling:
 		// Sampling steps are not judged: their fault overhead inflates
@@ -365,9 +359,8 @@ func (rt *Runtime) judgeHealthy(st *metrics.StepStats) error {
 	if c.mon.bad < c.cfg.Div.Window {
 		return nil
 	}
-	// Divergence declared: the same observable event as the static
-	// ladder's firing, but here it opens the recovery loop instead of
-	// closing the run down.
+	// Divergence declared: with replans left it opens the recovery loop;
+	// with none it closes the run down to demand paging.
 	c.mon.bad = 0
 	st.Diverged = true
 	rt.emit(trace.Event{At: rt.now, Kind: trace.KPlanDiverged, Tensor: trace.NoTensor, Name: detail})
@@ -378,14 +371,22 @@ func (rt *Runtime) judgeHealthy(st *metrics.StepStats) error {
 	c.dwell = 0
 	if c.cfg.MinDwell == 0 {
 		// No extra dwell requested: begin sampling immediately.
-		rp, ok := rt.policy.(Reprofiler)
-		if !ok || !rp.ReprofileStart(c.round) {
-			return rt.fallbackDemandOnly(st, "policy cannot re-profile: "+detail, nil)
-		}
-		c.round++
-		c.sampleLeft = c.cfg.SampleSteps
-		rt.transition(st.Step, CtlReprofiling, detail)
+		return rt.startSampling(st, detail)
 	}
+	return nil
+}
+
+// startSampling leaves the suspect state for a re-profiling round, or
+// falls back to demand-only mode when the policy cannot re-profile.
+func (rt *Runtime) startSampling(st *metrics.StepStats, detail string) error {
+	c := rt.ctl
+	rp, ok := rt.policy.(Reprofiler)
+	if !ok || !rp.ReprofileStart(c.round) {
+		return rt.fallbackDemandOnly(st, "policy cannot re-profile: "+detail, nil)
+	}
+	c.round++
+	c.sampleLeft = c.cfg.SampleSteps
+	rt.transition(st.Step, CtlReprofiling, detail)
 	return nil
 }
 

@@ -55,11 +55,8 @@ type Runtime struct {
 	// chaos injects faults when attached (WithChaos); nil injects
 	// nothing, and every draw below then returns the identity.
 	chaos *chaos.Injector
-	// div is the plan-divergence monitor (WithDivergence, or armed by
-	// WithChaos with defaults); nil disables the check.
-	div *divMonitor
-	// ctl is the online adaptive controller (WithOnline); when armed it
-	// supersedes the static divergence monitor.
+	// ctl judges each step against the plan (WithOnline, or WithChaos
+	// with replanning off); nil disables the check.
 	ctl *onlineController
 	// failHard surfaces degradation as typed errors instead of falling
 	// back (WithFailHard).
@@ -118,8 +115,8 @@ func NewRuntime(g *graph.Graph, spec memsys.Spec, p Policy, opts ...Option) (*Ru
 		k.InChannel().Derate(f)
 		k.OutChannel().Derate(f)
 	}
-	if rt.chaos != nil && rt.div == nil && rt.ctl == nil {
-		rt.div = &divMonitor{cfg: DefaultDivergence(), bestDemand: -1}
+	if rt.chaos != nil && rt.ctl == nil {
+		rt.ctl = newController(OnlineConfig{Div: DefaultDivergence()})
 	}
 	rt.wireTrace()
 	rt.a = alloc.New(k, p.AllocConfig(g))
@@ -355,9 +352,6 @@ func (rt *Runtime) RunStep() (*metrics.StepStats, error) {
 			rt.st = nil
 			return nil, fmt.Errorf("step %d: %w", step, err)
 		}
-	} else if err := rt.checkDivergence(st); err != nil {
-		rt.st = nil
-		return nil, fmt.Errorf("step %d: %w", step, err)
 	}
 	rt.st = nil
 	rt.run.Steps = append(rt.run.Steps, st)

@@ -1,0 +1,123 @@
+package exec_test
+
+import (
+	"encoding/binary"
+	"errors"
+	"hash/fnv"
+	"reflect"
+	"testing"
+
+	"sentinel/internal/chaos"
+	"sentinel/internal/exec"
+	"sentinel/internal/gpu"
+	"sentinel/internal/memsys"
+	"sentinel/internal/metrics"
+	"sentinel/internal/model"
+	"sentinel/internal/trace"
+)
+
+// staticDigest is an FNV-64a digest of every StepStats field the
+// benchmark's run digest covers, over all steps of a run.
+func staticDigest(steps []*metrics.StepStats) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	put := func(vs ...int64) {
+		for _, v := range vs {
+			binary.LittleEndian.PutUint64(b[:], uint64(v))
+			h.Write(b[:])
+		}
+	}
+	for _, st := range steps {
+		div := int64(0)
+		if st.Diverged {
+			div = 1
+		}
+		put(int64(st.Duration), int64(st.ComputeTime), int64(st.MemTime),
+			int64(st.StallTime), int64(st.FaultTime), int64(st.RecomputeTime),
+			st.MigratedIn, st.MigratedOut, st.DemandMigrations, st.FastBytes, st.SlowBytes,
+			st.Faults, st.MigrateRetries, st.Degraded, div, st.PeakMapped, st.PeakFastUsed)
+	}
+	return h.Sum64()
+}
+
+// staticRuntime builds the chaos-only Sentinel-GPU cell the pin runs:
+// resnet32 at batch 128 on GPUHM with the fast tier at 20% of peak, no
+// online controller requested.
+func staticRuntime(t *testing.T, cfg chaos.Config, opts ...exec.Option) *exec.Runtime {
+	t.Helper()
+	g, err := model.Build("resnet32", 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := memsys.GPUHM().WithFastSize(int64(0.2 * float64(g.PeakMemory())))
+	opts = append(opts, exec.WithChaos(chaos.New(cfg)))
+	rt, err := exec.NewRuntime(g, spec, gpu.New(), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rt
+}
+
+// TestStaticLadderPinned pins the chaos-only degradation path: every
+// simulated step figure, the run's divergence flag, and the steps on which
+// the plan-diverged and demand-only degrade events fire. Under
+// WithFailHard the run must stop with ErrPlanDiverged on the step that
+// fired.
+func TestStaticLadderPinned(t *testing.T) {
+	const steps = 6
+	for _, tc := range []struct {
+		name       string
+		cfg        chaos.Config
+		digest     uint64
+		diverged   bool
+		divSteps   []int
+		demandOnly []int
+	}{
+		{"migrate-fail", chaos.Config{Seed: 42, MigrateFail: 0.3},
+			0x930aba2b379e5290, true, []int{2}, []int{2}},
+		{"shrink", chaos.Config{Seed: 42, ShrinkAtStep: 1, ShrinkFrac: 0.25},
+			0x2174b040daa16f50, true, []int{2}, []int{2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bus := trace.NewBus(1)
+			var divSteps, demandOnly []int
+			bus.Subscribe(func(e trace.Event) {
+				switch {
+				case e.Kind == trace.KPlanDiverged:
+					divSteps = append(divSteps, e.Step)
+				case e.Kind == trace.KDegrade && e.Count == trace.DegradeDemandOnly:
+					demandOnly = append(demandOnly, e.Step)
+				}
+			})
+			rt := staticRuntime(t, tc.cfg, exec.WithTrace(bus, ""))
+			run, err := rt.RunSteps(steps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := staticDigest(run.Steps); got != tc.digest {
+				t.Errorf("step digest = %#x, want %#x", got, tc.digest)
+			}
+			if run.Diverged != tc.diverged {
+				t.Errorf("run.Diverged = %v, want %v", run.Diverged, tc.diverged)
+			}
+			if !reflect.DeepEqual(divSteps, tc.divSteps) {
+				t.Errorf("plan-diverged on steps %v, want %v", divSteps, tc.divSteps)
+			}
+			if !reflect.DeepEqual(demandOnly, tc.demandOnly) {
+				t.Errorf("demand-only degrade on steps %v, want %v", demandOnly, tc.demandOnly)
+			}
+			if len(tc.divSteps) == 0 {
+				return
+			}
+
+			hard := staticRuntime(t, tc.cfg, exec.WithFailHard())
+			_, err = hard.RunSteps(steps)
+			if !errors.Is(err, exec.ErrPlanDiverged) {
+				t.Fatalf("fail-hard run error = %v, want ErrPlanDiverged", err)
+			}
+			if at := len(hard.Run().Steps); at != tc.divSteps[0] {
+				t.Fatalf("fail-hard run stopped on step %d, want %d", at, tc.divSteps[0])
+			}
+		})
+	}
+}

@@ -39,8 +39,8 @@ const onlineSteps = 12
 // adaptive controller wins back (the detect -> re-profile -> replan ->
 // recover loop closed end to end). Each ladder rung runs three ways on
 // the GPU platform: clean (no faults, static plan), static-degraded
-// (faults injected, the static ladder detects divergence only to fall
-// back to demand paging), and online (same faults, the controller
+// (faults injected, the controller with no replan budget detects
+// divergence only to fall back to demand paging), and online (same faults, the controller
 // re-profiles and replans mid-run). The "gap recovered" column is the
 // share of the static-degraded-vs-clean slowdown the online run wins
 // back; the recovery target is at least half the gap on the replanning
