@@ -97,7 +97,8 @@ func main() {
 	}
 
 	if *workerMode {
-		if err := runWorker(ids, *shard, *shards, *quick, *steps, *workers, *journalDir, *workerDie); err != nil {
+		t := dist.Task{Shard: *shard, Shards: *shards, Exps: ids, Quick: *quick, Steps: *steps}
+		if err := runWorker(t, *workers, *journalDir, *workerDie); err != nil {
 			fail(err)
 		}
 		return
@@ -231,54 +232,31 @@ func main() {
 	}
 }
 
-// runWorker is -worker mode: execute one hash shard of the sweep,
-// journaling every completed in-shard cell, exactly as the protocol in
-// docs/DISTRIBUTED.md requires of a worker. The rendered tables are
-// discarded — the journal is the product; the coordinator merges it.
-func runWorker(ids []string, shard, shards int, quick bool, steps, workers int, dir string, dieAfter int) error {
+// runWorker is -worker mode: run one hash shard of the sweep through
+// dist's shard body. The journal is the product; the coordinator
+// merges it.
+func runWorker(t dist.Task, workers int, dir string, dieAfter int) error {
 	if dir == "" {
 		return fmt.Errorf("-worker requires -journal")
 	}
-	if shards < 1 || shard < 0 || shard >= shards {
-		return fmt.Errorf("-worker requires 0 <= -shard < -shards, got %d/%d", shard, shards)
+	if err := t.Validate(); err != nil {
+		return fmt.Errorf("-worker: %w", err)
 	}
-	j, err := experiment.OpenJournal(dir)
+	sh, err := dist.OpenShard(dir, t)
 	if err != nil {
 		return err
 	}
-	defer j.Close()
-	// A fresh private cache seeded from the journal: a reassigned shard
-	// resumes from its predecessor's salvage instead of recomputing.
-	cache := experiment.NewCache()
-	if restored, _, err := j.Replay(cache); err != nil {
-		return err
-	} else if restored > 0 {
-		fmt.Fprintf(os.Stderr, "sentinel-sweep[%d/%d]: resumed %d cell(s) from salvage\n", shard, shards, restored)
-	}
-	o := experiment.Options{
-		Steps: steps, Quick: quick, Workers: workers,
-		Cache: cache, Journal: j,
-		Shard: experiment.ShardPlan{Count: shards, Index: shard},
+	if sh.Replayed > 0 {
+		fmt.Fprintf(os.Stderr, "sentinel-sweep[%d/%d]: resumed %d cell(s) from salvage\n", t.Shard, t.Shards, sh.Replayed)
 	}
 	if dieAfter >= 0 {
-		o.Progress = &crashAfter{j: j, cells: dieAfter}
-		if dieAfter == 0 {
-			// Die before the first cell: the doomed-shard CI hook.
-			(&crashAfter{j: j, cells: 0}).CellDone()
-		}
+		sh.Progress = &crashAfter{j: sh.Journal, cells: dieAfter}
+		sh.Progress.CellDone() // dies at once for 0: the doomed-shard CI hook
 	}
-	for _, id := range ids {
-		if _, err := experiment.Run(id, o); err != nil {
-			return fmt.Errorf("shard %d/%d: %s: %w", shard, shards, id, err)
-		}
+	if err := sh.Run(context.Background(), workers); err != nil {
+		return fmt.Errorf("shard %d/%d: %w", t.Shard, t.Shards, err)
 	}
-	if err := j.Sync(); err != nil {
-		return err
-	}
-	if err := j.Err(); err != nil {
-		return fmt.Errorf("shard %d/%d: journal: %w", shard, shards, err)
-	}
-	fmt.Fprintf(os.Stderr, "sentinel-sweep[%d/%d]: journaled %d cell(s)\n", shard, shards, j.Appended())
+	fmt.Fprintf(os.Stderr, "sentinel-sweep[%d/%d]: journaled %d cell(s)\n", t.Shard, t.Shards, sh.Journal.Appended())
 	return nil
 }
 

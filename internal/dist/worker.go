@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"sync"
 
 	"sentinel/internal/experiment"
@@ -66,30 +65,12 @@ type Attempt interface {
 	Kill()
 }
 
-// journalCells counts the decodable cells in a journal image. Torn
-// tails — an incremental read can catch the worker mid-append — decode
-// as zero extra cells and are dropped, exactly as the merge path would
-// drop them.
-func journalCells(image []byte) int {
-	if len(image) == 0 {
-		return 0
-	}
-	n, _, err := experiment.MergeJournal(experiment.NewCache(), image)
-	if err != nil {
-		return 0
-	}
-	return n
-}
-
 // LocalWorker runs shard attempts as subprocesses of the coordinator —
-// the -workers-local mode. Each attempt gets a private journal
-// directory (pre-seeded with the task's salvage, which the subprocess
-// replays via the ordinary resume path) and is supervised through the
-// filesystem: Poll reads the journal file and the process's exit state.
-// A SIGKILLed subprocess is detected on its next poll: the wait
-// completes, the exit error becomes the attempt's failure, and the
-// journal file holds everything it managed to append — single-write
-// record framing means at most a torn tail, which the decoder drops.
+// the -workers-local mode — each in a shard directory seeded with the
+// task's salvage (shard.go). Poll reads the journal file and the exit
+// state, so a SIGKILLed subprocess fails its attempt on the next poll
+// with everything it journaled: single-write record framing leaves at
+// most a torn tail, which the decoder drops.
 type LocalWorker struct {
 	// WorkerName labels the worker; required.
 	WorkerName string
@@ -108,18 +89,12 @@ type LocalWorker struct {
 // Name implements Worker.
 func (w *LocalWorker) Name() string { return w.WorkerName }
 
-// Start implements Worker: materialize the salvage journal, spawn the
+// Start implements Worker: make the shard directory, spawn the
 // subprocess, and start the exit watcher.
 func (w *LocalWorker) Start(ctx context.Context, t Task) (Attempt, error) {
-	dir, err := os.MkdirTemp(w.Dir, "sentinel-shard-")
+	dir, err := makeShardDir(w.Dir, "sentinel-shard-", t.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("dist worker %s: %w", w.WorkerName, err)
-	}
-	if len(t.Seed) > 0 {
-		if err := os.WriteFile(filepath.Join(dir, experiment.JournalFile), t.Seed, 0o644); err != nil {
-			os.RemoveAll(dir)
-			return nil, fmt.Errorf("dist worker %s: seeding journal: %w", w.WorkerName, err)
-		}
 	}
 	exe, args := w.Command(t, dir)
 	cmd := exec.CommandContext(ctx, exe, args...)
@@ -148,11 +123,14 @@ type localAttempt struct {
 
 // Poll implements Attempt: read the journal file, check the exit state.
 func (a *localAttempt) Poll(ctx context.Context) (AttemptStatus, error) {
-	image, err := os.ReadFile(filepath.Join(a.dir, experiment.JournalFile))
-	if err != nil && !os.IsNotExist(err) {
-		return AttemptStatus{}, fmt.Errorf("dist: reading shard journal: %w", err)
+	image, err := readJournal(a.dir)
+	if err != nil {
+		return AttemptStatus{}, fmt.Errorf("dist: %w", err)
 	}
-	st := AttemptStatus{Journal: image, Cells: journalCells(image)}
+	// A torn tail, caught mid-append, decodes as no extra cells, exactly
+	// as the merge path would drop it.
+	cells, _, _ := experiment.MergeJournal(experiment.NewCache(), image)
+	st := AttemptStatus{Journal: image, Cells: cells}
 	select {
 	case <-a.exited:
 		st.Done = true

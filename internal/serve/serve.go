@@ -129,7 +129,7 @@ func New(cfg Config) *Server {
 		adm:      newAdmission(cfg.MaxInFlight, cfg.QueueDepth, cfg.PerTenant),
 		reqs:     &metrics.RequestStats{},
 		dist:     dist,
-		shards:   newShardRegistry(cfg.MaxShards, cfg.ShardTTL, dist),
+		shards:   newShardRegistry(cfg.MaxShards, dist),
 	}
 }
 
@@ -235,6 +235,15 @@ func (s *Server) retryAfter(w http.ResponseWriter) {
 	w.Header().Set("Retry-After", strconv.Itoa(secs))
 }
 
+// tenantOf names the request's tenant for admission and lease
+// accounting.
+func tenantOf(r *http.Request) string {
+	if tenant := r.Header.Get(TenantHeader); tenant != "" {
+		return tenant
+	}
+	return "anonymous"
+}
+
 // execError maps a request-execution failure to a response: validation
 // failures (experiment.ErrBadRequest) are 400s naming the field,
 // client hang-ups are 499-style cancellations, everything else is a
@@ -274,11 +283,7 @@ func (s *Server) admitted(h func(w http.ResponseWriter, r *http.Request) error) 
 				Code: "draining", Message: "server is draining; retry against another instance"})
 			return
 		}
-		tenant := r.Header.Get(TenantHeader)
-		if tenant == "" {
-			tenant = "anonymous"
-		}
-		release, err := s.adm.Admit(tenant)
+		release, err := s.adm.Admit(tenantOf(r))
 		if err != nil {
 			s.reqs.Reject()
 			s.retryAfter(w)

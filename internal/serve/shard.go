@@ -1,16 +1,12 @@
 package serve
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"net/http"
-	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"sentinel/internal/dist"
@@ -18,101 +14,32 @@ import (
 	"sentinel/internal/metrics"
 )
 
-// This file is the worker side of the distributed-sweep lease protocol
-// (internal/dist, docs/DISTRIBUTED.md): a sentinel-serve instance can
-// hold shard leases for a remote coordinator. Three endpoints:
+// This file is the HTTP face of the distributed-sweep lease protocol
+// (docs/DISTRIBUTED.md): a sentinel-serve instance can hold shard
+// leases for a remote coordinator. Three endpoints:
 //
 //	POST   /v1/shard          grant a lease, start the shard sweep
 //	GET    /v1/shard/status   heartbeat: renew the lease, stream journal bytes
 //	DELETE /v1/shard          release the lease and its resources
 //
-// Each lease runs in a private journal directory with a private plan
-// cache. Private on purpose: the server's shared cache would serve
-// memoized cells without re-executing them, and a cache hit never
-// reaches the journal — the coordinator would salvage an empty journal
-// from a "successful" worker. Isolation guarantees every in-shard cell
-// this lease completes is journaled, which is the entire product of a
-// shard attempt.
-//
-// The lease TTL is the server's dead-coordinator insurance: a
-// coordinator that crashes stops heartbeating, the TTL fires, the shard
-// run is cancelled, and the lease's directory is reclaimed. Every
-// status poll renews the clock.
+// A lease's run, directory, and state latch are a dist.Lease; this file
+// adds the lease-id registry and a TTL, the server's dead-coordinator
+// insurance: every status poll renews it, and when it lapses the run is
+// cancelled and the directory reclaimed.
 
-// shardLease is one granted lease: a shard sweep running in its own
-// directory, supervised by a TTL timer.
+// shardLease is one granted lease: a dist.Lease supervised by a TTL
+// timer.
 type shardLease struct {
+	*dist.Lease
 	id     string
 	tenant string
-	dir    string
 	ttl    time.Duration
-	cancel context.CancelFunc
 	timer  *time.Timer
-	// done closes when the sweep goroutine has fully stopped; resource
-	// cleanup waits on it so the journal directory is never yanked from
-	// under a running sweep.
-	done chan struct{}
-	// reclaimed flips once the registry has dropped the lease. The
-	// journal directory is removed when BOTH the sweep has stopped and
-	// the lease is reclaimed — by whichever side finishes second (each
-	// sets its own flag, then checks the other's). Neither side parks a
-	// goroutine waiting for the other, so a wedged sweep cannot strand
-	// a cleanup goroutine, and an unreclaimed lease keeps its journal
-	// salvageable.
-	reclaimed  atomic.Bool
-	removeOnce sync.Once
-
-	mu       sync.Mutex
-	state    string // dist.ShardRunning / ShardCompleted / ShardFailed
-	errMsg   string
-	replayed int // cells seeded from the request's salvage image
-	journal  *experiment.Journal
-}
-
-// setState moves a still-running lease to a terminal state; terminal
-// states never regress (a drain racing sweep completion keeps whichever
-// verdict landed first).
-func (l *shardLease) setState(state, errMsg string) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.state != dist.ShardRunning {
-		return
-	}
-	l.state = state
-	l.errMsg = errMsg
-}
-
-// maybeRemoveDir reclaims the lease's journal directory once the sweep
-// has stopped AND the registry has dropped the lease. Both the sweep
-// goroutine (after close(done)) and the registry (after setting
-// reclaimed) call it; the flag-then-check ordering on each side
-// guarantees the second finisher observes both conditions, and the
-// Once keeps the removal single-shot when the race is tied.
-func (l *shardLease) maybeRemoveDir() {
-	if !l.reclaimed.Load() {
-		return
-	}
-	select {
-	case <-l.done:
-		l.removeOnce.Do(func() {
-			os.RemoveAll(l.dir) //nolint:errcheck // best-effort temp cleanup
-		})
-	default:
-		// Sweep still running; it removes the dir when it stops.
-	}
-}
-
-// status snapshots the lease for a ShardStatus response.
-func (l *shardLease) status() (state, errMsg string, cells int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.state, l.errMsg, l.replayed + l.journal.Appended()
 }
 
 // shardRegistry owns every live lease on this server.
 type shardRegistry struct {
 	maxShards int
-	defTTL    time.Duration
 	stats     *metrics.DistStats
 
 	mu     sync.Mutex
@@ -120,13 +47,8 @@ type shardRegistry struct {
 	nextID int
 }
 
-func newShardRegistry(maxShards int, defTTL time.Duration, stats *metrics.DistStats) *shardRegistry {
-	return &shardRegistry{
-		maxShards: maxShards,
-		defTTL:    defTTL,
-		stats:     stats,
-		leases:    map[string]*shardLease{},
-	}
+func newShardRegistry(maxShards int, stats *metrics.DistStats) *shardRegistry {
+	return &shardRegistry{maxShards: maxShards, stats: stats, leases: map[string]*shardLease{}}
 }
 
 // errShardsSaturated refuses a grant past the concurrent-lease cap.
@@ -141,8 +63,7 @@ func (r *shardRegistry) grant(l *shardLease, onExpire func(id string)) (string, 
 	defer r.mu.Unlock()
 	running := 0
 	for _, held := range r.leases {
-		state, _, _ := held.status()
-		if state == dist.ShardRunning {
+		if held.Status().State == dist.ShardRunning {
 			running++
 		}
 	}
@@ -165,48 +86,32 @@ func (r *shardRegistry) get(id string) (*shardLease, bool) {
 	return l, ok
 }
 
-// expire reclaims a lease whose TTL lapsed: the coordinator stopped
-// heartbeating (or never collected a finished shard), so the run is
-// cancelled and the directory reclaimed once the sweep goroutine stops.
-func (r *shardRegistry) expire(id string) {
-	r.mu.Lock()
-	l, ok := r.leases[id]
-	if ok {
-		delete(r.leases, id)
-	}
-	r.mu.Unlock()
-	if !ok {
-		return
-	}
-	if state, _, _ := l.status(); state == dist.ShardRunning {
-		r.stats.LeaseExpired(l.tenant)
-	} else {
-		r.stats.LeaseDone(l.tenant)
-	}
-	l.setState(dist.ShardFailed, "lease expired on worker")
-	l.cancel()
-	l.reclaimed.Store(true)
-	l.maybeRemoveDir()
-}
+// causeExpired fails a lease whose TTL lapsed: the coordinator stopped
+// heartbeating, or never collected a finished shard.
+const causeExpired = "lease expired on worker"
 
-// release hands a lease back deliberately (DELETE): same reclamation as
-// expiry, but counted as a completed handback, not a loss.
-func (r *shardRegistry) release(id string) (*shardLease, bool) {
+// expire is the TTL timer's callback.
+func (r *shardRegistry) expire(id string) { r.drop(id, causeExpired) }
+
+// drop removes a lease, cancels its run with cause, and reclaims its
+// directory once the run stops. Only a TTL expiry of a still-running
+// shard counts as a lost lease; a release (DELETE) is a handback.
+func (r *shardRegistry) drop(id, cause string) (*shardLease, bool) {
 	r.mu.Lock()
 	l, ok := r.leases[id]
-	if ok {
-		delete(r.leases, id)
-	}
+	delete(r.leases, id)
 	r.mu.Unlock()
 	if !ok {
 		return nil, false
 	}
 	l.timer.Stop()
-	r.stats.LeaseDone(l.tenant)
-	l.setState(dist.ShardFailed, "lease released")
-	l.cancel()
-	l.reclaimed.Store(true)
-	l.maybeRemoveDir()
+	if cause == causeExpired && l.Status().State == dist.ShardRunning {
+		r.stats.LeaseExpired(l.tenant)
+	} else {
+		r.stats.LeaseDone(l.tenant)
+	}
+	l.Cancel(cause)
+	l.Drop()
 	return l, true
 }
 
@@ -216,22 +121,17 @@ func (r *shardRegistry) release(id string) (*shardLease, bool) {
 // final status poll can still salvage their journals.
 func (r *shardRegistry) drain() {
 	r.mu.Lock()
-	ids := make([]string, 0, len(r.leases))
-	for id := range r.leases {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	leases := make([]*shardLease, 0, len(ids))
-	for _, id := range ids {
-		leases = append(leases, r.leases[id])
+	leases := make([]*shardLease, 0, len(r.leases))
+	for _, l := range r.leases {
+		leases = append(leases, l)
 	}
 	r.mu.Unlock()
+	sort.Slice(leases, func(i, j int) bool { return leases[i].id < leases[j].id })
 	for _, l := range leases {
-		if state, _, _ := l.status(); state == dist.ShardRunning {
+		if l.Status().State == dist.ShardRunning {
 			r.stats.LeaseExpired(l.tenant)
 		}
-		l.setState(dist.ShardFailed, "worker draining")
-		l.cancel()
+		l.Cancel("worker draining")
 	}
 }
 
@@ -269,139 +169,45 @@ func (s *Server) handleShardStart(w http.ResponseWriter, r *http.Request) {
 	}
 	var req dist.ShardRequest
 	if err := decodeInto(r, &req); err != nil {
-		var reqErr *experiment.RequestError
-		if errors.As(err, &reqErr) {
-			writeError(w, http.StatusBadRequest, apiError{
-				Code: "invalid_request", Field: reqErr.Field, Message: reqErr.Reason})
-			return
-		}
+		writeExecError(w, r, err)
+		return
+	}
+	t := dist.Task{
+		Shard: req.Shard, Shards: req.Shards, Exps: req.Exps,
+		Quick: req.Quick, Steps: req.Steps, Seed: req.Seed,
+	}
+	if err := t.Validate(); err != nil {
 		shardError(w, http.StatusBadRequest, "invalid_request", "%v", err)
 		return
-	}
-	if req.Shards < 1 {
-		shardError(w, http.StatusBadRequest, "invalid_request", "shards must be >= 1, got %d", req.Shards)
-		return
-	}
-	if req.Shard < 0 || req.Shard >= req.Shards {
-		shardError(w, http.StatusBadRequest, "invalid_request",
-			"shard must be in [0, %d), got %d", req.Shards, req.Shard)
-		return
-	}
-	if len(req.Exps) == 0 {
-		shardError(w, http.StatusBadRequest, "invalid_request", "exps is required")
-		return
-	}
-	for _, id := range req.Exps {
-		if !experiment.Known(id) {
-			shardError(w, http.StatusBadRequest, "invalid_request",
-				"unknown experiment %q (known: %v)", id, experiment.IDs())
-			return
-		}
 	}
 	ttl := time.Duration(req.TTLMillis) * time.Millisecond
 	if ttl <= 0 || ttl > s.cfg.ShardTTL {
 		ttl = s.cfg.ShardTTL
 	}
 
-	tenant := r.Header.Get(TenantHeader)
-	if tenant == "" {
-		tenant = "anonymous"
-	}
-	dir, err := os.MkdirTemp("", "sentinel-serve-shard-")
+	lease, err := dist.StartLease(t, s.cfg.Workers, s.shardStart)
 	if err != nil {
-		shardError(w, http.StatusInternalServerError, "internal", "creating shard dir: %v", err)
-		return
-	}
-	if len(req.Seed) > 0 {
-		if err := os.WriteFile(filepath.Join(dir, experiment.JournalFile), req.Seed, 0o644); err != nil {
-			os.RemoveAll(dir)
-			shardError(w, http.StatusInternalServerError, "internal", "seeding journal: %v", err)
-			return
-		}
-	}
-	journal, err := experiment.OpenJournal(dir)
-	if err != nil {
-		os.RemoveAll(dir)
 		// A seed image that is not a journal is the caller's fault.
 		if errors.Is(err, experiment.ErrNotJournal) {
 			shardError(w, http.StatusBadRequest, "invalid_request", "seed is not a journal image")
 			return
 		}
-		shardError(w, http.StatusInternalServerError, "internal", "opening journal: %v", err)
+		shardError(w, http.StatusInternalServerError, "internal", "%v", err)
 		return
 	}
-	// Private cache: completed seed cells come back via Replay, and
-	// everything this lease computes is journaled (the shared server
-	// cache would satisfy cells without journaling them).
-	cache := experiment.NewCache()
-	replayed, _, err := journal.Replay(cache)
-	if err != nil {
-		journal.Close()
-		os.RemoveAll(dir)
-		shardError(w, http.StatusBadRequest, "invalid_request", "replaying seed journal: %v", err)
-		return
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	l := &shardLease{
-		tenant: tenant, dir: dir, ttl: ttl, cancel: cancel,
-		done: make(chan struct{}), state: dist.ShardRunning,
-		replayed: replayed, journal: journal,
-	}
+	l := &shardLease{Lease: lease, tenant: tenantOf(r), ttl: ttl}
 	id, err := s.shards.grant(l, s.shards.expire)
 	if err != nil {
-		cancel()
-		journal.Close()
-		os.RemoveAll(dir)
+		l.Cancel(err.Error())
+		l.Drop()
 		s.reqs.Reject()
 		s.retryAfter(w)
 		shardError(w, http.StatusTooManyRequests, "overloaded",
 			"%v; retry after %v", err, s.cfg.RetryAfter)
 		return
 	}
-
-	o := experiment.Options{
-		Steps: req.Steps, Quick: req.Quick, Workers: s.cfg.Workers,
-		Cache: cache, Journal: journal, Ctx: ctx,
-		Shard: experiment.ShardPlan{Count: req.Shards, Index: req.Shard},
-	}
-	start := s.shardStart
-	go func() {
-		defer func() {
-			close(l.done)
-			// If the lease was reclaimed while the sweep ran, the dir
-			// is ours to remove; otherwise expire/release removes it.
-			l.maybeRemoveDir()
-		}()
-		if start != nil {
-			select {
-			case <-start:
-			case <-ctx.Done():
-			}
-		}
-		var runErr error
-		for _, exp := range req.Exps {
-			if _, err := experiment.Run(exp, o); err != nil {
-				runErr = err
-				break
-			}
-			if ctx.Err() != nil {
-				runErr = ctx.Err()
-				break
-			}
-		}
-		switch {
-		case runErr != nil:
-			l.setState(dist.ShardFailed, runErr.Error())
-		default:
-			l.setState(dist.ShardCompleted, "")
-		}
-		journal.Close() //nolint:errcheck // append errors surface via Journal.Err
-	}()
-
-	writeJSON(w, dist.ShardStatus{ //nolint:errcheck // response already committed
-		Lease: id, State: dist.ShardRunning, Offset: 0, Cells: replayed,
-	})
+	st := dist.ShardStatus{Lease: id, State: dist.ShardRunning, Cells: l.Status().Cells}
+	writeJSON(w, st) //nolint:errcheck // response already committed
 }
 
 // handleShardStatus serves GET /v1/shard/status: the coordinator's
@@ -435,10 +241,10 @@ func (s *Server) handleShardStatus(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	l.renew()
-	state, errMsg, cells := l.status()
-	image, err := os.ReadFile(filepath.Join(l.dir, experiment.JournalFile))
-	if err != nil && !os.IsNotExist(err) {
-		shardError(w, http.StatusInternalServerError, "internal", "reading shard journal: %v", err)
+	st := l.Status()
+	image, err := l.Journal()
+	if err != nil {
+		shardError(w, http.StatusInternalServerError, "internal", "%v", err)
 		return
 	}
 	if offset > int64(len(image)) {
@@ -448,10 +254,8 @@ func (s *Server) handleShardStatus(w http.ResponseWriter, r *http.Request) {
 			"offset %d beyond journal end %d", offset, len(image))
 		return
 	}
-	writeJSON(w, dist.ShardStatus{ //nolint:errcheck // response already committed
-		Lease: id, State: state, Err: errMsg,
-		Journal: image[offset:], Offset: int64(len(image)), Cells: cells,
-	})
+	st.Lease, st.Journal, st.Offset = id, image[offset:], int64(len(image))
+	writeJSON(w, st) //nolint:errcheck // response already committed
 }
 
 // handleShardRelease serves DELETE /v1/shard?lease=...: the coordinator
@@ -462,13 +266,12 @@ func (s *Server) handleShardRelease(w http.ResponseWriter, r *http.Request) {
 		shardError(w, http.StatusBadRequest, "invalid_request", "lease is required")
 		return
 	}
-	l, ok := s.shards.release(id)
+	l, ok := s.shards.drop(id, "lease released")
 	if !ok {
 		shardError(w, http.StatusNotFound, "not_found", "no such lease %q (expired or released)", id)
 		return
 	}
-	state, errMsg, cells := l.status()
-	writeJSON(w, dist.ShardStatus{ //nolint:errcheck // response already committed
-		Lease: id, State: state, Err: errMsg, Cells: cells,
-	})
+	st := l.Status()
+	st.Lease = id
+	writeJSON(w, st) //nolint:errcheck // response already committed
 }

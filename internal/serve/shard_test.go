@@ -3,10 +3,10 @@ package serve
 import (
 	"context"
 	"encoding/base64"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"strings"
 	"testing"
 	"time"
@@ -67,24 +67,24 @@ func waitShard(t *testing.T, h http.Handler, lease string) (final dist.ShardStat
 
 const fig7Shard0 = `{"exps":["fig7"],"shard":0,"shards":2,"quick":true,"steps":2}`
 
-// testLease builds a minimal running lease over a real temp directory,
-// for registry-level tests. The returned lease has no sweep goroutine;
-// tests drive the done channel by hand.
-func testLease(t *testing.T, dir string) *shardLease {
+// testLease builds a running lease for registry-level tests. Its run
+// waits on a gate that never opens, so only a cancel (release, expiry,
+// drain) ends it.
+func testLease(t *testing.T) *shardLease {
 	t.Helper()
-	return &shardLease{
-		tenant: "t", dir: dir, ttl: time.Minute,
-		cancel: func() {}, done: make(chan struct{}),
-		state: dist.ShardRunning,
+	lease, err := dist.StartLease(dist.Task{Exps: []string{"fig7"}, Shards: 1, Quick: true}, 1, make(chan struct{}))
+	if err != nil {
+		t.Fatal(err)
 	}
+	return &shardLease{Lease: lease, tenant: "t", ttl: time.Minute}
 }
 
 // TestGrantArmsTimerBeforePublish pins the locksafe/race fix: the TTL
 // timer is created inside grant, before the lease is findable, so a
 // status poll racing the grant can never hit a nil timer in renew.
 func TestGrantArmsTimerBeforePublish(t *testing.T) {
-	r := newShardRegistry(2, time.Minute, &metrics.DistStats{})
-	l := testLease(t, t.TempDir())
+	r := newShardRegistry(2, &metrics.DistStats{})
+	l := testLease(t)
 	id, err := r.grant(l, func(string) {})
 	if err != nil {
 		t.Fatal(err)
@@ -97,61 +97,9 @@ func TestGrantArmsTimerBeforePublish(t *testing.T) {
 		t.Fatalf("lease %q not findable after grant", id)
 	}
 	l.renew() // must not panic
-	if _, ok := r.release(id); !ok {
-		t.Fatalf("release(%q) failed", id)
+	if _, ok := r.drop(id, "lease released"); !ok {
+		t.Fatalf("drop(%q) failed", id)
 	}
-}
-
-// TestLeaseDirReclaimedWithoutWaiter pins the goroleak fix: no
-// goroutine parks on the lease's done channel. The journal directory
-// is removed by whichever side finishes second — and never while the
-// other side still needs it.
-func TestLeaseDirReclaimedWithoutWaiter(t *testing.T) {
-	t.Run("release before sweep ends", func(t *testing.T) {
-		r := newShardRegistry(2, time.Minute, &metrics.DistStats{})
-		dir := t.TempDir()
-		l := testLease(t, dir)
-		id, err := r.grant(l, func(string) {})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := r.release(id); !ok {
-			t.Fatal("release failed")
-		}
-		// Sweep still running: the directory must survive so the sweep
-		// can keep journaling until it observes cancellation.
-		if _, err := os.Stat(dir); err != nil {
-			t.Fatalf("dir reclaimed while the sweep still runs: %v", err)
-		}
-		// Sweep ends: it performs the removal itself.
-		close(l.done)
-		l.maybeRemoveDir()
-		if _, err := os.Stat(dir); !os.IsNotExist(err) {
-			t.Fatalf("dir not reclaimed after sweep ended: %v", err)
-		}
-	})
-
-	t.Run("sweep ends before expiry", func(t *testing.T) {
-		r := newShardRegistry(2, time.Minute, &metrics.DistStats{})
-		dir := t.TempDir()
-		l := testLease(t, dir)
-		l.journal = &experiment.Journal{}
-		id, err := r.grant(l, func(string) {})
-		if err != nil {
-			t.Fatal(err)
-		}
-		close(l.done)
-		l.maybeRemoveDir()
-		// Lease not reclaimed yet: the journal must stay salvageable
-		// for status polls.
-		if _, err := os.Stat(dir); err != nil {
-			t.Fatalf("dir reclaimed before the lease was released: %v", err)
-		}
-		r.expire(id)
-		if _, err := os.Stat(dir); !os.IsNotExist(err) {
-			t.Fatalf("dir not reclaimed after expiry: %v", err)
-		}
-	})
 }
 
 func TestShardLifecycle(t *testing.T) {
@@ -215,26 +163,30 @@ func TestShardSeedResume(t *testing.T) {
 	}
 }
 
+// shardValidationCases are POST /v1/shard bodies the handler must
+// refuse with a typed 400, and the start of each refusal's message.
+var shardValidationCases = []struct {
+	name, body, msg string
+}{
+	{"no shards", `{"exps":["fig7"]}`, "shards must be >= 1, got 0"},
+	{"shard out of range", `{"exps":["fig7"],"shard":3,"shards":2}`, "shard must be in [0, 2), got 3"},
+	{"negative shard", `{"exps":["fig7"],"shard":-1,"shards":2}`, "shard must be in [0, 2), got -1"},
+	{"no exps", `{"shards":2}`, "exps is required"},
+	{"unknown exp", `{"exps":["fig99"],"shards":2}`, `unknown experiment "fig99" (known: [`},
+	{"garbage seed", `{"exps":["fig7"],"shards":1,"seed":"` +
+		base64.StdEncoding.EncodeToString([]byte("not a journal")) + `"}`, "seed is not a journal image"},
+}
+
 func TestShardValidation(t *testing.T) {
 	_, h := shardServer(t, time.Minute)
-	cases := []struct {
-		name, body string
-	}{
-		{"no shards", `{"exps":["fig7"]}`},
-		{"shard out of range", `{"exps":["fig7"],"shard":3,"shards":2}`},
-		{"negative shard", `{"exps":["fig7"],"shard":-1,"shards":2}`},
-		{"no exps", `{"shards":2}`},
-		{"unknown exp", `{"exps":["fig99"],"shards":2}`},
-		{"garbage seed", `{"exps":["fig7"],"shards":1,"seed":"` +
-			base64.StdEncoding.EncodeToString([]byte("not a journal")) + `"}`},
-	}
-	for _, tc := range cases {
+	for _, tc := range shardValidationCases {
 		w := doJSON(t, h, http.MethodPost, "/v1/shard", tc.body, nil)
 		if w.Code != http.StatusBadRequest {
 			t.Errorf("%s: %d %s, want 400", tc.name, w.Code, w.Body.String())
 		}
-		if code, _ := errCode(t, w); code != "invalid_request" {
-			t.Errorf("%s: code %q", tc.name, code)
+		var b errorBody
+		if err := json.Unmarshal(w.Body.Bytes(), &b); err != nil || b.Error.Code != "invalid_request" || !strings.HasPrefix(b.Error.Message, tc.msg) {
+			t.Errorf("%s: error %+v (%v), want invalid_request %q", tc.name, b.Error, err, tc.msg)
 		}
 	}
 	if w := doJSON(t, h, http.MethodGet, "/v1/shard/status", "", nil); w.Code != http.StatusBadRequest {
@@ -249,6 +201,39 @@ func TestShardValidation(t *testing.T) {
 	if w := doJSON(t, h, http.MethodPut, "/v1/shard", "", nil); w.Code != http.StatusMethodNotAllowed {
 		t.Errorf("PUT /v1/shard: %d, want 405", w.Code)
 	}
+}
+
+// FuzzShardRequest drives arbitrary POST /v1/shard bodies through the
+// real decode and validation. Each must end in a typed 400 or a granted
+// lease, which is released straight away; the start gate never opens,
+// so a granted lease runs no experiment.
+func FuzzShardRequest(f *testing.F) {
+	for _, tc := range shardValidationCases {
+		f.Add(tc.body)
+	}
+	f.Add(fig7Shard0)
+	s := New(Config{Quick: true, MaxShards: 2, ShardTTL: time.Minute})
+	s.shardStart = make(chan struct{})
+	h := s.Handler()
+	f.Fuzz(func(t *testing.T, body string) {
+		w := doJSON(t, h, http.MethodPost, "/v1/shard", body, nil)
+		switch w.Code {
+		case http.StatusBadRequest:
+			if code, _ := errCode(t, w); code != "invalid_request" {
+				t.Fatalf("400 with code %q for body %q", code, body)
+			}
+		case http.StatusOK:
+			var st dist.ShardStatus
+			if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil || st.Lease == "" || st.State != dist.ShardRunning {
+				t.Fatalf("grant response %q (%v) for body %q", w.Body.String(), err, body)
+			}
+			if rw := doJSON(t, h, http.MethodDelete, "/v1/shard?lease="+st.Lease, "", nil); rw.Code != http.StatusOK {
+				t.Fatalf("release of %s: %d %s", st.Lease, rw.Code, rw.Body.String())
+			}
+		default:
+			t.Fatalf("POST /v1/shard: %d %s for body %q", w.Code, w.Body.String(), body)
+		}
+	})
 }
 
 func TestShardSaturation(t *testing.T) {
