@@ -4,10 +4,10 @@
 // simulation code, no order-sensitive map iteration), unit safety
 // (bytes never silently become pages), the closed trace schema, sentinel
 // error wrapping, and context conventions — plus the concurrency
-// discipline of the serving/dist layer: mutex hygiene (locksafe),
-// goroutine exit paths (goroleak), all-or-nothing atomic access
-// (atomicmix), and declared state machines (statemach). The eleven
-// checks run module-wide in one invocation: packages load in
+// discipline of the serving/dist layer: lock release and blocking
+// (locksafe), goroutine exit paths (goroleak), and declared state
+// machines (statemach); copying a mutex by value is left to go vet.
+// The ten checks run module-wide in one invocation: packages load in
 // dependency order with cross-package type identity, so module-level
 // analyzers can follow a types.Object across package boundaries. See
 // docs/LINTING.md for the checks and the //lint:allow suppression

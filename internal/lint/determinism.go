@@ -13,11 +13,11 @@ import (
 // comes from internal/simtime; randomness comes from seeded *rand.Rand
 // instances (rand.New(rand.NewSource(seed))).
 //
-// Flagged: calls to time.Now and time.Since, and calls to the global
-// math/rand functions (rand.Intn, rand.Float64, rand.Shuffle, ... —
-// anything drawing from the shared, unseeded source). Constructing a
-// seeded generator (rand.New, rand.NewSource) is the sanctioned
-// pattern and is not flagged.
+// Flagged: calls to time.Now, time.Since and time.Until, and calls to
+// the global math/rand functions (rand.Intn, rand.Float64,
+// rand.Shuffle, ... — anything drawing from the shared, unseeded
+// source). Constructing a seeded generator (rand.New, rand.NewSource)
+// is the sanctioned pattern and is not flagged.
 //
 // Wall-clock time is legitimate only at the edges — progress display in
 // internal/metrics and the command-line binaries under cmd/ — and those
@@ -56,7 +56,7 @@ func runDeterminism(pass *Pass) {
 			switch pkgPath {
 			case "time":
 				switch sel.Sel.Name {
-				case "Now", "Since":
+				case "Now", "Since", "Until":
 					pass.Reportf(call.Pos(),
 						"wall-clock time.%s in simulation code; use simtime for simulated durations (annotate //lint:allow determinism: <reason> if this is genuinely host-side)",
 						sel.Sel.Name)

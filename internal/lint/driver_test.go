@@ -233,39 +233,44 @@ func writeMultiModule(t *testing.T, pkgs map[string]string) string {
 }
 
 // crossPkgModule is a two-package module where the finding in app is
-// only visible with type information from core: core's counter field
-// is updated atomically, app reads it plainly.
+// only visible with facts from core: core declares a state enum, app
+// switches over it without naming every state.
 var crossPkgModule = map[string]string{
 	"core": `package core
 
-import "sync/atomic"
+//lint:statemach
+type State int
 
-type Stats struct {
-	Hits int64
-}
-
-func (s *Stats) Inc() { atomic.AddInt64(&s.Hits, 1) }
+const (
+	Idle State = iota
+	Running
+	Done
+)
 `,
 	"app": `package app
 
 import "tmpmod/core"
 
-func Peek(s *core.Stats) int64 {
-	return s.Hits
+func Busy(s core.State) bool {
+	switch s {
+	case core.Idle, core.Done:
+		return false
+	}
+	return true
 }
 `,
 }
 
 // TestCrossPackageFinding: analyzing only app must still surface the
-// atomicmix finding, because the module driver loads core as a
-// dependency and reads the atomic-access fact from it.
+// statemach finding, because the module driver loads core as a
+// dependency and reads the enum declaration from it.
 func TestCrossPackageFinding(t *testing.T) {
 	dir := writeMultiModule(t, crossPkgModule)
 	loader, err := NewLoader(dir, "tmpmod")
 	if err != nil {
 		t.Fatal(err)
 	}
-	analyzers, err := ByName([]string{"atomicmix"})
+	analyzers, err := ByName([]string{"statemach"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,20 +279,87 @@ func TestCrossPackageFinding(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(diags) != 1 {
-		t.Fatalf("want exactly 1 cross-package atomicmix finding, got %v", diags)
+		t.Fatalf("want exactly 1 cross-package statemach finding, got %v", diags)
 	}
 	d := diags[0]
-	if d.File != "app/app.go" || d.Check != "atomicmix" || !strings.Contains(d.Message, "Hits") {
+	if d.File != "app/app.go" || d.Check != "statemach" ||
+		!strings.Contains(d.Message, "core.State") || !strings.Contains(d.Message, "Running") {
 		t.Errorf("unexpected finding: %+v", d)
 	}
-	if !strings.Contains(d.Message, "core/core.go") {
-		t.Errorf("finding %q does not cite the atomic site in the imported package", d.Message)
+}
+
+// TestLoadImportCycle: a module-internal import cycle (illegal Go, but
+// a loader must not hang or overflow on it) is an error naming a
+// member of the cycle.
+func TestLoadImportCycle(t *testing.T) {
+	dir := writeMultiModule(t, map[string]string{
+		"ping": `package ping
+
+import "tmpmod/pong"
+
+func Ping() int { return pong.Pong() }
+`,
+		"pong": `package pong
+
+import "tmpmod/ping"
+
+func Pong() int { return ping.Ping() }
+`,
+	})
+	loader, err := NewLoader(dir, "tmpmod")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = loader.LoadAll([]string{filepath.Join(dir, "ping"), filepath.Join(dir, "pong")})
+	if err == nil {
+		t.Fatal("LoadAll accepted an import cycle")
+	}
+	if !strings.Contains(err.Error(), "import cycle through tmpmod/ping") {
+		t.Errorf("error %q does not name the cycle", err)
+	}
+}
+
+// TestLoadBrokenDependency: a dependency that fails to type-check
+// reports its own error to every importer. The second importer must
+// see the memoized failure, not mistake the broken package for one
+// still loading (an import cycle).
+func TestLoadBrokenDependency(t *testing.T) {
+	dir := writeMultiModule(t, map[string]string{
+		"broken": `package broken
+
+func Bad() int { return "not an int" }
+`,
+		"left": `package left
+
+import "tmpmod/broken"
+
+func Left() int { return broken.Bad() }
+`,
+		"right": `package right
+
+import "tmpmod/broken"
+
+func Right() int { return broken.Bad() }
+`,
+	})
+	loader, err := NewLoader(dir, "tmpmod")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"left", "right"} {
+		_, err := loader.LoadDir(filepath.Join(dir, name))
+		if err == nil {
+			t.Fatalf("loading %s: want the broken dependency's error, got nil", name)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "type-checking tmpmod/broken") || strings.Contains(msg, "cycle") {
+			t.Errorf("loading %s: error %q does not report broken's own type error", name, msg)
+		}
 	}
 }
 
 // TestLoadAllDependencyOrder: LoadAll returns requested packages in
 // dependency order (a package after everything it imports), with the
-// same order on every run regardless of goroutine scheduling.
+// same order on every run.
 func TestLoadAllDependencyOrder(t *testing.T) {
 	mod := map[string]string{
 		"base": `package base
@@ -360,13 +432,13 @@ func Three() int { return base.Zero() + 3 }
 	}
 }
 
-// TestRunDeterministicUnderParallelLoad: the full driver produces
-// byte-identical diagnostics run after run on a module wide enough to
-// exercise the parallel load path.
-func TestRunDeterministicUnderParallelLoad(t *testing.T) {
+// TestRunDeterministic: the full driver produces byte-identical
+// diagnostics run after run on a module with several packages sharing
+// one dependency.
+func TestRunDeterministic(t *testing.T) {
 	mod := map[string]string{}
 	// base plus fan-out packages that each import base and carry one
-	// finding, so diagnostics span many concurrently-loaded packages.
+	// finding, so diagnostics span many packages.
 	mod["base"] = `package base
 
 func Zero() int { return 0 }

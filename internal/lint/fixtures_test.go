@@ -139,7 +139,6 @@ func TestCtxFirstFixtures(t *testing.T)    { runFixtures(t, CtxFirstAnalyzer) }
 func TestHotPathFixtures(t *testing.T)     { runFixtures(t, HotPathAnalyzer) }
 func TestLockSafeFixtures(t *testing.T)    { runFixtures(t, LockSafeAnalyzer) }
 func TestGoroLeakFixtures(t *testing.T)    { runFixtures(t, GoroLeakAnalyzer) }
-func TestAtomicMixFixtures(t *testing.T)   { runFixtures(t, AtomicMixAnalyzer) }
 func TestStateMachFixtures(t *testing.T)   { runFixtures(t, StateMachAnalyzer) }
 
 // TestFixtureDrift is the CI drift gate: every analyzer in the suite

@@ -44,7 +44,7 @@ func (d Diagnostic) String() string {
 // Analyzer is one named check. Exactly one of Run and RunModule is
 // set: Run inspects one package at a time, RunModule sees the whole
 // dependency-ordered package set at once (for checks whose facts cross
-// package boundaries, like atomicmix and statemach).
+// package boundaries, like statemach).
 type Analyzer struct {
 	// Name is the check's identifier, used in -checks selections and
 	// //lint:allow annotations.
@@ -92,8 +92,8 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // ModulePass hands the whole analysis run to a module-level analyzer.
-// Facts (a state-enum declaration, an atomically-accessed field) are
-// gathered from All; findings are only reported against Pkgs.
+// Facts (a state-enum declaration) are gathered from All; findings are
+// only reported against Pkgs.
 type ModulePass struct {
 	// Fset maps token positions back to file/line/col.
 	Fset *token.FileSet
@@ -137,7 +137,6 @@ func Analyzers() []*Analyzer {
 		HotPathAnalyzer,
 		LockSafeAnalyzer,
 		GoroLeakAnalyzer,
-		AtomicMixAnalyzer,
 		StateMachAnalyzer,
 	}
 }

@@ -9,11 +9,8 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
-	"strconv"
 	"strings"
-	"sync"
 )
 
 // Package is one loaded, type-checked package.
@@ -29,45 +26,29 @@ type Package struct {
 // go/packages dependency. Imports inside the module resolve recursively
 // through the loader itself; everything else (the standard library)
 // resolves through the compiler's source importer. Loaded packages are
-// memoized, so a whole-tree run type-checks each package once.
+// memoized, so a whole-tree run type-checks each package once and the
+// module ends up with exactly one *types.Package per import path —
+// analyzers rely on that identity to follow a types.Object across
+// package boundaries.
 //
-// The loader is safe for concurrent use: LoadAll parses every requested
-// package in parallel and then type-checks in dependency order, running
-// independent packages concurrently, which is what makes a module-wide
-// sentinel-vet invocation fast enough to gate CI. Identity is preserved
-// — one *types.Package per import path — so analyzers can follow a
-// types.Object across package boundaries.
+// A Loader is not safe for concurrent use; each caller owns one.
 type Loader struct {
 	Fset    *token.FileSet
 	ModRoot string // absolute module root (directory containing go.mod)
 	ModPath string // module path from go.mod
 
-	// std resolves stdlib imports. The source importer memoizes
-	// internally but is not safe for concurrent use, so stdMu serializes
-	// it; module-internal packages never pass through it.
-	std   types.Importer
-	stdMu sync.Mutex
-
-	mu      sync.Mutex
-	entries map[string]*pkgEntry
-	parsed  map[string]*parsedPkg
+	std  types.Importer // stdlib imports, through the source importer
+	memo map[string]*loadResult
+	done []*Package // successfully loaded packages, in dependency post-order
 }
 
-// pkgEntry is the singleflight slot for one package: whichever
-// goroutine wins the Once type-checks it, everyone else waits, and the
-// module ends up with exactly one *types.Package per path (analyzers
-// rely on that identity to track objects across packages).
-type pkgEntry struct {
-	once sync.Once
-	pkg  *Package
-	err  error
-}
-
-// parsedPkg is the parse-phase product: syntax plus the module-internal
-// imports that decide type-check order.
-type parsedPkg struct {
-	files   []*ast.File
-	imports []string // module-internal import paths, sorted
+// loadResult memoizes one load. A nil pkg with a nil err marks a
+// package still loading, so an import cycle is an error instead of
+// unbounded recursion; a failed load keeps its own error, so a second
+// importer of a broken package sees that error again, not a cycle.
+type loadResult struct {
+	pkg *Package
+	err error
 }
 
 // NewLoader builds a loader for the module rooted at modRoot. modPath
@@ -90,8 +71,7 @@ func NewLoader(modRoot, modPath string) (*Loader, error) {
 		ModRoot: abs,
 		ModPath: modPath,
 		std:     importer.ForCompiler(fset, "source", nil),
-		entries: map[string]*pkgEntry{},
-		parsed:  map[string]*parsedPkg{},
+		memo:    map[string]*loadResult{},
 	}, nil
 }
 
@@ -110,24 +90,17 @@ func readModulePath(gomod string) (string, error) {
 	return "", fmt.Errorf("no module directive in %s", gomod)
 }
 
-// internalPath reports whether path imports inside this module.
-func (l *Loader) internalPath(path string) bool {
-	return path == l.ModPath || strings.HasPrefix(path, l.ModPath+"/")
-}
-
 // Import implements types.Importer, routing module-internal paths to
-// the loader and everything else to the (serialized) source importer.
+// the loader and everything else to the source importer.
 func (l *Loader) Import(path string) (*types.Package, error) {
-	if l.internalPath(path) {
-		pkg, err := l.load(path)
-		if err != nil {
-			return nil, err
-		}
-		return pkg.Types, nil
+	if path != l.ModPath && !strings.HasPrefix(path, l.ModPath+"/") {
+		return l.std.Import(path)
 	}
-	l.stdMu.Lock()
-	defer l.stdMu.Unlock()
-	return l.std.Import(path)
+	pkg, err := l.load(path)
+	if err != nil {
+		return nil, err
+	}
+	return pkg.Types, nil
 }
 
 // dirFor maps a module-internal import path to its directory.
@@ -162,110 +135,82 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 	return l.load(path)
 }
 
+// LoadAll loads the packages in dirs, plus their module-internal
+// dependency closure. The returned slice holds only the requested
+// packages, in dependency order — a package always follows its
+// module-internal dependencies — so analyzer output is stable run to
+// run.
+func (l *Loader) LoadAll(dirs []string) ([]*Package, error) {
+	want := map[string]bool{}
+	for _, dir := range dirs {
+		pkg, err := l.LoadDir(dir)
+		if err != nil {
+			return nil, err
+		}
+		want[pkg.Path] = true
+	}
+	var out []*Package
+	for _, pkg := range l.done {
+		if want[pkg.Path] {
+			out = append(out, pkg)
+		}
+	}
+	return out, nil
+}
+
 // Loaded returns every package this loader has successfully
 // type-checked — the analysis targets plus every module-internal
 // dependency pulled in to check them — sorted by import path. Module
-// analyzers use it as their fact source: a state-enum or an
-// atomically-accessed field declared in a dependency is visible even
-// when only the importing package is under analysis.
+// analyzers use it as their fact source: a state enum declared in a
+// dependency is visible even when only the importing package is under
+// analysis.
 func (l *Loader) Loaded() []*Package {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var out []*Package
-	for _, e := range l.entries {
-		if e.pkg != nil {
-			out = append(out, e.pkg)
-		}
-	}
+	out := append([]*Package(nil), l.done...)
 	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
 	return out
 }
 
-// entry returns the singleflight slot for path, creating it if needed.
-func (l *Loader) entry(path string) *pkgEntry {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	e, ok := l.entries[path]
-	if !ok {
-		e = &pkgEntry{}
-		l.entries[path] = e
-	}
-	return e
-}
-
-// load parses and type-checks one module-internal package, memoized and
-// singleflighted: concurrent loads of the same path share one check.
+// load parses and type-checks one module-internal package, memoized.
+// Its module-internal imports load first, recursively through Import,
+// so l.done grows in dependency post-order.
 func (l *Loader) load(path string) (*Package, error) {
-	e := l.entry(path)
-	e.once.Do(func() { e.pkg, e.err = l.loadUncached(path) })
-	return e.pkg, e.err
+	if r, ok := l.memo[path]; ok {
+		if r.pkg == nil && r.err == nil {
+			return nil, fmt.Errorf("import cycle through %s", path)
+		}
+		return r.pkg, r.err
+	}
+	r := &loadResult{}
+	l.memo[path] = r
+	r.pkg, r.err = l.check(path)
+	if r.err == nil {
+		l.done = append(l.done, r.pkg)
+	}
+	return r.pkg, r.err
 }
 
-// parse parses one package's sources (memoized), recording its
-// module-internal imports for dependency ordering.
-func (l *Loader) parse(path string) (*parsedPkg, error) {
-	l.mu.Lock()
-	if p, ok := l.parsed[path]; ok {
-		l.mu.Unlock()
-		return p, nil
-	}
-	l.mu.Unlock()
-
+// check parses one package's non-test sources and type-checks them.
+func (l *Loader) check(path string) (*Package, error) {
 	dir := l.dirFor(path)
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("loading %s: %w", path, err)
 	}
-	var names []string
-	for _, e := range entries {
+	var files []*ast.File
+	for _, e := range entries { // ReadDir sorts by name
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
 			strings.HasSuffix(name, "_test.go") || strings.HasPrefix(name, ".") {
 			continue
 		}
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	if len(names) == 0 {
-		return nil, fmt.Errorf("no Go files in %s", dir)
-	}
-
-	p := &parsedPkg{}
-	seen := map[string]bool{}
-	for _, name := range names {
 		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, fmt.Errorf("parsing %s: %w", path, err)
 		}
-		p.files = append(p.files, f)
-		for _, imp := range f.Imports {
-			ipath, err := strconv.Unquote(imp.Path.Value)
-			if err != nil || !l.internalPath(ipath) || seen[ipath] {
-				continue
-			}
-			seen[ipath] = true
-			p.imports = append(p.imports, ipath)
-		}
+		files = append(files, f)
 	}
-	sort.Strings(p.imports)
-
-	l.mu.Lock()
-	// First writer wins so concurrent parses agree on one AST.
-	if prev, ok := l.parsed[path]; ok {
-		p = prev
-	} else {
-		l.parsed[path] = p
-	}
-	l.mu.Unlock()
-	return p, nil
-}
-
-// loadUncached type-checks one module-internal package from its parsed
-// sources.
-func (l *Loader) loadUncached(path string) (*Package, error) {
-	p, err := l.parse(path)
-	if err != nil {
-		return nil, err
+	if len(files) == 0 {
+		return nil, fmt.Errorf("no Go files in %s", dir)
 	}
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
@@ -280,206 +225,14 @@ func (l *Loader) loadUncached(path string) (*Package, error) {
 		Importer: l,
 		Error:    func(err error) { typeErrs = append(typeErrs, err) },
 	}
-	tpkg, err := conf.Check(path, l.Fset, p.files, info)
+	tpkg, err := conf.Check(path, l.Fset, files, info)
 	if len(typeErrs) > 0 {
 		return nil, fmt.Errorf("type-checking %s: %v", path, typeErrs[0])
 	}
 	if err != nil {
 		return nil, fmt.Errorf("type-checking %s: %w", path, err)
 	}
-	return &Package{Path: path, Dir: l.dirFor(path), Files: p.files, Types: tpkg, Info: info}, nil
-}
-
-// LoadAll loads the packages in dirs module-wide: every package (plus
-// its module-internal dependency closure) is parsed in parallel, then
-// type-checked in dependency order with independent packages checked
-// concurrently. The returned slice holds only the requested packages,
-// in deterministic dependency order — a package always follows its
-// module-internal dependencies, ties broken by import path — so
-// analyzer output is stable run to run regardless of goroutine
-// scheduling.
-func (l *Loader) LoadAll(dirs []string) ([]*Package, error) {
-	requested := make([]string, 0, len(dirs))
-	for _, dir := range dirs {
-		path, err := l.pathFor(dir)
-		if err != nil {
-			return nil, err
-		}
-		requested = append(requested, path)
-	}
-
-	// Phase 1: parallel parse of the requested packages and their
-	// module-internal dependency closure. The frontier loop is
-	// breadth-first: each wave parses in parallel, newly discovered
-	// imports form the next wave.
-	imports := map[string][]string{}
-	var parseErrs []error
-	frontier := append([]string(nil), requested...)
-	sort.Strings(frontier)
-	for len(frontier) > 0 {
-		type parseResult struct {
-			path string
-			p    *parsedPkg
-			err  error
-		}
-		results := make([]parseResult, len(frontier))
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, maxParallel())
-		for i, path := range frontier {
-			wg.Add(1)
-			go func(i int, path string) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				p, err := l.parse(path)
-				results[i] = parseResult{path, p, err}
-			}(i, path)
-		}
-		wg.Wait()
-		var next []string
-		for _, r := range results {
-			if r.err != nil {
-				parseErrs = append(parseErrs, r.err)
-				continue
-			}
-			imports[r.path] = r.p.imports
-			for _, dep := range r.p.imports {
-				if _, seen := imports[dep]; !seen {
-					imports[dep] = nil // placeholder: claimed for next wave
-					next = append(next, dep)
-				}
-			}
-		}
-		if len(parseErrs) > 0 {
-			return nil, parseErrs[0]
-		}
-		sort.Strings(next)
-		frontier = next
-	}
-
-	// Phase 2: dependency-ordered type-checking. Kahn's algorithm over
-	// the module-internal import graph, each wave checked in parallel;
-	// within a wave and in the final order, ties break by import path.
-	order, err := topoOrder(imports)
-	if err != nil {
-		return nil, err
-	}
-	for _, wave := range order {
-		type loadResult struct {
-			path string
-			err  error
-		}
-		results := make([]loadResult, len(wave))
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, maxParallel())
-		for i, path := range wave {
-			wg.Add(1)
-			go func(i int, path string) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				_, err := l.load(path)
-				results[i] = loadResult{path, err}
-			}(i, path)
-		}
-		wg.Wait()
-		for _, r := range results {
-			if r.err != nil {
-				return nil, r.err
-			}
-		}
-	}
-
-	// Assemble the requested packages in flattened dependency order.
-	want := map[string]bool{}
-	for _, path := range requested {
-		want[path] = true
-	}
-	var out []*Package
-	for _, wave := range order {
-		for _, path := range wave {
-			if !want[path] {
-				continue
-			}
-			pkg, err := l.load(path) // memoized
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, pkg)
-			delete(want, path) // requested paths may repeat
-		}
-	}
-	return out, nil
-}
-
-// topoOrder layers the import graph into dependency waves: wave 0 has
-// no module-internal imports, wave n+1 depends only on waves <= n. An
-// import cycle (illegal Go, but a loader must not hang on it) is an
-// error naming the members.
-func topoOrder(imports map[string][]string) ([][]string, error) {
-	paths := make([]string, 0, len(imports))
-	for path := range imports {
-		paths = append(paths, path)
-	}
-	sort.Strings(paths)
-	indegree := map[string]int{}
-	dependents := map[string][]string{}
-	for _, path := range paths {
-		deps := imports[path]
-		if _, ok := indegree[path]; !ok {
-			indegree[path] = 0
-		}
-		for _, dep := range deps {
-			indegree[path]++
-			dependents[dep] = append(dependents[dep], path)
-		}
-	}
-	var order [][]string
-	var wave []string
-	for path, d := range indegree {
-		if d == 0 {
-			wave = append(wave, path)
-		}
-	}
-	placed := 0
-	for len(wave) > 0 {
-		sort.Strings(wave)
-		order = append(order, wave)
-		placed += len(wave)
-		var next []string
-		for _, path := range wave {
-			for _, dep := range dependents[path] {
-				indegree[dep]--
-				if indegree[dep] == 0 {
-					next = append(next, dep)
-				}
-			}
-		}
-		wave = next
-	}
-	if placed != len(indegree) {
-		var cycle []string
-		for path, d := range indegree {
-			if d > 0 {
-				cycle = append(cycle, path)
-			}
-		}
-		sort.Strings(cycle)
-		return nil, fmt.Errorf("import cycle among %v", cycle)
-	}
-	return order, nil
-}
-
-// maxParallel bounds each load wave's concurrency.
-func maxParallel() int {
-	n := runtime.GOMAXPROCS(0)
-	if n < 2 {
-		n = 2
-	}
-	if n > 16 {
-		n = 16
-	}
-	return n
+	return &Package{Path: path, Dir: dir, Files: files, Types: tpkg, Info: info}, nil
 }
 
 // ExpandPatterns resolves package patterns (a directory, or a directory

@@ -7,17 +7,14 @@ import (
 	"strings"
 )
 
-// LockSafeAnalyzer is the flow-aware mutex discipline check. Three
-// rules, all aimed at the serving/dist concurrency layer:
+// LockSafeAnalyzer is the flow-aware mutex discipline check. Two
+// rules, both aimed at the serving/dist concurrency layer (copying a
+// mutex by value is go vet's copylocks check, which CI runs):
 //
-//  1. A sync.Mutex or sync.RWMutex is never copied by value — not as a
-//     parameter, not as a return value, not by plain assignment. A
-//     copied mutex guards nothing: the copy and the original lock
-//     independently.
-//  2. Every Lock/RLock is matched by an Unlock/RUnlock on every return
+//  1. Every Lock/RLock is matched by an Unlock/RUnlock on every return
 //     path of the acquiring function. defer Unlock satisfies all paths
 //     at once and is the preferred form.
-//  3. In serving/coordination packages (any package with a "serve" or
+//  2. In serving/coordination packages (any package with a "serve" or
 //     "dist" path element), no lock is held across a blocking
 //     operation: a channel send or receive outside a select-with-
 //     default, a select without a default clause, time.Sleep, or
@@ -30,7 +27,7 @@ import (
 // balance on both arms are not flagged.
 var LockSafeAnalyzer = &Analyzer{
 	Name: "locksafe",
-	Doc:  "mutexes are never copied, every Lock has an Unlock on all return paths, and no lock is held across blocking ops in serve/dist",
+	Doc:  "every Lock has an Unlock on all return paths, and no lock is held across blocking ops in serve/dist",
 	Run:  runLockSafe,
 }
 
@@ -59,14 +56,12 @@ func runLockSafe(pass *Pass) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.FuncDecl:
-				checkMutexValueParams(pass, n.Type)
 				if n.Body != nil {
 					w := &lockWalker{pass: pass, blocking: blockingScope}
 					w.funcBody(n.Body)
 				}
 				return false // funcBody handles nested literals itself
 			case *ast.FuncLit: // package-level var f = func(){...}
-				checkMutexValueParams(pass, n.Type)
 				w := &lockWalker{pass: pass, blocking: blockingScope}
 				w.funcBody(n.Body)
 				return false
@@ -74,62 +69,6 @@ func runLockSafe(pass *Pass) {
 			return true
 		})
 	}
-}
-
-// checkMutexValueParams flags parameters and results whose type is a
-// bare (non-pointer) sync mutex.
-func checkMutexValueParams(pass *Pass, ft *ast.FuncType) {
-	fields := []*ast.FieldList{ft.Params, ft.Results}
-	for _, fl := range fields {
-		if fl == nil {
-			continue
-		}
-		for _, field := range fl.List {
-			if mutexName := bareMutexType(pass, field.Type); mutexName != "" {
-				pass.Reportf(field.Pos(),
-					"%s passed by value; a copied mutex guards nothing — pass a pointer", mutexName)
-			}
-		}
-	}
-}
-
-// checkMutexCopy flags assignments whose right-hand side copies a mutex
-// value. Zero-value composite literals (sync.Mutex{}) are construction,
-// not copying, and are not flagged.
-func checkMutexCopy(pass *Pass, n *ast.AssignStmt) {
-	for _, rhs := range n.Rhs {
-		if _, isLit := rhs.(*ast.CompositeLit); isLit {
-			continue
-		}
-		if _, isCall := rhs.(*ast.CallExpr); isCall {
-			continue // a call cannot return a bare mutex the callee still uses
-		}
-		if mutexName := bareMutexType(pass, rhs); mutexName != "" {
-			pass.Reportf(rhs.Pos(),
-				"assignment copies a %s; the copy and the original lock independently — use a pointer", mutexName)
-		}
-	}
-}
-
-// bareMutexType returns "sync.Mutex"/"sync.RWMutex" when the
-// expression's type is exactly that (not a pointer to it), else "".
-func bareMutexType(pass *Pass, e ast.Expr) string {
-	tv, ok := pass.Info.Types[e]
-	if !ok {
-		return ""
-	}
-	named, ok := tv.Type.(*types.Named)
-	if !ok {
-		return ""
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
-		return ""
-	}
-	if obj.Name() == "Mutex" || obj.Name() == "RWMutex" {
-		return "sync." + obj.Name()
-	}
-	return ""
 }
 
 // pathHasElement reports whether a slash-separated import path contains
@@ -215,7 +154,6 @@ func (w *lockWalker) stmt(s ast.Stmt, held []heldLock) ([]heldLock, bool) {
 		}
 		return held, false
 	case *ast.AssignStmt:
-		checkMutexCopy(w.pass, s)
 		for _, rhs := range s.Rhs {
 			held = w.exprEffects(rhs, held)
 		}
@@ -347,7 +285,6 @@ func (w *lockWalker) exprEffects(e ast.Expr, held []heldLock) []heldLock {
 	ast.Inspect(e, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
-			checkMutexValueParams(w.pass, n.Type)
 			w.funcBody(n.Body)
 			return false
 		case *ast.CallExpr:
@@ -391,7 +328,7 @@ func (w *lockWalker) lockCall(call *ast.CallExpr) (name string, acquire bool, ok
 }
 
 // blockingCall reports whether the call is a known blocking operation
-// for rule 3.
+// for rule 2.
 func (w *lockWalker) blockingCall(call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
@@ -407,7 +344,7 @@ func (w *lockWalker) blockingCall(call *ast.CallExpr) bool {
 }
 
 // reportBlocked flags every currently held lock at a blocking site
-// (rule 3; only in serve/dist-scoped packages).
+// (rule 2; only in serve/dist-scoped packages).
 func (w *lockWalker) reportBlocked(pos token.Pos, held []heldLock, what string) {
 	if !w.blocking || w.inComm {
 		return

@@ -9,12 +9,13 @@ import (
 	"time"
 )
 
-// step is the positive fixture: both wall-clock reads and a global
+// step is the positive fixture: every wall-clock read and a global
 // rand draw.
 func step() time.Duration {
 	start := time.Now()                // want `wall-clock time\.Now in simulation code`
 	_ = rand.Intn(10)                  // want `global math/rand\.Intn draws from the shared unseeded source`
 	rand.Shuffle(3, func(i, j int) {}) // want `global math/rand\.Shuffle`
+	_ = time.Until(start)              // want `wall-clock time\.Until in simulation code`
 	return time.Since(start)           // want `wall-clock time\.Since in simulation code`
 }
 

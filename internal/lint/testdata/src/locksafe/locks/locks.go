@@ -1,6 +1,7 @@
-// Package locks exercises the locksafe analyzer's copy and return-path
-// rules. It has no serve/dist path element, so the blocking rule is
-// off here (see the serve fixture package for it).
+// Package locks exercises the locksafe analyzer's return-path rule. It
+// has no serve/dist path element, so the blocking rule is off here (see
+// the serve fixture package for it). Copying a mutex by value is left to
+// go vet's copylocks check.
 package locks
 
 import "sync"
@@ -8,19 +9,6 @@ import "sync"
 type guarded struct {
 	mu sync.Mutex
 	n  int
-}
-
-// byValue takes the mutex itself: the callee locks a copy.
-func byValue(mu sync.Mutex) { // want `sync.Mutex passed by value`
-	mu.Lock()
-	mu.Unlock()
-}
-
-// copyOut duplicates the mutex into a local.
-func copyOut(g *guarded) {
-	mu := g.mu // want `assignment copies a sync.Mutex`
-	mu.Lock()
-	mu.Unlock()
 }
 
 // leaky releases only on the fall-through path: the early return leaves
@@ -32,12 +20,6 @@ func leaky(g *guarded) int {
 	}
 	g.mu.Unlock()
 	return 0
-}
-
-// Negative: a pointer parameter is the correct form.
-func byPointer(mu *sync.Mutex) {
-	mu.Lock()
-	mu.Unlock()
 }
 
 // Negative: defer covers every return path at once.
@@ -60,10 +42,4 @@ func balanced(g *guarded, early bool) int {
 	}
 	g.mu.Unlock()
 	return 0
-}
-
-// Negative: constructing a zero mutex is not copying one.
-func fresh() *guarded {
-	g := &guarded{mu: sync.Mutex{}}
-	return g
 }

@@ -79,7 +79,7 @@ func testLease(t *testing.T) *shardLease {
 	return &shardLease{Lease: lease, tenant: "t", ttl: time.Minute}
 }
 
-// TestGrantArmsTimerBeforePublish pins the locksafe/race fix: the TTL
+// TestGrantArmsTimerBeforePublish pins the goroleak/race fix: the TTL
 // timer is created inside grant, before the lease is findable, so a
 // status poll racing the grant can never hit a nil timer in renew.
 func TestGrantArmsTimerBeforePublish(t *testing.T) {
