@@ -3,6 +3,7 @@ package experiment
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"sentinel/internal/chaos"
@@ -93,10 +94,17 @@ func knownModel(name string) bool {
 	return false
 }
 
+// BatchLimit is the largest batch size a CellRequest or PlanRequest
+// accepts: Table V's max-batch search ceiling, the largest batch any
+// experiment simulates. Every model builds at it without overflowing a
+// tensor size; far larger batches would overflow int64 byte counts.
+const BatchLimit = 1 << 14
+
 // CellRequest asks for one simulation cell: train Model at Batch for
 // Steps steps under Policy on Platform, with the fast tier sized either
 // explicitly (FastBytes) or as a percentage of the model's peak memory
 // (FastPct). The zero sizing keeps the platform preset's fast tier.
+// Batch must be in [1, BatchLimit].
 type CellRequest struct {
 	Model    string `json:"model"`
 	Batch    int    `json:"batch"`
@@ -104,7 +112,8 @@ type CellRequest struct {
 	Platform string `json:"platform,omitempty"`
 	// FastPct sizes the fast tier as a percentage of the model's peak
 	// memory (the paper's capacity axis). Mutually exclusive with
-	// FastBytes.
+	// FastBytes. It must be finite, and the size it yields must fit in
+	// an int64.
 	FastPct float64 `json:"fast_pct,omitempty"`
 	// FastBytes sizes the fast tier explicitly.
 	FastBytes int64 `json:"fast_bytes,omitempty"`
@@ -142,8 +151,8 @@ func (r CellRequest) Validate() error {
 	if !knownModel(r.Model) {
 		return badField("model", "unknown model %q (known: %v)", r.Model, model.Names())
 	}
-	if r.Batch <= 0 {
-		return badField("batch", "must be a positive batch size, got %d", r.Batch)
+	if r.Batch < 1 || r.Batch > BatchLimit {
+		return badField("batch", "must be in [1, %d], got %d", BatchLimit, r.Batch)
 	}
 	if r.Policy == "" {
 		return badField("policy", "required (known: %v)", policyset.Names())
@@ -153,6 +162,9 @@ func (r CellRequest) Validate() error {
 	}
 	if _, err := Platform(r.Platform); err != nil {
 		return err
+	}
+	if math.IsNaN(r.FastPct) || math.IsInf(r.FastPct, 0) {
+		return badField("fast_pct", "must be a finite percentage, got %g", r.FastPct)
 	}
 	if r.FastPct < 0 {
 		return badField("fast_pct", "must be non-negative, got %g", r.FastPct)
@@ -175,21 +187,34 @@ func (r CellRequest) Validate() error {
 }
 
 // spec resolves the request's machine spec, sizing the fast tier from
-// FastBytes or FastPct (via the memoized peak-memory lookup).
+// FastBytes or FastPct (via the memoized peak-memory lookup). A size
+// that overflows int64 or that memsys rejects (under one page) is a
+// *RequestError on the sizing field.
 func (r CellRequest) spec(o Options) (memsys.Spec, error) {
 	spec, err := Platform(r.Platform)
 	if err != nil {
 		return memsys.Spec{}, err
 	}
+	field := "fast_bytes"
 	switch {
 	case r.FastBytes > 0:
 		spec = spec.WithFastSize(r.FastBytes)
 	case r.FastPct > 0:
+		field = "fast_pct"
 		peak, err := o.peak(r.Model, r.Batch)
 		if err != nil {
 			return memsys.Spec{}, err
 		}
-		spec = spec.WithFastSize(int64(r.FastPct / 100 * float64(peak)))
+		size := r.FastPct / 100 * float64(peak)
+		if size >= 1<<63 {
+			return memsys.Spec{}, badField(field, "%g%% of the %d-byte peak does not fit in int64", r.FastPct, peak)
+		}
+		spec = spec.WithFastSize(int64(size))
+	default:
+		return spec, nil
+	}
+	if err := spec.Validate(); err != nil {
+		return memsys.Spec{}, badField(field, "%v", err)
 	}
 	return spec, nil
 }
@@ -245,8 +270,8 @@ func (r PlanRequest) Validate() error {
 	if !knownModel(r.Model) {
 		return badField("model", "unknown model %q (known: %v)", r.Model, model.Names())
 	}
-	if r.Batch <= 0 {
-		return badField("batch", "must be a positive batch size, got %d", r.Batch)
+	if r.Batch < 1 || r.Batch > BatchLimit {
+		return badField("batch", "must be in [1, %d], got %d", BatchLimit, r.Batch)
 	}
 	if _, err := Platform(r.Platform); err != nil {
 		return err

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"testing"
+
+	"sentinel/internal/model"
 )
 
 func TestCellRequestValidate(t *testing.T) {
@@ -25,7 +28,12 @@ func TestCellRequestValidate(t *testing.T) {
 		{"missing policy", func(r *CellRequest) { r.Policy = "" }, "policy"},
 		{"unknown policy", func(r *CellRequest) { r.Policy = "oracle" }, "policy"},
 		{"unknown platform", func(r *CellRequest) { r.Platform = "tpu" }, "platform"},
+		{"batch above the limit", func(r *CellRequest) { r.Batch = BatchLimit + 1 }, "batch"},
+		{"huge batch", func(r *CellRequest) { r.Batch = 1 << 50 }, "batch"},
 		{"negative fast_pct", func(r *CellRequest) { r.FastPct = -1 }, "fast_pct"},
+		{"NaN fast_pct", func(r *CellRequest) { r.FastPct = math.NaN() }, "fast_pct"},
+		{"Inf fast_pct", func(r *CellRequest) { r.FastPct = math.Inf(1) }, "fast_pct"},
+		{"-Inf fast_pct", func(r *CellRequest) { r.FastPct = math.Inf(-1) }, "fast_pct"},
 		{"negative fast_bytes", func(r *CellRequest) { r.FastPct = 0; r.FastBytes = -1 }, "fast_bytes"},
 		{"both sizings", func(r *CellRequest) { r.FastBytes = 1 << 20 }, "fast_pct"},
 		{"steps too large", func(r *CellRequest) { r.Steps = 1001 }, "steps"},
@@ -60,10 +68,65 @@ func TestPlanRequestValidate(t *testing.T) {
 	for _, r := range []PlanRequest{
 		{Model: "", Batch: 32},
 		{Model: "resnet32", Batch: 0},
+		{Model: "resnet32", Batch: BatchLimit + 1},
 		{Model: "resnet32", Batch: 32, Platform: "abacus"},
 	} {
 		if err := r.Normalized().Validate(); !errors.Is(err, ErrBadRequest) {
 			t.Errorf("request %+v: want ErrBadRequest, got %v", r, err)
+		}
+	}
+	if err := (PlanRequest{Model: "resnet32", Batch: BatchLimit}).Normalized().Validate(); err != nil {
+		t.Errorf("batch at the limit rejected: %v", err)
+	}
+}
+
+// TestBatchLimitBuilds checks that every model builds at BatchLimit,
+// so a request the bound admits never overflows a tensor size.
+func TestBatchLimitBuilds(t *testing.T) {
+	for _, name := range model.Names() {
+		g, err := model.Build(name, BatchLimit)
+		if err != nil {
+			t.Errorf("%s at batch %d: %v", name, BatchLimit, err)
+			continue
+		}
+		if g.PeakMemory() <= 0 {
+			t.Errorf("%s at batch %d: peak memory %d", name, BatchLimit, g.PeakMemory())
+		}
+	}
+}
+
+// TestSpecSizingErrors checks that a fast tier sized out of range — a
+// finite fast_pct whose size overflows int64, or a size under one page
+// — is a request error on the sizing field, not a memsys failure.
+func TestSpecSizingErrors(t *testing.T) {
+	o := Options{Cache: NewCache(), Workers: 1}
+	for _, tc := range []struct {
+		fastPct   float64
+		fastBytes int64
+		field     string
+	}{
+		{fastPct: 1e300, field: "fast_pct"},
+		{fastPct: math.MaxFloat64, field: "fast_pct"},
+		{fastPct: 1e-9, field: "fast_pct"},
+		{fastBytes: 1, field: "fast_bytes"},
+	} {
+		r := CellRequest{Model: "resnet32", Batch: 32, Policy: "sentinel", FastPct: tc.fastPct, FastBytes: tc.fastBytes}.Normalized()
+		if err := r.Validate(); err != nil {
+			t.Fatalf("%+v: Validate: %v", tc, err)
+		}
+		_, err := r.spec(o)
+		var re *RequestError
+		if !errors.As(err, &re) || re.Field != tc.field {
+			t.Errorf("%+v: spec error %v, want a %s *RequestError", tc, err, tc.field)
+		}
+	}
+	for _, r := range []CellRequest{
+		{Model: "resnet32", Batch: 32, FastPct: 20},
+		{Model: "resnet32", Batch: 32, FastBytes: 16 << 20},
+		{Model: "resnet32", Batch: 32},
+	} {
+		if _, err := r.Normalized().spec(o); err != nil {
+			t.Errorf("%+v: %v", r, err)
 		}
 	}
 }

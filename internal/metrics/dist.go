@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -13,8 +12,8 @@ import (
 // reassigned to survivors, workers declared dead, and a per-worker
 // gauge of shards currently in flight. It is safe for concurrent use by
 // the coordinator's supervision goroutines, and the worker-side lease
-// registry in internal/serve shares the same type so both ends of the
-// protocol export identically named counters.
+// registry in internal/serve shares the same type, which its /metrics
+// endpoint renders.
 //
 // Like RequestStats, these are host-side service counters: they live at
 // the edge of the determinism boundary and never feed a simulated
@@ -111,33 +110,6 @@ func (s *DistStats) Snapshot() DistSnapshot {
 	}
 	s.mu.Unlock()
 	return snap
-}
-
-// WriteProm renders the counters in the same Prometheus text exposition
-// style as the serving layer's /metrics endpoint: one `name value` line
-// each, in a fixed order, per-worker gauges as labelled lines sorted by
-// worker name — never map-iteration order.
-func (s *DistStats) WriteProm(w io.Writer) error {
-	snap := s.Snapshot()
-	for _, m := range []struct {
-		name  string
-		value int64
-	}{
-		{"sentinel_dist_leases_granted", snap.Granted},
-		{"sentinel_dist_leases_expired", snap.Expired},
-		{"sentinel_dist_leases_reassigned", snap.Reassigned},
-		{"sentinel_dist_worker_deaths", snap.WorkerDeaths},
-	} {
-		if _, err := fmt.Fprintf(w, "%s %d\n", m.name, m.value); err != nil {
-			return err
-		}
-	}
-	for _, g := range snap.InFlight {
-		if _, err := fmt.Fprintf(w, "sentinel_dist_worker_in_flight{worker=%q} %d\n", g.Worker, g.InFlight); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // String renders the snapshot as one summary clause for the

@@ -50,30 +50,6 @@ func TestDistStatsLifecycle(t *testing.T) {
 	}
 }
 
-func TestDistStatsWriteProm(t *testing.T) {
-	var s DistStats
-	s.LeaseGranted("beta")
-	s.LeaseGranted("alpha")
-	s.LeaseExpired("beta")
-	s.WorkerDied("beta")
-	s.Reassigned()
-	s.LeaseGranted("alpha")
-
-	var b strings.Builder
-	if err := s.WriteProm(&b); err != nil {
-		t.Fatalf("WriteProm: %v", err)
-	}
-	want := `sentinel_dist_leases_granted 3
-sentinel_dist_leases_expired 1
-sentinel_dist_leases_reassigned 1
-sentinel_dist_worker_deaths 1
-sentinel_dist_worker_in_flight{worker="alpha"} 2
-`
-	if b.String() != want {
-		t.Fatalf("WriteProm output:\n%s\nwant:\n%s", b.String(), want)
-	}
-}
-
 func TestDistStatsConcurrent(t *testing.T) {
 	// Exercised under -race in CI: concurrent grants/releases across
 	// workers must not corrupt the counters.

@@ -244,10 +244,10 @@ func tenantOf(r *http.Request) string {
 	return "anonymous"
 }
 
-// execError maps a request-execution failure to a response: validation
-// failures (experiment.ErrBadRequest) are 400s naming the field,
-// client hang-ups are 499-style cancellations, everything else is a
-// 500 carrying the error text.
+// writeExecError maps a request-execution failure to a response:
+// validation failures (experiment.ErrBadRequest) are 400s naming the
+// field, client hang-ups are 499-style cancellations, everything else
+// is a 500 carrying the error text.
 func writeExecError(w http.ResponseWriter, r *http.Request, err error) {
 	var reqErr *experiment.RequestError
 	switch {
@@ -368,57 +368,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	fmt.Fprintln(w, "ready")
-}
-
-// handleMetrics renders the counters in Prometheus text exposition
-// style: one `name value` line each, in a fixed order (never map
-// iteration), so scrapes and greps are stable.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	rq := s.reqs.Snapshot()
-	cs := s.cache.Stats()
-	done, total, _ := s.progress.Snapshot()
-	admitted, running := s.adm.Queued()
-	ready := 1
-	if s.draining.Load() {
-		ready = 0
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	for _, m := range []struct {
-		name  string
-		value any
-	}{
-		{"sentinel_ready", ready},
-		{"sentinel_requests_accepted_total", rq.Accepted},
-		{"sentinel_requests_completed_total", rq.Completed},
-		{"sentinel_requests_failed_total", rq.Failed},
-		{"sentinel_requests_rejected_total", rq.Rejected},
-		{"sentinel_requests_in_flight", rq.InFlight},
-		{"sentinel_request_latency_seconds_total", rq.LatencyTotal.Seconds()},
-		{"sentinel_request_latency_seconds_max", rq.LatencyMax.Seconds()},
-		{"sentinel_admission_admitted", admitted},
-		{"sentinel_admission_running", running},
-		{"sentinel_admission_tenants", s.adm.Tenants()},
-		{"sentinel_plan_cache_entries", s.cache.Len()},
-		{"sentinel_plan_cache_hits_total", cs.Hits},
-		{"sentinel_plan_cache_misses_total", cs.Misses},
-		{"sentinel_plan_cache_waits_total", cs.Waits},
-		{"sentinel_plan_cache_seeded_total", cs.Seeded},
-		{"sentinel_plan_cache_resume_hits_total", cs.ResumeHits},
-		{"sentinel_sweep_cells_done_total", done},
-		{"sentinel_sweep_cells_scheduled_total", total},
-		{"sentinel_controller_replans_total", rq.Replans},
-		{"sentinel_controller_recovered_runs_total", rq.RecoveredRuns},
-		{"sentinel_controller_demand_only_total", rq.DemandOnlyRuns},
-	} {
-		switch v := m.value.(type) {
-		case float64:
-			fmt.Fprintf(w, "%s %g\n", m.name, v)
-		default:
-			fmt.Fprintf(w, "%s %v\n", m.name, v)
-		}
-	}
-	// Shard-lease coordination counters (internal/dist protocol).
-	s.dist.WriteProm(w) //nolint:errcheck // response already committed
 }
 
 // handlePlan serves POST /v1/plan: Sentinel's profiling/planning stage

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -123,6 +124,7 @@ func TestValidationErrors(t *testing.T) {
 		{"bad query integer", http.MethodGet, "/v1/simulate?model=resnet32&batch=many&policy=sentinel", "",
 			http.StatusBadRequest, "invalid_request", "batch"},
 	}
+	cases = append(cases, sizingCases...)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			w := doJSON(t, h, tc.method, tc.target, tc.body, nil)
@@ -135,6 +137,42 @@ func TestValidationErrors(t *testing.T) {
 			}
 		})
 	}
+}
+
+// sizingCases are out-of-range sizing inputs: a non-finite or
+// overflowing fast_pct, a fast tier under one page, and batches above
+// experiment.BatchLimit, over GET and POST.
+var sizingCases = []struct {
+	name           string
+	method, target string
+	body           string
+	status         int
+	code, field    string
+}{
+	{"GET Inf fast_pct", http.MethodGet, "/v1/simulate?model=resnet32&batch=32&policy=sentinel&fast_pct=Inf", "",
+		http.StatusBadRequest, "invalid_request", "fast_pct"},
+	{"GET NaN fast_pct", http.MethodGet, "/v1/simulate?model=resnet32&batch=32&policy=sentinel&fast_pct=NaN", "",
+		http.StatusBadRequest, "invalid_request", "fast_pct"},
+	{"GET overflowing fast_pct", http.MethodGet, "/v1/simulate?model=resnet32&batch=32&policy=sentinel&fast_pct=1e300", "",
+		http.StatusBadRequest, "invalid_request", "fast_pct"},
+	{"POST overflowing fast_pct", http.MethodPost, "/v1/simulate",
+		`{"model":"resnet32","batch":32,"policy":"sentinel","fast_pct":1e300}`,
+		http.StatusBadRequest, "invalid_request", "fast_pct"},
+	{"GET fast_pct under one page", http.MethodGet, "/v1/simulate?model=resnet32&batch=32&policy=sentinel&fast_pct=1e-9", "",
+		http.StatusBadRequest, "invalid_request", "fast_pct"},
+	{"POST fast_bytes under one page", http.MethodPost, "/v1/simulate",
+		`{"model":"resnet32","batch":32,"policy":"sentinel","fast_bytes":1}`,
+		http.StatusBadRequest, "invalid_request", "fast_bytes"},
+	{"GET plan huge batch", http.MethodGet, "/v1/plan?model=resnet32&batch=1125899906842624", "",
+		http.StatusBadRequest, "invalid_request", "batch"},
+	{"POST plan huge batch", http.MethodPost, "/v1/plan",
+		`{"model":"resnet32","batch":1125899906842624}`,
+		http.StatusBadRequest, "invalid_request", "batch"},
+	{"GET simulate batch above limit", http.MethodGet, "/v1/simulate?model=resnet32&batch=16385&policy=sentinel", "",
+		http.StatusBadRequest, "invalid_request", "batch"},
+	{"POST simulate batch above limit", http.MethodPost, "/v1/simulate",
+		`{"model":"resnet32","batch":16385,"policy":"sentinel"}`,
+		http.StatusBadRequest, "invalid_request", "batch"},
 }
 
 func TestMethodAndPathErrors(t *testing.T) {
@@ -547,4 +585,60 @@ func TestControllerMetrics(t *testing.T) {
 		t.Errorf("RequestStats snapshot %+v disagrees with responses (replans %d, demand-only %g)",
 			rq, online.Replans, wantDemandOnly)
 	}
+}
+
+// FuzzCellRequest drives arbitrary bodies and query strings through the
+// /v1/plan and /v1/simulate decoding and validation — decodeInto, then
+// planQuery or cellQuery, then Normalized().Validate() — executing no
+// cell. Every rejection must be an *experiment.RequestError, and every
+// accepted request must carry a finite fast_pct and a batch within
+// experiment.BatchLimit.
+func FuzzCellRequest(f *testing.F) {
+	for _, tc := range sizingCases {
+		_, query, _ := strings.Cut(tc.target, "?")
+		f.Add(tc.body, query)
+	}
+	f.Add(`{"model":"resnet32","batch":32,"policy":"sentinel","fast_pct":20,"steps":2}`, "")
+	f.Add("", "model=resnet32&batch=32&policy=sentinel&fast_bytes=1048576&online=true")
+	f.Fuzz(func(t *testing.T, body, query string) {
+		newReq := func() *http.Request {
+			r := httptest.NewRequest(http.MethodPost, "/", strings.NewReader(body))
+			r.URL.RawQuery = query
+			return r
+		}
+		check := func(endpoint string, err error, batch int, fastPct float64) {
+			if err != nil {
+				var re *experiment.RequestError
+				if !errors.As(err, &re) {
+					t.Fatalf("%s: error %T %v is not a *experiment.RequestError (body %q, query %q)", endpoint, err, err, body, query)
+				}
+				return
+			}
+			if math.IsNaN(fastPct) || math.IsInf(fastPct, 0) || batch < 1 || batch > experiment.BatchLimit {
+				t.Fatalf("%s: accepted batch %d, fast_pct %g (body %q, query %q)", endpoint, batch, fastPct, body, query)
+			}
+		}
+
+		var cell simulateRequest
+		r := newReq()
+		err := decodeInto(r, &cell)
+		if err == nil {
+			err = cellQuery(r, &cell)
+		}
+		if err == nil {
+			err = cell.Normalized().Validate()
+		}
+		check("simulate", err, cell.Batch, cell.FastPct)
+
+		var plan experiment.PlanRequest
+		r = newReq()
+		err = decodeInto(r, &plan)
+		if err == nil {
+			err = planQuery(r, &plan)
+		}
+		if err == nil {
+			err = plan.Normalized().Validate()
+		}
+		check("plan", err, plan.Batch, 0)
+	})
 }
