@@ -6,8 +6,9 @@
 //
 // The suite is fixed in code (see suite below): micro-benchmarks over the
 // kernel fault/migrate path, allocator place/reclaim, trace emit,
-// memsys bandwidth math, and AutoTM's ILP planning, plus the end-to-end
-// experiment sweep benchmark.
+// memsys bandwidth math, graph construction, profiling, Sentinel's and
+// the baselines' planning, plus the end-to-end Fig. 10 and Table V
+// experiment benchmarks.
 // Per-benchmark ns/op, B/op, and allocs/op are recorded together with an
 // environment fingerprint. Allocation counts are machine-independent and
 // gated tightly; ns/op is machine-dependent and gated with a generous
@@ -17,10 +18,10 @@
 //
 // Usage:
 //
-//	sentinel-benchgate -out BENCH_13.json -against BENCH_12.json   # run, record, gate
-//	sentinel-benchgate -against BENCH_12.json                      # run and gate only
-//	sentinel-benchgate -check BENCH_12.json                        # schema/shape validation
-//	sentinel-benchgate -compare BENCH_13.json -against BENCH_12.json  # offline compare
+//	sentinel-benchgate -out BENCH_19.json -against BENCH_18.json   # run, record, gate
+//	sentinel-benchgate -against BENCH_18.json                      # run and gate only
+//	sentinel-benchgate -check BENCH_18.json                        # schema/shape validation
+//	sentinel-benchgate -compare BENCH_19.json -against BENCH_18.json  # offline compare
 package main
 
 import (
@@ -82,6 +83,9 @@ var suite = []suiteEntry{
 		// experiment (graph build, profile, plan, simulate, render) per
 		// iteration — the whole-simulator throughput number.
 		"BenchmarkFig10",
+		// Table V's lockstep max-batch searches, the largest experiment
+		// of the quick paper sweep.
+		"BenchmarkTable5",
 		"BenchmarkSentinelStep",
 		"BenchmarkProfilingStep",
 	}},
@@ -108,8 +112,17 @@ var suite = []suiteEntry{
 		"BenchmarkBWTraceConsume",
 	}},
 	{pkg: "sentinel/internal/model", benches: []string{
-		// Graph construction, paid by every Table V probe.
+		// Graph construction, paid once per Table V round and batch.
 		"BenchmarkModelBuild",
+	}},
+	{pkg: "sentinel/internal/profile", benches: []string{
+		// One profiling pass over a fresh runtime.
+		"BenchmarkProfileCollect",
+	}},
+	{pkg: "sentinel/internal/core", benches: []string{
+		// Sentinel's planning step alone: the interval-length model
+		// and every interval's prefetch and eviction sets.
+		"BenchmarkBuildPlan",
 	}},
 	{pkg: "sentinel/internal/baseline", benches: []string{
 		// AutoTM's compile-time planning: runtime set-up plus the

@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 	"runtime/debug"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -10,6 +11,7 @@ import (
 	"sentinel/internal/core"
 	"sentinel/internal/exec"
 	"sentinel/internal/gpu"
+	"sentinel/internal/graph"
 	"sentinel/internal/memsys"
 	"sentinel/internal/metrics"
 	"sentinel/internal/model"
@@ -364,20 +366,38 @@ func (o Options) collectProfile(modelName string, batch int, spec memsys.Spec) (
 	})
 }
 
-// maxBatch memoizes the Table V max-batch search per (model, policy). The
-// policy name is validated up front: MaxBatch's factory cannot return an
-// error, and a bad name must fail the cell, not the process.
-func (o Options) maxBatch(modelName string, spec memsys.Spec, policy string, limit int) (int, error) {
-	if _, err := policyset.New(policy); err != nil {
-		return 0, fmt.Errorf("max-batch %s: %w", modelName, err)
-	}
-	key := fmt.Sprintf("maxb|%s|%s|f%d|%s|l%d", modelName, spec.Name, spec.Fast.Size, policy, limit)
-	return cacheDo(o, key, func() (int, error) {
-		return gpu.MaxBatch(modelName, spec, func() exec.Policy {
+// maxBatches memoizes Table V's max-batch searches for one model, one
+// per policy. The searches run in lockstep (gpu.Lockstep): each round
+// builds every distinct batch's graph once and fans its probes out over
+// the pool. Policy names are validated up front: a factory cannot return
+// an error, and a bad name must fail the experiment, not the process.
+//
+// The cell watchdog (Options.CellTimeout, Options.Ctx) wraps the whole
+// memoized search, as it wraps a whole simulation cell, so an abandoned
+// search still completes into the cache and never stores a timeout.
+func (o Options) maxBatches(modelName string, spec memsys.Spec, policies []string, limit int) ([]int, error) {
+	factories := make([]func() exec.Policy, len(policies))
+	for i, name := range policies {
+		if _, err := policyset.New(name); err != nil {
+			return nil, fmt.Errorf("max-batch %s: %w", modelName, err)
+		}
+		factories[i] = func() exec.Policy {
 			// Validated above; a registry lookup cannot fail between
 			// the check and here.
-			p, _ := policyset.New(policy)
+			p, _ := policyset.New(name)
 			return p
-		}, limit)
-	})
+		}
+	}
+	build := func(batch int) (*graph.Graph, error) { return model.Build(modelName, batch) }
+	pool := o
+	pool.Ctx, pool.CellTimeout = nil, 0
+	round := func(probes []gpu.Probe, fit func(i int) (bool, error)) ([]bool, error) {
+		return runCells(pool, len(probes), fit)
+	}
+	key := fmt.Sprintf("maxb|%s|%s|f%d|%s|l%d", modelName, spec.Name, spec.Fast.Size, strings.Join(policies, ","), limit)
+	return runCell(o, func(int) ([]int, error) {
+		return cacheDo(o, key, func() ([]int, error) {
+			return gpu.Lockstep(build, spec, factories, limit, round)
+		})
+	}, 0)
 }

@@ -164,55 +164,35 @@ func Table5(o Options) (*Table, error) {
 	if o.Quick {
 		models = models[:2]
 	}
-	// One max-batch search per (model, policy) cell; unsupported vdnn
-	// combinations are skipped, matching the serial table shape.
-	type cell struct {
-		m model.GPUEvalModel
-		p string
-	}
-	var cells []cell
-	for _, m := range models {
-		for _, p := range policies {
-			if p == "vdnn" && !baseline.Supported(m.Name) {
-				continue
-			}
-			cells = append(cells, cell{m, p})
-		}
-	}
-	maxes, err := runCells(o, len(cells), func(i int) (int, error) {
-		c := cells[i]
-		max, err := o.maxBatch(c.m.Name, spec, c.p, limit)
-		if err != nil {
-			return 0, fmt.Errorf("max batch %s %s: %w", c.p, c.m.Name, err)
-		}
-		return max, nil
-	})
-	if err != nil {
-		return nil, err
-	}
+	// One lockstep max-batch search per model over its policies;
+	// unsupported vdnn combinations are skipped and render "n/a".
 	var tfSum, sentinelSum float64
-	next := 0
 	for _, m := range models {
-		row := []string{m.Name}
-		var tfBatch, sentinelBatch int
+		var searched []string
 		for _, p := range policies {
-			if p == "vdnn" && !baseline.Supported(m.Name) {
-				row = append(row, "n/a")
-				continue
-			}
-			max := maxes[next]
-			next++
-			row = append(row, fmt.Sprintf("%d", max))
-			switch p {
-			case "fast-only":
-				tfBatch = max
-			case "sentinel-gpu":
-				sentinelBatch = max
+			if p != "vdnn" || baseline.Supported(m.Name) {
+				searched = append(searched, p)
 			}
 		}
-		if tfBatch > 0 {
+		maxes, err := o.maxBatches(m.Name, spec, searched, limit)
+		if err != nil {
+			return nil, fmt.Errorf("max batch %s: %w", m.Name, err)
+		}
+		found := make(map[string]int, len(searched))
+		for i, p := range searched {
+			found[p] = maxes[i]
+		}
+		row := []string{m.Name}
+		for _, p := range policies {
+			if max, ok := found[p]; ok {
+				row = append(row, fmt.Sprintf("%d", max))
+			} else {
+				row = append(row, "n/a")
+			}
+		}
+		if tf := found["fast-only"]; tf > 0 {
 			tfSum += 1
-			sentinelSum += float64(sentinelBatch) / float64(tfBatch)
+			sentinelSum += float64(found["sentinel-gpu"]) / float64(tf)
 		}
 		t.AddRow(row...)
 	}

@@ -121,13 +121,9 @@ func Validate(o Options) ([]Check, error) {
 		"sentinel %v vs autotm %v swapadvisor %v",
 		gtimes["sentinel-gpu"].stall, gtimes["autotm"].stall, gtimes["swapadvisor"].stall)
 
-	// Table V — max batch over plain TensorFlow; the two searches are
-	// independent cells.
-	limit := 1 << 10
-	batchPolicies := []string{"fast-only", "sentinel-gpu"}
-	maxes, err := runCells(o, len(batchPolicies), func(i int) (int, error) {
-		return o.maxBatch("resnet200", gspec, batchPolicies[i], limit)
-	})
+	// Table V — max batch over plain TensorFlow; the two searches run in
+	// lockstep.
+	maxes, err := o.maxBatches("resnet200", gspec, []string{"fast-only", "sentinel-gpu"}, 1<<10)
 	if err != nil {
 		return nil, err
 	}

@@ -15,6 +15,7 @@ import (
 
 	"sentinel/internal/core"
 	"sentinel/internal/exec"
+	"sentinel/internal/graph"
 	"sentinel/internal/memsys"
 	"sentinel/internal/metrics"
 	"sentinel/internal/model"
@@ -75,64 +76,133 @@ func (s *SentinelGPU) StepEnd(step int, st *metrics.StepStats) {
 	}
 }
 
-// MaxBatch finds the largest batch size (by doubling then bisecting) at
-// which the model trains two steps under the policy without running out of
-// GPU memory.
+// MaxBatch finds the largest batch size up to limit (by doubling then
+// bisecting) at which the model trains two steps under the policy without
+// running out of GPU memory. It is Lockstep's one-policy case, with the
+// probes run one after another.
 func MaxBatch(modelName string, spec memsys.Spec, factory func() exec.Policy, limit int) (int, error) {
-	fits := func(batch int) (bool, error) {
-		g, err := model.Build(modelName, batch)
-		if err != nil {
-			return false, err
-		}
-		rt, err := exec.NewRuntime(g, spec, factory())
-		if err != nil {
-			if errors.Is(err, exec.ErrOOM) {
-				return false, nil
-			}
-			return false, err
-		}
-		if _, err := rt.RunSteps(2); err != nil {
-			if errors.Is(err, exec.ErrOOM) {
-				return false, nil
-			}
-			return false, err
-		}
-		return true, nil
+	build := func(batch int) (*graph.Graph, error) { return model.Build(modelName, batch) }
+	maxes, err := Lockstep(build, spec, []func() exec.Policy{factory}, limit, sequential)
+	if err != nil {
+		return 0, err
 	}
+	return maxes[0], nil
+}
+
+// Probe is one trial of a lockstep round: search Search tries Batch.
+type Probe struct{ Search, Batch int }
+
+// RoundRunner runs one lockstep round: fit(i) trials probes[i]. It
+// returns the verdicts in probe order and may run the probes
+// concurrently, since they only read the round's graphs.
+type RoundRunner func(probes []Probe, fit func(i int) (bool, error)) ([]bool, error)
+
+// Lockstep runs one max-batch search per policy factory and advances them
+// round by round. Each round builds the graph of every distinct batch the
+// searches want next once, runs all of the round's probes on those shared
+// graphs through run, and drops the graphs when the round ends. Every
+// search makes the probes it would make alone, in the same order. It
+// returns each search's largest fitting batch, 0 when batch 1 does not
+// fit; a limit <= 0 means 1<<14.
+func Lockstep(build model.BuildFunc, spec memsys.Spec, factories []func() exec.Policy, limit int, run RoundRunner) ([]int, error) {
 	if limit <= 0 {
 		limit = 1 << 14
 	}
-	ok, err := fits(1)
-	if err != nil || !ok {
-		return 0, err
-	}
-	lo := 1
-	hi := 2
-	for hi <= limit {
-		ok, err := fits(hi)
-		if err != nil {
-			return 0, err
+	searches := make([]search, len(factories))
+	for {
+		var probes []Probe
+		graphs := map[int]*graph.Graph{}
+		for i := range searches {
+			batch, ok := searches[i].next(limit)
+			if !ok {
+				continue
+			}
+			if graphs[batch] == nil {
+				g, err := build(batch)
+				if err != nil {
+					return nil, err
+				}
+				graphs[batch] = g
+			}
+			probes = append(probes, Probe{Search: i, Batch: batch})
 		}
-		if !ok {
+		if len(probes) == 0 {
 			break
 		}
-		lo = hi
-		hi *= 2
-	}
-	if hi > limit {
-		return lo, nil
-	}
-	for hi-lo > 1 {
-		mid := (lo + hi) / 2
-		ok, err := fits(mid)
+		verdicts, err := run(probes, func(i int) (bool, error) {
+			p := probes[i]
+			return fits(graphs[p.Batch], spec, factories[p.Search]())
+		})
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
-		if ok {
-			lo = mid
-		} else {
-			hi = mid
+		for i, p := range probes {
+			searches[p.Search].record(p.Batch, verdicts[i])
 		}
 	}
-	return lo, nil
+	maxes := make([]int, len(searches))
+	for i, s := range searches {
+		maxes[i] = s.lo
+	}
+	return maxes, nil
+}
+
+// search is one doubling-then-bisection max-batch search as a state
+// machine: next names the batch to probe, record takes its verdict. It
+// doubles from batch 1 while probes fit, then bisects between the largest
+// batch that fit and the smallest that did not, or limit+1 when doubling
+// passed the limit without a failure.
+type search struct {
+	lo int // largest batch known to fit; 0 until one does
+	hi int // smallest batch known not to fit; 0 while doubling
+}
+
+// next returns the batch to probe next, or false when the search is done.
+func (s *search) next(limit int) (int, bool) {
+	if s.hi == 0 {
+		if b := max(1, 2*s.lo); b <= limit {
+			return b, true
+		}
+		s.hi = limit + 1
+	}
+	if s.hi-s.lo > 1 {
+		return (s.lo + s.hi) / 2, true
+	}
+	return 0, false
+}
+
+// record takes the verdict of probing batch.
+func (s *search) record(batch int, ok bool) {
+	if ok {
+		s.lo = batch
+	} else {
+		s.hi = batch
+	}
+}
+
+// sequential is the RoundRunner that runs a round's probes in order on
+// the calling goroutine.
+func sequential(probes []Probe, fit func(i int) (bool, error)) ([]bool, error) {
+	verdicts := make([]bool, len(probes))
+	for i := range probes {
+		ok, err := fit(i)
+		if err != nil {
+			return nil, err
+		}
+		verdicts[i] = ok
+	}
+	return verdicts, nil
+}
+
+// fits reports whether two training steps of g run under policy p
+// without running out of memory. Any other failure is an error.
+func fits(g *graph.Graph, spec memsys.Spec, p exec.Policy) (bool, error) {
+	rt, err := exec.NewRuntime(g, spec, p)
+	if err == nil {
+		_, err = rt.RunSteps(2)
+	}
+	if errors.Is(err, exec.ErrOOM) {
+		return false, nil
+	}
+	return err == nil, err
 }

@@ -1,0 +1,171 @@
+package gpu_test
+
+import (
+	"fmt"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"sentinel/internal/baseline"
+	"sentinel/internal/exec"
+	"sentinel/internal/gpu"
+	"sentinel/internal/graph"
+	"sentinel/internal/memsys"
+	"sentinel/internal/model"
+	"sentinel/internal/policyset"
+)
+
+// factories returns one policy factory per registered policy name.
+func factories(t *testing.T, names []string) []func() exec.Policy {
+	t.Helper()
+	fs := make([]func() exec.Policy, len(names))
+	for i, name := range names {
+		if _, err := policyset.New(name); err != nil {
+			t.Fatal(err)
+		}
+		fs[i] = func() exec.Policy {
+			p, _ := policyset.New(name)
+			return p
+		}
+	}
+	return fs
+}
+
+// countingBuild builds the named model and counts the graphs it builds.
+func countingBuild(name string, builds *atomic.Int64) model.BuildFunc {
+	return func(batch int) (*graph.Graph, error) {
+		builds.Add(1)
+		return model.Build(name, batch)
+	}
+}
+
+// TestMaxBatchPinned pins quick Table V's searches: every maximum, and
+// each search's probes in order with their verdicts ("+" fits, "x" does
+// not), as independent one-policy searches make them. Lockstep must make
+// exactly these probes while building each (model, batch) graph once:
+// 164 probes over 51 graphs.
+func TestMaxBatchPinned(t *testing.T) {
+	pinned := []struct {
+		model, policy string
+		max           int
+		probes        string
+	}{
+		{"resnet200", "fast-only", 80, "1+ 2+ 4+ 8+ 16+ 32+ 64+ 128x 96x 80+ 88x 84x 82x 81x"},
+		{"resnet200", "vdnn", 134, "1+ 2+ 4+ 8+ 16+ 32+ 64+ 128+ 256x 192x 160x 144x 136x 132+ 134+ 135x"},
+		{"resnet200", "swapadvisor", 1024, "1+ 2+ 4+ 8+ 16+ 32+ 64+ 128+ 256+ 512+ 1024+"},
+		{"resnet200", "autotm", 1024, "1+ 2+ 4+ 8+ 16+ 32+ 64+ 128+ 256+ 512+ 1024+"},
+		{"resnet200", "capuchin", 1024, "1+ 2+ 4+ 8+ 16+ 32+ 64+ 128+ 256+ 512+ 1024+"},
+		{"resnet200", "sentinel-gpu", 1024, "1+ 2+ 4+ 8+ 16+ 32+ 64+ 128+ 256+ 512+ 1024+"},
+		{"bert-large", "fast-only", 24, "1+ 2+ 4+ 8+ 16+ 32x 24+ 28x 26x 25x"},
+		{"bert-large", "swapadvisor", 787, "1+ 2+ 4+ 8+ 16+ 32+ 64+ 128+ 256+ 512+ 1024x 768+ 896x 832x 800x 784+ 792x 788x 786+ 787+"},
+		{"bert-large", "autotm", 784, "1+ 2+ 4+ 8+ 16+ 32+ 64+ 128+ 256+ 512+ 1024x 768+ 896x 832x 800x 784+ 792x 788x 786x 785x"},
+		{"bert-large", "capuchin", 791, "1+ 2+ 4+ 8+ 16+ 32+ 64+ 128+ 256+ 512+ 1024x 768+ 896x 832x 800x 784+ 792x 788+ 790+ 791+"},
+		{"bert-large", "sentinel-gpu", 786, "1+ 2+ 4+ 8+ 16+ 32+ 64+ 128+ 256+ 512+ 1024x 768+ 896x 832x 800x 784+ 792x 788x 786+ 787x"},
+	}
+	var builds atomic.Int64
+	probes := 0
+	for _, modelName := range []string{"resnet200", "bert-large"} {
+		var policies []string
+		var want []int
+		for i, p := range pinned {
+			if p.model == modelName {
+				policies = append(policies, p.policy)
+				want = append(want, i)
+			}
+		}
+		seqs := make([][]string, len(policies))
+		logged := func(ps []gpu.Probe, fit func(i int) (bool, error)) ([]bool, error) {
+			verdicts := make([]bool, len(ps))
+			for i, p := range ps {
+				ok, err := fit(i)
+				if err != nil {
+					return nil, err
+				}
+				verdicts[i] = ok
+				mark := "x"
+				if ok {
+					mark = "+"
+				}
+				seqs[p.Search] = append(seqs[p.Search], fmt.Sprintf("%d%s", p.Batch, mark))
+				probes++
+			}
+			return verdicts, nil
+		}
+		maxes, err := gpu.Lockstep(countingBuild(modelName, &builds), memsys.GPUHM(),
+			factories(t, policies), 1<<10, logged)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, pi := range want {
+			p := pinned[pi]
+			if maxes[i] != p.max {
+				t.Errorf("%s %s: max %d, pinned %d", p.model, p.policy, maxes[i], p.max)
+			}
+			if got := strings.Join(seqs[i], " "); got != p.probes {
+				t.Errorf("%s %s probes:\n got  %s\n want %s", p.model, p.policy, got, p.probes)
+			}
+		}
+	}
+	if probes != 164 || builds.Load() != 51 {
+		t.Errorf("%d probes over %d graph builds, want 164 over 51", probes, builds.Load())
+	}
+}
+
+// TestLockstepProbesShareGraphConcurrently runs each round's probes of
+// several policies concurrently on the one graph the round built for
+// their batch. Under -race this checks that runtimes and policies only
+// read the graph.
+func TestLockstepProbesShareGraphConcurrently(t *testing.T) {
+	policies := []string{"fast-only", "um", "vdnn", "swapadvisor", "autotm", "capuchin", "sentinel-gpu"}
+	concurrent := func(ps []gpu.Probe, fit func(i int) (bool, error)) ([]bool, error) {
+		verdicts := make([]bool, len(ps))
+		errs := make([]error, len(ps))
+		var wg sync.WaitGroup
+		for i := range ps {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				verdicts[i], errs[i] = fit(i)
+			}()
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				return nil, err
+			}
+		}
+		return verdicts, nil
+	}
+	var builds atomic.Int64
+	maxes, err := gpu.Lockstep(countingBuild("resnet32", &builds), memsys.GPUHM(),
+		factories(t, policies), 8, concurrent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, max := range maxes {
+		if max != 8 {
+			t.Errorf("%s: max batch %d, want 8", policies[i], max)
+		}
+	}
+	// Batches 1, 2, 4 and 8: one graph per round, shared by every policy.
+	if n := builds.Load(); n != 4 {
+		t.Errorf("%d graph builds, want 4", n)
+	}
+}
+
+// TestMaxBatchLimitNotPowerOfTwo pins the bisection over [64, limit+1)
+// when doubling passes a limit that is not a power of two: limit 128
+// finds 80, so limit 100 must too.
+func TestMaxBatchLimitNotPowerOfTwo(t *testing.T) {
+	fastOnly := func() exec.Policy { return baseline.NewFastOnly() }
+	for _, limit := range []int{100, 128} {
+		mb, err := gpu.MaxBatch("resnet200", memsys.GPUHM(), fastOnly, limit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mb != 80 {
+			t.Errorf("limit %d: max batch %d, want 80", limit, mb)
+		}
+	}
+}
