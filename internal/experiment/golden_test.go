@@ -9,8 +9,9 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden snapshots")
 
-// TestGoldenTables pins the rendered output of every default experiment,
-// in quick mode, to byte-exact snapshots under testdata/golden. The
+// TestGoldenTables pins the rendered output of every experiment, the
+// extras outside "all" included, in quick mode, to byte-exact snapshots
+// under testdata/golden. The
 // simulator is deterministic, so these only change when behaviour changes;
 // in particular they hold hot-path optimizations (allocator layout, kernel
 // range queries, bandwidth math) to the bar of being invisible in every
@@ -21,7 +22,7 @@ func TestGoldenTables(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration sweep")
 	}
-	for _, id := range DefaultIDs() {
+	for _, id := range IDs() {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			tb, err := Run(id, Options{Steps: 3, Quick: true, Workers: 1, NoCache: true})
