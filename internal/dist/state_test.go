@@ -49,3 +49,37 @@ func TestStateTerminalAndString(t *testing.T) {
 		t.Errorf("out-of-range String() = %q", got)
 	}
 }
+
+// FuzzShardState drives arbitrary transition sequences through the lease
+// state machine from an arbitrary start. Each step byte names a target
+// state, one past each end of the machine included. advance must fail
+// exactly when CanAdvance is false and leave the state unchanged when it
+// fails; no transition may leave a terminal state; String must render
+// every State value.
+func FuzzShardState(f *testing.F) {
+	f.Add(int64(StateIdle), []byte{1, 2, 3})          // idle → leased → running → completed
+	f.Add(int64(StateIdle), []byte{1, 4, 5, 1, 4, 6}) // expire, reassign, re-lease, quarantine
+	f.Add(int64(StateCompleted), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add(int64(-1), []byte{0, 255})
+	f.Fuzz(func(t *testing.T, start int64, steps []byte) {
+		s := State(start)
+		_ = s.String()
+		for _, b := range steps {
+			to := State(int(b)%9 - 1)
+			_ = to.String()
+			from := s
+			legal := from.CanAdvance(to)
+			err := s.advance(to)
+			switch {
+			case legal && (err != nil || s != to):
+				t.Fatalf("advance(%v → %v) refused a legal transition: %v (state now %v)", from, to, err, s)
+			case !legal && err == nil:
+				t.Fatalf("advance(%v → %v) took an illegal transition", from, to)
+			case !legal && s != from:
+				t.Fatalf("failed advance(%v → %v) moved the state to %v", from, to, s)
+			case legal && from.Terminal():
+				t.Fatalf("terminal state %v exits to %v", from, to)
+			}
+		}
+	})
+}

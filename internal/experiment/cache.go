@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"errors"
 	"fmt"
 	"runtime/debug"
 	"strings"
@@ -283,10 +284,15 @@ func (o Options) run(c cellRun) (*metrics.RunStats, error) {
 }
 
 // runAll submits a batch of cells through the worker pool, returning run
-// stats in cell order with per-cell error context. Quarantinable failures
-// (panic, deadline, cancellation) do not fail the sweep: the cell is
-// recorded for the table footer and contributes placeholder (zeroed)
-// stats, so every other cell still completes and renders.
+// stats in cell order. It is the one way a runner runs cellRuns.
+//
+// A cell that runs out of fast memory (exec.ErrOOM) is a result, not a
+// fault: its slot is nil, and the table renders it "oom" (runFit refuses
+// it for tables that cannot). Quarantinable failures (panic, deadline,
+// cancellation) do not fail the sweep: the cell is recorded for the table
+// footer and contributes placeholder (zeroed) stats, so every other cell
+// still completes and renders. Any other error fails the experiment,
+// naming the cell.
 //
 // The deadline/cancel watchdog is applied here, inside the pool fn, so
 // its typed errors flow through the quarantine check instead of escaping
@@ -298,15 +304,37 @@ func (o Options) runAll(cells []cellRun) ([]*metrics.RunStats, error) {
 	return runCells(pool, len(cells), func(i int) (*metrics.RunStats, error) {
 		c := cells[i]
 		r, err := runCell(o, func(int) (*metrics.RunStats, error) { return o.run(c) }, i)
-		if err != nil {
-			if o.quar != nil && quarantinable(err) {
-				o.quar.record(o.Trace, c.label(), o.CellTimeout, err)
-				return quarantinedStats(c), nil
-			}
-			return nil, fmt.Errorf("%s %s b%d: %w", c.policy, c.model, c.batch, err)
+		switch {
+		case err == nil:
+			return r, nil
+		case errors.Is(err, exec.ErrOOM):
+			return nil, nil
+		case o.quar != nil && quarantinable(err):
+			o.quar.record(o.Trace, c.label(), o.CellTimeout, err)
+			return quarantinedStats(c), nil
 		}
-		return r, nil
+		return nil, c.fail(err)
 	})
+}
+
+// runFit is runAll for tables with no "oom" rendering: a cell that ran
+// out of fast memory fails the experiment, naming the cell.
+func (o Options) runFit(cells []cellRun) ([]*metrics.RunStats, error) {
+	runs, err := o.runAll(cells)
+	if err != nil {
+		return nil, err
+	}
+	for i, r := range runs {
+		if r == nil {
+			return nil, cells[i].fail(exec.ErrOOM)
+		}
+	}
+	return runs, nil
+}
+
+// fail attributes err to the cell.
+func (c cellRun) fail(err error) error {
+	return fmt.Errorf("%s %s b%d: %w", c.policy, c.model, c.batch, err)
 }
 
 // quarantinedStats is the placeholder result of a quarantined cell: the
@@ -332,14 +360,14 @@ func (o Options) peak(modelName string, batch int) (int64, error) {
 	})
 }
 
-// fastSized returns the Optane spec with fast memory set to pct% of the
+// fastSized returns platform with fast memory set to fastPct of the
 // model's peak memory, plus the peak itself.
-func (o Options) fastSized(modelName string, batch int, pct float64) (memsys.Spec, int64, error) {
+func (o Options) fastSized(platform memsys.Spec, modelName string, batch int) (memsys.Spec, int64, error) {
 	peak, err := o.peak(modelName, batch)
 	if err != nil {
 		return memsys.Spec{}, 0, err
 	}
-	return memsys.OptaneHM().WithFastSize(int64(pct / 100 * float64(peak))), peak, nil
+	return platform.WithFastSize(int64(fastPct / 100.0 * float64(peak))), peak, nil
 }
 
 // characterize memoizes the Sec. III characterization study per model.

@@ -22,7 +22,7 @@ func Fig5(o Options) (*Table, error) {
 		Title:  "step time vs migration interval length (resnet32, Optane HM, fast = 20% of peak)",
 		Header: []string{"MIL", "step time", "vs best"},
 	}
-	spec, _, err := o.fastSized("resnet32", 128, fastPct)
+	spec, _, err := o.fastSized(memsys.OptaneHM(), "resnet32", 128)
 	if err != nil {
 		return nil, err
 	}
@@ -35,7 +35,7 @@ func Fig5(o Options) (*Table, error) {
 		cells[i] = cellRun{model: "resnet32", batch: 128, spec: spec,
 			policy: "sentinel", steps: o.steps(), mil: mil}
 	}
-	runs, err := o.runAll(cells)
+	runs, err := o.runFit(cells)
 	if err != nil {
 		return nil, err
 	}
@@ -75,49 +75,26 @@ func Fig7(o Options) (*Table, error) {
 		Title:  "speedup over slow-only (small batch, fast = 20% of peak)",
 		Header: []string{"model", "ial", "autotm", "sentinel", "fast-only (ref)", "sentinel vs fast"},
 	}
-	ms := model.EvalSet()
-	// Per model: slow-only baseline, the three migrators, and the
-	// fast-only reference (fast memory large enough for everything).
-	pols := []string{"slow-only", "ial", "autotm", "sentinel", "fast-only"}
-	var cells []cellRun
-	for _, m := range ms {
-		spec, peak, err := o.fastSized(m.Name, m.SmallBatch, fastPct)
-		if err != nil {
-			return nil, err
-		}
-		for _, p := range pols {
-			c := cellRun{model: m.Name, batch: m.SmallBatch, spec: spec, policy: p, steps: o.steps()}
-			switch p {
-			case "slow-only":
-				c.steps = 2
-			case "fast-only":
-				c.steps = 2
-				c.spec = memsys.OptaneHM().WithFastSize(2 * peak)
-			}
-			cells = append(cells, c)
-		}
+	rows := smallBatchRows()
+	if err := o.sized(memsys.OptaneHM(), rows); err != nil {
+		return nil, err
 	}
-	runs, err := o.runAll(cells)
+	grid, err := o.compare(t, rows, refPolicies)
 	if err != nil {
 		return nil, err
 	}
 	var sentinelGapSum float64
 	var n int
-	for i, m := range ms {
-		group := runs[i*len(pols) : (i+1)*len(pols)]
-		base := group[0].SteadyStepTime()
-		row := []string{fmt.Sprintf("%s (b=%d)", m.Name, m.SmallBatch)}
-		for k := 1; k <= 3; k++ {
-			row = append(row, speedup(base, group[k].SteadyStepTime()))
+	for i, runs := range grid {
+		sentinel, fast := runs[3], runs[4]
+		if sentinel == nil || fast == nil {
+			t.Rows[i] = append(t.Rows[i], oom)
+			continue
 		}
-		sentinelTime := group[3].SteadyStepTime()
-		fastTime := group[4].SteadyStepTime()
-		row = append(row, speedup(base, fastTime))
-		gap := float64(sentinelTime)/float64(fastTime) - 1
+		gap := float64(sentinel.SteadyStepTime())/float64(fast.SteadyStepTime()) - 1
 		sentinelGapSum += gap
 		n++
-		row = append(row, fmt.Sprintf("+%.1f%%", 100*gap))
-		t.AddRow(row...)
+		t.Rows[i] = append(t.Rows[i], fmt.Sprintf("+%.1f%%", 100*gap))
 	}
 	t.AddNote("mean sentinel gap vs fast-only: %.1f%% (paper: 9%% on average at 20%% fast memory)", 100*sentinelGapSum/float64(n))
 	return t, nil
@@ -131,49 +108,30 @@ func Fig8(o Options) (*Table, error) {
 		Title:  "large-batch speedup over first-touch NUMA (fast = 20% of peak)",
 		Header: []string{"model", "memory-mode", "autotm", "sentinel"},
 	}
-	ms := model.EvalSet()
-	pols := []string{"first-touch", "memory-mode", "autotm", "sentinel"}
-	var cells []cellRun
-	batches := make([]int, len(ms))
-	for i, m := range ms {
+	var rows []compRow
+	for _, m := range model.EvalSet() {
 		batch := m.LargeBatch
 		if o.Quick {
 			batch = m.SmallBatch * 2
 		}
-		batches[i] = batch
-		spec, peak, err := o.fastSized(m.Name, batch, fastPct)
-		if err != nil {
-			return nil, err
-		}
+		rows = append(rows, compRow{model: m.Name, batch: batch})
+	}
+	if err := o.sized(memsys.OptaneHM(), rows); err != nil {
+		return nil, err
+	}
+	for i := range rows {
 		// LSTM's paper configuration fits entirely in fast memory at
 		// large batch; keep that case by giving it its platform-default
 		// fast size.
-		if m.Name == "lstm" {
-			spec = memsys.OptaneHM()
-			if spec.Fast.Size < peak*2 {
-				spec = spec.WithFastSize(peak * 2)
+		if r := &rows[i]; r.model == "lstm" {
+			r.spec = memsys.OptaneHM()
+			if r.spec.Fast.Size < r.peak*2 {
+				r.spec = r.spec.WithFastSize(r.peak * 2)
 			}
-		}
-		for _, p := range pols {
-			c := cellRun{model: m.Name, batch: batch, spec: spec, policy: p, steps: o.steps()}
-			if p == "first-touch" {
-				c.steps = 2
-			}
-			cells = append(cells, c)
 		}
 	}
-	runs, err := o.runAll(cells)
-	if err != nil {
+	if _, err := o.compare(t, rows, []string{"first-touch", "memory-mode", "autotm", "sentinel"}); err != nil {
 		return nil, err
-	}
-	for i, m := range ms {
-		group := runs[i*len(pols) : (i+1)*len(pols)]
-		base := group[0].SteadyStepTime()
-		row := []string{fmt.Sprintf("%s (b=%d)", m.Name, batches[i])}
-		for k := 1; k < len(pols); k++ {
-			row = append(row, speedup(base, group[k].SteadyStepTime()))
-		}
-		t.AddRow(row...)
 	}
 	t.AddNote("paper: sentinel 1.7x over first-touch, 1.2x over Memory Mode, 1.1x over AutoTM on capacity-bound models; ~1.0x when the model fits (LSTM)")
 	return t, nil
@@ -187,7 +145,7 @@ func Fig9(o Options) (*Table, error) {
 		Title:  "memory bandwidth during resnet32 training (fast = 20% of peak)",
 		Header: []string{"policy", "fast GB/s", "slow GB/s", "fast bytes/step", "slow bytes/step"},
 	}
-	spec, _, err := o.fastSized("resnet32", 128, fastPct)
+	spec, _, err := o.fastSized(memsys.OptaneHM(), "resnet32", 128)
 	if err != nil {
 		return nil, err
 	}
@@ -197,7 +155,7 @@ func Fig9(o Options) (*Table, error) {
 		cells[i] = cellRun{model: "resnet32", batch: 128, spec: spec,
 			policy: p, steps: o.steps(), trace: 5 * simtime.Millisecond}
 	}
-	runs, err := o.runAll(cells)
+	runs, err := o.runFit(cells)
 	if err != nil {
 		return nil, err
 	}
@@ -255,7 +213,7 @@ func Fig10(o Options) (*Table, error) {
 				policy: "sentinel", steps: o.steps()})
 		}
 	}
-	runs, err := o.runAll(cells)
+	runs, err := o.runFit(cells)
 	if err != nil {
 		return nil, err
 	}
@@ -355,7 +313,7 @@ func Table3(o Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		spec, _, err := o.fastSized(m.Name, m.SmallBatch, fastPct)
+		spec, _, err := o.fastSized(memsys.OptaneHM(), m.Name, m.SmallBatch)
 		if err != nil {
 			return nil, err
 		}
@@ -408,7 +366,7 @@ func Table4(o Options) (*Table, error) {
 	pols := []string{"ial", "autotm", "sentinel"}
 	var cells []cellRun
 	for _, m := range ms {
-		spec, _, err := o.fastSized(m.Name, m.SmallBatch, fastPct)
+		spec, _, err := o.fastSized(memsys.OptaneHM(), m.Name, m.SmallBatch)
 		if err != nil {
 			return nil, err
 		}
@@ -417,7 +375,7 @@ func Table4(o Options) (*Table, error) {
 				spec: spec, policy: p, steps: o.steps()})
 		}
 	}
-	runs, err := o.runAll(cells)
+	runs, err := o.runFit(cells)
 	if err != nil {
 		return nil, err
 	}
@@ -478,47 +436,18 @@ func Fig7Extended(o Options) (*Table, error) {
 		Title:  "speedup over slow-only on the extended zoo (fast = 20% of peak)",
 		Header: []string{"model", "ial", "autotm", "sentinel", "fast-only (ref)"},
 	}
-	configs := []struct {
-		name  string
-		batch int
-	}{
-		{"vgg16", 32}, {"inception", 32}, {"unet", 8}, {"gpt2-small", 4},
-		{"resnet110", 64}, {"resnet152", 16},
+	rows := []compRow{
+		{model: "vgg16", batch: 32}, {model: "inception", batch: 32}, {model: "unet", batch: 8},
+		{model: "gpt2-small", batch: 4}, {model: "resnet110", batch: 64}, {model: "resnet152", batch: 16},
 	}
 	if o.Quick {
-		configs = configs[:3]
+		rows = rows[:3]
 	}
-	pols := []string{"slow-only", "ial", "autotm", "sentinel", "fast-only"}
-	var cells []cellRun
-	for _, cfg := range configs {
-		spec, peak, err := o.fastSized(cfg.name, cfg.batch, fastPct)
-		if err != nil {
-			return nil, err
-		}
-		for _, p := range pols {
-			c := cellRun{model: cfg.name, batch: cfg.batch, spec: spec, policy: p, steps: o.steps()}
-			switch p {
-			case "slow-only":
-				c.steps = 2
-			case "fast-only":
-				c.steps = 2
-				c.spec = memsys.OptaneHM().WithFastSize(2 * peak)
-			}
-			cells = append(cells, c)
-		}
-	}
-	runs, err := o.runAll(cells)
-	if err != nil {
+	if err := o.sized(memsys.OptaneHM(), rows); err != nil {
 		return nil, err
 	}
-	for i, cfg := range configs {
-		group := runs[i*len(pols) : (i+1)*len(pols)]
-		base := group[0].SteadyStepTime()
-		row := []string{fmt.Sprintf("%s (b=%d)", cfg.name, cfg.batch)}
-		for k := 1; k < len(pols); k++ {
-			row = append(row, speedup(base, group[k].SteadyStepTime()))
-		}
-		t.AddRow(row...)
+	if _, err := o.compare(t, rows, refPolicies); err != nil {
+		return nil, err
 	}
 	t.AddNote("not in the paper: the same ordering holds on architectures the paper never evaluated")
 	return t, nil
@@ -534,39 +463,12 @@ func Fig7CXL(o Options) (*Table, error) {
 		Title:  "speedup over slow-only with CXL-attached slow memory (fast = 20% of peak)",
 		Header: []string{"model", "ial", "autotm", "sentinel", "fast-only (ref)"},
 	}
-	ms := model.EvalSet()
-	pols := []string{"slow-only", "ial", "autotm", "sentinel", "fast-only"}
-	var cells []cellRun
-	for _, m := range ms {
-		peak, err := o.peak(m.Name, m.SmallBatch)
-		if err != nil {
-			return nil, err
-		}
-		spec := memsys.CXLHM().WithFastSize(peak / 5)
-		for _, p := range pols {
-			c := cellRun{model: m.Name, batch: m.SmallBatch, spec: spec, policy: p, steps: o.steps()}
-			switch p {
-			case "slow-only":
-				c.steps = 2
-			case "fast-only":
-				c.steps = 2
-				c.spec = memsys.CXLHM().WithFastSize(2 * peak)
-			}
-			cells = append(cells, c)
-		}
-	}
-	runs, err := o.runAll(cells)
-	if err != nil {
+	rows := smallBatchRows()
+	if err := o.sized(memsys.CXLHM(), rows); err != nil {
 		return nil, err
 	}
-	for i, m := range ms {
-		group := runs[i*len(pols) : (i+1)*len(pols)]
-		base := group[0].SteadyStepTime()
-		row := []string{fmt.Sprintf("%s (b=%d)", m.Name, m.SmallBatch)}
-		for k := 1; k < len(pols); k++ {
-			row = append(row, speedup(base, group[k].SteadyStepTime()))
-		}
-		t.AddRow(row...)
+	if _, err := o.compare(t, rows, refPolicies); err != nil {
+		return nil, err
 	}
 	t.AddNote("not in the paper: CXL's better write path compresses the spread the paper measured on Optane")
 	return t, nil

@@ -1,46 +1,15 @@
 package experiment
 
 import (
-	"errors"
 	"fmt"
 
-	"sentinel/internal/baseline"
-	"sentinel/internal/exec"
 	"sentinel/internal/memsys"
-	"sentinel/internal/metrics"
 	"sentinel/internal/model"
 	"sentinel/internal/simtime"
 )
 
 // gpuPolicies is the Figure 12 policy set, worst to best in the paper.
 var gpuPolicies = []string{"um", "vdnn", "autotm", "swapadvisor", "capuchin", "sentinel-gpu"}
-
-// gpuGrid is one (model, batch) × policies slab of a GPU sweep. The cells
-// run through the pool; ErrOOM is tolerated per cell (the paper reports
-// "oom" for configurations a policy cannot fit), anything else aborts.
-type gpuGrid struct {
-	cells []cellRun
-	runs  []*metrics.RunStats
-	errs  []error
-	next  int
-}
-
-// add queues one cell.
-func (g *gpuGrid) add(c cellRun) { g.cells = append(g.cells, c) }
-
-// runAll executes the queued cells through the pool.
-func (g *gpuGrid) runAll(o Options) {
-	g.runs, g.errs = runCellsErr(o, len(g.cells), func(i int) (*metrics.RunStats, error) {
-		return o.run(g.cells[i])
-	})
-}
-
-// take consumes the next result in submission order.
-func (g *gpuGrid) take() (cellRun, *metrics.RunStats, error) {
-	c, r, err := g.cells[g.next], g.runs[g.next], g.errs[g.next]
-	g.next++
-	return c, r, err
-}
 
 // Fig12 measures GPU training throughput for five models at three batch
 // sizes each, normalized to Unified Memory (paper Fig. 12).
@@ -50,53 +19,12 @@ func Fig12(o Options) (*Table, error) {
 		Title:  "GPU training throughput normalized to Unified Memory",
 		Header: append([]string{"model", "batch"}, gpuPolicies[1:]...),
 	}
-	spec := memsys.GPUHM()
-	models := model.GPUEvalSet()
-	var grid gpuGrid
-	for _, m := range models {
-		batches := m.Batches[:]
-		if o.Quick {
-			batches = m.Batches[2:]
-		}
-		for _, batch := range batches {
-			for _, p := range gpuPolicies {
-				if p == "vdnn" && !baseline.Supported(m.Name) {
-					continue
-				}
-				grid.add(cellRun{model: m.Name, batch: batch, spec: spec, policy: p, steps: o.steps()})
-			}
-		}
+	from := 0
+	if o.Quick {
+		from = 2
 	}
-	grid.runAll(o)
-	for _, m := range models {
-		batches := m.Batches[:]
-		if o.Quick {
-			batches = m.Batches[2:]
-		}
-		for _, batch := range batches {
-			_, umRun, err := grid.take()
-			if err != nil {
-				return nil, err
-			}
-			base := umRun.SteadyStepTime()
-			row := []string{m.Name, fmt.Sprintf("%d", batch)}
-			for _, p := range gpuPolicies[1:] {
-				if p == "vdnn" && !baseline.Supported(m.Name) {
-					row = append(row, "n/a")
-					continue
-				}
-				c, run, err := grid.take()
-				if err != nil {
-					if errors.Is(err, exec.ErrOOM) {
-						row = append(row, "oom")
-						continue
-					}
-					return nil, fmt.Errorf("%s %s b%d: %w", p, c.model, c.batch, err)
-				}
-				row = append(row, speedup(base, run.SteadyStepTime()))
-			}
-			t.AddRow(row...)
-		}
+	if _, err := o.compare(t, gpuRows(memsys.GPUHM(), from), gpuPolicies); err != nil {
+		return nil, err
 	}
 	t.AddNote("cells are throughput relative to UM (higher is better); paper: sentinel 1.1-7.8x over UM, ~2x over vDNN, 65%% over SwapAdvisor, 17%% over AutoTM, 16%% over Capuchin")
 	return t, nil
@@ -117,24 +45,23 @@ func Fig13(o Options) (*Table, error) {
 	if o.Quick {
 		models = models[:2]
 	}
-	var grid gpuGrid
+	var cells []cellRun
 	for _, m := range models {
 		for _, p := range policies {
-			if p == "vdnn" && !baseline.Supported(m.Name) {
-				continue
+			if supports(p, m.Name) {
+				cells = append(cells, cellRun{model: m.Name, batch: m.Batches[2], spec: spec, policy: p, steps: o.steps()})
 			}
-			grid.add(cellRun{model: m.Name, batch: m.Batches[2], spec: spec, policy: p, steps: o.steps()})
 		}
 	}
-	grid.runAll(o)
-	for range grid.cells {
-		c, run, err := grid.take()
-		if err != nil {
-			if errors.Is(err, exec.ErrOOM) {
-				t.AddRow(c.model, c.policy, "oom", "", "", "")
-				continue
-			}
-			return nil, fmt.Errorf("%s %s b%d: %w", c.policy, c.model, c.batch, err)
+	runs, err := o.runAll(cells)
+	if err != nil {
+		return nil, err
+	}
+	for i, c := range cells {
+		run := runs[i]
+		if run == nil {
+			t.AddRow(c.model, c.policy, oom, "", "", "")
+			continue
 		}
 		st := run.SteadyStep()
 		t.AddRow(c.model, c.policy, st.Duration.String(),
@@ -170,7 +97,7 @@ func Table5(o Options) (*Table, error) {
 	for _, m := range models {
 		var searched []string
 		for _, p := range policies {
-			if p != "vdnn" || baseline.Supported(m.Name) {
+			if supports(p, m.Name) {
 				searched = append(searched, p)
 			}
 		}
@@ -213,41 +140,8 @@ func Fig12A100(o Options) (*Table, error) {
 		Title:  "GPU training throughput normalized to Unified Memory (A100-class machine)",
 		Header: append([]string{"model", "batch"}, gpuPolicies[1:]...),
 	}
-	spec := memsys.GPUHM_A100()
-	models := model.GPUEvalSet()
-	var grid gpuGrid
-	for _, m := range models {
-		for _, p := range gpuPolicies {
-			if p == "vdnn" && !baseline.Supported(m.Name) {
-				continue
-			}
-			grid.add(cellRun{model: m.Name, batch: m.Batches[2], spec: spec, policy: p, steps: o.steps()})
-		}
-	}
-	grid.runAll(o)
-	for _, m := range models {
-		_, umRun, err := grid.take()
-		if err != nil {
-			return nil, err
-		}
-		base := umRun.SteadyStepTime()
-		row := []string{m.Name, fmt.Sprintf("%d", m.Batches[2])}
-		for _, p := range gpuPolicies[1:] {
-			if p == "vdnn" && !baseline.Supported(m.Name) {
-				row = append(row, "n/a")
-				continue
-			}
-			_, run, err := grid.take()
-			if err != nil {
-				if errors.Is(err, exec.ErrOOM) {
-					row = append(row, "oom")
-					continue
-				}
-				return nil, err
-			}
-			row = append(row, speedup(base, run.SteadyStepTime()))
-		}
-		t.AddRow(row...)
+	if _, err := o.compare(t, gpuRows(memsys.GPUHM_A100(), 2), gpuPolicies); err != nil {
+		return nil, err
 	}
 	t.AddNote("not in the paper: a faster interconnect and larger device memory compress the spread")
 	return t, nil

@@ -56,14 +56,13 @@ func OnlineRobustness(o Options) (*Table, error) {
 		Title:  fmt.Sprintf("online recovery under fault injection (%s, GPU HM, fast = 20%% of peak, sentinel-gpu, seed %d)", modelName, seed),
 		Header: []string{"fault", "clean step", "static step", "online step", "gap recovered", "replans", "recovered steps", "demand static/online"},
 	}
-	peak, err := o.peak(modelName, batch)
-	if err != nil {
-		return nil, err
-	}
 	// The GPU rungs of the robustness ladder: the divergence signals the
 	// controller consumes (demand migrations, residency stalls) only
 	// exist on GPU-like machines, where ops require fast-tier residency.
-	spec := memsys.GPUHM().WithFastSize(int64(fastPct / 100.0 * float64(peak)))
+	spec, _, err := o.fastSized(memsys.GPUHM(), modelName, batch)
+	if err != nil {
+		return nil, err
+	}
 	rungs := []struct {
 		name string
 		cfg  chaos.Config
@@ -90,7 +89,7 @@ func OnlineRobustness(o Options) (*Table, error) {
 			cellRun{model: modelName, batch: batch, spec: spec,
 				policy: "sentinel-gpu", steps: steps, chaos: r.cfg, online: oc})
 	}
-	runs, err := o.runAll(cells)
+	runs, err := o.runFit(cells)
 	if err != nil {
 		return nil, err
 	}

@@ -21,10 +21,11 @@ func simDur(d time.Duration) simtime.Duration { return simtime.Duration(d.Nanose
 
 // This file is the parallel experiment executor. Every figure and table is
 // a sweep over independent cells — one (model, policy, machine, capacity)
-// simulation each — so the runners build a flat cell list and submit it
-// through runCells, which fans the cells out over a bounded worker pool.
-// Results come back in submission order regardless of completion order, so
-// the emitted tables are byte-identical to a sequential run.
+// simulation each — so the runners build a flat cellRun list and submit it
+// through Options.runAll, which fans the cells out over a bounded worker
+// pool (runCells). Results come back in submission order regardless of
+// completion order, so the emitted tables are byte-identical to a
+// sequential run.
 //
 // The pool is also the sweep's fault boundary: a panicking cell is
 // recovered into a typed ErrCellPanicked instead of taking down the
@@ -193,26 +194,6 @@ func runCells[T any](o Options, n int, fn func(i int) (T, error)) ([]T, error) {
 		wg.Wait()
 	}
 	return results, errors.Join(errs...)
-}
-
-// runCellsErr is runCells for callers that want per-cell errors back
-// instead of one joined error — Fig. 12/13 tolerate ErrOOM cells and only
-// abort on unexpected failures.
-func runCellsErr[T any](o Options, n int, fn func(i int) (T, error)) ([]T, []error) {
-	type out struct {
-		v   T
-		err error
-	}
-	res, _ := runCells(o, n, func(i int) (out, error) {
-		v, err := fn(i)
-		return out{v, err}, nil
-	})
-	vals := make([]T, n)
-	errs := make([]error, n)
-	for i, r := range res {
-		vals[i], errs[i] = r.v, r.err
-	}
-	return vals, errs
 }
 
 // quarantinable reports whether err is a fault the sweep degrades around

@@ -125,25 +125,6 @@ func TestRunCellsSequentialOrder(t *testing.T) {
 	}
 }
 
-func TestRunCellsErr(t *testing.T) {
-	sentinel := errors.New("oom")
-	vals, errs := runCellsErr(Options{Workers: 4}, 5, func(i int) (int, error) {
-		if i%2 == 1 {
-			return 0, fmt.Errorf("cell: %w", sentinel)
-		}
-		return i + 100, nil
-	})
-	for i := 0; i < 5; i++ {
-		if i%2 == 1 {
-			if !errors.Is(errs[i], sentinel) {
-				t.Errorf("errs[%d] = %v, want wrapped sentinel", i, errs[i])
-			}
-		} else if errs[i] != nil || vals[i] != i+100 {
-			t.Errorf("cell %d: val=%d err=%v", i, vals[i], errs[i])
-		}
-	}
-}
-
 // TestRunCellsPanicRecovery: a panicking cell becomes a typed per-cell
 // error joined into the sweep result; the process survives and every
 // other cell still runs. This holds on both the sequential and pool paths.

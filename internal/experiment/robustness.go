@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"sentinel/internal/chaos"
+	"sentinel/internal/memsys"
 )
 
 // Robustness sweeps fault-injection levels against the Sentinel policy
@@ -23,7 +24,7 @@ func Robustness(o Options) (*Table, error) {
 		Title:  fmt.Sprintf("slowdown under fault injection (%s, Optane HM, fast = 20%% of peak, sentinel, seed %d)", modelName, seed),
 		Header: []string{"fault", "steady step", "vs clean", "retries", "demand", "degraded"},
 	}
-	spec, _, err := o.fastSized(modelName, batch, fastPct)
+	spec, _, err := o.fastSized(memsys.OptaneHM(), modelName, batch)
 	if err != nil {
 		return nil, err
 	}
@@ -52,7 +53,7 @@ func Robustness(o Options) (*Table, error) {
 		cells[i] = cellRun{model: modelName, batch: batch, spec: spec,
 			policy: "sentinel", steps: o.steps(), chaos: r.cfg}
 	}
-	runs, err := o.runAll(cells)
+	runs, err := o.runFit(cells)
 	if err != nil {
 		return nil, err
 	}

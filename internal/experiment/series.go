@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 
+	"sentinel/internal/memsys"
 	"sentinel/internal/simtime"
 )
 
@@ -17,7 +18,7 @@ func Fig9Series(o Options) (*Table, error) {
 		Title:  "bandwidth trace series during resnet32 training (one steady step)",
 		Header: []string{"policy", "t_ms", "fast_GBps", "slow_GBps", "migration_GBps"},
 	}
-	spec, _, err := o.fastSized("resnet32", 128, fastPct)
+	spec, _, err := o.fastSized(memsys.OptaneHM(), "resnet32", 128)
 	if err != nil {
 		return nil, err
 	}
@@ -28,7 +29,7 @@ func Fig9Series(o Options) (*Table, error) {
 		cells[i] = cellRun{model: "resnet32", batch: 128, spec: spec,
 			policy: p, steps: o.steps(), trace: width}
 	}
-	runs, err := o.runAll(cells)
+	runs, err := o.runFit(cells)
 	if err != nil {
 		return nil, err
 	}

@@ -46,7 +46,7 @@ func Validate(o Options) ([]Check, error) {
 		"%s misattributed", simtime.Bytes(c.FalseSharingBytes))
 
 	// Fig. 7 — CPU ordering and the fast-only gap.
-	spec, peak, err := o.fastSized("resnet32", 128, fastPct)
+	spec, peak, err := o.fastSized(memsys.OptaneHM(), "resnet32", 128)
 	if err != nil {
 		return nil, err
 	}
@@ -59,7 +59,7 @@ func Validate(o Options) ([]Check, error) {
 		spec: memsys.OptaneHM().WithFastSize(2 * peak), policy: "fast-only", steps: 2})
 	// Table III — overhead accounting via a fresh (3-step) Sentinel run.
 	cells = append(cells, cellRun{model: "resnet32", batch: 128, spec: spec, policy: "sentinel", steps: 3})
-	runs, err := o.runAll(cells)
+	runs, err := o.runFit(cells)
 	if err != nil {
 		return nil, err
 	}
@@ -92,7 +92,7 @@ func Validate(o Options) ([]Check, error) {
 	for i, p := range gpuChecks {
 		gcells[i] = cellRun{model: "resnet200", batch: 128, spec: gspec, policy: p, steps: o.steps()}
 	}
-	gruns, err := o.runAll(gcells)
+	gruns, err := o.runFit(gcells)
 	if err != nil {
 		return nil, err
 	}

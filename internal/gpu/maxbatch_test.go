@@ -44,7 +44,9 @@ func countingBuild(name string, builds *atomic.Int64) model.BuildFunc {
 // each search's probes in order with their verdicts ("+" fits, "x" does
 // not), as independent one-policy searches make them. Lockstep must make
 // exactly these probes while building each (model, batch) graph once:
-// 164 probes over 51 graphs.
+// 164 probes over 51 graphs. The bisection is sound only if fitting is
+// monotone in batch, so every fitting probe of a search must also lie
+// below every probe that did not fit.
 func TestMaxBatchPinned(t *testing.T) {
 	pinned := []struct {
 		model, policy string
@@ -75,6 +77,10 @@ func TestMaxBatchPinned(t *testing.T) {
 			}
 		}
 		seqs := make([][]string, len(policies))
+		// Per search: the largest fitting and smallest non-fitting batch
+		// probed, 0 while none.
+		maxFit := make([]int, len(policies))
+		minMiss := make([]int, len(policies))
 		logged := func(ps []gpu.Probe, fit func(i int) (bool, error)) ([]bool, error) {
 			verdicts := make([]bool, len(ps))
 			for i, p := range ps {
@@ -86,6 +92,9 @@ func TestMaxBatchPinned(t *testing.T) {
 				mark := "x"
 				if ok {
 					mark = "+"
+					maxFit[p.Search] = max(maxFit[p.Search], p.Batch)
+				} else if minMiss[p.Search] == 0 || p.Batch < minMiss[p.Search] {
+					minMiss[p.Search] = p.Batch
 				}
 				seqs[p.Search] = append(seqs[p.Search], fmt.Sprintf("%d%s", p.Batch, mark))
 				probes++
@@ -104,6 +113,9 @@ func TestMaxBatchPinned(t *testing.T) {
 			}
 			if got := strings.Join(seqs[i], " "); got != p.probes {
 				t.Errorf("%s %s probes:\n got  %s\n want %s", p.model, p.policy, got, p.probes)
+			}
+			if minMiss[i] != 0 && maxFit[i] >= minMiss[i] {
+				t.Errorf("%s %s: batch %d fits but %d does not", p.model, p.policy, maxFit[i], minMiss[i])
 			}
 		}
 	}
