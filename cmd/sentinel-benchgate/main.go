@@ -18,10 +18,10 @@
 //
 // Usage:
 //
-//	sentinel-benchgate -out BENCH_19.json -against BENCH_18.json   # run, record, gate
-//	sentinel-benchgate -against BENCH_18.json                      # run and gate only
-//	sentinel-benchgate -check BENCH_18.json                        # schema/shape validation
-//	sentinel-benchgate -compare BENCH_19.json -against BENCH_18.json  # offline compare
+//	sentinel-benchgate -out BENCH_21.json -against BENCH_20.json   # run, record, gate
+//	sentinel-benchgate -against BENCH_20.json                      # run and gate only
+//	sentinel-benchgate -check BENCH_20.json                        # schema/shape validation
+//	sentinel-benchgate -compare BENCH_21.json -against BENCH_20.json  # offline compare
 package main
 
 import (
@@ -123,6 +123,15 @@ var suite = []suiteEntry{
 		// Sentinel's planning step alone: the interval-length model
 		// and every interval's prefetch and eviction sets.
 		"BenchmarkBuildPlan",
+	}},
+	{pkg: "sentinel/internal/exec", benches: []string{
+		// One engine step under a static non-Sentinel policy (AutoTM's
+		// ILP placement), the ILP solved outside the timer.
+		"BenchmarkAutoTMStep",
+	}},
+	{pkg: "sentinel/internal/experiment", benches: []string{
+		// The coordinator's merge of one worker journal into a cache.
+		"BenchmarkMergeJournal",
 	}},
 	{pkg: "sentinel/internal/baseline", benches: []string{
 		// AutoTM's compile-time planning: runtime set-up plus the

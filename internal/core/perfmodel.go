@@ -38,17 +38,16 @@ type perfModel struct {
 	// memory: max(compute, mem*fastRatio) — the profiling step measured
 	// mem time on slow memory.
 	fastLayer []simtime.Duration
-	// needBytes[l] is the bytes of long-lived tensors first needed (per
-	// interval grouping) in layer l; see intervalNeeds.
+	// longLived is the profile's long-lived tensors by descending access
+	// count; byLayer[l] lists those accessed in layer l in that order.
 	longLived []tensor.ID
-	// needsBuf/keyBuf are scratch reused across intervalNeeds calls:
-	// ChooseMIL estimates every candidate interval length, and
-	// re-allocating the per-interval lists for each candidate dominated
-	// plan-construction allocations. The returned slices stay valid only
-	// until the next intervalNeeds call; needsByIndex (whose result is
-	// retained by the plan) allocates fresh.
+	byLayer   [][]tensor.ID
+	// needsBuf, idxBuf and mark are grouping scratch reused across
+	// ChooseMIL's candidate estimates, where re-allocating the
+	// per-interval lists dominated plan-construction allocations.
 	needsBuf [][]tensor.ID
-	keyBuf   [][]int64
+	idxBuf   []int
+	mark     []int
 	// intBuf is Estimate's per-interval execution-time scratch.
 	intBuf []simtime.Duration
 }
@@ -70,6 +69,15 @@ func newPerfModel(p *profile.Profile, spec memsys.Spec, reserve int64, st LayerD
 		}
 		m.fastLayer[l] = d + simtime.FromSeconds((1-spec.OverlapFactor)*lo.Seconds())
 	}
+
+	m.byLayer = make([][]tensor.ID, p.NumLayers)
+	for _, id := range m.longLived {
+		for _, a := range p.ByID(id).PerLayer {
+			m.byLayer[a.Layer] = append(m.byLayer[a.Layer], id)
+		}
+	}
+	m.idxBuf = make([]int, p.NumLayers)
+	m.mark = make([]int, len(p.Tensors))
 	return m
 }
 
@@ -123,69 +131,48 @@ func fastMemRatio(spec memsys.Spec) float64 {
 	return fast / slow
 }
 
-// intervalNeeds returns, for each interval under the given MIL, the
-// long-lived tensors with at least one access in that interval. Within an
-// interval, tensors are ordered by the layer of their first access there
-// (so transfers arrive in need order), with access count breaking ties —
-// under capacity pressure the tail of the list is what stays in slow
-// memory, and need-ordering keeps imminent tensors at the front.
-func (m *perfModel) intervalNeeds(mil int) [][]tensor.ID {
-	n := numIntervals(m.p.NumLayers, mil)
-	for len(m.needsBuf) < n {
-		m.needsBuf = append(m.needsBuf, nil)
-		m.keyBuf = append(m.keyBuf, nil)
-	}
-	needs := m.needsBuf[:n]
-	keys := m.keyBuf[:n]
-	for k := range needs {
-		needs[k] = needs[k][:0]
-		keys[k] = keys[k][:0]
-	}
-	for _, id := range m.longLived { // sorted by access count desc
-		ts := m.p.ByID(id)
-		seen := -1
-		for _, a := range ts.PerLayer {
-			k := a.Layer / mil
-			if k != seen {
+// groupNeeds appends to needs[k] the long-lived tensors with at least one
+// access in interval k, where layer l lies in interval idxOf[l]
+// (non-decreasing). Within an interval, tensors are ordered by the layer
+// of their first access there (so transfers arrive in need order), with
+// access count breaking ties — under capacity pressure the tail of the
+// list is what stays in slow memory, and need-ordering keeps imminent
+// tensors at the front. Walking the layers in order, each in longLived
+// order, yields that order without a sort.
+func (m *perfModel) groupNeeds(needs [][]tensor.ID, idxOf []int) [][]tensor.ID {
+	clear(m.mark) // mark[id] is 1 + the last interval id was appended to
+	for l, k := range idxOf {
+		for _, id := range m.byLayer[l] {
+			if m.mark[id] != k+1 {
+				m.mark[id] = k + 1
 				needs[k] = append(needs[k], id)
-				keys[k] = append(keys[k], int64(a.Layer))
-				seen = k
 			}
 		}
-	}
-	for k := range needs {
-		// Deliberately position-keyed: the comparator reads first-layers
-		// by sort index while only ids is permuted, and the resulting
-		// (deterministic) order is pinned by the golden experiment
-		// tables. stableByPos reproduces it exactly — do not "fix" this
-		// into an element-keyed sort.
-		stableByPos(needs[k], keys[k])
 	}
 	return needs
 }
 
-// needsByIndex groups long-lived tensors by an explicit layer-to-interval
-// mapping (uniform or variable), ordered within each interval by first
-// access (see intervalNeeds).
-func (m *perfModel) needsByIndex(idxOf []int, n int) [][]tensor.ID {
-	needs := make([][]tensor.ID, n)
-	firstIn := make([][]int64, n)
-	for _, id := range m.longLived { // sorted by access count desc
-		ts := m.p.ByID(id)
-		seen := -1
-		for _, a := range ts.PerLayer {
-			k := idxOf[a.Layer]
-			if k != seen {
-				needs[k] = append(needs[k], id)
-				firstIn[k] = append(firstIn[k], int64(a.Layer))
-				seen = k
-			}
-		}
+// intervalNeeds groups the long-lived tensors by uniform intervals of mil
+// layers into scratch that stays valid until the next call.
+func (m *perfModel) intervalNeeds(mil int) [][]tensor.ID {
+	n := numIntervals(m.p.NumLayers, mil)
+	for len(m.needsBuf) < n {
+		m.needsBuf = append(m.needsBuf, nil)
 	}
+	needs := m.needsBuf[:n]
 	for k := range needs {
-		stableByPos(needs[k], firstIn[k]) // position-keyed; see intervalNeeds
+		needs[k] = needs[k][:0]
 	}
-	return needs
+	for l := range m.idxBuf {
+		m.idxBuf[l] = l / mil
+	}
+	return m.groupNeeds(needs, m.idxBuf)
+}
+
+// needsByIndex groups the long-lived tensors by an explicit
+// layer-to-interval mapping, uniform or variable, into fresh lists.
+func (m *perfModel) needsByIndex(idxOf []int, n int) [][]tensor.ID {
+	return m.groupNeeds(make([][]tensor.ID, n), idxOf)
 }
 
 // variableBoundaries grows intervals greedily from the base length: an
@@ -194,30 +181,22 @@ func (m *perfModel) needsByIndex(idxOf []int, n int) [][]tensor.ID {
 func (m *perfModel) variableBoundaries(baseMIL int, budget int64) []int {
 	maxLen := 2 * baseMIL
 	starts := []int{0}
-	seen := map[tensor.ID]bool{}
+	clear(m.mark) // mark[id] == len(starts): id already counted this interval
 	var bytes int64
 	length := 0
-	perLayer := make([][]tensor.ID, m.p.NumLayers)
-	for _, id := range m.longLived {
-		ts := m.p.ByID(id)
-		for _, a := range ts.PerLayer {
-			perLayer[a.Layer] = append(perLayer[a.Layer], id)
-		}
-	}
-	for l := 0; l < m.p.NumLayers; l++ {
+	for l, ids := range m.byLayer {
 		var add int64
-		for _, id := range perLayer[l] {
-			if !seen[id] {
+		for _, id := range ids {
+			if m.mark[id] != len(starts) {
 				add += m.p.ByID(id).Size
 			}
 		}
 		if length > 0 && (bytes+add > budget || length >= maxLen) {
 			starts = append(starts, l)
 			bytes, length = 0, 0
-			seen = map[tensor.ID]bool{}
 		}
-		for _, id := range perLayer[l] {
-			seen[id] = true
+		for _, id := range ids {
+			m.mark[id] = len(starts)
 		}
 		bytes += add
 		length++

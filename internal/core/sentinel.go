@@ -299,9 +299,9 @@ func (s *Sentinel) shouldWait() bool {
 }
 
 // prefetch queues migration of interval k's tensors into fast memory in
-// need order (the paper migrates in access-count order; see intervalNeeds
-// for how the two are combined), stopping at capacity; completion time is
-// recorded for Case-3 detection.
+// need order: by first access in the interval, ties broken by access
+// count (the paper's order; see groupNeeds). Tensors that do not fit stay
+// in slow memory; completion time is recorded for Case-3 detection.
 func (s *Sentinel) prefetch(k int) {
 	ready := s.cur.pendingReady[k]
 	kern := s.rt.Kernel()
