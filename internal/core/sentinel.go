@@ -300,8 +300,9 @@ func (s *Sentinel) shouldWait() bool {
 
 // prefetch queues migration of interval k's tensors into fast memory in
 // need order: by first access in the interval, ties broken by access
-// count (the paper's order; see groupNeeds). Tensors that do not fit stay
-// in slow memory; completion time is recorded for Case-3 detection.
+// count, the paper's migration key (see groupNeeds). Tensors that do not
+// fit stay in slow memory; completion time is recorded for Case-3
+// detection.
 func (s *Sentinel) prefetch(k int) {
 	ready := s.cur.pendingReady[k]
 	kern := s.rt.Kernel()
