@@ -1,7 +1,7 @@
 package baseline
 
 import (
-	"sort"
+	"slices"
 
 	"sentinel/internal/alloc"
 	"sentinel/internal/exec"
@@ -24,6 +24,8 @@ type UM struct {
 	// it).
 	recency map[tensor.ID]int
 	opIdx   int
+	// lru is MakeRoom's candidate scratch, reused across calls.
+	lru []int64
 }
 
 // NewUM returns the Unified Memory baseline.
@@ -74,11 +76,11 @@ func (p *UM) TensorFreed(t *tensor.Tensor, _ alloc.Region) {
 // MakeRoom implements exec.Evictor: least-recently-used tensors move to
 // host memory first.
 func (p *UM) MakeRoom(rt *exec.Runtime, need int64) int64 {
-	type cand struct {
-		id   tensor.ID
-		last int
-	}
-	var cands []cand
+	// Oldest first, ties broken by tensor id, so eviction order never
+	// depends on map iteration order. Each candidate packs into one key,
+	// last<<32 | id (ids are non-negative int32s), whose integer order is
+	// exactly that total order.
+	keys := p.lru[:0]
 	for id, last := range p.recency {
 		if last >= p.opIdx {
 			continue // accessed by the faulting op itself
@@ -86,24 +88,16 @@ func (p *UM) MakeRoom(rt *exec.Runtime, need int64) int64 {
 		if _, ok := rt.Alloc().Region(id); !ok {
 			continue
 		}
-		cands = append(cands, cand{id: id, last: last})
+		keys = append(keys, int64(last)<<32|int64(id))
 	}
-	// Oldest first; ties break by tensor id so eviction order never
-	// depends on map iteration order (cands comes from a map). The
-	// comparator is a total order (ids are unique), so the sorted order
-	// is unique regardless of input order.
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].last != cands[j].last {
-			return cands[i].last < cands[j].last
-		}
-		return cands[i].id < cands[j].id
-	})
+	p.lru = keys
+	slices.Sort(keys)
 	var freed int64
-	for _, c := range cands {
+	for _, key := range keys {
 		if freed >= need {
 			break
 		}
-		_, moved, _ := rt.MigrateTensor(c.id, memsys.Slow)
+		_, moved, _ := rt.MigrateTensor(tensor.ID(int32(key)), memsys.Slow)
 		freed += moved
 	}
 	return freed

@@ -87,8 +87,7 @@ func (s *Sentinel) swapPlan(p *profile.Profile, plan *Plan, round int) {
 			}
 		}
 	}
-	s.cur.prof = p
-	s.cur.plan = plan
+	s.cur.setPlan(p, plan)
 	s.cur.pendingReady = make([]simtime.Time, plan.NumIntervals)
 	s.cur.missing = missing
 	s.rt.Emit(trace.Event{At: now, Kind: trace.KPlanSwap, Tensor: trace.NoTensor,

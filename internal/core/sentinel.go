@@ -73,6 +73,10 @@ const (
 type variantState struct {
 	prof *profile.Profile
 	plan *Plan
+	// evictable lists, ascending, the indices into prof.Tensors of the
+	// tensors plan does not mark short-lived: the only ones MakeRoom's
+	// farthest-next-use scan can pick. Set with prof and plan by setPlan.
+	evictable []int32
 	// pendingReady[k] is the completion instant of the prefetch issued
 	// for interval k (persisted across the step wrap).
 	pendingReady []simtime.Time
@@ -83,6 +87,19 @@ type variantState struct {
 	// an online replan can rebuild the plan without a fresh profiling
 	// step.
 	decomp LayerDecomp
+}
+
+// setPlan installs a profile and the plan built from it, and precomputes
+// the plan's eviction candidates. Every site that sets a variant's
+// profile and plan goes through here, so evictable never goes stale.
+func (v *variantState) setPlan(prof *profile.Profile, plan *Plan) {
+	v.prof, v.plan = prof, plan
+	v.evictable = nil
+	for i := range prof.Tensors {
+		if id := prof.Tensors[i].ID; int(id) >= len(plan.Short) || !plan.Short[id] {
+			v.evictable = append(v.evictable, int32(i))
+		}
+	}
 }
 
 // Sentinel is the runtime system of the paper: one profiling step per
@@ -474,16 +491,16 @@ func (s *Sentinel) StepEnd(step int, st *metrics.StepStats) {
 // reorganizes allocation (Sec. IV-B): the managed phase resumes with the
 // next step.
 func (s *Sentinel) finishProfiling(st *metrics.StepStats) {
-	s.cur.prof = s.profiling.Assemble(st)
+	prof := s.profiling.Assemble(st)
 	s.profiling = nil
 	decomp := LayerDecomp{Compute: st.LayerComputeTime, Mem: st.LayerMemTime}
 	s.cur.decomp = decomp
 	var plan *Plan
 	var err error
 	if s.cfg.VariableMIL && s.cfg.ForceMIL == 0 {
-		plan, err = BuildPlanVariable(s.cur.prof, s.rt.Spec(), decomp)
+		plan, err = BuildPlanVariable(prof, s.rt.Spec(), decomp)
 	} else {
-		plan, err = BuildPlan(s.cur.prof, s.rt.Spec(), decomp, s.cfg.ForceMIL)
+		plan, err = BuildPlan(prof, s.rt.Spec(), decomp, s.cfg.ForceMIL)
 	}
 	if err != nil {
 		// A profile with no layers cannot occur for validated graphs;
@@ -491,9 +508,9 @@ func (s *Sentinel) finishProfiling(st *metrics.StepStats) {
 		plan = &Plan{MIL: 1, NumIntervals: 1, NumLayers: 1,
 			Starts: []int{0}, idxOf: []int{0},
 			NeedBytes: make([]int64, 1), Needs: make([][]tensor.ID, 1),
-			EvictAt: make([][]tensor.ID, 1), Short: make([]bool, len(s.cur.prof.Tensors))}
+			EvictAt: make([][]tensor.ID, 1), Short: make([]bool, len(prof.Tensors))}
 	}
-	s.cur.plan = plan
+	s.cur.setPlan(prof, plan)
 	s.cur.pendingReady = make([]simtime.Time, plan.NumIntervals)
 	s.cur.missing = make([]int64, plan.NumIntervals)
 	for k := range s.cur.missing {
@@ -544,11 +561,8 @@ func (s *Sentinel) MakeRoom(rt *exec.Runtime, need int64) int64 {
 	}
 	prof := s.cur.prof
 	cands := s.evictCands[:0]
-	for i := range prof.Tensors {
+	for _, i := range s.cur.evictable {
 		ts := &prof.Tensors[i]
-		if s.short(ts.ID) {
-			continue
-		}
 		if _, ok := rt.Alloc().Region(ts.ID); !ok {
 			continue
 		}

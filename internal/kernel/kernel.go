@@ -75,6 +75,8 @@ type Kernel struct {
 	// run structs keeps the probes inside a few cache lines. Maintained by
 	// the three structural mutators (Map insert, Unmap remove, splitRun).
 	ends []PageID
+	// hint memoizes findIdx answers; entries are revalidated before use.
+	hint [hintSlots]int32
 	used [2]int64
 	// in moves pages slow->fast, out fast->slow; independent channels
 	// mirroring Sentinel's two migration helper threads.
@@ -145,21 +147,43 @@ func (r *run) settle(at simtime.Time) {
 	}
 }
 
-// findIdx returns the index of the first run with end > page. It is a
-// hand-rolled binary search: sort.Search's closure indirection showed up
-// at ~13% of sweep CPU, and this sits under every range operation.
+// Run-index hints: a direct-mapped table of findIdx answers keyed by a
+// multiplicative hash of the queried page. 1024 int32 slots are 4 KiB.
+// Over the first three steps of seven engine cells the hit rates were
+// 64 slots 51%, 256 slots 61%, 1024 slots 83%, 4096 slots 90%.
+const (
+	hintBits  = 10
+	hintSlots = 1 << hintBits
+)
+
+// findIdx returns the index of the first run with end > page.
+//
+// It first tries the hint slot for page. The hint is used only if it
+// meets findIdx's postcondition, i == len(ends) excluded:
+// ends[i] > page and (i == 0 or ends[i-1] <= page). ends is strictly
+// increasing, so exactly one index meets it, and a stale or colliding
+// hint costs one binary search but can never change the answer. No
+// mutator has to maintain the table. A miss runs a hand-rolled binary
+// search (sort.Search's closure indirection showed up at ~13% of sweep
+// CPU) and stores its answer in the slot.
 //
 //perf:hot
 func (k *Kernel) findIdx(page PageID) int {
-	lo, hi := 0, len(k.ends)
+	ends := k.ends
+	slot := &k.hint[uint64(page)*0x9E3779B97F4A7C15>>(64-hintBits)]
+	if i := int(*slot); i < len(ends) && ends[i] > page && (i == 0 || ends[i-1] <= page) {
+		return i
+	}
+	lo, hi := 0, len(ends)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if k.ends[mid] > page {
+		if ends[mid] > page {
 			hi = mid
 		} else {
 			lo = mid + 1
 		}
 	}
+	*slot = int32(lo)
 	return lo
 }
 

@@ -3,6 +3,7 @@ package kernel
 import (
 	"errors"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"sentinel/internal/memsys"
@@ -433,6 +434,21 @@ func TestRandomOpsInvariants(t *testing.T) {
 		for j := range k.runs {
 			if k.ends[j] != k.runs[j].end {
 				t.Fatalf("op %d: ends[%d]=%d, runs[%d].end=%d", i, j, k.ends[j], j, k.runs[j].end)
+			}
+		}
+		// Invariant: findIdx, hints and all, answers exactly what a
+		// plain search over ends does, for mapped pages, gaps, and pages
+		// past the last run. Hints left by earlier ops and colliding
+		// pages are stale here, so only revalidation keeps them out.
+		probes := []PageID{PageID(rng.Intn(4100)), PageID(rng.Intn(4100)), 4100 + PageID(rng.Intn(100))}
+		if len(mapped) > 0 {
+			s := mapped[rng.Intn(len(mapped))]
+			probes = append(probes, s.first+PageID(rng.Int63n(int64(s.last-s.first)+1)))
+		}
+		for _, p := range probes {
+			want := sort.Search(len(k.ends), func(j int) bool { return k.ends[j] > p })
+			if got := k.findIdx(p); got != want {
+				t.Fatalf("op %d: findIdx(%d) = %d, want %d", i, p, got, want)
 			}
 		}
 	}
