@@ -47,16 +47,20 @@ func BenchmarkTable3(b *testing.B)           { benchExperiment(b, "table3") }
 func BenchmarkTable4(b *testing.B)           { benchExperiment(b, "table4") }
 func BenchmarkTable5(b *testing.B)           { benchExperiment(b, "table5") }
 
-// BenchmarkSentinelStep measures the simulator's own cost of one managed
-// training step (resnet32, 20% fast memory) — the engine's throughput, not
-// the simulated time.
-func BenchmarkSentinelStep(b *testing.B) {
-	g, err := sentinel.BuildModel("resnet32", 128)
+// benchStep measures the simulator's own cost of one training step of
+// model at batch on machine under policy, after warm untimed steps — the
+// engine's throughput, not the simulated time. fastDiv, if positive,
+// sizes the fast tier at the graph's peak memory divided by fastDiv.
+func benchStep(b *testing.B, model string, batch int, machine sentinel.Machine, fastDiv int64, policy string, warm int) {
+	b.Helper()
+	g, err := sentinel.BuildModel(model, batch)
 	if err != nil {
 		b.Fatal(err)
 	}
-	machine := sentinel.OptaneHM().WithFastSize(g.PeakMemory() / 5)
-	p, err := sentinel.NewPolicy("sentinel")
+	if fastDiv > 0 {
+		machine = machine.WithFastSize(g.PeakMemory() / fastDiv)
+	}
+	p, err := sentinel.NewPolicy(policy)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -64,7 +68,7 @@ func BenchmarkSentinelStep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := rt.RunSteps(2); err != nil { // profile + first managed step
+	if _, err := rt.RunSteps(warm); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
@@ -73,6 +77,25 @@ func BenchmarkSentinelStep(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkSentinelStep measures one managed Sentinel step (resnet32,
+// 20% fast memory), after the profiling and first managed steps.
+func BenchmarkSentinelStep(b *testing.B) {
+	benchStep(b, "resnet32", 128, sentinel.OptaneHM(), 5, "sentinel", 2)
+}
+
+// BenchmarkSentinelGPUStep measures one Sentinel-GPU step of resnet200 at
+// batch 96 on the GPU preset, where every step runs the farthest-next-use
+// evictor (MakeRoom).
+func BenchmarkSentinelGPUStep(b *testing.B) {
+	benchStep(b, "resnet200", 96, sentinel.GPUHM(), 0, "sentinel-gpu", 3)
+}
+
+// BenchmarkUMStep measures one Unified Memory step of bert-large at batch
+// 32 on the GPU preset, where every step runs the LRU evictor.
+func BenchmarkUMStep(b *testing.B) {
+	benchStep(b, "bert-large", 32, sentinel.GPUHM(), 0, "um", 3)
 }
 
 // BenchmarkProfilingStep measures the cost of the tensor-level profiling

@@ -18,10 +18,10 @@
 //
 // Usage:
 //
-//	sentinel-benchgate -out BENCH_21.json -against BENCH_20.json   # run, record, gate
-//	sentinel-benchgate -against BENCH_20.json                      # run and gate only
-//	sentinel-benchgate -check BENCH_20.json                        # schema/shape validation
-//	sentinel-benchgate -compare BENCH_21.json -against BENCH_20.json  # offline compare
+//	sentinel-benchgate -out BENCH_22.json -against BENCH_21.json   # run, record, gate
+//	sentinel-benchgate -against BENCH_21.json                      # run and gate only
+//	sentinel-benchgate -check BENCH_21.json                        # schema/shape validation
+//	sentinel-benchgate -compare BENCH_22.json -against BENCH_21.json  # offline compare
 package main
 
 import (
@@ -87,6 +87,10 @@ var suite = []suiteEntry{
 		// of the quick paper sweep.
 		"BenchmarkTable5",
 		"BenchmarkSentinelStep",
+		// Engine steps that run the GPU evictors every step:
+		// Sentinel-GPU's farthest-next-use MakeRoom and UM's LRU.
+		"BenchmarkSentinelGPUStep",
+		"BenchmarkUMStep",
 		"BenchmarkProfilingStep",
 	}},
 	{pkg: "sentinel/internal/kernel", benches: []string{

@@ -40,8 +40,8 @@ type Plan struct {
 	EvictAt [][]tensor.ID
 	// Short reports whether a tensor is short-lived per the profile.
 	Short []bool
-	// Hot buckets long-lived tensors by access frequency for
-	// co-allocation grouping.
+	// Estimates holds the performance model's projection for every
+	// candidate MIL it evaluated; nil when the MIL was forced.
 	Estimates []MILEstimate
 	// groupKeys memoizes GroupKey per tensor ID for the profile the plan
 	// was built from. The allocator resolves a group on every allocation,

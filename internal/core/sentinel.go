@@ -94,7 +94,7 @@ type variantState struct {
 // profile and plan goes through here, so evictable never goes stale.
 func (v *variantState) setPlan(prof *profile.Profile, plan *Plan) {
 	v.prof, v.plan = prof, plan
-	v.evictable = nil
+	v.evictable = make([]int32, 0, len(prof.Tensors))
 	for i := range prof.Tensors {
 		if id := prof.Tensors[i].ID; int(id) >= len(plan.Short) || !plan.Short[id] {
 			v.evictable = append(v.evictable, int32(i))
