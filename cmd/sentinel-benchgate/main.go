@@ -18,10 +18,10 @@
 //
 // Usage:
 //
-//	sentinel-benchgate -out BENCH_22.json -against BENCH_21.json   # run, record, gate
-//	sentinel-benchgate -against BENCH_21.json                      # run and gate only
-//	sentinel-benchgate -check BENCH_21.json                        # schema/shape validation
-//	sentinel-benchgate -compare BENCH_22.json -against BENCH_21.json  # offline compare
+//	sentinel-benchgate -out BENCH_23.json -against BENCH_22.json   # run, record, gate
+//	sentinel-benchgate -against BENCH_22.json                      # run and gate only
+//	sentinel-benchgate -check BENCH_22.json                        # schema/shape validation
+//	sentinel-benchgate -compare BENCH_23.json -against BENCH_22.json  # offline compare
 package main
 
 import (
@@ -132,10 +132,6 @@ var suite = []suiteEntry{
 		// One engine step under a static non-Sentinel policy (AutoTM's
 		// ILP placement), the ILP solved outside the timer.
 		"BenchmarkAutoTMStep",
-	}},
-	{pkg: "sentinel/internal/experiment", benches: []string{
-		// The coordinator's merge of one worker journal into a cache.
-		"BenchmarkMergeJournal",
 	}},
 	{pkg: "sentinel/internal/baseline", benches: []string{
 		// AutoTM's compile-time planning: runtime set-up plus the

@@ -49,8 +49,6 @@ func main() {
 		retryAfter  = flag.Duration("retry-after", time.Second, "Retry-After hint on 429/503 responses")
 		drain       = flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight requests on shutdown")
 		quick       = flag.Bool("quick", false, "sweep requests default to trimmed (-quick) sweeps")
-		maxShards   = flag.Int("max-shards", 2, "distributed-sweep shard leases held concurrently")
-		shardTTL    = flag.Duration("shard-ttl", time.Minute, "default and cap for a shard lease's TTL")
 	)
 	flag.Parse()
 	logger := log.New(os.Stderr, "sentinel-serve: ", log.LstdFlags)
@@ -62,8 +60,6 @@ func main() {
 		PerTenant:   *tenantLimit,
 		RetryAfter:  *retryAfter,
 		Quick:       *quick,
-		MaxShards:   *maxShards,
-		ShardTTL:    *shardTTL,
 	})
 	httpSrv := &http.Server{
 		Addr:              *addr,
@@ -113,6 +109,5 @@ func main() {
 // finalSummary renders the lifetime counters on shutdown, mirroring the
 // cache/summary lines sentinel-bench prints after a sweep.
 func finalSummary(srv *serve.Server) string {
-	return fmt.Sprintf("requests: %s\ncache: %s\nshards: %s",
-		srv.RequestStats(), srv.CacheStats(), srv.DistStats())
+	return fmt.Sprintf("requests: %s\ncache: %s", srv.RequestStats(), srv.CacheStats())
 }

@@ -4,7 +4,7 @@
 // simulation code, no order-sensitive map iteration), unit safety
 // (bytes never silently become pages), the closed trace schema, sentinel
 // error wrapping, and context conventions — plus the concurrency
-// discipline of the serving/dist layer: lock release and blocking
+// discipline of the serving layer: lock release and blocking
 // (locksafe), goroutine exit paths (goroleak), and declared state
 // machines (statemach); copying a mutex by value is left to go vet.
 // The ten checks run module-wide in one invocation: packages load in

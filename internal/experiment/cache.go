@@ -115,16 +115,6 @@ func (c *Cache) Seed(key string, val any) bool {
 	return true
 }
 
-// Has reports whether key holds a completed (computed or seeded) entry.
-// The shard merge path uses it to tell salvaged cells of a quarantined
-// shard apart from cells that were never journaled.
-func (c *Cache) Has(key string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[key]
-	return ok && e.done.Load()
-}
-
 // Len reports how many keys have been requested so far.
 func (c *Cache) Len() int {
 	c.mu.Lock()
@@ -248,12 +238,6 @@ func (c cellRun) execute(bus *trace.Bus) (*metrics.RunStats, error) {
 // results are appended to the result journal under the cell's cache key —
 // chaos-qualified keys included, so a resumed sweep can never serve a
 // clean result for a perturbed cell.
-//
-// A shard plan filters here, before the cache: a worker computes (and
-// journals) only the cells its shard owns and renders placeholders for
-// the rest, while the coordinator's merge pass renders placeholders for
-// cells of quarantined shards that never reached the cache. Either way
-// the skip is recorded for the table footer.
 func (o Options) run(c cellRun) (*metrics.RunStats, error) {
 	if !c.chaos.Enabled() && o.Chaos.Enabled() {
 		c.chaos = o.Chaos
@@ -262,12 +246,6 @@ func (o Options) run(c cellRun) (*metrics.RunStats, error) {
 		c.online = o.Online
 	}
 	key := c.key()
-	if skip, reason := o.Shard.skip(key, o.Cache != nil && o.Cache.Has(key)); skip {
-		if o.quar != nil {
-			o.quar.shardSkip(reason)
-		}
-		return quarantinedStats(c), nil
-	}
 	return cacheDo(o, key, func() (*metrics.RunStats, error) {
 		if o.cellHook != nil {
 			o.cellHook(c)

@@ -37,12 +37,6 @@ const journalMagic = "SNTLJRN1"
 // journalFile is the journal's file name inside its directory.
 const journalFile = "results.journal"
 
-// JournalFile is the journal's file name inside its directory, exported
-// for the distributed-sweep layer: local shard workers are supervised
-// through the filesystem, so the coordinator reads (and pre-seeds) the
-// journal file directly.
-const JournalFile = journalFile
-
 // journalHeaderLen is the per-record framing overhead: length + checksum.
 const journalHeaderLen = 8
 
@@ -191,20 +185,6 @@ func (j *Journal) Replay(c *Cache) (restored, skipped int, err error) {
 		return 0, 0, fmt.Errorf("journal %s: %w", j.path, err)
 	}
 	return restored, skipped, nil
-}
-
-// MergeJournal seeds c from a journal file image — the coordinator-side
-// merge path of a distributed sweep, where shard journals arrive as
-// byte images over the wire rather than as local files. Decoding is the
-// same checksum-verified walk as Replay: truncated or corrupt tails are
-// skipped, never trusted. Seeding is first-write-wins (Cache.Seed never
-// overwrites), so merging shard journals in a fixed order is
-// deterministic even when shards overlap — a reassigned shard's salvaged
-// journal and its successor's journal may both hold the same cell.
-func MergeJournal(c *Cache, image []byte) (restored, skipped int, err error) {
-	return decodeJournal(image, func(e journalEntry) bool {
-		return c.Seed(e.Key, e.Stats)
-	})
 }
 
 // encodeJournalRecord frames one entry: length, checksum, JSON payload.

@@ -205,31 +205,29 @@ func quarantinable(err error) bool {
 		errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// quarantine collects the cells a sweep completed *around*: panicked and
-// timed-out cells (reported individually in the table footer) and cells
-// skipped or abandoned by cancellation (reported as one count). It is
-// shared by every runCells batch of one experiment and must be safe for
-// concurrent use by pool workers.
+// quarantine collects the cells a sweep completed *around*: panicked,
+// timed-out, and cancelled (skipped or abandoned) cells, each reported
+// by label in the table footer. It is shared by every runCells batch of
+// one experiment and must be safe for concurrent use by pool workers.
 type quarantine struct {
-	mu         sync.Mutex
-	entries    []string       // "label: error" per panicked/timed-out cell
-	canceled   int            // cells skipped or abandoned by cancellation
-	shardSkips map[string]int // placeholder cells per shard-filter reason
+	mu       sync.Mutex
+	entries  []string // "label: error" per quarantined cell
+	canceled bool     // a cancelled cell has been filed
 }
 
 // record files one quarantined cell and mirrors it onto the trace bus
 // (cell-panic / cell-timeout / sweep-cancel events) when tracing is on.
 // The sweep-cancel event is emitted once, at the first cancelled cell.
 func (q *quarantine) record(bus *trace.Bus, label string, timeout time.Duration, err error) {
-	q.mu.Lock()
 	canceled := errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-	firstCancel := false
+	entry := fmt.Sprintf("%s: %v", label, err)
 	if canceled {
-		q.canceled++
-		firstCancel = q.canceled == 1
-	} else {
-		q.entries = append(q.entries, fmt.Sprintf("%s: %v", label, err))
+		entry = fmt.Sprintf("%s: sweep cancelled: %v", label, err)
 	}
+	q.mu.Lock()
+	q.entries = append(q.entries, entry)
+	firstCancel := canceled && !q.canceled
+	q.canceled = q.canceled || canceled
 	q.mu.Unlock()
 	if bus == nil {
 		return
@@ -249,50 +247,21 @@ func (q *quarantine) record(bus *trace.Bus, label string, timeout time.Duration,
 	bus.Emit(e)
 }
 
-// shardSkip files one cell rendered as a placeholder by the shard
-// filter (see ShardPlan.skip), keyed by the human-readable reason so
-// the footer reports one aggregated line per shard rather than one per
-// cell.
-func (q *quarantine) shardSkip(reason string) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.shardSkips == nil {
-		q.shardSkips = map[string]int{}
-	}
-	q.shardSkips[reason]++
-}
-
 // report renders the quarantine as table footer notes: a leading
 // incomplete-table marker, then one line per quarantined cell in sorted
-// (deterministic) order, then one aggregated line per shard-filter
-// reason, then the cancellation count. Empty when the sweep ran clean.
+// (deterministic) order. Empty when the sweep ran clean.
 func (q *quarantine) report() []string {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	skipped := 0
-	for _, n := range q.shardSkips {
-		skipped += n
-	}
-	if len(q.entries) == 0 && q.canceled == 0 && skipped == 0 {
+	if len(q.entries) == 0 {
 		return nil
 	}
 	notes := []string{fmt.Sprintf("TABLE INCOMPLETE: %d cell(s) quarantined or skipped; affected cells render as n/a or zero",
-		len(q.entries)+q.canceled+skipped)}
+		len(q.entries))}
 	sorted := append([]string{}, q.entries...)
 	sort.Strings(sorted)
 	for _, e := range sorted {
 		notes = append(notes, "quarantined "+e)
-	}
-	reasons := make([]string, 0, len(q.shardSkips))
-	for r := range q.shardSkips {
-		reasons = append(reasons, r)
-	}
-	sort.Strings(reasons)
-	for _, r := range reasons {
-		notes = append(notes, fmt.Sprintf("%s: %d cell(s) render as placeholders", r, q.shardSkips[r]))
-	}
-	if q.canceled > 0 {
-		notes = append(notes, fmt.Sprintf("sweep cancelled: %d cell(s) skipped or abandoned", q.canceled))
 	}
 	return notes
 }

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -65,7 +66,11 @@ func TestQuarantineGPUTables(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration sweep")
 	}
-	type target struct{ model, policy string }
+	// batch is the cell's batch size, which its footer label names.
+	type target struct {
+		model, policy string
+		batch         int
+	}
 	tables := []struct {
 		id string
 		// faulted is the cell the panic and hang hit; last is the final
@@ -78,8 +83,8 @@ func TestQuarantineGPUTables(t *testing.T) {
 	}{
 		{
 			id:      "fig12",
-			faulted: target{"resnet200", "capuchin"},
-			last:    target{"mobilenet", "sentinel-gpu"},
+			faulted: target{"resnet200", "capuchin", 192},
+			last:    target{"mobilenet", "sentinel-gpu", 1024},
 			placeholders: func(header []string, policy string) map[int]string {
 				for j, h := range header {
 					if h == policy {
@@ -91,8 +96,8 @@ func TestQuarantineGPUTables(t *testing.T) {
 		},
 		{
 			id:      "fig13",
-			faulted: target{"resnet200", "capuchin"},
-			last:    target{"bert-large", "sentinel-gpu-detmi"},
+			faulted: target{"resnet200", "capuchin", 192},
+			last:    target{"bert-large", "sentinel-gpu-detmi", 64},
 			placeholders: func([]string, string) map[int]string {
 				return map[int]string{2: "0ns", 3: "0ns (n/a)", 4: "0ns (n/a)", 5: "0B"}
 			},
@@ -104,7 +109,7 @@ func TestQuarantineGPUTables(t *testing.T) {
 	}{
 		{"panic", "cell panicked: injected GPU cell bug"},
 		{"hang", "cell timed out"},
-		{"cancel", "sweep cancelled: 1 cell(s) skipped or abandoned"},
+		{"cancel", "sweep cancelled: abandoned: context canceled"},
 	}
 	for _, tb := range tables {
 		golden := goldenCells(t, tb.id)
@@ -154,10 +159,8 @@ func TestQuarantineGPUTables(t *testing.T) {
 				if !strings.Contains(rendered, f.footer) {
 					t.Errorf("footer does not report %q:\n%s", f.footer, rendered)
 				}
-				if f.name != "cancel" {
-					if want := "quarantined " + hit.policy + "/" + hit.model + "/b192/"; !strings.Contains(rendered, want) {
-						t.Errorf("footer does not name the cell (%q):\n%s", want, rendered)
-					}
+				if want := fmt.Sprintf("quarantined %s/%s/b%d/", hit.policy, hit.model, hit.batch); !strings.Contains(rendered, want) {
+					t.Errorf("footer does not name the cell (%q):\n%s", want, rendered)
 				}
 				if len(tbl.Rows) != len(golden) {
 					t.Fatalf("%d rows, golden has %d:\n%s", len(tbl.Rows), len(golden), rendered)

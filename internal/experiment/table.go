@@ -126,11 +126,6 @@ type Options struct {
 	// cell still running after it (a livelocked simulation) is abandoned
 	// with ErrCellTimeout and quarantined.
 	CellTimeout time.Duration
-	// Shard filters the sweep to one hash partition of the cell space
-	// (distributed worker mode) or reassembles all partitions with
-	// placeholder rendering for quarantined shards (coordinator merge
-	// mode). The zero value disables sharding. See shard.go.
-	Shard ShardPlan
 	// Journal, when non-nil, records every completed simulation cell
 	// on disk under its cache key, so a killed sweep can resume from its
 	// completed cells (Journal.Replay into Cache) instead of restarting

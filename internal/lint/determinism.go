@@ -20,10 +20,9 @@ import (
 // is the sanctioned pattern and is not flagged.
 //
 // Wall-clock time is legitimate only at the edges — progress display in
-// internal/metrics, request latency in internal/serve, lease
-// supervision in internal/dist, and the command-line binaries under
-// cmd/ — and those sites carry explicit //lint:allow determinism
-// annotations explaining why.
+// internal/metrics, request latency in internal/serve, and the
+// command-line binaries under cmd/ — and those sites carry explicit
+// //lint:allow determinism annotations explaining why.
 var DeterminismAnalyzer = &Analyzer{
 	Name: "determinism",
 	Doc:  "forbid wall-clock time and unseeded global randomness in simulation code",

@@ -6,10 +6,10 @@ import (
 )
 
 // GoroLeakAnalyzer flags goroutines launched without a visible exit
-// path. The serve daemon and the dist coordinator are long-lived
-// processes: a goroutine that can only end when some other party acts
-// exactly right is a slow leak that -race never sees. Two shapes are
-// flagged inside `go func() { ... }` bodies:
+// path. The serve daemon is a long-lived process: a goroutine that can
+// only end when some other party acts exactly right is a slow leak that
+// -race never sees. Two shapes are flagged inside `go func() { ... }`
+// bodies:
 //
 //  1. An unconditional `for { ... }` loop containing no return and no
 //     break — the goroutine can never exit, not even on shutdown. The

@@ -8,18 +8,17 @@ import (
 )
 
 // LockSafeAnalyzer is the flow-aware mutex discipline check. Two
-// rules, both aimed at the serving/dist concurrency layer (copying a
+// rules, both aimed at the serving concurrency layer (copying a
 // mutex by value is go vet's copylocks check, which CI runs):
 //
 //  1. Every Lock/RLock is matched by an Unlock/RUnlock on every return
 //     path of the acquiring function. defer Unlock satisfies all paths
 //     at once and is the preferred form.
-//  2. In serving/coordination packages (any package with a "serve" or
-//     "dist" path element), no lock is held across a blocking
-//     operation: a channel send or receive outside a select-with-
-//     default, a select without a default clause, time.Sleep, or
-//     sync.WaitGroup.Wait. A lock held across a block turns one slow
-//     peer into a stalled daemon.
+//  2. In serving packages (any package with a "serve" path element), no
+//     lock is held across a blocking operation: a channel send or
+//     receive outside a select-with-default, a select without a default
+//     clause, time.Sleep, or sync.WaitGroup.Wait. A lock held across a
+//     block turns one slow peer into a stalled daemon.
 //
 // The analyzer walks each function body tracking the set of held locks
 // through branches (if/switch/select arms merge as the union of their
@@ -27,7 +26,7 @@ import (
 // balance on both arms are not flagged.
 var LockSafeAnalyzer = &Analyzer{
 	Name: "locksafe",
-	Doc:  "every Lock has an Unlock on all return paths, and no lock is held across blocking ops in serve/dist",
+	Doc:  "every Lock has an Unlock on all return paths, and no lock is held across blocking ops in serve",
 	Run:  runLockSafe,
 }
 
@@ -51,7 +50,7 @@ var lockMethods = map[string]bool{
 }
 
 func runLockSafe(pass *Pass) {
-	blockingScope := pathHasElement(pass.PkgPath, "serve") || pathHasElement(pass.PkgPath, "dist")
+	blockingScope := pathHasElement(pass.PkgPath, "serve")
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -344,7 +343,7 @@ func (w *lockWalker) blockingCall(call *ast.CallExpr) bool {
 }
 
 // reportBlocked flags every currently held lock at a blocking site
-// (rule 2; only in serve/dist-scoped packages).
+// (rule 2; only in serve-scoped packages).
 func (w *lockWalker) reportBlocked(pos token.Pos, held []heldLock, what string) {
 	if !w.blocking || w.inComm {
 		return

@@ -13,8 +13,8 @@ import (
 //	//lint:statemach
 //	//lint:statemach transitions=advance
 //
-// For an opted-in enum type (the dist lease states, the online
-// controller states), two properties are enforced module-wide:
+// For an opted-in enum type (the online controller states), two
+// properties are enforced module-wide:
 //
 //  1. Exhaustive switches: every switch over the enum type that has no
 //     default clause names every declared constant of the type. A new

@@ -1,5 +1,5 @@
 // Package locks exercises the locksafe analyzer's return-path rule. It
-// has no serve/dist path element, so the blocking rule is off here (see
+// has no serve path element, so the blocking rule is off here (see
 // the serve fixture package for it). Copying a mutex by value is left to
 // go vet's copylocks check.
 package locks

@@ -1,16 +1,11 @@
 package serve
 
 import (
-	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"regexp"
 	"strings"
 	"testing"
-	"time"
 	"unicode/utf8"
-
-	"sentinel/internal/dist"
 )
 
 // scrape returns the /metrics body's lines.
@@ -39,30 +34,15 @@ func sampleLines(lines []string) []string {
 	return out
 }
 
-// distCounters are the dist families typed counter without a _total
-// suffix; every other family is a gauge unless its name ends in _total.
-var distCounters = map[string]bool{
-	"sentinel_dist_leases_granted":    true,
-	"sentinel_dist_leases_expired":    true,
-	"sentinel_dist_leases_reassigned": true,
-	"sentinel_dist_worker_deaths":     true,
-}
-
 // sampleLine is the text format's sample grammar for this server's
-// families: a metric name, at most one worker label whose value escapes
-// only backslash, quote and newline, and a value.
-var sampleLine = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{worker="(?:[^"\\\n]|\\[\\"n])*"\})? \S+$`)
+// families: an unlabelled metric name and a value.
+var sampleLine = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*) \S+$`)
 
 // TestMetricsExposition pins the whole /metrics exposition of a fresh
-// server after one plan, one simulate and one shard grant: every sample
-// line in order, then one # HELP and one # TYPE per family, directly
-// before its samples. Then it grants leases to awkward tenants and pins
-// the labelled family: sorted by worker, each value escaped.
+// server after one plan and one simulate: every sample line in order,
+// then one # HELP and one # TYPE per family, directly before its sample.
 func TestMetricsExposition(t *testing.T) {
-	t.Setenv("TMPDIR", t.TempDir()) // lease directories die with the test
-	s := New(Config{Quick: true, MaxShards: 8, ShardTTL: time.Minute})
-	s.shardStart = make(chan struct{}) // the granted shard runs nothing
-	h := s.Handler()
+	h := New(Config{Quick: true}).Handler()
 	for _, req := range []struct{ target, body string }{
 		{"/v1/plan", `{"model":"resnet32","batch":32}`},
 		{"/v1/simulate", `{"model":"resnet32","batch":32,"policy":"sentinel","steps":2}`},
@@ -71,13 +51,6 @@ func TestMetricsExposition(t *testing.T) {
 			t.Fatalf("POST %s: %d %s", req.target, w.Code, w.Body.String())
 		}
 	}
-	st := startShard(t, h, fig7Shard0)
-	leases := []string{st.Lease}
-	defer func() {
-		for _, id := range leases {
-			doJSON(t, h, http.MethodDelete, "/v1/shard?lease="+id, "", nil)
-		}
-	}()
 	lines := scrape(t, h)
 
 	t.Run("samples", func(t *testing.T) {
@@ -104,11 +77,6 @@ func TestMetricsExposition(t *testing.T) {
 			"sentinel_controller_replans_total 0",
 			"sentinel_controller_recovered_runs_total 0",
 			"sentinel_controller_demand_only_total 0",
-			"sentinel_dist_leases_granted 1",
-			"sentinel_dist_leases_expired 0",
-			"sentinel_dist_leases_reassigned 0",
-			"sentinel_dist_worker_deaths 0",
-			`sentinel_dist_worker_in_flight{worker="anonymous"} 1`,
 		}
 		if got := sampleLines(lines); strings.Join(got, "\n") != strings.Join(want, "\n") {
 			t.Errorf("sample lines:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
@@ -118,53 +86,12 @@ func TestMetricsExposition(t *testing.T) {
 	t.Run("families", func(t *testing.T) {
 		checkFamilies(t, lines)
 	})
-
-	t.Run("workers", func(t *testing.T) {
-		// A tab and a 0xff byte pass Go's header parsing; a newline
-		// cannot arrive in a header, so it enters the counters directly.
-		for _, tenant := range []string{"beta", "t\xffx", `q"\`, "a\tb"} {
-			req := httptest.NewRequest(http.MethodPost, "/v1/shard", strings.NewReader(fig7Shard0))
-			req.Header.Set(TenantHeader, tenant)
-			w := httptest.NewRecorder()
-			h.ServeHTTP(w, req)
-			var st dist.ShardStatus
-			if err := json.Unmarshal(w.Body.Bytes(), &st); w.Code != http.StatusOK || err != nil {
-				t.Fatalf("grant for tenant %q: %d %s", tenant, w.Code, w.Body.String())
-			}
-			leases = append(leases, st.Lease)
-		}
-		s.dist.LeaseGranted("x\ny")
-		defer s.dist.LeaseDone("x\ny")
-		lines := scrape(t, h)
-		checkFamilies(t, lines)
-		var got []string
-		for _, l := range lines {
-			if strings.HasPrefix(l, "sentinel_dist_") {
-				got = append(got, l)
-			}
-		}
-		want := []string{
-			"sentinel_dist_leases_granted 6",
-			"sentinel_dist_leases_expired 0",
-			"sentinel_dist_leases_reassigned 0",
-			"sentinel_dist_worker_deaths 0",
-			"sentinel_dist_worker_in_flight{worker=\"a\tb\"} 1",
-			`sentinel_dist_worker_in_flight{worker="anonymous"} 1`,
-			`sentinel_dist_worker_in_flight{worker="beta"} 1`,
-			`sentinel_dist_worker_in_flight{worker="q\"\\"} 1`,
-			"sentinel_dist_worker_in_flight{worker=\"t\uFFFDx\"} 1",
-			`sentinel_dist_worker_in_flight{worker="x\ny"} 1`,
-		}
-		if strings.Join(got, "\n") != strings.Join(want, "\n") {
-			t.Errorf("dist lines:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
-		}
-	})
 }
 
 // checkFamilies asserts the exposition's structure: each family opens
 // with exactly one # HELP and one # TYPE line, typed counter for _total
-// names and distCounters and gauge otherwise, and is followed only by
-// its own samples, each valid UTF-8 in the text format's grammar.
+// names and gauge otherwise, and is followed only by its own samples,
+// each valid UTF-8 in the text format's grammar.
 func checkFamilies(t *testing.T, lines []string) {
 	t.Helper()
 	seen := map[string]bool{}
@@ -178,7 +105,7 @@ func checkFamilies(t *testing.T, lines []string) {
 			}
 			seen[name], family = true, name
 			typ := "gauge"
-			if strings.HasSuffix(name, "_total") || distCounters[name] {
+			if strings.HasSuffix(name, "_total") {
 				typ = "counter"
 			}
 			if i+1 >= len(lines) || lines[i+1] != "# TYPE "+name+" "+typ {

@@ -69,15 +69,6 @@ type Config struct {
 	// A request's explicit "quick" field also forces quick on a
 	// non-quick server; see docs/SERVING.md.
 	Quick bool
-	// MaxShards bounds concurrently held distributed-sweep shard leases
-	// (POST /v1/shard); 0 defaults to 2. Shard sweeps run outside the
-	// request admission path — a lease outlives the request that
-	// granted it — so they carry their own bound.
-	MaxShards int
-	// ShardTTL is the default and the cap for a shard lease's TTL: a
-	// lease the coordinator stops renewing is reclaimed after it. 0
-	// defaults to 60s.
-	ShardTTL time.Duration
 }
 
 // withDefaults fills zero fields.
@@ -91,12 +82,6 @@ func (c Config) withDefaults() Config {
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
 	}
-	if c.MaxShards <= 0 {
-		c.MaxShards = 2
-	}
-	if c.ShardTTL <= 0 {
-		c.ShardTTL = 60 * time.Second
-	}
 	return c
 }
 
@@ -109,27 +94,18 @@ type Server struct {
 	progress *metrics.SweepProgress
 	adm      *admission
 	reqs     *metrics.RequestStats
-	dist     *metrics.DistStats
-	shards   *shardRegistry
 	draining atomic.Bool
-	// shardStart, when non-nil, holds every shard sweep until it is
-	// closed (or the lease is cancelled). Tests set it before granting so
-	// a quick sweep cannot finish, and free its slot, mid-test.
-	shardStart chan struct{}
 }
 
 // New builds a server around a fresh plan cache.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	dist := &metrics.DistStats{}
 	return &Server{
 		cfg:      cfg,
 		cache:    experiment.NewCache(),
 		progress: metrics.NewSweepProgress(nil),
 		adm:      newAdmission(cfg.MaxInFlight, cfg.QueueDepth, cfg.PerTenant),
 		reqs:     &metrics.RequestStats{},
-		dist:     dist,
-		shards:   newShardRegistry(cfg.MaxShards, dist),
 	}
 }
 
@@ -140,24 +116,12 @@ func (s *Server) RequestStats() metrics.RequestSnapshot { return s.reqs.Snapshot
 // CacheStats exposes the shared plan cache's counters.
 func (s *Server) CacheStats() metrics.CacheStats { return s.cache.Stats() }
 
-// DistStats exposes the shard-lease counters (for the CLI's shutdown
-// summary).
-func (s *Server) DistStats() metrics.DistSnapshot { return s.dist.Snapshot() }
-
 // BeginDrain flips the server to draining: /readyz turns 503 so load
 // balancers stop routing here, and new API requests are refused with
 // 503 + Retry-After while in-flight ones run to completion. Safe to
 // call more than once. The caller (cmd/sentinel-serve) pairs this with
 // http.Server.Shutdown, which waits for the in-flight requests.
-//
-// Held shard leases are cancelled too — their sweeps fail fast with
-// "worker draining", which a distributed coordinator treats as a lost
-// lease and reassigns. Leases stay queryable so a final status poll can
-// salvage whatever the shard journaled before the drain.
-func (s *Server) BeginDrain() {
-	s.draining.Store(true)
-	s.shards.drain()
-}
+func (s *Server) BeginDrain() { s.draining.Store(true) }
 
 // Draining reports whether BeginDrain has been called.
 func (s *Server) Draining() bool { return s.draining.Load() }
@@ -185,8 +149,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/experiment", s.admitted(s.handleExperiment))
 	mux.HandleFunc("/v1/experiments", s.handleExperiments)
 	mux.HandleFunc("/v1/catalog", s.handleCatalog)
-	mux.HandleFunc("/v1/shard", s.handleShard)
-	mux.HandleFunc("/v1/shard/status", s.handleShardStatus)
 	mux.HandleFunc("/", s.handleRoot)
 	return mux
 }
@@ -235,8 +197,7 @@ func (s *Server) retryAfter(w http.ResponseWriter) {
 	w.Header().Set("Retry-After", strconv.Itoa(secs))
 }
 
-// tenantOf names the request's tenant for admission and lease
-// accounting.
+// tenantOf names the request's tenant for admission accounting.
 func tenantOf(r *http.Request) string {
 	if tenant := r.Header.Get(TenantHeader); tenant != "" {
 		return tenant
@@ -571,7 +532,7 @@ func (s *Server) handleCatalog(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleRoot(w http.ResponseWriter, r *http.Request) {
 	writeError(w, http.StatusNotFound, apiError{
 		Code:    "not_found",
-		Message: fmt.Sprintf("no such endpoint %q; see docs/SERVING.md (endpoints: /healthz /readyz /metrics /v1/plan /v1/simulate /v1/experiment /v1/experiments /v1/catalog /v1/shard /v1/shard/status)", r.URL.Path),
+		Message: fmt.Sprintf("no such endpoint %q; see docs/SERVING.md (endpoints: /healthz /readyz /metrics /v1/plan /v1/simulate /v1/experiment /v1/experiments /v1/catalog)", r.URL.Path),
 	})
 }
 

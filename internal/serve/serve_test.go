@@ -184,12 +184,29 @@ func TestMethodAndPathErrors(t *testing.T) {
 	if code, _ := errCode(t, w); code != "method_not_allowed" {
 		t.Errorf("code %q", code)
 	}
-	w = doJSON(t, h, http.MethodGet, "/v1/nope", "", nil)
-	if w.Code != http.StatusNotFound {
-		t.Fatalf("unknown path: %d, want 404", w.Code)
+	for _, path := range []string{"/v1/nope", "/v1/shard"} {
+		w = doJSON(t, h, http.MethodGet, path, "", nil)
+		if w.Code != http.StatusNotFound {
+			t.Fatalf("%s: %d, want 404", path, w.Code)
+		}
+		if code, _ := errCode(t, w); code != "not_found" {
+			t.Errorf("%s: code %q", path, code)
+		}
 	}
-	if code, _ := errCode(t, w); code != "not_found" {
-		t.Errorf("code %q", code)
+	// Every endpoint the 404 message lists must route somewhere, so a
+	// stale entry in the list fails here.
+	var b errorBody
+	if err := json.Unmarshal(w.Body.Bytes(), &b); err != nil {
+		t.Fatal(err)
+	}
+	_, list, ok := strings.Cut(b.Error.Message, "(endpoints: ")
+	if !ok {
+		t.Fatalf("404 message lists no endpoints: %q", b.Error.Message)
+	}
+	for _, path := range strings.Fields(strings.TrimSuffix(list, ")")) {
+		if w := doJSON(t, h, http.MethodGet, path, "", nil); w.Code == http.StatusNotFound {
+			t.Errorf("404 message lists %s, which answers 404", path)
+		}
 	}
 }
 

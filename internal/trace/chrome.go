@@ -203,21 +203,6 @@ func WriteChrome(w io.Writer, events []Event) error {
 		case KSweepCancel:
 			instant(e, tidCompute, "sweep-cancel",
 				map[string]any{"cell": e.Name})
-		case KDistLease:
-			instant(e, tidCompute, "dist-lease: "+e.Name,
-				map[string]any{"lease": e.Name, "attempt": e.Count})
-		case KDistExpire:
-			instant(e, tidCompute, "dist-lease-expired: "+e.Name,
-				map[string]any{"lease": e.Name, "ttl_us": micros(e.Dur)})
-		case KDistReassign:
-			instant(e, tidCompute, "dist-reassign: "+e.Name,
-				map[string]any{"lease": e.Name, "attempt": e.Count})
-		case KDistWorkerDeath:
-			instant(e, tidCompute, "dist-worker-death: "+e.Name,
-				map[string]any{"worker": e.Name, "failures": e.Count})
-		case KDistShardDone:
-			instant(e, tidCompute, "dist-shard-done: "+e.Name,
-				map[string]any{"shard": e.Name, "cells": e.Count, "journal_bytes": e.Bytes})
 		case KAccess:
 			name := "traffic-fast"
 			if e.Tier == TierSlow {

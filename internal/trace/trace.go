@@ -117,23 +117,6 @@ const (
 	// a cancelled context); remaining cells are skipped and tables are
 	// emitted marked incomplete (internal/experiment).
 	KSweepCancel Kind = "sweep-cancel"
-	// KDistLease records the distributed-sweep coordinator granting a
-	// shard lease to a worker (internal/dist).
-	KDistLease Kind = "dist-lease"
-	// KDistExpire records a shard lease expiring: the owning worker
-	// crashed, hung past its deadline, or stopped answering heartbeats
-	// (internal/dist).
-	KDistExpire Kind = "dist-lease-expired"
-	// KDistReassign records an expired shard being re-leased to a
-	// surviving worker, seeded with the dead worker's journal so
-	// completed cells are not recomputed (internal/dist).
-	KDistReassign Kind = "dist-reassign"
-	// KDistWorkerDeath records the coordinator declaring a worker dead
-	// after a failed shard attempt (internal/dist).
-	KDistWorkerDeath Kind = "dist-worker-death"
-	// KDistShardDone records a shard's journal being handed back to the
-	// coordinator complete (internal/dist).
-	KDistShardDone Kind = "dist-shard-done"
 )
 
 // Kinds returns every event kind, in schema order. docs/TRACING.md must
@@ -145,8 +128,6 @@ func Kinds() []Kind {
 		KArenaReclaim, KPlace, KMigrateRetry, KDegrade, KPlanDiverged,
 		KCapShrink, KReprofileArm, KReprofileSample, KReplan, KPlanSwap,
 		KCtlTransition, KCellPanic, KCellTimeout, KSweepCancel,
-		KDistLease, KDistExpire, KDistReassign, KDistWorkerDeath,
-		KDistShardDone,
 	}
 }
 
@@ -308,16 +289,6 @@ func (e Event) String() string {
 		return fmt.Sprintf("%12v cell-timeout %s after %v (cell quarantined)", t, name, e.Dur)
 	case KSweepCancel:
 		return fmt.Sprintf("%12v sweep-cancel %s (remaining cells skipped)", t, name)
-	case KDistLease:
-		return fmt.Sprintf("%12v dist-lease %s attempt %d", t, name, e.Count)
-	case KDistExpire:
-		return fmt.Sprintf("%12v dist-lease-expired %s after %v", t, name, e.Dur)
-	case KDistReassign:
-		return fmt.Sprintf("%12v dist-reassign %s attempt %d", t, name, e.Count)
-	case KDistWorkerDeath:
-		return fmt.Sprintf("%12v dist-worker-death %s (%d failure(s))", t, name, e.Count)
-	case KDistShardDone:
-		return fmt.Sprintf("%12v dist-shard-done %s: %d cell(s), %s journaled", t, name, e.Count, simtime.Bytes(e.Bytes))
 	case KAlloc, KFree:
 		return fmt.Sprintf("%12v step=%d layer=%d %-11s %s (%s)", t, e.Step, e.Layer, e.Kind, name, simtime.Bytes(e.Bytes))
 	default: // any future instant kind; sentinel-vet's tracekinds check demands an explicit case
