@@ -317,3 +317,107 @@ func FuzzJournalDecode(f *testing.F) {
 		}
 	})
 }
+
+// replayImage writes a journal file image to a fresh directory and
+// replays it into c — the path `-resume` takes, for arbitrary bytes.
+func replayImage(t *testing.T, c *Cache, image []byte) (restored, skipped int, err error) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), journalFile)
+	if err := os.WriteFile(path, image, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return (&Journal{path: path}).Replay(c)
+}
+
+// TestMergeJournalDuplicateDeterministic pins first-write-wins across
+// journals: replaying a second journal into a cache that already holds
+// one of its cells neither restores nor overwrites that cell, so the
+// order of replays decides, byte-for-byte, every time.
+func TestMergeJournalDuplicateDeterministic(t *testing.T) {
+	img := func(stats *metrics.RunStats) []byte {
+		rec, err := encodeJournalRecord(journalEntry{Key: "run|dup", Stats: stats})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append([]byte(journalMagic), rec...)
+	}
+	first, second := testStats(1), testStats(2)
+
+	c := NewCache()
+	if restored, _, err := replayImage(t, c, img(first)); err != nil || restored != 1 {
+		t.Fatalf("first replay: restored %d, err %v", restored, err)
+	}
+	if restored, skipped, err := replayImage(t, c, img(second)); err != nil || restored != 0 || skipped != 0 {
+		t.Fatalf("duplicate replay: restored %d skipped %d err %v, want 0/0/nil", restored, skipped, err)
+	}
+	v, err := c.do("run|dup", func() (any, error) {
+		t.Fatal("replayed cell recomputed")
+		return nil, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(v, first) {
+		t.Fatal("duplicate replay did not keep the first-written stats")
+	}
+}
+
+// FuzzMergeJournal extends the decoder fuzzer to replaying two journal
+// images into one cache: two arbitrary images — truncated, bit-flipped,
+// duplicate-keyed — never panic Replay, and whatever image A restored is
+// never overwritten by image B (first-write wins).
+func FuzzMergeJournal(f *testing.F) {
+	recA, errA := encodeJournalRecord(journalEntry{Key: "k", Stats: testStats(1)})
+	recB, errB := encodeJournalRecord(journalEntry{Key: "k", Stats: testStats(2)})
+	recC, errC := encodeJournalRecord(journalEntry{Key: "other", Stats: testStats(3)})
+	if errA != nil || errB != nil || errC != nil {
+		f.Fatal(errA, errB, errC)
+	}
+	a := append([]byte(journalMagic), recA...)
+	b := append([]byte(journalMagic), recB...)
+	f.Add(a, b)                                  // duplicate key across journals
+	f.Add(a, append(b[:len(b):len(b)], recC...)) // duplicate + fresh key
+	f.Add(a[:len(a)-4], b)                       // truncated tail in A
+	f.Add(a, b[:11])                             // dangling header in B
+	flipped := append([]byte{}, b...)
+	flipped[len(flipped)-1] ^= 0x40
+	f.Add(a, flipped) // bit-flipped payload in B
+	f.Add([]byte{}, []byte(journalMagic))
+
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		// Expected survivors: first occurrence of each key in A, then
+		// first-in-B for keys A does not hold.
+		want := map[string]*metrics.RunStats{}
+		for _, img := range [][]byte{a, b} {
+			decodeJournal(img, func(e journalEntry) bool {
+				if _, ok := want[e.Key]; !ok {
+					want[e.Key] = e.Stats
+				}
+				return true
+			})
+		}
+		c := NewCache()
+		for _, img := range [][]byte{a, b} {
+			restored, skipped, err := replayImage(t, c, img)
+			if err != nil && !errors.Is(err, ErrNotJournal) {
+				t.Fatalf("unexpected error class: %v", err)
+			}
+			if restored < 0 || skipped < 0 {
+				t.Fatalf("negative counts: %d/%d", restored, skipped)
+			}
+		}
+		for key, stats := range want {
+			recomputed := false
+			v, err := c.do(key, func() (any, error) { recomputed = true; return nil, nil })
+			if err != nil {
+				t.Fatalf("replayed key %q: %v", key, err)
+			}
+			if recomputed {
+				t.Fatalf("decodable key %q missing after replay", key)
+			}
+			if !reflect.DeepEqual(v, stats) {
+				t.Fatalf("key %q: replay did not keep the first-written stats", key)
+			}
+		}
+	})
+}
