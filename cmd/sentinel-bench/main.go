@@ -6,12 +6,10 @@
 // as wide as the machine allows while emitting tables byte-identical to a
 // sequential run.
 //
-// Long sweeps are crash-safe: -journal records every completed cell in a
-// durable on-disk log, -resume pre-warms the plan cache from it so a
-// killed sweep restarts only its incomplete cells, -cell-timeout
-// quarantines livelocked cells, and SIGINT/SIGTERM cancels cleanly —
-// in-flight cells are abandoned, the journal and trace are flushed, and
-// partial tables are emitted marked incomplete.
+// A faulty cell does not sink the sweep: -cell-timeout quarantines
+// livelocked cells, and SIGINT/SIGTERM cancels cleanly — in-flight cells
+// are abandoned, the trace is flushed, and partial tables are emitted
+// marked incomplete. A killed sweep is recovered by running it again.
 //
 // Usage:
 //
@@ -21,8 +19,6 @@
 //	sentinel-bench -seq            # sequential reference path (no pool, no cache)
 //	sentinel-bench -quick          # trimmed sweeps
 //	sentinel-bench -list           # list experiment ids
-//	sentinel-bench -journal dir    # journal completed cells to dir/results.journal
-//	sentinel-bench -journal dir -resume   # resume a killed sweep
 //	sentinel-bench -cell-timeout 5m       # quarantine cells stuck past 5 minutes
 package main
 
@@ -53,8 +49,6 @@ func main() {
 		workers     = flag.Int("workers", 0, "concurrent experiment cells (0 = GOMAXPROCS, 1 = sequential)")
 		seq         = flag.Bool("seq", false, "sequential reference path: one worker, plan cache disabled")
 		progress    = flag.Bool("progress", stderrIsTerminal(), "live cell-completion progress on stderr")
-		journalDir  = flag.String("journal", "", "directory for the durable result journal (completed cells survive a crash)")
-		resume      = flag.Bool("resume", false, "pre-warm the plan cache from the journal before sweeping (requires -journal)")
 		cellTimeout = flag.Duration("cell-timeout", 0, "per-cell wall-clock deadline; cells past it are quarantined (0 = none)")
 	)
 	tf := tracecli.Register()
@@ -81,7 +75,7 @@ func main() {
 
 	// SIGINT/SIGTERM cancel the sweep: cells not yet started are skipped,
 	// in-flight cells are abandoned, and everything below the experiment
-	// loop — journal flush, trace export, partial tables — still runs.
+	// loop — trace export, partial tables — still runs.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -92,9 +86,6 @@ func main() {
 		// against: strictly sequential and cache-free.
 		opts.Workers = 1
 		opts.NoCache = true
-		if *journalDir != "" {
-			fail(fmt.Errorf("-journal needs the plan cache; it is incompatible with -seq"))
-		}
 	} else {
 		// One cache across the whole sweep: recurring cells (fast-only
 		// references, repeated model/policy pairs) compute once.
@@ -105,29 +96,6 @@ func main() {
 		sp = metrics.NewSweepProgress(os.Stderr)
 		opts.Progress = sp
 	}
-	if *resume && *journalDir == "" {
-		fail(fmt.Errorf("-resume requires -journal"))
-	}
-	if *journalDir != "" {
-		j, err := experiment.OpenJournal(*journalDir)
-		if err != nil {
-			fail(err)
-		}
-		defer j.Close()
-		opts.Journal = j
-		if *resume {
-			restored, skipped, err := j.Replay(opts.Cache)
-			if err != nil {
-				fail(err)
-			}
-			fmt.Fprintf(os.Stderr, "journal: resumed %d cells from %s (%d corrupt or duplicate records skipped)\n",
-				restored, j.Path(), skipped)
-			if sp != nil {
-				sp.AddResumed(restored)
-			}
-		}
-	}
-
 	//lint:allow determinism: CLI-only wall-clock for the sweep timing line on stderr; table bytes never depend on it
 	sweepStart := time.Now()
 	ids := experiment.DefaultIDs()
@@ -137,7 +105,7 @@ func main() {
 	// Every requested experiment runs even if an earlier one fails; the
 	// failures are reported together at the end and the exit code is
 	// non-zero. Cancellation is the one early exit — and even then the
-	// journal, trace, and summary still flush below.
+	// trace and summary still flush below.
 	var failures []string
 	ran := 0
 	for _, id := range ids {
@@ -168,7 +136,7 @@ func main() {
 			}
 		default:
 			fmt.Println(t)
-			//lint:allow determinism: text-format timing line is explicitly wall-clock; the crash-resume CI job compares csv, which omits it
+			//lint:allow determinism: text-format timing line is explicitly wall-clock; csv and json, which byte-identity checks compare, omit it
 			fmt.Printf("(%s took %v)\n\n", id, time.Since(start).Round(time.Millisecond))
 		}
 	}
@@ -177,25 +145,15 @@ func main() {
 			//lint:allow determinism: stderr sweep summary is explicitly labelled wall-clock
 			sp.Summary(), ran, time.Since(sweepStart).Round(time.Millisecond))
 	}
-	if opts.Cache != nil && (*progress || opts.Journal != nil) {
+	if opts.Cache != nil && *progress {
 		fmt.Fprintf(os.Stderr, "cache: %s\n", opts.Cache.Stats())
-	}
-	if opts.Journal != nil {
-		if err := opts.Journal.Sync(); err != nil {
-			fmt.Fprintln(os.Stderr, "sentinel-bench: journal sync:", err)
-		}
-		if err := opts.Journal.Err(); err != nil {
-			failures = append(failures, fmt.Sprintf("journal: %v", err))
-		}
-		fmt.Fprintf(os.Stderr, "journal: %d cells appended to %s\n",
-			opts.Journal.Appended(), opts.Journal.Path())
 	}
 	if err := tf.Write(); err != nil {
 		fail(err)
 	}
 	if ctx.Err() != nil {
-		fmt.Fprintf(os.Stderr, "sweep interrupted after %d/%d experiments; completed cells are journaled%s\n",
-			ran, len(ids), resumeHint(*journalDir))
+		fmt.Fprintf(os.Stderr, "sweep interrupted after %d/%d experiments; the partial tables above are marked TABLE INCOMPLETE\n",
+			ran, len(ids))
 		os.Exit(130)
 	}
 	if len(failures) > 0 {
@@ -205,14 +163,6 @@ func main() {
 		}
 		os.Exit(1)
 	}
-}
-
-// resumeHint names the resume command when a journal is in play.
-func resumeHint(dir string) string {
-	if dir == "" {
-		return " only if -journal was set"
-	}
-	return fmt.Sprintf("; rerun with -journal %s -resume", dir)
 }
 
 // stderrIsTerminal reports whether stderr is an interactive terminal; the

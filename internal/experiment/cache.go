@@ -33,24 +33,20 @@ import (
 // Lookups are singleflight: the first worker to request a key computes it
 // while any concurrent requester for the same key blocks until that
 // computation finishes, so two pool workers never duplicate a plan build.
-//
-// The cache is also the resume point of the crash-safe sweep layer:
-// Seed pre-warms entries from a result journal, and hit/miss/wait
-// counters (Stats) make resume effectiveness measurable.
+// Hit/miss/wait counters (Stats) make the deduplication measurable.
 type Cache struct {
 	mu      sync.Mutex
 	entries map[string]*cacheEntry
 	stats   struct {
-		hits, misses, waits, seeded, resumeHits atomic.Int64
+		hits, misses, waits atomic.Int64
 	}
 }
 
 type cacheEntry struct {
-	once   sync.Once
-	val    any
-	err    error
-	seeded bool        // pre-warmed from a journal, not computed
-	done   atomic.Bool // computation finished (or entry was seeded)
+	once sync.Once
+	val  any
+	err  error
+	done atomic.Bool // computation finished
 }
 
 // NewCache returns an empty cache, safe for concurrent use. One cache may
@@ -79,9 +75,6 @@ func (c *Cache) do(key string, compute func() (any, error)) (any, error) {
 		c.stats.misses.Add(1)
 	case e.done.Load():
 		c.stats.hits.Add(1)
-		if e.seeded {
-			c.stats.resumeHits.Add(1)
-		}
 	default:
 		c.stats.waits.Add(1)
 	}
@@ -97,24 +90,6 @@ func (c *Cache) do(key string, compute func() (any, error)) (any, error) {
 	return e.val, e.err
 }
 
-// Seed installs a completed entry for key without computing it — the
-// journal replay path. An existing entry (computed or in flight) wins:
-// Seed never overwrites, so replaying a journal with duplicate keys or
-// replaying into a warm cache is harmless.
-func (c *Cache) Seed(key string, val any) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.entries[key]; ok {
-		return false
-	}
-	e := &cacheEntry{val: val, seeded: true}
-	e.once.Do(func() {}) // mark the computation as already performed
-	e.done.Store(true)
-	c.entries[key] = e
-	c.stats.seeded.Add(1)
-	return true
-}
-
 // Len reports how many keys have been requested so far.
 func (c *Cache) Len() int {
 	c.mu.Lock()
@@ -125,11 +100,9 @@ func (c *Cache) Len() int {
 // Stats returns a point-in-time snapshot of the cache's counters.
 func (c *Cache) Stats() metrics.CacheStats {
 	return metrics.CacheStats{
-		Hits:       c.stats.hits.Load(),
-		Misses:     c.stats.misses.Load(),
-		Waits:      c.stats.waits.Load(),
-		Seeded:     c.stats.seeded.Load(),
-		ResumeHits: c.stats.resumeHits.Load(),
+		Hits:   c.stats.hits.Load(),
+		Misses: c.stats.misses.Load(),
+		Waits:  c.stats.waits.Load(),
 	}
 }
 
@@ -234,10 +207,7 @@ func (c cellRun) execute(bus *trace.Bus) (*metrics.RunStats, error) {
 
 // run executes one cell, memoized when the plan cache is enabled. Cached
 // *RunStats are shared across cells and experiments; they are read-only
-// once the run completes. Freshly computed (never cached or quarantined)
-// results are appended to the result journal under the cell's cache key —
-// chaos-qualified keys included, so a resumed sweep can never serve a
-// clean result for a perturbed cell.
+// once the run completes.
 func (o Options) run(c cellRun) (*metrics.RunStats, error) {
 	if !c.chaos.Enabled() && o.Chaos.Enabled() {
 		c.chaos = o.Chaos
@@ -245,19 +215,11 @@ func (o Options) run(c cellRun) (*metrics.RunStats, error) {
 	if !c.online.Enabled && o.Online.Enabled {
 		c.online = o.Online
 	}
-	key := c.key()
-	return cacheDo(o, key, func() (*metrics.RunStats, error) {
+	return cacheDo(o, c.key(), func() (*metrics.RunStats, error) {
 		if o.cellHook != nil {
 			o.cellHook(c)
 		}
-		r, err := c.execute(o.Trace)
-		if err == nil && o.Journal != nil {
-			// A failed append must not fail the cell — the result is
-			// valid; only its durability is lost. The journal records
-			// the error for the end-of-sweep report.
-			o.Journal.Append(key, r)
-		}
-		return r, err
+		return c.execute(o.Trace)
 	})
 }
 

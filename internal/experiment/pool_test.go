@@ -381,34 +381,20 @@ func TestCachePanicTyped(t *testing.T) {
 	}
 }
 
-func TestCacheSeedAndStats(t *testing.T) {
+func TestCacheStats(t *testing.T) {
 	c := NewCache()
-	if !c.Seed("warm", 41) {
-		t.Fatal("seeding a fresh key failed")
-	}
-	if c.Seed("warm", 42) {
-		t.Fatal("re-seeding overwrote an existing entry")
-	}
-	// A hit on the seeded entry counts as a resume hit.
-	v, err := c.do("warm", func() (any, error) {
-		t.Fatal("seeded entry recomputed")
-		return nil, nil
-	})
-	if err != nil || v != 41 {
-		t.Fatalf("seeded lookup: v=%v err=%v", v, err)
-	}
-	// A miss then a plain hit on a computed entry.
-	if _, err := c.do("cold", func() (any, error) { return 1, nil }); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.do("cold", func() (any, error) { return 2, nil }); err != nil {
-		t.Fatal(err)
+	// Two misses, then two hits on completed entries.
+	for _, key := range []string{"a", "b", "a", "b"} {
+		v, err := c.do(key, func() (any, error) { return key, nil })
+		if err != nil || v != key {
+			t.Fatalf("lookup %q: v=%v err=%v", key, v, err)
+		}
 	}
 	s := c.Stats()
-	if s.Seeded != 1 || s.ResumeHits != 1 || s.Hits != 2 || s.Misses != 1 {
-		t.Fatalf("stats = %+v, want seeded=1 resumeHits=1 hits=2 misses=1", s)
+	if s.Hits != 2 || s.Misses != 2 || s.Waits != 0 {
+		t.Fatalf("stats = %+v, want hits=2 misses=2 waits=0", s)
 	}
-	if got := s.String(); !strings.Contains(got, "2 hits") || !strings.Contains(got, "1 journaled cells seeded") {
+	if got := s.String(); got != "2 hits, 2 misses, 0 singleflight waits" {
 		t.Fatalf("stats rendering %q", got)
 	}
 }

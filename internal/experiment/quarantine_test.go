@@ -2,12 +2,17 @@ package experiment
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"sentinel/internal/metrics"
+	"sentinel/internal/trace"
 )
 
 // goldenCells parses a committed snapshot back into its rows' cells,
@@ -42,16 +47,36 @@ func goldenCells(t *testing.T, id string) [][]string {
 	return rows
 }
 
-// seededWithout copies warm's successful entries into a fresh cache,
-// leaving out the run cells of one (model, policy): a run on the copy
-// recomputes only those cells, and every other cell returns at once.
+// watchKind subscribes to the bus and counts events of one kind as they
+// are emitted. Quarantine events are rare and emitted early; observing
+// the stream instead of scanning the ring keeps these tests immune to
+// ring eviction, which depends on worker scheduling. Subscribers run
+// under the bus lock, and the count is read only after Run returns, so
+// a plain counter is safe.
+func watchKind(bus *trace.Bus, kind trace.Kind) *int {
+	n := new(int)
+	bus.Subscribe(func(e trace.Event) {
+		if e.Kind == kind {
+			*n++
+		}
+	})
+	return n
+}
+
+// seededWithout copies warm's successful entries into a fresh cache as
+// completed entries, leaving out the run cells of one (model, policy): a
+// run on the copy recomputes only those cells, and every other cell
+// returns at once.
 func seededWithout(warm *Cache, modelName, policy string) *Cache {
 	c := NewCache()
 	for key, e := range warm.entries {
 		if e.err != nil || (strings.HasPrefix(key, "run|"+modelName+"|") && strings.Contains(key, "|"+policy+"|")) {
 			continue
 		}
-		c.Seed(key, e.val)
+		done := &cacheEntry{val: e.val}
+		done.once.Do(func() {}) // the computation already happened
+		done.done.Store(true)
+		c.entries[key] = done
 	}
 	return c
 }
@@ -187,5 +212,160 @@ func TestQuarantineGPUTables(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestQuarantinePanickedCell: a cell whose simulation panics is
+// quarantined with ErrCellPanicked while the remaining cells complete and
+// the table renders with the incomplete marker.
+func TestQuarantinePanickedCell(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration sweep")
+	}
+	bus := trace.NewBus(0)
+	panics := watchKind(bus, trace.KCellPanic)
+	o := Options{Steps: 3, Quick: true, Workers: 4, Cache: NewCache(), Trace: bus}
+	o.cellHook = func(c cellRun) {
+		if c.mil == 3 {
+			panic("injected cell bug")
+		}
+	}
+	tbl, err := Run("fig5", o)
+	if err != nil {
+		t.Fatalf("sweep failed instead of quarantining: %v", err)
+	}
+	rendered := tbl.String()
+	if !strings.Contains(rendered, "TABLE INCOMPLETE") {
+		t.Errorf("missing incomplete-table marker:\n%s", rendered)
+	}
+	if !strings.Contains(rendered, "cell panicked") {
+		t.Errorf("footer does not name the panic:\n%s", rendered)
+	}
+	// The healthy cells still rendered real (non-placeholder) values.
+	healthy := 0
+	for _, row := range tbl.Rows {
+		if row[1] != "0ns" {
+			healthy++
+		}
+	}
+	if healthy < len(tbl.Rows)-1 {
+		t.Errorf("only %d of %d rows rendered despite one quarantined cell:\n%s", healthy, len(tbl.Rows), rendered)
+	}
+	// The quarantine is visible on the trace bus as a typed event.
+	if *panics == 0 {
+		t.Error("no cell-panic event on the trace bus")
+	}
+}
+
+// TestQuarantineHungCell: a cell that never finishes trips the per-cell
+// deadline and quarantines with ErrCellTimeout; the sweep completes.
+func TestQuarantineHungCell(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration sweep")
+	}
+	release := make(chan struct{})
+	defer close(release) // unblock the abandoned goroutine at test end
+	bus := trace.NewBus(0)
+	timeouts := watchKind(bus, trace.KCellTimeout)
+	o := Options{Steps: 3, Quick: true, Workers: 4, Cache: NewCache(), Trace: bus,
+		CellTimeout: 150 * time.Millisecond}
+	o.cellHook = func(c cellRun) {
+		if c.mil == 5 {
+			<-release // livelocked simulation
+		}
+	}
+	tbl, err := Run("fig5", o)
+	if err != nil {
+		t.Fatalf("sweep failed instead of quarantining: %v", err)
+	}
+	rendered := tbl.String()
+	if !strings.Contains(rendered, "TABLE INCOMPLETE") {
+		t.Errorf("missing incomplete-table marker:\n%s", rendered)
+	}
+	if !strings.Contains(rendered, "cell timed out") {
+		t.Errorf("footer does not name the timeout:\n%s", rendered)
+	}
+	if *timeouts == 0 {
+		t.Error("no cell-timeout event on the trace bus")
+	}
+}
+
+// TestSweepCancelRendersPartialTables: a cancelled context skips every
+// cell but the experiment still returns a rendered table marked
+// incomplete — the graceful-shutdown path.
+func TestSweepCancelRendersPartialTables(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration sweep")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel() // cancelled before the sweep starts: everything is skipped
+	bus := trace.NewBus(0)
+	cancels := watchKind(bus, trace.KSweepCancel)
+	o := Options{Steps: 3, Quick: true, Workers: 4, Cache: NewCache(), Trace: bus, Ctx: ctx}
+	tbl, err := Run("fig5", o)
+	if err != nil {
+		// Non-cell work (building the sizing spec) may also observe the
+		// cancellation; that is an acceptable shutdown path too, as long
+		// as it is the context error and not a crash.
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled sweep failed with a non-cancellation error: %v", err)
+		}
+		return
+	}
+	rendered := tbl.String()
+	if !strings.Contains(rendered, "TABLE INCOMPLETE") {
+		t.Errorf("missing incomplete-table marker:\n%s", rendered)
+	}
+	if !strings.Contains(rendered, "sweep cancelled") {
+		t.Errorf("footer does not report the cancellation:\n%s", rendered)
+	}
+	if *cancels == 0 {
+		t.Error("no sweep-cancel event on the trace bus")
+	}
+}
+
+// TestQuarantinedCellCachesPanic: a quarantined cell's cache entry keeps
+// its typed failure, never the placeholder its table renders, so a
+// second sweep on the same cache quarantines the cell again instead of
+// rendering the placeholder's zeros as a result.
+func TestQuarantinedCellCachesPanic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration sweep")
+	}
+	cache := NewCache()
+	o := Options{Steps: 3, Quick: true, Workers: 4, Cache: cache}
+	o.cellHook = func(c cellRun) {
+		if c.mil == 3 {
+			panic("injected cell bug")
+		}
+	}
+	if _, err := Run("fig5", o); err != nil {
+		t.Fatal(err)
+	}
+	panicked := 0
+	for key, e := range cache.entries {
+		if strings.Contains(key, "|mil3|") {
+			var pe *PanicError
+			if !errors.As(e.err, &pe) {
+				t.Errorf("quarantined cell %s holds err=%v val=%v, want a *PanicError", key, e.err, e.val)
+			}
+			panicked++
+		}
+		if rs, ok := e.val.(*metrics.RunStats); ok && rs != nil &&
+			reflect.DeepEqual(rs, quarantinedStats(cellRun{policy: rs.Policy, model: rs.Model, batch: rs.Batch})) {
+			t.Errorf("cache entry %s holds the quarantine placeholder", key)
+		}
+	}
+	if panicked != 1 {
+		t.Fatalf("%d cache entries for the mil3 cell, want 1", panicked)
+	}
+	// The second sweep's cells are healthy: only the cached failure can
+	// quarantine the cell again.
+	tbl, err := Run("fig5", Options{Steps: 3, Quick: true, Workers: 4, Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rendered := tbl.String(); !strings.Contains(rendered, "TABLE INCOMPLETE") || !strings.Contains(rendered, "cell panicked") {
+		t.Errorf("second sweep did not quarantine the cached failure:\n%s", rendered)
 	}
 }

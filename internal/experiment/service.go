@@ -19,7 +19,7 @@ import (
 // harness: typed request structs with validation, used by
 // cmd/sentinel-serve (and usable by any other embedder that wants to
 // submit work without building cellRun values by hand). Every request
-// funnels into the same worker pool, plan cache, and journal plumbing
+// funnels into the same worker pool, plan cache, and quarantine
 // the CLI sweeps use, so a served response is computed by exactly the
 // code path a sentinel-bench invocation would take.
 
@@ -221,10 +221,10 @@ func (r CellRequest) spec(o Options) (memsys.Spec, error) {
 
 // RunCell executes one requested simulation cell through the shared
 // plan cache (singleflight: concurrent identical requests compute
-// once), the journal when configured, and the pool's fault boundary —
-// a panicking or cancelled cell comes back as a typed error, never a
-// crash. Results are deterministic: identical requests yield identical
-// stats whether computed or cached.
+// once) and the pool's fault boundary — a panicking or cancelled cell
+// comes back as a typed error, never a crash. Results are
+// deterministic: identical requests yield identical stats whether
+// computed or cached.
 func RunCell(o Options, r CellRequest) (*metrics.RunStats, error) {
 	r = r.Normalized()
 	if err := r.Validate(); err != nil {

@@ -126,11 +126,6 @@ type Options struct {
 	// cell still running after it (a livelocked simulation) is abandoned
 	// with ErrCellTimeout and quarantined.
 	CellTimeout time.Duration
-	// Journal, when non-nil, records every completed simulation cell
-	// on disk under its cache key, so a killed sweep can resume from its
-	// completed cells (Journal.Replay into Cache) instead of restarting
-	// from zero. Quarantined cells are never journaled.
-	Journal *Journal
 	// cellHook, when non-nil, runs at the start of every freshly
 	// computed cell. It exists for tests: a hook that panics or blocks
 	// stands in for a buggy or livelocked simulation.

@@ -7,11 +7,11 @@ import (
 
 // DeterminismAnalyzer forbids nondeterministic inputs in simulation
 // code. The simulator's contract — byte-identical outputs for identical
-// inputs, which the sweep cache, the result journal's resume path, and
-// the golden tests all rely on — breaks the moment wall-clock time or
-// unseeded randomness leaks into a simulated quantity. Simulated time
-// comes from internal/simtime; randomness comes from seeded *rand.Rand
-// instances (rand.New(rand.NewSource(seed))).
+// inputs, which the shared plan cache's keys and the byte-identity of
+// CLI, served and golden tables all rely on — breaks the moment
+// wall-clock time or unseeded randomness leaks into a simulated
+// quantity. Simulated time comes from internal/simtime; randomness comes
+// from seeded *rand.Rand instances (rand.New(rand.NewSource(seed))).
 //
 // Flagged: calls to time.Now, time.Since and time.Until, and calls to
 // the global math/rand functions (rand.Intn, rand.Float64,

@@ -2,8 +2,9 @@
 // (go/ast, go/parser, go/types, go/token) static-analysis suite that
 // machine-enforces the simulator's domain invariants — the properties
 // the Go compiler cannot see but the reproduction's credibility rests
-// on. Simulations must be bit-deterministic (resume only works because
-// identical inputs give byte-identical cells), simulated time must
+// on. Simulations must be bit-deterministic (the shared plan cache
+// serves one cell's result for every identical key, and CLI, served and
+// golden tables must match byte for byte), simulated time must
 // never mix with wall-clock time, and byte counts must never be
 // confused with page counts.
 //

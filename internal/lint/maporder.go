@@ -9,8 +9,8 @@ import (
 // MapOrderAnalyzer flags `for range` loops over maps whose bodies do
 // order-sensitive work. Go randomizes map iteration order per run, so a
 // map-range that appends to a slice, writes to an io.Writer (including
-// hashers and string builders — the way cache and journal keys are
-// built), emits trace events, or concatenates onto a string produces
+// hashers and string builders — the way plan-cache keys are built),
+// emits trace events, or concatenates onto a string produces
 // different bytes on different runs — exactly the nondeterminism that
 // broke arena reclaim and UM LRU ties before PR 1 fixed them.
 //
@@ -101,7 +101,7 @@ func checkMapRange(pass *Pass, rng *ast.RangeStmt, funcBody *ast.BlockStmt, ioWr
 			}
 			// Method calls: trace emission, and Write* on io.Writer
 			// implementations (files, buffers, builders, hashers — the
-			// latter being how cache/journal keys are built).
+			// latter being how plan-cache keys are built).
 			recvTV, ok := pass.Info.Types[sel.X]
 			if !ok {
 				return true

@@ -97,9 +97,8 @@ func (tr *BWTrace) Totals() (fast, slow, migrated int64) {
 }
 
 // bwTraceJSON is the wire form of a BWTrace. The fields are unexported in
-// BWTrace itself, so the experiment result journal — which persists
-// completed simulation cells, bandwidth traces included — round-trips the
-// trace through this shape.
+// BWTrace itself, so a RunStats carrying a bandwidth trace round-trips
+// through JSON by way of this shape.
 type bwTraceJSON struct {
 	Width   simtime.Duration `json:"width"`
 	Samples []BWSample       `json:"samples,omitempty"`

@@ -50,9 +50,9 @@ func TestConsumeMatchesDirectCalls(t *testing.T) {
 	}
 }
 
-// TestBWTraceJSONRoundTrip pins the journal codec: a BWTrace survives
+// TestBWTraceJSONRoundTrip pins the JSON codec: a BWTrace survives
 // Marshal/Unmarshal with its unexported bucket width and samples intact,
-// so resumed Fig. 9 sweeps replay identical bandwidth series.
+// so a decoded Fig. 9 cell carries an identical bandwidth series.
 func TestBWTraceJSONRoundTrip(t *testing.T) {
 	tr := NewBWTrace(5 * simtime.Millisecond)
 	tr.AddAccess(simtime.Time(simtime.Millisecond), Fast, 4096)

@@ -135,9 +135,7 @@ func (r *RunStats) TotalTime() simtime.Duration {
 
 // CacheStats is a point-in-time accounting of a sweep's plan cache:
 // how many lookups hit a completed entry, missed (and computed), or
-// waited on a concurrent computation (singleflight), plus how many
-// entries were seeded from a result journal and how many lookups those
-// seeds served. Resume effectiveness is ResumeHits out of Seeded.
+// waited on a concurrent computation (singleflight).
 type CacheStats struct {
 	// Hits counts lookups served by an already-completed entry.
 	Hits int64
@@ -146,19 +144,11 @@ type CacheStats struct {
 	// Waits counts lookups that blocked on another worker's in-flight
 	// computation of the same key (singleflight).
 	Waits int64
-	// Seeded counts entries pre-warmed from a result journal (-resume).
-	Seeded int64
-	// ResumeHits counts the subset of Hits served by seeded entries.
-	ResumeHits int64
 }
 
 // String renders the stats as one summary clause.
 func (s CacheStats) String() string {
-	out := fmt.Sprintf("%d hits, %d misses, %d singleflight waits", s.Hits, s.Misses, s.Waits)
-	if s.Seeded > 0 {
-		out += fmt.Sprintf("; %d journaled cells seeded, %d served", s.Seeded, s.ResumeHits)
-	}
-	return out
+	return fmt.Sprintf("%d hits, %d misses, %d singleflight waits", s.Hits, s.Misses, s.Waits)
 }
 
 // SweepProgress tracks an experiment sweep: cells completed out of cells
@@ -171,7 +161,6 @@ type SweepProgress struct {
 	w           io.Writer
 	start       time.Time
 	done, total int
-	resumed     int  // cells pre-warmed from a result journal
 	dirty       bool // a live line is on screen and unterminated
 }
 
@@ -188,34 +177,17 @@ func (p *SweepProgress) AddCells(n int) {
 	p.total += n
 }
 
-// AddResumed announces n cells restored from a result journal; the live
-// line and summary surface them so resume effectiveness is visible.
-func (p *SweepProgress) AddResumed(n int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.resumed += n
-}
-
 // CellDone marks one cell complete and refreshes the live line.
 func (p *SweepProgress) CellDone() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.done++
 	if p.w != nil {
-		fmt.Fprintf(p.w, "\r%d/%d cells%s (%v)", p.done, p.total, p.resumedSuffix(),
+		fmt.Fprintf(p.w, "\r%d/%d cells (%v)", p.done, p.total,
 			//lint:allow determinism: live progress line shows host elapsed time, not a simulated quantity
 			time.Since(p.start).Round(time.Millisecond))
 		p.dirty = true
 	}
-}
-
-// resumedSuffix renders ", k resumed" when a journal seeded the sweep;
-// callers hold p.mu.
-func (p *SweepProgress) resumedSuffix() string {
-	if p.resumed == 0 {
-		return ""
-	}
-	return fmt.Sprintf(", %d resumed", p.resumed)
 }
 
 // Break terminates the live line (before other output interleaves).
@@ -240,7 +212,7 @@ func (p *SweepProgress) Snapshot() (done, total int, elapsed time.Duration) {
 func (p *SweepProgress) Summary() string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return fmt.Sprintf("%d/%d cells%s in %v", p.done, p.total, p.resumedSuffix(),
+	return fmt.Sprintf("%d/%d cells in %v", p.done, p.total,
 		//lint:allow determinism: sweep summary reports host elapsed time, not a simulated quantity
 		time.Since(p.start).Round(time.Millisecond))
 }

@@ -96,35 +96,6 @@ func TestSweepProgressConcurrent(t *testing.T) {
 func TestCacheStatsString(t *testing.T) {
 	s := CacheStats{Hits: 7, Misses: 3, Waits: 2}
 	if got := s.String(); got != "7 hits, 3 misses, 2 singleflight waits" {
-		t.Fatalf("clean stats rendered %q", got)
-	}
-	if got := s.String(); strings.Contains(got, "seeded") {
-		t.Fatalf("journal clause rendered without seeds: %q", got)
-	}
-	s.Seeded, s.ResumeHits = 5, 4
-	if got := s.String(); !strings.Contains(got, "5 journaled cells seeded, 4 served") {
-		t.Fatalf("resume stats rendered %q", got)
-	}
-}
-
-func TestSweepProgressResumed(t *testing.T) {
-	var buf strings.Builder
-	p := NewSweepProgress(&buf)
-	p.AddCells(4)
-	p.AddResumed(3)
-	p.CellDone()
-	if out := buf.String(); !strings.Contains(out, "1/4 cells, 3 resumed") {
-		t.Fatalf("live line lost the resumed count: %q", out)
-	}
-	p.Break()
-	if s := p.Summary(); !strings.Contains(s, "1/4 cells, 3 resumed") {
-		t.Fatalf("summary lost the resumed count: %q", s)
-	}
-	// Without a journal the suffix must not appear at all.
-	q := NewSweepProgress(nil)
-	q.AddCells(2)
-	q.CellDone()
-	if s := q.Summary(); strings.Contains(s, "resumed") {
-		t.Fatalf("resumed suffix on a journal-less sweep: %q", s)
+		t.Fatalf("stats rendered %q", got)
 	}
 }

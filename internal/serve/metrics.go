@@ -36,8 +36,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"sentinel_plan_cache_hits_total", "counter", "Plan-cache lookups served by a completed entry.", num(cs.Hits)},
 		{"sentinel_plan_cache_misses_total", "counter", "Plan-cache lookups that computed a fresh entry.", num(cs.Misses)},
 		{"sentinel_plan_cache_waits_total", "counter", "Plan-cache lookups that waited on an in-flight computation.", num(cs.Waits)},
-		{"sentinel_plan_cache_seeded_total", "counter", "Plan-cache entries seeded from a result journal.", num(cs.Seeded)},
-		{"sentinel_plan_cache_resume_hits_total", "counter", "Plan-cache hits served by seeded entries.", num(cs.ResumeHits)},
 		{"sentinel_sweep_cells_done_total", "counter", "Sweep cells finished across served sweeps.", num(done)},
 		{"sentinel_sweep_cells_scheduled_total", "counter", "Sweep cells scheduled across served sweeps.", num(total)},
 		{"sentinel_controller_replans_total", "counter", "Adaptive-controller plan rebuilds across served runs.", num(rq.Replans)},

@@ -70,8 +70,6 @@ func TestMetricsExposition(t *testing.T) {
 			"sentinel_plan_cache_hits_total 0",
 			"sentinel_plan_cache_misses_total 2",
 			"sentinel_plan_cache_waits_total 0",
-			"sentinel_plan_cache_seeded_total 0",
-			"sentinel_plan_cache_resume_hits_total 0",
 			"sentinel_sweep_cells_done_total 0",
 			"sentinel_sweep_cells_scheduled_total 0",
 			"sentinel_controller_replans_total 0",
