@@ -576,7 +576,12 @@ func (s *Sentinel) MakeRoom(rt *exec.Runtime, need int64) int64 {
 		cands = append(cands, evictCand{id: ts.ID, next: next})
 	}
 	s.evictCands = cands
-	slices.SortFunc(cands, func(a, b evictCand) int { return cmp.Compare(b.next, a.next) })
+	slices.SortFunc(cands, func(a, b evictCand) int {
+		if c := cmp.Compare(b.next, a.next); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.id, b.id)
+	})
 	var freed int64
 	for _, c := range cands {
 		if freed >= need {

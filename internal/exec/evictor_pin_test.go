@@ -31,17 +31,17 @@ func TestEvictorStepsPinned(t *testing.T) {
 		digest uint64
 	}{
 		{"sentinel-gpu-resnet200-b96", "resnet200", 96, sentinelGPU, nil, 0, 4,
-			0x370b4ff2cf00359b},
+			0x9e3daae8bc51f3bf},
 		{"um-bert-large-b32", "bert-large", 32, func() exec.Policy { return baseline.NewUM() }, nil, 0, 4,
 			0x67bba2182d68ec96},
 		{"sentinel-gpu-resnet200-b1024", "resnet200", 1024, sentinelGPU, nil, 0, 4,
-			0xfcf4fec45f32d848},
+			0x6ae162729500f207},
 		{"sentinel-gpu-chaos-online", "resnet32", 128, sentinelGPU,
 			[]exec.Option{
 				exec.WithChaos(chaos.New(chaos.Config{Seed: 42, MigrateFail: 0.3})),
 				exec.WithOnline(exec.DefaultOnline()),
 			}, 0.2, 8,
-			0x1331b1923bf58d8f},
+			0xe67ef68c18cd0524},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			g, err := model.Build(tc.model, tc.batch)

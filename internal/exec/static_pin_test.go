@@ -74,9 +74,9 @@ func TestStaticLadderPinned(t *testing.T) {
 		demandOnly []int
 	}{
 		{"migrate-fail", chaos.Config{Seed: 42, MigrateFail: 0.3},
-			0x930aba2b379e5290, true, []int{2}, []int{2}},
+			0xe2c22d0446908570, true, []int{2}, []int{2}},
 		{"shrink", chaos.Config{Seed: 42, ShrinkAtStep: 1, ShrinkFrac: 0.25},
-			0x2174b040daa16f50, true, []int{2}, []int{2}},
+			0xb5ce1c4f26107f5e, true, []int{2}, []int{2}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			bus := trace.NewBus(1)
