@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
@@ -128,10 +127,14 @@ type Sentinel struct {
 	sawCase3 bool
 	case3s   int
 
-	// evictCands is scratch reused across MakeRoom calls; MakeRoom runs
-	// on every fast-memory shortfall, and regrowing the candidate list
-	// each time was a top source of steady-state garbage.
-	evictCands []evictCand
+	// evictCands, evictOrder and evictCounts are scratch reused across
+	// MakeRoom calls: the candidates, their eviction order and the bucket
+	// counts of farthestFirst. MakeRoom runs on every fast-memory
+	// shortfall, and regrowing the candidate list each time was a top
+	// source of steady-state garbage.
+	evictCands  []evictCand
+	evictOrder  []evictCand
+	evictCounts []int
 
 	// Diag counters (per run).
 	diag struct {
@@ -551,10 +554,46 @@ func (s *Sentinel) allocTier(t *tensor.Tensor) memsys.Tier {
 	return memsys.Slow
 }
 
+// farthestFirst returns cands in eviction order: next access descending,
+// ties in input order. MakeRoom collects candidates in evictable order,
+// which is ascending tensor id, so ties fall by ascending id. next is
+// bounded by twice the layer count, so one stable counting pass over its
+// range replaces a comparison sort. The result is scratch that the next
+// call overwrites.
+func (s *Sentinel) farthestFirst(cands []evictCand) []evictCand {
+	if len(cands) == 0 {
+		return cands
+	}
+	lo, hi := cands[0].next, cands[0].next
+	for _, c := range cands[1:] {
+		lo, hi = min(lo, c.next), max(hi, c.next)
+	}
+	// counts[b+1] tallies bucket b = hi-next, so bucket 0 holds the
+	// farthest next access; the prefix sum turns counts[b] into bucket
+	// b's first output slot.
+	counts := slices.Grow(s.evictCounts[:0], hi-lo+2)[:hi-lo+2]
+	clear(counts)
+	for _, c := range cands {
+		counts[hi-c.next+1]++
+	}
+	for b := 1; b < len(counts); b++ {
+		counts[b] += counts[b-1]
+	}
+	out := slices.Grow(s.evictOrder[:0], len(cands))[:len(cands)]
+	for _, c := range cands {
+		b := hi - c.next
+		out[counts[b]] = c
+		counts[b]++
+	}
+	s.evictCounts, s.evictOrder = counts, out
+	return out
+}
+
 // MakeRoom implements exec.Evictor for GPU-like machines (and the CPU
 // large-allocation path): coldest long-lived tensors whose next access is
-// farthest leave first; below the Sec. IV-E lower bound, anything not
-// accessed in the current layer spills as a last resort.
+// farthest leave first, ties by ascending tensor id; below the Sec. IV-E
+// lower bound, anything not accessed in the current layer spills as a
+// last resort.
 func (s *Sentinel) MakeRoom(rt *exec.Runtime, need int64) int64 {
 	if s.cur == nil || s.cur.prof == nil {
 		return 0
@@ -576,14 +615,8 @@ func (s *Sentinel) MakeRoom(rt *exec.Runtime, need int64) int64 {
 		cands = append(cands, evictCand{id: ts.ID, next: next})
 	}
 	s.evictCands = cands
-	slices.SortFunc(cands, func(a, b evictCand) int {
-		if c := cmp.Compare(b.next, a.next); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.id, b.id)
-	})
 	var freed int64
-	for _, c := range cands {
+	for _, c := range s.farthestFirst(cands) {
 		if freed >= need {
 			break
 		}
