@@ -29,6 +29,9 @@ import (
 // co-allocation effects, which is exactly the gap the paper exploits.
 type AutoTM struct {
 	exec.Base
+	// largeSpill's MakeRoom is AutoTM's runtime spilling tensors on
+	// demand when the static plan misjudges capacity.
+	largeSpill
 	rt *exec.Runtime
 
 	// Per-tensor plans, indexed by tensor ID.
@@ -212,26 +215,4 @@ func (p *AutoTM) LayerEnd(l int) {
 			p.rt.WaitUntil(done)
 		}
 	}
-}
-
-// MakeRoom implements exec.Evictor: when the static plan misjudges
-// capacity, AutoTM's runtime spills planned-fast tensors on demand,
-// largest idle gap first.
-func (p *AutoTM) MakeRoom(rt *exec.Runtime, need int64) int64 {
-	g := rt.Graph()
-	var freed int64
-	for _, t := range g.Tensors {
-		if freed >= need {
-			break
-		}
-		if t.ShortLived() || t.Size < 1<<20 {
-			continue
-		}
-		if _, ok := rt.Alloc().Region(t.ID); !ok {
-			continue
-		}
-		_, moved, _ := rt.MigrateTensor(t.ID, memsys.Slow)
-		freed += moved
-	}
-	return freed
 }

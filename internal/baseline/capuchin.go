@@ -22,6 +22,9 @@ import (
 // entirely and additionally dodges page-level false sharing.
 type Capuchin struct {
 	exec.Base
+	// largeSpill's MakeRoom mirrors Capuchin's on-demand swap when the
+	// profiled decisions misjudge capacity.
+	largeSpill
 	rt *exec.Runtime
 
 	profiled bool
@@ -189,25 +192,4 @@ func (p *Capuchin) LayerEnd(l int) {
 			p.rt.Kernel().Relocate(r.Addr, r.Size, memsys.Slow, p.rt.Now())
 		}
 	}
-}
-
-// MakeRoom implements exec.Evictor: on-demand eviction of the
-// largest-idle-gap candidates, mirroring Capuchin's on-demand swap.
-func (p *Capuchin) MakeRoom(rt *exec.Runtime, need int64) int64 {
-	g := rt.Graph()
-	var freed int64
-	for _, t := range g.Tensors {
-		if freed >= need {
-			break
-		}
-		if t.ShortLived() || t.Size < 1<<20 {
-			continue
-		}
-		if _, ok := rt.Alloc().Region(t.ID); !ok {
-			continue
-		}
-		_, moved, _ := rt.MigrateTensor(t.ID, memsys.Slow)
-		freed += moved
-	}
-	return freed
 }

@@ -56,6 +56,9 @@ type SwapAdvisor struct {
 	exec.Base
 	rt    *exec.Runtime
 	cands []swapCandidate
+	// evict lists the candidates' ids in candidate order: MakeRoom's
+	// standing order.
+	evict []tensor.ID
 	// genes[i]: 0 = stay resident; 1..maxLead = swap out after the
 	// forward burst and prefetch that many layers before reuse.
 	genes ga.Genome
@@ -112,7 +115,9 @@ func (p *SwapAdvisor) Setup(rt *exec.Runtime) error {
 
 	p.outAt = make([][]tensor.ID, g.NumLayers)
 	p.inAt = make([][]tensor.ID, g.NumLayers)
+	p.evict = make([]tensor.ID, len(p.cands))
 	for i, c := range p.cands {
+		p.evict[i] = c.id
 		lead := best[i]
 		if lead == 0 {
 			continue
@@ -242,16 +247,5 @@ func (p *SwapAdvisor) LayerEnd(l int) {
 // candidates on demand (SwapAdvisor's runtime does on-demand eviction when
 // the schedule misjudged capacity).
 func (p *SwapAdvisor) MakeRoom(rt *exec.Runtime, need int64) int64 {
-	var freed int64
-	for _, c := range p.cands {
-		if freed >= need {
-			break
-		}
-		if _, ok := rt.Alloc().Region(c.id); !ok {
-			continue
-		}
-		_, moved, _ := rt.MigrateTensor(c.id, memsys.Slow)
-		freed += moved
-	}
-	return freed
+	return rt.EvictInOrder(p.evict, need)
 }

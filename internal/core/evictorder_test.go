@@ -34,26 +34,28 @@ func ascendingIDCands(rng *rand.Rand, nexts []int) []evictCand {
 	return cands
 }
 
-// TestFarthestFirstMatchesSort checks MakeRoom's bucket pass against a
-// comparison sort with the stated tie rule, on one Sentinel whose scratch
-// is reused across calls of growing and shrinking size and key range.
-// Keys lie where MakeRoom's do: in (curLayer+1, 2*numLayers).
+// TestFarthestFirstMatchesSort checks the bucket pass that builds
+// MakeRoom's standing order against a comparison sort with the stated tie
+// rule, over inputs of growing and shrinking size and key range. Keys lie
+// where MakeRoom's do: in (l+1, 2*numLayers).
 func TestFarthestFirstMatchesSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	s := &Sentinel{}
 	check := func(label string, nexts []int) {
 		t.Helper()
 		cands := ascendingIDCands(rng, nexts)
-		want := slices.Clone(cands)
-		slices.SortFunc(want, byFarthestThenID)
+		sorted := slices.Clone(cands)
+		slices.SortFunc(sorted, byFarthestThenID)
 		in := slices.Clone(cands)
-		got := s.farthestFirst(cands)
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d candidates in, %d out", label, len(want), len(got))
+		got := farthestFirst(cands)
+		if got == nil {
+			t.Fatalf("%s: nil order", label)
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s: %d candidates, position %d holds %+v, want %+v", label, len(want), i, got[i], want[i])
+		if len(got) != len(sorted) {
+			t.Fatalf("%s: %d candidates in, %d out", label, len(sorted), len(got))
+		}
+		for i, c := range sorted {
+			if got[i] != c.id {
+				t.Fatalf("%s: %d candidates, position %d holds id %d, want %+v", label, len(sorted), i, got[i], c)
 			}
 		}
 		if !slices.Equal(cands, in) {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"sentinel/internal/alloc"
 	"sentinel/internal/exec"
@@ -74,8 +73,16 @@ type variantState struct {
 	plan *Plan
 	// evictable lists, ascending, the indices into prof.Tensors of the
 	// tensors plan does not mark short-lived: the only ones MakeRoom's
-	// farthest-next-use scan can pick. Set with prof and plan by setPlan.
+	// farthest-next-use order can pick. Set with prof and plan by setPlan.
 	evictable []int32
+	// farthest[l] and spill[l] are MakeRoom's standing orders at layer
+	// l: the evictable tensors not needed by layer l+1, farthest next use
+	// first, and the last-resort list of every tensor layer l does not
+	// access. Both depend on prof and plan alone (liveness only filters
+	// them, and the filter keeps their order), so each is built the first
+	// time MakeRoom runs at l, and setPlan replaces them all with nil, for
+	// not built yet.
+	farthest, spill [][]tensor.ID
 	// pendingReady[k] is the completion instant of the prefetch issued
 	// for interval k (persisted across the step wrap).
 	pendingReady []simtime.Time
@@ -88,11 +95,14 @@ type variantState struct {
 	decomp LayerDecomp
 }
 
-// setPlan installs a profile and the plan built from it, and precomputes
-// the plan's eviction candidates. Every site that sets a variant's
-// profile and plan goes through here, so evictable never goes stale.
+// setPlan installs a profile and the plan built from it, precomputes the
+// plan's eviction candidates and drops the standing orders built from the
+// previous plan. Every site that sets a variant's profile and plan goes
+// through here, so neither evictable nor an order ever goes stale.
 func (v *variantState) setPlan(prof *profile.Profile, plan *Plan) {
 	v.prof, v.plan = prof, plan
+	v.farthest = make([][]tensor.ID, prof.NumLayers)
+	v.spill = make([][]tensor.ID, prof.NumLayers)
 	v.evictable = make([]int32, 0, len(prof.Tensors))
 	for i := range prof.Tensors {
 		if id := prof.Tensors[i].ID; int(id) >= len(plan.Short) || !plan.Short[id] {
@@ -127,15 +137,6 @@ type Sentinel struct {
 	sawCase3 bool
 	case3s   int
 
-	// evictCands, evictOrder and evictCounts are scratch reused across
-	// MakeRoom calls: the candidates, their eviction order and the bucket
-	// counts of farthestFirst. MakeRoom runs on every fast-memory
-	// shortfall, and regrowing the candidate list each time was a top
-	// source of steady-state garbage.
-	evictCands  []evictCand
-	evictOrder  []evictCand
-	evictCounts []int
-
 	// Diag counters (per run).
 	diag struct {
 		evictTried, evictMoved     int64
@@ -145,8 +146,8 @@ type Sentinel struct {
 	}
 }
 
-// evictCand is a MakeRoom eviction candidate: a resident long-lived
-// tensor ranked by how far away its next access is.
+// evictCand is a MakeRoom eviction candidate: a long-lived tensor
+// ranked by how far away its next access is.
 type evictCand struct {
 	id   tensor.ID
 	next int
@@ -554,15 +555,15 @@ func (s *Sentinel) allocTier(t *tensor.Tensor) memsys.Tier {
 	return memsys.Slow
 }
 
-// farthestFirst returns cands in eviction order: next access descending,
-// ties in input order. MakeRoom collects candidates in evictable order,
-// which is ascending tensor id, so ties fall by ascending id. next is
-// bounded by twice the layer count, so one stable counting pass over its
-// range replaces a comparison sort. The result is scratch that the next
-// call overwrites.
-func (s *Sentinel) farthestFirst(cands []evictCand) []evictCand {
+// farthestFirst returns the ids of cands in eviction order: next access
+// descending, ties in input order. Candidates are collected in evictable
+// order, which is ascending tensor id, so ties fall by ascending id. next
+// is bounded by twice the layer count, so one stable counting pass over
+// its range replaces a comparison sort. The result is never nil.
+func farthestFirst(cands []evictCand) []tensor.ID {
+	out := make([]tensor.ID, len(cands))
 	if len(cands) == 0 {
-		return cands
+		return out
 	}
 	lo, hi := cands[0].next, cands[0].next
 	for _, c := range cands[1:] {
@@ -571,58 +572,78 @@ func (s *Sentinel) farthestFirst(cands []evictCand) []evictCand {
 	// counts[b+1] tallies bucket b = hi-next, so bucket 0 holds the
 	// farthest next access; the prefix sum turns counts[b] into bucket
 	// b's first output slot.
-	counts := slices.Grow(s.evictCounts[:0], hi-lo+2)[:hi-lo+2]
-	clear(counts)
+	counts := make([]int, hi-lo+2)
 	for _, c := range cands {
 		counts[hi-c.next+1]++
 	}
 	for b := 1; b < len(counts); b++ {
 		counts[b] += counts[b-1]
 	}
-	out := slices.Grow(s.evictOrder[:0], len(cands))[:len(cands)]
 	for _, c := range cands {
 		b := hi - c.next
-		out[counts[b]] = c
+		out[counts[b]] = c.id
 		counts[b]++
 	}
-	s.evictCounts, s.evictOrder = counts, out
 	return out
+}
+
+// farthestFirstAt returns the evictable tensors that layer l+1 does not
+// need, farthest next use first, ties by ascending id. A tensor not used
+// again this step has its next use at the next step's allocation.
+func (v *variantState) farthestFirstAt(l int) []tensor.ID {
+	if v.farthest[l] != nil {
+		return v.farthest[l]
+	}
+	prof := v.prof
+	cands := make([]evictCand, 0, len(v.evictable))
+	for _, i := range v.evictable {
+		ts := &prof.Tensors[i]
+		next := ts.NextAccessAfter(l)
+		if next == -1 {
+			next = prof.NumLayers + ts.AllocLayer // wraps to next step
+		}
+		if next <= l+1 {
+			continue // needed immediately
+		}
+		cands = append(cands, evictCand{id: ts.ID, next: next})
+	}
+	v.farthest[l] = farthestFirst(cands)
+	return v.farthest[l]
+}
+
+// spillAt returns, in profile order, every tensor layer l does not
+// access, short-lived ones included: the last-resort list. It is never
+// nil once built.
+func (v *variantState) spillAt(l int) []tensor.ID {
+	if v.spill[l] != nil {
+		return v.spill[l]
+	}
+	ids := make([]tensor.ID, 0, len(v.prof.Tensors))
+tensors:
+	for i := range v.prof.Tensors {
+		ts := &v.prof.Tensors[i]
+		for _, a := range ts.PerLayer {
+			if a.Layer == l {
+				continue tensors
+			}
+		}
+		ids = append(ids, ts.ID)
+	}
+	v.spill[l] = ids
+	return ids
 }
 
 // MakeRoom implements exec.Evictor for GPU-like machines (and the CPU
 // large-allocation path): coldest long-lived tensors whose next access is
 // farthest leave first, ties by ascending tensor id; below the Sec. IV-E
 // lower bound, anything not accessed in the current layer spills as a
-// last resort.
+// last resort. Both walks follow the variant's standing orders for the
+// current layer; the runtime skips tensors that are not live.
 func (s *Sentinel) MakeRoom(rt *exec.Runtime, need int64) int64 {
 	if s.cur == nil || s.cur.prof == nil {
 		return 0
 	}
-	prof := s.cur.prof
-	cands := s.evictCands[:0]
-	for _, i := range s.cur.evictable {
-		ts := &prof.Tensors[i]
-		if _, ok := rt.Alloc().Region(ts.ID); !ok {
-			continue
-		}
-		next := ts.NextAccessAfter(s.curLayer)
-		if next == -1 {
-			next = prof.NumLayers + ts.AllocLayer // wraps to next step
-		}
-		if next <= s.curLayer+1 {
-			continue // needed immediately
-		}
-		cands = append(cands, evictCand{id: ts.ID, next: next})
-	}
-	s.evictCands = cands
-	var freed int64
-	for _, c := range s.farthestFirst(cands) {
-		if freed >= need {
-			break
-		}
-		_, moved, _ := rt.MigrateTensor(c.id, memsys.Slow)
-		freed += moved
-	}
+	freed := rt.EvictInOrder(s.cur.farthestFirstAt(s.curLayer), need)
 	if freed >= need {
 		return freed
 	}
@@ -631,26 +652,5 @@ func (s *Sentinel) MakeRoom(rt *exec.Runtime, need int64) int64 {
 	// tensors included. This is exactly the regime the paper warns
 	// causes >20% loss — but it keeps extreme batch sizes trainable
 	// (Table V).
-	for i := range prof.Tensors {
-		if freed >= need {
-			break
-		}
-		ts := &prof.Tensors[i]
-		if _, ok := rt.Alloc().Region(ts.ID); !ok {
-			continue
-		}
-		accessedNow := false
-		for _, a := range ts.PerLayer {
-			if a.Layer == s.curLayer {
-				accessedNow = true
-				break
-			}
-		}
-		if accessedNow {
-			continue
-		}
-		_, moved, _ := rt.MigrateTensor(ts.ID, memsys.Slow)
-		freed += moved
-	}
-	return freed
+	return freed + rt.EvictInOrder(s.cur.spillAt(s.curLayer), need-freed)
 }

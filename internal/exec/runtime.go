@@ -212,6 +212,23 @@ func (rt *Runtime) MigrateTensor(id tensor.ID, dst memsys.Tier) (done simtime.Ti
 	return rt.MigrateRange(r.Addr, r.Size, dst)
 }
 
+// EvictInOrder migrates tensors to slow memory, one MigrateTensor call
+// per id in the order given, until need bytes have moved, and returns the
+// bytes moved. An id that is not live moves
+// nothing and has no other effect, so an evictor can walk a standing
+// order without filtering it first.
+func (rt *Runtime) EvictInOrder(ids []tensor.ID, need int64) int64 {
+	var freed int64
+	for _, id := range ids {
+		if freed >= need {
+			break
+		}
+		_, moved, _ := rt.MigrateTensor(id, memsys.Slow)
+		freed += moved
+	}
+	return freed
+}
+
 // MigrateRange migrates an address range; see MigrateTensor. Under fault
 // injection a batch may transiently fail: the failed attempt wastes its
 // channel bandwidth (the bytes crossed and were thrown away) and the

@@ -1,8 +1,6 @@
 package memsys
 
 import (
-	"encoding/json"
-
 	"sentinel/internal/simtime"
 	"sentinel/internal/trace"
 )
@@ -94,35 +92,6 @@ func (tr *BWTrace) Totals() (fast, slow, migrated int64) {
 		migrated += s.Migrations
 	}
 	return fast, slow, migrated
-}
-
-// bwTraceJSON is the wire form of a BWTrace. The fields are unexported in
-// BWTrace itself, so a RunStats carrying a bandwidth trace round-trips
-// through JSON by way of this shape.
-type bwTraceJSON struct {
-	Width   simtime.Duration `json:"width"`
-	Samples []BWSample       `json:"samples,omitempty"`
-}
-
-// MarshalJSON encodes the bucket width and samples.
-func (tr *BWTrace) MarshalJSON() ([]byte, error) {
-	return json.Marshal(bwTraceJSON{Width: tr.width, Samples: tr.samples})
-}
-
-// UnmarshalJSON restores a trace serialized by MarshalJSON. A non-positive
-// width falls back to the NewBWTrace default so a decoded trace can never
-// divide by zero in bucket().
-func (tr *BWTrace) UnmarshalJSON(b []byte) error {
-	var w bwTraceJSON
-	if err := json.Unmarshal(b, &w); err != nil {
-		return err
-	}
-	if w.Width <= 0 {
-		w.Width = simtime.Millisecond
-	}
-	tr.width = w.Width
-	tr.samples = w.Samples
-	return nil
 }
 
 // MeanBW reports the mean demand bandwidth per tier in bytes/second over

@@ -1,7 +1,6 @@
 package memsys
 
 import (
-	"encoding/json"
 	"testing"
 
 	"sentinel/internal/simtime"
@@ -47,56 +46,5 @@ func TestConsumeMatchesDirectCalls(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("bucket %d differs: %+v vs %+v", i, a[i], b[i])
 		}
-	}
-}
-
-// TestBWTraceJSONRoundTrip pins the JSON codec: a BWTrace survives
-// Marshal/Unmarshal with its unexported bucket width and samples intact,
-// so a decoded Fig. 9 cell carries an identical bandwidth series.
-func TestBWTraceJSONRoundTrip(t *testing.T) {
-	tr := NewBWTrace(5 * simtime.Millisecond)
-	tr.AddAccess(simtime.Time(simtime.Millisecond), Fast, 4096)
-	tr.AddAccess(simtime.Time(7*simtime.Millisecond), Slow, 512)
-	tr.AddMigration(simtime.Time(11*simtime.Millisecond), 1<<20)
-
-	data, err := json.Marshal(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got BWTrace
-	if err := json.Unmarshal(data, &got); err != nil {
-		t.Fatal(err)
-	}
-	gf, gs, gm := got.Totals()
-	wf, ws, wm := tr.Totals()
-	if gf != wf || gs != ws || gm != wm {
-		t.Fatalf("totals diverged: got %d/%d/%d want %d/%d/%d", gf, gs, gm, wf, ws, wm)
-	}
-	a, b := tr.Samples(), got.Samples()
-	if len(a) != len(b) {
-		t.Fatalf("bucket counts differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("bucket %d differs: %+v vs %+v", i, a[i], b[i])
-		}
-	}
-	// The restored trace keeps accumulating on the same bucket grid.
-	got.AddAccess(simtime.Time(2*simtime.Millisecond), Fast, 100)
-	if f, _, _ := got.Totals(); f != wf+100 {
-		t.Fatalf("restored trace does not accumulate: fast=%d want %d", f, wf+100)
-	}
-}
-
-// TestBWTraceJSONZeroWidth: a hand-edited or damaged payload with a
-// non-positive width must not divide by zero; the default width applies.
-func TestBWTraceJSONZeroWidth(t *testing.T) {
-	var got BWTrace
-	if err := json.Unmarshal([]byte(`{"width":0}`), &got); err != nil {
-		t.Fatal(err)
-	}
-	got.AddAccess(simtime.Time(simtime.Millisecond), Fast, 64) // must not panic
-	if f, _, _ := got.Totals(); f != 64 {
-		t.Fatalf("fast total %d, want 64", f)
 	}
 }
