@@ -1,7 +1,7 @@
 package baseline
 
 import (
-	"fmt"
+	"strconv"
 
 	"sentinel/internal/alloc"
 	"sentinel/internal/exec"
@@ -66,7 +66,7 @@ func (p *AutoTM) AllocConfig(g *graph.Graph) alloc.Config {
 			}
 			switch {
 			case p.planOffload[t.ID]:
-				return fmt.Sprintf("off-%d", t.ID)
+				return "off-" + strconv.Itoa(int(t.ID))
 			case p.planFast[t.ID]:
 				return "fast-pool"
 			default:
@@ -102,58 +102,7 @@ func (p *AutoTM) Setup(rt *exec.Runtime) error {
 	p.outAt = make([][]tensor.ID, g.NumLayers)
 	p.inAt = make([][]tensor.ID, g.NumLayers)
 
-	deltaRead := 1/spec.Slow.ReadBW - 1/spec.Fast.ReadBW
-	deltaWrite := 1/spec.Slow.WriteBW - 1/spec.Fast.WriteBW
-	moveCost := 2.0 / spec.MigrationBW // out and back, exposed
-
-	// Variables: 2 per tensor (fast, offload). Offload is only
-	// meaningful for tensors with an idle gap of at least two layers.
-	// Rows: one fast-capacity row per layer, then one exclusivity row per
-	// offloadable tensor. Columns are built tensor by tensor, so each
-	// lists its rows in ascending order.
-	prob := &ilp.Problem{
-		Benefit: make([]float64, 2*n),
-		Bound:   make([]float64, g.NumLayers, g.NumLayers+n),
-		Cols:    make([][]ilp.Term, 2*n),
-	}
-	for l := range prob.Bound {
-		prob.Bound[l] = float64(spec.Fast.Size)
-	}
-
-	gaps := make([]gapSpan, n)
-	for id := 0; id < n; id++ {
-		t := g.Tensors[id]
-		var reads, writes int
-		for _, a := range t.AccessLayers {
-			reads += a.Reads
-			writes += a.Writes
-		}
-		benefit := float64(t.Size) * (float64(reads)*deltaRead + float64(writes)*deltaWrite)
-		prob.Benefit[2*id] = benefit
-		size := float64(t.Size)
-		fast := make([]ilp.Term, 0, t.FreeLayer-t.AllocLayer+2)
-		for l := t.AllocLayer; l <= t.FreeLayer; l++ {
-			fast = append(fast, ilp.Term{Row: l, Coef: size})
-		}
-		// Offload variable: fast only outside the largest access gap.
-		if gp := largestGap(t); gp.resume-gp.end > 2 {
-			gaps[id] = gp
-			prob.Benefit[2*id+1] = benefit - size*moveCost
-			off := make([]ilp.Term, 0, len(fast)+1)
-			for l := t.AllocLayer; l <= t.FreeLayer; l++ {
-				if l > gp.end && l < gp.resume {
-					continue
-				}
-				off = append(off, ilp.Term{Row: l, Coef: size})
-			}
-			excl := len(prob.Bound)
-			prob.Bound = append(prob.Bound, 1)
-			fast = append(fast, ilp.Term{Row: excl, Coef: 1})
-			prob.Cols[2*id+1] = append(off, ilp.Term{Row: excl, Coef: 1})
-		}
-		prob.Cols[2*id] = fast
-	}
-
+	prob, gaps := placementProblem(g, spec)
 	res := ilp.Solve(prob, 100_000)
 	p.result = res
 	for id := 0; id < n; id++ {
@@ -168,6 +117,78 @@ func (p *AutoTM) Setup(rt *exec.Runtime) error {
 	}
 	p.solved = true
 	return nil
+}
+
+// placementProblem formulates AutoTM's placement ILP. Variables: 2 per
+// tensor (fast, offload). Offload is only meaningful for tensors with an
+// idle gap of more than two layers. Rows: one fast-capacity row per
+// layer, then one exclusivity row per offloadable tensor. A tensor's
+// fast variable occupies its lifetime span of capacity rows, its offload
+// variable the lifetime minus the gap, so each column is at most three
+// spans, built tensor by tensor in ascending row order. gaps[id] is the
+// gap tensor id offloads over.
+func placementProblem(g *graph.Graph, spec memsys.Spec) (*ilp.Problem, []gapSpan) {
+	n := len(g.Tensors)
+	deltaRead := 1/spec.Slow.ReadBW - 1/spec.Fast.ReadBW
+	deltaWrite := 1/spec.Slow.WriteBW - 1/spec.Fast.WriteBW
+	moveCost := 2.0 / spec.MigrationBW // out and back, exposed
+
+	gaps := make([]gapSpan, n)
+	offloadable := 0
+	for id, t := range g.Tensors {
+		if gp := largestGap(t); gp.resume-gp.end > 2 {
+			gaps[id] = gp
+			offloadable++
+		}
+	}
+	prob := &ilp.Problem{
+		Benefit: make([]float64, 2*n),
+		Bound:   make([]int64, g.NumLayers, g.NumLayers+offloadable),
+		Cols:    make([][]ilp.Span, 2*n),
+	}
+	for l := range prob.Bound {
+		prob.Bound[l] = spec.Fast.Size
+	}
+	// One backing array for every column: one span per fast variable,
+	// and for an offloadable tensor an exclusivity span on it plus up to
+	// three spans on its offload variable.
+	spans := make([]ilp.Span, 0, n+4*offloadable)
+	col := func(from int) []ilp.Span { return spans[from:len(spans):len(spans)] }
+
+	for id, t := range g.Tensors {
+		var reads, writes int
+		for _, a := range t.AccessLayers {
+			reads += a.Reads
+			writes += a.Writes
+		}
+		benefit := float64(t.Size) * (float64(reads)*deltaRead + float64(writes)*deltaWrite)
+		prob.Benefit[2*id] = benefit
+		fast := len(spans)
+		if t.AllocLayer <= t.FreeLayer {
+			spans = append(spans, ilp.Span{Lo: t.AllocLayer, Hi: t.FreeLayer, Coef: t.Size})
+		}
+		gp := gaps[id]
+		if gp.resume-gp.end <= 2 {
+			prob.Cols[2*id] = col(fast)
+			continue
+		}
+		// Offload variable: fast only outside the largest access gap.
+		prob.Benefit[2*id+1] = benefit - float64(t.Size)*moveCost
+		excl := len(prob.Bound)
+		prob.Bound = append(prob.Bound, 1)
+		spans = append(spans, ilp.Span{Lo: excl, Hi: excl, Coef: 1})
+		prob.Cols[2*id] = col(fast)
+		off := len(spans)
+		if hi := min(gp.end, t.FreeLayer); t.AllocLayer <= hi {
+			spans = append(spans, ilp.Span{Lo: t.AllocLayer, Hi: hi, Coef: t.Size})
+		}
+		if lo := max(gp.resume, t.AllocLayer); lo <= t.FreeLayer {
+			spans = append(spans, ilp.Span{Lo: lo, Hi: t.FreeLayer, Coef: t.Size})
+		}
+		spans = append(spans, ilp.Span{Lo: excl, Hi: excl, Coef: 1})
+		prob.Cols[2*id+1] = col(off)
+	}
+	return prob, gaps
 }
 
 type gapSpan struct{ end, resume int }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 
 	"sentinel/internal/kernel"
 	"sentinel/internal/memsys"
@@ -215,7 +216,16 @@ func (pl *Plan) groupKeyFor(p *profile.Profile, id tensor.ID) string {
 	if pl.Short[id] {
 		return ShortPoolGroup
 	}
-	return fmt.Sprintf("L%d-%d/h%d", ts.AllocLayer, ts.FreeLayer, hotBucket(ts.Accesses))
+	// L<alloc>-<free>/h<bucket>, built without fmt: buildPlan keys every
+	// tensor.
+	var buf [32]byte
+	k := append(buf[:0], 'L')
+	k = strconv.AppendInt(k, int64(ts.AllocLayer), 10)
+	k = append(k, '-')
+	k = strconv.AppendInt(k, int64(ts.FreeLayer), 10)
+	k = append(k, "/h"...)
+	k = strconv.AppendInt(k, int64(hotBucket(ts.Accesses)), 10)
+	return string(k)
 }
 
 // ShortPoolGroup names the pinned short-lived arena.

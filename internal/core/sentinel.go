@@ -1,7 +1,7 @@
 package core
 
 import (
-	"fmt"
+	"strconv"
 
 	"sentinel/internal/alloc"
 	"sentinel/internal/exec"
@@ -209,7 +209,7 @@ func (s *Sentinel) AllocConfig(*graph.Graph) alloc.Config {
 		cfg.Mode = alloc.Grouped
 		cfg.Group = func(t *tensor.Tensor) string {
 			if t.Preallocated {
-				return fmt.Sprintf("prealloc-%d", t.ID)
+				return "prealloc-" + strconv.Itoa(int(t.ID))
 			}
 			return "warmup"
 		}

@@ -141,14 +141,19 @@ func (rt *Runtime) noteRetry(id tensor.ID, name string, n int64, attempt int) {
 // slow-tier access: the engine stops migrating it and ops read it over
 // the interconnect, trading bandwidth for forward progress.
 func (rt *Runtime) degradeTensor(t *tensor.Tensor, reason int64) {
-	if rt.degraded == nil {
-		rt.degraded = make(map[tensor.ID]bool)
+	if n := int(t.ID) + 1; n > len(rt.degraded) {
+		rt.degraded = append(rt.degraded, make([]bool, n-len(rt.degraded))...)
 	}
 	rt.degraded[t.ID] = true
 	if rt.st != nil {
 		rt.st.Degraded++
 	}
 	rt.emit(trace.Event{At: rt.now, Kind: trace.KDegrade, Tensor: t.ID, Name: t.Name, Count: reason})
+}
+
+// isDegraded reports whether degradeTensor downgraded the tensor.
+func (rt *Runtime) isDegraded(id tensor.ID) bool {
+	return id >= 0 && int(id) < len(rt.degraded) && rt.degraded[id]
 }
 
 // demandMigrate is MigrateUrgent under fault injection: a transiently

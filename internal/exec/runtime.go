@@ -36,6 +36,10 @@ type Runtime struct {
 	k      *kernel.Kernel
 	a      *alloc.Allocator
 	policy Policy
+	// The policy's optional extensions, nil where it lacks them.
+	modeler    AccessModeler
+	recomputer Recomputer
+	evictor    Evictor
 
 	now        simtime.Time
 	st         *metrics.StepStats
@@ -66,9 +70,10 @@ type Runtime struct {
 	// shrunk records that the fast tier lost capacity mid-run; OOM
 	// failures from then on wrap ErrCapacityShrunk.
 	shrunk bool
-	// degraded holds tensors downgraded to zero-copy slow-tier access
-	// after their migrations were abandoned; never migrated again.
-	degraded map[tensor.ID]bool
+	// degraded, indexed by tensor id and grown on demand, marks tensors
+	// downgraded to zero-copy slow-tier access after their migrations
+	// were abandoned; never migrated again.
+	degraded []bool
 	// demandOnly suppresses prefetch into fast memory after the plan
 	// diverged; demand migrations still run.
 	demandOnly bool
@@ -108,6 +113,9 @@ func NewRuntime(g *graph.Graph, spec memsys.Spec, p Policy, opts ...Option) (*Ru
 		run:        metrics.RunStats{Policy: p.Name(), Model: g.Model, Batch: g.Batch},
 		stepJitter: 1,
 	}
+	rt.modeler, _ = p.(AccessModeler)
+	rt.recomputer, _ = p.(Recomputer)
+	rt.evictor, _ = p.(Evictor)
 	for _, o := range opts {
 		o(rt)
 	}
@@ -202,7 +210,7 @@ func (rt *Runtime) Run() *metrics.RunStats { return &rt.run }
 // shares with neighbours move too — page-level false sharing is real here.
 // The shortfall reports bytes that did not fit on dst.
 func (rt *Runtime) MigrateTensor(id tensor.ID, dst memsys.Tier) (done simtime.Time, moved, shortfall int64) {
-	if dst == memsys.Fast && rt.degraded[id] {
+	if dst == memsys.Fast && rt.isDegraded(id) {
 		return rt.now, 0, 0
 	}
 	r, ok := rt.a.Region(id)
@@ -465,8 +473,8 @@ func (rt *Runtime) execOp(i int, op *graph.Op) error {
 		readBytes := t.Size * int64(ac.Reads)
 		writeBytes := t.Size * int64(ac.Writes)
 		var sp AccessSplit
-		if am, isAM := rt.policy.(AccessModeler); isAM {
-			sp = am.ModelAccess(t, r, readBytes, writeBytes, start)
+		if rt.modeler != nil {
+			sp = rt.modeler.ModelAccess(t, r, readBytes, writeBytes, start)
 		} else {
 			fastFrac := rt.fastFraction(r, start)
 			sp = AccessSplit{
@@ -532,11 +540,13 @@ func (rt *Runtime) execOp(i int, op *graph.Op) error {
 //perf:hot
 func (rt *Runtime) fastFraction(r alloc.Region, at simtime.Time) float64 {
 	fast, slow := rt.k.TierBytes(r.Addr, r.Size, at)
-	total := fast + slow
-	if total <= 0 {
+	switch {
+	case fast == 0:
 		return 0
+	case slow == 0:
+		return 1
 	}
-	return float64(fast) / float64(total)
+	return float64(fast) / float64(fast+slow)
 }
 
 // makeRoomFor frees fast-tier space for n more bytes: first by reclaiming
@@ -553,8 +563,8 @@ func (rt *Runtime) makeRoomFor(n int64) {
 	if free >= n {
 		return
 	}
-	if ev, ok := rt.policy.(Evictor); ok {
-		ev.MakeRoom(rt, n-free)
+	if rt.evictor != nil {
+		rt.evictor.MakeRoom(rt, n-free)
 	}
 }
 
@@ -577,7 +587,7 @@ func (rt *Runtime) ensureResident(op *graph.Op) (simtime.Time, error) {
 		}
 	}
 	for _, ac := range op.Accesses {
-		if rt.degraded[ac.Tensor] {
+		if rt.isDegraded(ac.Tensor) {
 			// Zero-copy fallback: the op reads this tensor in place over
 			// the interconnect (the access split charges slow bandwidth).
 			continue
@@ -593,8 +603,8 @@ func (rt *Runtime) ensureResident(op *graph.Op) (simtime.Time, error) {
 			stallOn(ready, t)
 			continue
 		}
-		if rc, isRC := rt.policy.(Recomputer); isRC {
-			if d, yes := rc.Recompute(t); yes {
+		if rt.recomputer != nil {
+			if d, yes := rt.recomputer.Recompute(t); yes {
 				moved, short := rt.k.Relocate(r.Addr, r.Size, memsys.Fast, rt.now)
 				if short > 0 {
 					rt.makeRoomFor(short)

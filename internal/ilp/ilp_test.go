@@ -10,18 +10,20 @@ func bruteForce(p *Problem) float64 {
 	n := len(p.Benefit)
 	best := 0.0
 	for mask := 0; mask < 1<<n; mask++ {
-		usage := make([]float64, len(p.Bound))
+		usage := make([]int64, len(p.Bound))
 		for vi, col := range p.Cols {
 			if mask&(1<<vi) == 0 {
 				continue
 			}
-			for _, t := range col {
-				usage[t.Row] += t.Coef
+			for _, sp := range col {
+				for r := sp.Lo; r <= sp.Hi; r++ {
+					usage[r] += sp.Coef
+				}
 			}
 		}
 		feasible := true
 		for r, u := range usage {
-			if u > p.Bound[r]+1e-9 {
+			if u > p.Bound[r] {
 				feasible = false
 				break
 			}
@@ -43,17 +45,17 @@ func bruteForce(p *Problem) float64 {
 }
 
 // oneRow builds a single-constraint problem: Σ w[i]·x[i] ≤ bound.
-func oneRow(benefit, w []float64, bound float64) *Problem {
-	p := &Problem{Benefit: benefit, Bound: []float64{bound}, Cols: make([][]Term, len(w))}
+func oneRow(benefit []float64, w []int64, bound int64) *Problem {
+	p := &Problem{Benefit: benefit, Bound: []int64{bound}, Cols: make([][]Span, len(w))}
 	for i, c := range w {
-		p.Cols[i] = []Term{{Row: 0, Coef: c}}
+		p.Cols[i] = []Span{{Lo: 0, Hi: 0, Coef: c}}
 	}
 	return p
 }
 
 func TestKnapsackExact(t *testing.T) {
 	// Classic knapsack: values 60/100/120, weights 10/20/30, capacity 50.
-	p := oneRow([]float64{60, 100, 120}, []float64{10, 20, 30}, 50)
+	p := oneRow([]float64{60, 100, 120}, []int64{10, 20, 30}, 50)
 	res := Solve(p, 0)
 	if !res.Optimal {
 		t.Fatal("tiny instance not proved optimal")
@@ -67,7 +69,7 @@ func TestKnapsackExact(t *testing.T) {
 }
 
 func TestNegativeBenefitsNeverChosen(t *testing.T) {
-	p := &Problem{Benefit: []float64{-5, 10, -1}, Cols: make([][]Term, 3)}
+	p := &Problem{Benefit: []float64{-5, 10, -1}, Cols: make([][]Span, 3)}
 	res := Solve(p, 0)
 	if res.X[0] || res.X[2] {
 		t.Fatal("negative-benefit variable selected")
@@ -79,7 +81,7 @@ func TestNegativeBenefitsNeverChosen(t *testing.T) {
 
 func TestExclusivityConstraint(t *testing.T) {
 	// Two mutually exclusive variables; the better one must win.
-	p := oneRow([]float64{5, 8}, []float64{1, 1}, 1)
+	p := oneRow([]float64{5, 8}, []int64{1, 1}, 1)
 	res := Solve(p, 0)
 	if res.Value != 8 || res.X[0] || !res.X[1] {
 		t.Fatalf("exclusivity broken: %v value %v", res.X, res.Value)
@@ -90,11 +92,11 @@ func TestMultiDimensional(t *testing.T) {
 	// Two capacity rows; only combinations feasible under both count.
 	p := &Problem{
 		Benefit: []float64{10, 10, 10},
-		Bound:   []float64{10, 10},
-		Cols: [][]Term{
-			{{Row: 0, Coef: 5}, {Row: 1, Coef: 9}},
-			{{Row: 0, Coef: 5}, {Row: 1, Coef: 1}},
-			{{Row: 0, Coef: 5}, {Row: 1, Coef: 1}},
+		Bound:   []int64{10, 10},
+		Cols: [][]Span{
+			{{Lo: 0, Hi: 0, Coef: 5}, {Lo: 1, Hi: 1, Coef: 9}},
+			{{Lo: 0, Hi: 0, Coef: 5}, {Lo: 1, Hi: 1, Coef: 1}},
+			{{Lo: 0, Hi: 0, Coef: 5}, {Lo: 1, Hi: 1, Coef: 1}},
 		},
 	}
 	res := Solve(p, 0)
@@ -109,20 +111,7 @@ func TestMultiDimensional(t *testing.T) {
 func TestMatchesBruteForceRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 50; trial++ {
-		n := 2 + rng.Intn(8)
-		p := &Problem{Benefit: make([]float64, n), Cols: make([][]Term, n)}
-		for i := range p.Benefit {
-			p.Benefit[i] = float64(rng.Intn(40) - 5)
-		}
-		rows := 1 + rng.Intn(3)
-		for r := 0; r < rows; r++ {
-			p.Bound = append(p.Bound, float64(10+rng.Intn(40)))
-			for i := 0; i < n; i++ {
-				if rng.Intn(2) == 0 {
-					p.Cols[i] = append(p.Cols[i], Term{Row: r, Coef: float64(1 + rng.Intn(20))})
-				}
-			}
-		}
+		p := randomSmall(rng)
 		res := Solve(p, 0)
 		want := bruteForce(p)
 		if res.Value != want {
@@ -134,14 +123,35 @@ func TestMatchesBruteForceRandom(t *testing.T) {
 	}
 }
 
+// randomSmall draws an instance small enough for bruteForce: 2–9
+// variables over 1–3 rows, each variable in each row with probability
+// one half.
+func randomSmall(rng *rand.Rand) *Problem {
+	n := 2 + rng.Intn(8)
+	p := &Problem{Benefit: make([]float64, n), Cols: make([][]Span, n)}
+	for i := range p.Benefit {
+		p.Benefit[i] = float64(rng.Intn(40) - 5)
+	}
+	rows := 1 + rng.Intn(3)
+	for r := 0; r < rows; r++ {
+		p.Bound = append(p.Bound, int64(10+rng.Intn(40)))
+		for i := 0; i < n; i++ {
+			if rng.Intn(2) == 0 {
+				p.Cols[i] = append(p.Cols[i], Span{Lo: r, Hi: r, Coef: int64(1 + rng.Intn(20))})
+			}
+		}
+	}
+	return p
+}
+
 // randomKnapsack draws a single-row instance with n variables from rng,
 // returning it with its weights.
-func randomKnapsack(rng *rand.Rand, n int, bound float64, maxB, maxW int) (*Problem, []float64) {
+func randomKnapsack(rng *rand.Rand, n int, bound int64, maxB, maxW int) (*Problem, []int64) {
 	benefit := make([]float64, n)
-	w := make([]float64, n)
+	w := make([]int64, n)
 	for i := range benefit {
 		benefit[i] = float64(1 + rng.Intn(maxB))
-		w[i] = float64(1 + rng.Intn(maxW))
+		w[i] = int64(1 + rng.Intn(maxW))
 	}
 	return oneRow(benefit, w, bound), w
 }
@@ -158,7 +168,7 @@ func TestAnytimeUnderBudget(t *testing.T) {
 		t.Fatal("claimed optimality within a 500-node budget")
 	}
 	// Verify feasibility of the returned solution.
-	var w float64
+	var w int64
 	for i, x := range res.X {
 		if x {
 			w += weight[i]
@@ -177,10 +187,10 @@ func TestSolverBeatsOrMatchesGreedy(t *testing.T) {
 		type item struct{ b, w float64 }
 		items := make([]item, len(weight))
 		for i := range items {
-			items[i] = item{p.Benefit[i], weight[i]}
+			items[i] = item{p.Benefit[i], float64(weight[i])}
 		}
 		var greedy float64
-		cap := p.Bound[0]
+		cap := float64(p.Bound[0])
 		for {
 			best, bi := 0.0, -1
 			for i, it := range items {

@@ -303,10 +303,20 @@ func (k *Kernel) forOverlap(first, last PageID, f func(r *run, pages int64)) {
 //perf:hot
 func (k *Kernel) TierBytes(addr, size int64, at simtime.Time) (fast, slow int64) {
 	first, last := PageSpan(addr, size)
+	i := k.findIdx(first)
+	// Most tensors sit inside one run: that run's tier holds every byte.
+	if i < len(k.runs) && k.runs[i].start <= first && k.runs[i].end > last {
+		r := &k.runs[i]
+		r.settle(at)
+		if r.tier == memsys.Fast {
+			return size, 0
+		}
+		return 0, size
+	}
 	var fastPages, totalPages int64
 	// Open-coded forOverlap: this runs once per tensor access in the
 	// engine's op loop, and the per-run closure call was measurable.
-	for i := k.findIdx(first); i < len(k.runs) && k.runs[i].start <= last; i++ {
+	for ; i < len(k.runs) && k.runs[i].start <= last; i++ {
 		r := &k.runs[i]
 		r.settle(at)
 		lo, hi := r.start, r.end
