@@ -50,19 +50,16 @@ func main() {
 		seq         = flag.Bool("seq", false, "sequential reference path: one worker, plan cache disabled")
 		progress    = flag.Bool("progress", stderrIsTerminal(), "live cell-completion progress on stderr")
 		cellTimeout = flag.Duration("cell-timeout", 0, "per-cell wall-clock deadline; cells past it are quarantined (0 = none)")
+		online      = flag.Bool("online", false, "adaptive controller: re-profile and replan when the plan diverges")
 	)
 	tf := tracecli.Register()
 	cf := chaos.RegisterFlags()
-	of := exec.RegisterOnlineFlags()
 	flag.Parse()
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, "sentinel-bench:", err)
 		os.Exit(1)
 	}
 	if err := cf.Validate(); err != nil {
-		fail(err)
-	}
-	if err := of.Validate(); err != nil {
 		fail(err)
 	}
 
@@ -80,7 +77,10 @@ func main() {
 	defer stop()
 
 	opts := experiment.Options{Steps: *steps, Quick: *quick, Workers: *workers,
-		Trace: tf.Bus(), Chaos: *cf, Online: *of, Ctx: ctx, CellTimeout: *cellTimeout}
+		Trace: tf.Bus(), Chaos: *cf, Ctx: ctx, CellTimeout: *cellTimeout}
+	if *online {
+		opts.Online = exec.DefaultOnline()
+	}
 	if *seq {
 		// The reference path the golden determinism tests compare
 		// against: strictly sequential and cache-free.

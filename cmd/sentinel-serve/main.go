@@ -6,11 +6,11 @@
 // requests compute once and repeats are served from memory.
 //
 // Service scaffolding: request validation with typed JSON errors,
-// per-tenant admission control with backpressure (bounded queue, 429 +
-// Retry-After on saturation), /healthz and /readyz endpoints, a
-// /metrics endpoint exporting plan-cache, sweep, and request counters,
-// and graceful drain on SIGINT/SIGTERM — readiness flips to 503, new
-// work is refused, in-flight requests finish, then the process exits 0.
+// admission control with backpressure (bounded queue, 429 + Retry-After
+// on saturation), /healthz and /readyz endpoints, a /metrics endpoint
+// exporting plan-cache, sweep, and request counters, and graceful drain
+// on SIGINT/SIGTERM — readiness flips to 503, new work is refused,
+// in-flight requests finish, then the process exits 0.
 //
 // The HTTP API is documented in docs/SERVING.md. Served experiment
 // responses are byte-identical to the equivalent sentinel-bench run.
@@ -19,7 +19,7 @@
 //
 //	sentinel-serve                        # listen on :8372
 //	sentinel-serve -addr 127.0.0.1:9000   # explicit listen address
-//	sentinel-serve -max-inflight 8 -queue 256 -tenant-limit 16
+//	sentinel-serve -max-inflight 8 -queue 256
 //	sentinel-serve -quick                 # sweep requests default to -quick
 //	curl -s localhost:8372/v1/experiment?id=table1\&format=csv
 package main
@@ -45,7 +45,6 @@ func main() {
 		workers     = flag.Int("workers", 0, "experiment worker-pool width per sweep request (0 = GOMAXPROCS)")
 		maxInflight = flag.Int("max-inflight", 4, "requests executing concurrently")
 		queue       = flag.Int("queue", 64, "requests waiting for an execution slot before 429s start")
-		tenantLimit = flag.Int("tenant-limit", 0, "max admitted requests per tenant key (0 = unlimited)")
 		retryAfter  = flag.Duration("retry-after", time.Second, "Retry-After hint on 429/503 responses")
 		drain       = flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight requests on shutdown")
 		quick       = flag.Bool("quick", false, "sweep requests default to trimmed (-quick) sweeps")
@@ -57,7 +56,6 @@ func main() {
 		Workers:     *workers,
 		MaxInFlight: *maxInflight,
 		QueueDepth:  *queue,
-		PerTenant:   *tenantLimit,
 		RetryAfter:  *retryAfter,
 		Quick:       *quick,
 	})
@@ -77,8 +75,7 @@ func main() {
 
 	errc := make(chan error, 1)
 	go func() {
-		logger.Printf("listening on %s (max-inflight %d, queue %d, tenant-limit %d)",
-			*addr, *maxInflight, *queue, *tenantLimit)
+		logger.Printf("listening on %s (max-inflight %d, queue %d)", *addr, *maxInflight, *queue)
 		errc <- httpSrv.ListenAndServe()
 	}()
 

@@ -12,11 +12,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"sentinel/internal/chaos"
 	"sentinel/internal/exec"
+	"sentinel/internal/experiment"
 	"sentinel/internal/graph"
-	"sentinel/internal/memsys"
 	"sentinel/internal/model"
 	"sentinel/internal/policyset"
 	"sentinel/internal/simtime"
@@ -29,19 +30,16 @@ func main() {
 		specPath  = flag.String("spec", "", "path to a JSON workload spec (overrides -model/-batch)")
 		batch     = flag.Int("batch", 128, "batch size")
 		policy    = flag.String("policy", "sentinel", "policy name (see -list)")
-		platform  = flag.String("platform", "optane", "platform: optane or gpu")
+		platform  = flag.String("platform", "optane", "machine preset: "+strings.Join(experiment.Platforms(), ", "))
 		fastPct   = flag.Float64("fastpct", 20, "fast memory size as % of model peak memory (0 = platform default)")
 		steps     = flag.Int("steps", 5, "training steps to simulate")
 		list      = flag.Bool("list", false, "list models and policies, then exit")
+		online    = flag.Bool("online", false, "adaptive controller: re-profile and replan when the plan diverges")
 	)
 	tf := tracecli.Register()
 	cf := chaos.RegisterFlags()
-	of := exec.RegisterOnlineFlags()
 	flag.Parse()
 	if err := cf.Validate(); err != nil {
-		fatal(err)
-	}
-	if err := of.Validate(); err != nil {
 		fatal(err)
 	}
 
@@ -70,14 +68,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var spec memsys.Spec
-	switch *platform {
-	case "optane":
-		spec = memsys.OptaneHM()
-	case "gpu":
-		spec = memsys.GPUHM()
-	default:
-		fatal(fmt.Errorf("unknown platform %q", *platform))
+	spec, err := experiment.Platform(*platform)
+	if err != nil {
+		fatal(err)
 	}
 	peak := g.PeakMemory()
 	if *fastPct > 0 {
@@ -91,8 +84,8 @@ func main() {
 	if cf.Enabled() {
 		opts = append(opts, exec.WithChaos(chaos.New(*cf)))
 	}
-	if of.Enabled {
-		opts = append(opts, exec.WithOnline(*of))
+	if *online {
+		opts = append(opts, exec.WithOnline(exec.DefaultOnline()))
 	}
 	run, err := policyset.Run(g, spec, *policy, *steps, opts...)
 	if err != nil {
@@ -122,9 +115,9 @@ func main() {
 		fmt.Printf("chaos: %v  migrate-retries %d  degraded %d%s\n",
 			cf, retries, degraded, diverged)
 	}
-	if of.Enabled {
+	if *online {
 		fmt.Printf("online: %v  replans %d  recovered steps %d\n",
-			*of, run.Replans, run.RecoveredSteps)
+			exec.DefaultOnline(), run.Replans, run.RecoveredSteps)
 	}
 	for _, l := range run.ControllerLog {
 		fmt.Printf("  controller %s\n", l)

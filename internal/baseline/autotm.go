@@ -39,8 +39,8 @@ type AutoTM struct {
 	// outAt[l] / inAt[l] are the moves scheduled at layer l boundaries.
 	outAt, inAt [][]tensor.ID
 	solved      bool
-	// result is the placement ILP's outcome, kept for ILPOptimal and for
-	// tests that pin the search node for node.
+	// result is the placement ILP's outcome, kept for tests that pin the
+	// search node for node.
 	result ilp.Result
 }
 
@@ -49,10 +49,6 @@ func NewAutoTM() *AutoTM { return &AutoTM{} }
 
 // Name identifies the policy.
 func (p *AutoTM) Name() string { return "autotm" }
-
-// ILPOptimal reports whether the placement ILP was solved to optimality
-// within the node budget.
-func (p *AutoTM) ILPOptimal() bool { return p.result.Optimal }
 
 // AllocConfig mirrors nGraph's static memory plan: one planned pool per
 // placement class, with offloaded tensors on exclusive pages so their

@@ -67,10 +67,10 @@ func TestDebugCirculation(t *testing.T) {
 	if _, err := rt.RunSteps(4); err != nil {
 		t.Fatal(err)
 	}
-	d := s.diag
-	t.Logf("evictTried=%d evictMoved=%s prefetchHit=%s allocFast=%d allocSlow=%d relocated=%s",
-		d.evictTried, simtime.Bytes(d.evictMoved), simtime.Bytes(d.prefetchHit),
-		d.allocFast, d.allocSlow, simtime.Bytes(d.relocated))
+	for _, st := range rt.Run().Steps {
+		t.Logf("step %d: in=%s out=%s demand=%d", st.Step,
+			simtime.Bytes(st.MigratedIn), simtime.Bytes(st.MigratedOut), st.DemandMigrations)
+	}
 }
 
 // wrapPolicy logs fast-memory occupancy at each layer.

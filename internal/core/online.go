@@ -12,6 +12,7 @@ package core
 import (
 	"fmt"
 
+	"sentinel/internal/exec"
 	"sentinel/internal/memsys"
 	"sentinel/internal/profile"
 	"sentinel/internal/simtime"
@@ -25,7 +26,7 @@ func (s *Sentinel) ReprofileStart(round int) bool {
 	if s.profiling != nil || s.cur == nil || s.cur.plan == nil || s.cur.prof == nil {
 		return false
 	}
-	sp := profile.NewSampler(s.rt, s.cur.prof, round, s.rt.Online().SampleEvery)
+	sp := profile.NewSampler(s.rt, s.cur.prof, round, exec.SampleEvery)
 	if sp == nil {
 		return false
 	}
@@ -42,7 +43,7 @@ func (s *Sentinel) Replan(round int) error {
 	}
 	obs := s.sampler.Finish()
 	s.sampler = nil
-	blended := profile.Blend(s.cur.prof, obs, s.rt.Online().Decay)
+	blended := profile.Blend(s.cur.prof, obs, exec.Decay)
 	// Rebuild against the machine as it is now: rt.Spec() reflects any
 	// mid-run capacity shrink, so the replacement plan is sized for the
 	// fast tier that actually exists.

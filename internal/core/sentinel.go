@@ -135,15 +135,6 @@ type Sentinel struct {
 	ttSteps  int
 	waitTime simtime.Duration
 	sawCase3 bool
-	case3s   int
-
-	// Diag counters (per run).
-	diag struct {
-		evictTried, evictMoved     int64
-		prefetchTried, prefetchHit int64
-		allocFast, allocSlow       int64
-		relocated                  int64
-	}
 }
 
 // evictCand is a MakeRoom eviction candidate: a long-lived tensor
@@ -188,9 +179,6 @@ func (s *Sentinel) Variants() int { return len(s.variants) }
 // OverheadSteps reports profiling plus test-and-trial steps — the Table
 // III runtime-overhead accounting. One profiling step per variant.
 func (s *Sentinel) OverheadSteps() int { return s.profSteps + s.ttSteps }
-
-// Case3Count reports how many Case-3 occurrences were observed.
-func (s *Sentinel) Case3Count() int { return s.case3s }
 
 // managed reports whether the current step runs under a plan.
 func (s *Sentinel) managed() bool {
@@ -289,7 +277,6 @@ func (s *Sentinel) LayerStart(l int) {
 	s.rt.WaitUntil(s.rt.Now().Add(s.rt.Spec().SyncCost))
 	// Case 3: the prefetch for this interval has not finished.
 	if s.cur.pendingReady[k] > s.rt.Now() {
-		s.case3s++
 		s.sawCase3 = true
 		if s.shouldWait() {
 			s.rt.WaitUntil(s.cur.pendingReady[k])
@@ -350,8 +337,7 @@ func (s *Sentinel) prefetch(k int) {
 		if kern.Free(memsys.Fast) < movable {
 			continue // left out in slow memory; hotter tensors won
 		}
-		done, moved, _ := s.rt.MigrateRange(r.Addr, r.Size, memsys.Fast)
-		s.diag.prefetchHit += moved
+		done, _, _ := s.rt.MigrateRange(r.Addr, r.Size, memsys.Fast)
 		if done > ready {
 			ready = done
 		}
@@ -388,9 +374,7 @@ func (s *Sentinel) LayerEnd(l int) {
 	}
 	for _, id := range plan.EvictAt[l] {
 		if _, ok := s.rt.Alloc().Region(id); ok {
-			s.diag.evictTried++
-			_, moved, _ := s.rt.MigrateTensor(id, memsys.Slow)
-			s.diag.evictMoved += moved
+			s.rt.MigrateTensor(id, memsys.Slow)
 		}
 	}
 }
@@ -423,10 +407,7 @@ func (s *Sentinel) TensorAllocated(t *tensor.Tensor, r alloc.Region) {
 		s.MakeRoom(s.rt, t.Size-s.rt.Kernel().Free(memsys.Fast))
 	}
 	if s.allocTier(t) == memsys.Fast {
-		s.diag.allocFast++
-		s.diag.relocated += s.rt.RelocateFresh(r, memsys.Fast)
-	} else {
-		s.diag.allocSlow++
+		s.rt.RelocateFresh(r, memsys.Fast)
 	}
 }
 

@@ -323,13 +323,36 @@ func TestDivergenceMonitor(t *testing.T) {
 	})
 
 	t.Run("chaos-only", func(t *testing.T) {
-		rt, err := exec.NewRuntime(microGraph(t, 64<<20), gpuSpec(256<<20), &slowAllocPolicy{},
+		// A fault injector alone arms the controller with no replan
+		// budget: even a policy able to re-profile is never asked to.
+		// Each step demand-migrates a 64 MiB weight the burst policy
+		// evicted, so under the default judgement every step stalls past
+		// half its duration and the window of two fills at step 1.
+		gb := graph.NewBuilder("weight-bound", 1)
+		w := gb.Prealloc("w", tensor.Weight, 64<<20)
+		gb.BeginLayer()
+		gb.Op("read", 1e9).Read(w, 1)
+		gb.EndLayer()
+		g, err := gb.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := &burstPolicy{evict: func(int) bool { return true }}
+		rt, err := exec.NewRuntime(g, gpuSpec(256<<20), p,
 			exec.WithChaos(chaos.New(chaos.Config{Seed: 1, MigrateFail: 0.1})))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := rt.Online(); got != (exec.OnlineConfig{}) {
-			t.Fatalf("chaos-only runtime reports online config %+v, want the zero config", got)
+		run, err := rt.RunSteps(4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		edge := regexp.MustCompile(`^step 1: healthy->demand-only: replan budget exhausted: `)
+		if len(run.ControllerLog) != 1 || !edge.MatchString(run.ControllerLog[0]) {
+			t.Fatalf("controller log = %q, want one healthy->demand-only budget edge at step 1", run.ControllerLog)
+		}
+		if p.starts != 0 || p.replans != 0 || run.Replans != 0 {
+			t.Fatalf("chaos-only run re-profiled: starts=%d replans=%d run.Replans=%d", p.starts, p.replans, run.Replans)
 		}
 	})
 

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"flag"
 	"fmt"
 
 	"sentinel/internal/metrics"
@@ -18,8 +17,8 @@ import (
 //	                         demand-only  <---------------+
 //
 // Hysteresis keeps it from flapping: divergence must persist for the
-// monitor's window plus MinDwell suspect steps before sampling starts, a
-// successful swap is followed by Cooldown steps during which verdicts are
+// monitor's window plus one more suspect step before sampling starts, a
+// successful swap is followed by cooldown steps during which verdicts are
 // ignored (the baseline still re-learns), and at most MaxReplans rebuilds
 // are attempted per run — after that, or when replanning itself fails,
 // the controller falls back to demand-only mode.
@@ -65,115 +64,72 @@ func (s CtlState) String() string {
 	}
 }
 
-// OnlineConfig tunes the adaptive controller. The zero value is disabled;
-// DefaultOnline returns the enabled defaults the -online flag arms.
+// The controller's fixed hysteresis and re-profiling shape.
+const (
+	// sampleSteps is how many steps a re-profiling round observes.
+	sampleSteps = 2
+	// cooldownSteps is how many recovered steps the monitor's verdicts
+	// are ignored after a plan swap (its baseline still re-learns), so
+	// the swap's own migration delta never re-triggers the controller.
+	cooldownSteps = 2
+	// SampleEvery selects every n-th long-lived tensor (by profiled
+	// access rank) for re-poisoning; the offset rotates with the round
+	// index.
+	SampleEvery = 2
+	// Decay is the weight of the old profile in the blended access
+	// counts: blended = Decay*old + (1-Decay)*observed.
+	Decay = 0.25
+)
+
+// OnlineConfig configures the adaptive controller. The zero value is
+// disabled; DefaultOnline returns the enabled defaults the -online flag
+// arms.
 type OnlineConfig struct {
 	// Enabled arms the recovery loop. Off, WithOnline attaches nothing;
 	// a fault injector alone still arms the controller, with default
 	// thresholds and MaxReplans 0.
 	Enabled bool
-	// MinDwell is how many additional flagged steps the controller waits
-	// in the suspect state before starting to sample; a clean step in
-	// between returns it to healthy. Higher values tolerate longer
-	// transients at the cost of later recovery.
-	MinDwell int
-	// SampleSteps is how many steps a re-profiling round observes.
-	SampleSteps int
-	// SampleEvery selects every n-th long-lived tensor (by profiled
-	// access rank) for re-poisoning; the offset rotates with the round
-	// index. 1 samples everything.
-	SampleEvery int
-	// Cooldown is how many recovered steps the monitor's verdicts are
-	// ignored after a plan swap (its baseline still re-learns), so the
-	// swap's own migration delta never re-triggers the controller.
-	Cooldown int
 	// MaxReplans caps plan rebuilds per run; exhausted, the controller
 	// falls back to demand-only mode.
 	MaxReplans int
-	// Decay is the weight of the old profile in the blended access
-	// counts: blended = Decay*old + (1-Decay)*observed, in [0,1).
-	Decay float64
 	// Div tunes the divergence judgement; the zero value means
 	// DefaultDivergence.
 	Div DivergenceConfig
 }
 
-// DefaultOnline returns the enabled controller defaults: one extra dwell
-// step, two sampling steps over every second long-lived tensor, a
-// two-step cooldown, at most two replans, and a 25% old-profile weight.
+// DefaultOnline returns the enabled controller defaults: at most two
+// replans under the default divergence judgement.
 func DefaultOnline() OnlineConfig {
-	return OnlineConfig{
-		Enabled:     true,
-		MinDwell:    1,
-		SampleSteps: 2,
-		SampleEvery: 2,
-		Cooldown:    2,
-		MaxReplans:  2,
-		Decay:       0.25,
-		Div:         DefaultDivergence(),
-	}
+	return OnlineConfig{Enabled: true, MaxReplans: 2, Div: DefaultDivergence()}
 }
 
-// Validate reports knob values outside their meaningful ranges.
-func (c OnlineConfig) Validate() error {
-	if !c.Enabled {
-		return nil
+// withDefaults fills the zero Div with DefaultDivergence.
+func (c OnlineConfig) withDefaults() OnlineConfig {
+	if c.Div == (DivergenceConfig{}) {
+		c.Div = DefaultDivergence()
 	}
-	if c.MinDwell < 0 {
-		return fmt.Errorf("online: min-dwell %d is negative", c.MinDwell)
-	}
-	if c.SampleSteps < 1 {
-		return fmt.Errorf("online: sample-steps %d < 1", c.SampleSteps)
-	}
-	if c.SampleEvery < 1 {
-		return fmt.Errorf("online: sample-every %d < 1", c.SampleEvery)
-	}
-	if c.Cooldown < 0 {
-		return fmt.Errorf("online: cooldown %d is negative", c.Cooldown)
-	}
-	if c.MaxReplans < 0 {
-		return fmt.Errorf("online: max-replans %d is negative", c.MaxReplans)
-	}
-	if c.Decay < 0 || c.Decay >= 1 {
-		return fmt.Errorf("online: decay %g outside [0,1)", c.Decay)
-	}
-	return nil
+	return c
 }
 
-// Key canonicalizes the config for cache keys; empty when disabled, so
-// offline cells keep their pre-online keys.
+// Key canonicalizes the config for cache keys from every field, so a
+// field added later cannot be left out; empty when disabled, so offline
+// cells keep their pre-online keys.
 func (c OnlineConfig) Key() string {
 	if !c.Enabled {
 		return ""
 	}
-	return fmt.Sprintf("online|dw%d|ss%d|se%d|cd%d|mr%d|dec%g",
-		c.MinDwell, c.SampleSteps, c.SampleEvery, c.Cooldown, c.MaxReplans, c.Decay)
+	// fields drops String, so %+v prints every field by name.
+	type fields OnlineConfig
+	return fmt.Sprintf("online|%+v", fields(c.withDefaults()))
 }
 
-// String summarizes the active knobs for logs.
+// String summarizes the controller for logs.
 func (c OnlineConfig) String() string {
 	if !c.Enabled {
 		return "online off"
 	}
-	return fmt.Sprintf("dwell %d, sample %d steps every %d, cooldown %d, max %d replans, decay %g",
-		c.MinDwell, c.SampleSteps, c.SampleEvery, c.Cooldown, c.MaxReplans, c.Decay)
-}
-
-// RegisterOnlineFlags declares the -online flag family on the default
-// flag set and returns the bound config. Call before flag.Parse; the
-// returned config is disabled unless the user sets -online.
-func RegisterOnlineFlags() *OnlineConfig {
-	c := &OnlineConfig{}
-	*c = DefaultOnline()
-	c.Enabled = false
-	flag.BoolVar(&c.Enabled, "online", false, "adaptive controller: re-profile and replan when the plan diverges")
-	flag.IntVar(&c.MinDwell, "online-dwell", c.MinDwell, "extra flagged steps in the suspect state before sampling starts")
-	flag.IntVar(&c.SampleSteps, "online-sample-steps", c.SampleSteps, "steps one re-profiling round observes")
-	flag.IntVar(&c.SampleEvery, "online-sample-every", c.SampleEvery, "sample every n-th long-lived tensor (1 = all)")
-	flag.IntVar(&c.Cooldown, "online-cooldown", c.Cooldown, "recovered steps before divergence verdicts re-arm after a plan swap")
-	flag.IntVar(&c.MaxReplans, "online-max-replans", c.MaxReplans, "plan rebuilds allowed per run before demand-only fallback")
-	flag.Float64Var(&c.Decay, "online-decay", c.Decay, "old-profile weight in blended access counts [0,1)")
-	return c
+	return fmt.Sprintf("dwell 1, sample %d steps every %d, cooldown %d, max %d replans, decay %g",
+		sampleSteps, SampleEvery, cooldownSteps, c.MaxReplans, Decay)
 }
 
 // WithOnline arms the adaptive controller. A disabled config attaches
@@ -190,20 +146,8 @@ func WithOnline(cfg OnlineConfig) Option {
 // newController builds the per-run state machine that WithOnline and a
 // chaos-only NewRuntime both arm; the zero Div means DefaultDivergence.
 func newController(cfg OnlineConfig) *onlineController {
-	if cfg.Div == (DivergenceConfig{}) {
-		cfg.Div = DefaultDivergence()
-	}
+	cfg = cfg.withDefaults()
 	return &onlineController{cfg: cfg, mon: divMonitor{cfg: cfg.Div, bestDemand: -1}}
-}
-
-// Online returns the controller configuration (zero unless WithOnline
-// enabled it). Policies consult it for the knobs the replan path needs
-// (SampleEvery, Decay).
-func (rt *Runtime) Online() OnlineConfig {
-	if rt.ctl == nil || !rt.ctl.cfg.Enabled {
-		return OnlineConfig{}
-	}
-	return rt.ctl.cfg
 }
 
 // Reprofiler is the optional Policy extension the online controller
@@ -228,8 +172,6 @@ type onlineController struct {
 	state CtlState
 	// mon judges each step; the controller owns the windowing.
 	mon divMonitor
-	// dwell counts consecutive flagged steps while suspect.
-	dwell int
 	// sampleLeft counts down the re-profiling round's remaining steps.
 	sampleLeft int
 	// cooldown counts down recovered steps with verdicts ignored.
@@ -279,32 +221,25 @@ func (rt *Runtime) controllerStep(st *metrics.StepStats) error {
 
 	case CtlRecovered:
 		rt.run.RecoveredSteps++
-		if c.cooldown > 0 {
-			c.cooldown--
-			// Verdicts are ignored during cooldown, but the baseline
-			// keeps learning what the new plan's steps look like.
-			c.mon.flagged(st)
-			if c.cooldown == 0 {
-				rt.transition(st.Step, CtlHealthy, "cooldown elapsed")
-			}
-			return nil
+		c.cooldown--
+		// Verdicts are ignored during cooldown, but the baseline keeps
+		// learning what the new plan's steps look like.
+		c.mon.flagged(st)
+		if c.cooldown == 0 {
+			rt.transition(st.Step, CtlHealthy, "cooldown elapsed")
 		}
-		// Cooldown == 0 configured: behave as healthy immediately.
-		return rt.judgeHealthy(st)
+		return nil
 
 	case CtlHealthy:
 		return rt.judgeHealthy(st)
 
 	case CtlSuspect:
+		// One more flagged step confirms the divergence; a clean one
+		// returns to healthy.
 		bad, detail := c.mon.flagged(st)
 		if !bad {
 			c.mon.bad = 0
-			c.dwell = 0
 			rt.transition(st.Step, CtlHealthy, "step clean, divergence was transient")
-			return nil
-		}
-		c.dwell++
-		if c.dwell < c.cfg.MinDwell {
 			return nil
 		}
 		return rt.startSampling(st, detail)
@@ -330,8 +265,7 @@ func (rt *Runtime) controllerStep(st *metrics.StepStats) error {
 		// Fresh baseline for the new plan: the best step of the old plan
 		// must not mis-flag it.
 		c.mon.reset()
-		c.dwell = 0
-		c.cooldown = c.cfg.Cooldown
+		c.cooldown = cooldownSteps
 		rt.transition(st.Step, CtlRecovered, "plan swapped")
 		return nil
 
@@ -368,11 +302,6 @@ func (rt *Runtime) judgeHealthy(st *metrics.StepStats) error {
 		return rt.fallbackDemandOnly(st, "replan budget exhausted: "+detail, nil)
 	}
 	rt.transition(st.Step, CtlSuspect, detail)
-	c.dwell = 0
-	if c.cfg.MinDwell == 0 {
-		// No extra dwell requested: begin sampling immediately.
-		return rt.startSampling(st, detail)
-	}
 	return nil
 }
 
@@ -385,7 +314,7 @@ func (rt *Runtime) startSampling(st *metrics.StepStats, detail string) error {
 		return rt.fallbackDemandOnly(st, "policy cannot re-profile: "+detail, nil)
 	}
 	c.round++
-	c.sampleLeft = c.cfg.SampleSteps
+	c.sampleLeft = sampleSteps
 	rt.transition(st.Step, CtlReprofiling, detail)
 	return nil
 }

@@ -99,22 +99,23 @@ func edges(log []string) []string {
 }
 
 // TestControllerWindowOne drives the full loop with a window of one: a
-// single flagged step opens recovery, one sampling step later the plan is
-// swapped, and once the replan budget is spent the next divergence is
-// terminal. The transition log is pinned edge by edge.
+// single flagged step declares divergence, the next flagged step starts
+// sampling, two sampling steps later the plan is swapped, two cooldown
+// steps later the controller is healthy again, and once the replan budget
+// is spent the next divergence is terminal. The transition log is pinned
+// edge by edge.
 func TestControllerWindowOne(t *testing.T) {
 	p := &burstPolicy{evict: func(int) bool { return true }}
-	cfg := exec.OnlineConfig{Enabled: true, MinDwell: 0, SampleSteps: 1, SampleEvery: 1,
-		Cooldown: 1, MaxReplans: 1, Div: alwaysStalling(1)}
-	run, err := runBurst(t, p, 6, cfg)
+	cfg := exec.OnlineConfig{Enabled: true, MaxReplans: 1, Div: alwaysStalling(1)}
+	run, err := runBurst(t, p, 7, cfg)
 	if err != nil {
 		t.Fatalf("soft-mode run must complete: %v", err)
 	}
 	if run.Replans != 1 || p.replans != 1 || p.starts != 1 {
 		t.Fatalf("replans: run=%d policy=%d starts=%d, want 1 each", run.Replans, p.replans, p.starts)
 	}
-	if run.RecoveredSteps == 0 {
-		t.Fatal("no recovered steps after a plan swap")
+	if run.RecoveredSteps != 2 {
+		t.Fatalf("recovered steps = %d, want 2 (one cooldown window)", run.RecoveredSteps)
 	}
 	if !run.Diverged {
 		t.Fatal("exhausted replan budget must end demand-only")
@@ -124,11 +125,11 @@ func TestControllerWindowOne(t *testing.T) {
 	}
 	want := []string{
 		"step 0: healthy->suspect",
-		"step 0: suspect->reprofiling",
-		"step 1: reprofiling->replanning",
-		"step 1: replanning->recovered",
-		"step 2: recovered->healthy",
-		"step 3: healthy->demand-only",
+		"step 1: suspect->reprofiling",
+		"step 3: reprofiling->replanning",
+		"step 3: replanning->recovered",
+		"step 5: recovered->healthy",
+		"step 6: healthy->demand-only",
 	}
 	if got := edges(run.ControllerLog); !reflect.DeepEqual(got, want) {
 		t.Fatalf("transition log:\n got %q\nwant %q", got, want)
@@ -141,8 +142,7 @@ func TestControllerWindowOne(t *testing.T) {
 func TestControllerDivergenceOnFinalStep(t *testing.T) {
 	t.Run("suspect", func(t *testing.T) {
 		p := &burstPolicy{evict: func(int) bool { return true }}
-		cfg := exec.OnlineConfig{Enabled: true, MinDwell: 1, SampleSteps: 1, SampleEvery: 1,
-			MaxReplans: 1, Div: alwaysStalling(1)}
+		cfg := exec.OnlineConfig{Enabled: true, MaxReplans: 1, Div: alwaysStalling(1)}
 		run, err := runBurst(t, p, 1, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -159,9 +159,10 @@ func TestControllerDivergenceOnFinalStep(t *testing.T) {
 	})
 	t.Run("mid-sampling", func(t *testing.T) {
 		p := &burstPolicy{evict: func(int) bool { return true }}
-		cfg := exec.OnlineConfig{Enabled: true, MinDwell: 0, SampleSteps: 2, SampleEvery: 1,
-			MaxReplans: 1, Div: alwaysStalling(1)}
-		run, err := runBurst(t, p, 2, cfg)
+		cfg := exec.OnlineConfig{Enabled: true, MaxReplans: 1, Div: alwaysStalling(1)}
+		// Step 0 suspect, step 1 starts sampling, step 2 is the first of
+		// the round's two sampling steps and the run's last.
+		run, err := runBurst(t, p, 3, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,8 +181,7 @@ func TestControllerDivergenceOnFinalStep(t *testing.T) {
 // errors.Is(ErrReplanFailed, ErrPlanDiverged) holds, so divergence-aware
 // callers see both the same way.
 func TestControllerFallbacks(t *testing.T) {
-	cfg := exec.OnlineConfig{Enabled: true, MinDwell: 0, SampleSteps: 1, SampleEvery: 1,
-		MaxReplans: 2, Div: alwaysStalling(1)}
+	cfg := exec.OnlineConfig{Enabled: true, MaxReplans: 2, Div: alwaysStalling(1)}
 
 	t.Run("refusal soft", func(t *testing.T) {
 		p := &burstPolicy{evict: func(int) bool { return true }, refuseStart: true}
@@ -234,45 +234,45 @@ func TestControllerFallbacks(t *testing.T) {
 // a burst landing inside one never re-triggers sampling.
 func TestControllerCooldownHysteresis(t *testing.T) {
 	p := &burstPolicy{evict: func(int) bool { return true }}
-	cfg := exec.OnlineConfig{Enabled: true, MinDwell: 0, SampleSteps: 1, SampleEvery: 1,
-		Cooldown: 3, MaxReplans: 2, Div: alwaysStalling(1)}
-	run, err := runBurst(t, p, 12, cfg)
+	cfg := exec.OnlineConfig{Enabled: true, MaxReplans: 2, Div: alwaysStalling(1)}
+	run, err := runBurst(t, p, 14, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if run.Replans != 2 {
-		t.Fatalf("replans = %d, want exactly MaxReplans (2) despite 12 diverging steps", run.Replans)
+		t.Fatalf("replans = %d, want exactly MaxReplans (2) despite 14 diverging steps", run.Replans)
 	}
 	want := []string{
 		"step 0: healthy->suspect",
-		"step 0: suspect->reprofiling",
-		"step 1: reprofiling->replanning",
-		"step 1: replanning->recovered",
-		"step 4: recovered->healthy",
-		"step 5: healthy->suspect",
-		"step 5: suspect->reprofiling",
-		"step 6: reprofiling->replanning",
-		"step 6: replanning->recovered",
-		"step 9: recovered->healthy",
-		"step 10: healthy->demand-only",
+		"step 1: suspect->reprofiling",
+		"step 3: reprofiling->replanning",
+		"step 3: replanning->recovered",
+		"step 5: recovered->healthy",
+		"step 6: healthy->suspect",
+		"step 7: suspect->reprofiling",
+		"step 9: reprofiling->replanning",
+		"step 9: replanning->recovered",
+		"step 11: recovered->healthy",
+		"step 12: healthy->demand-only",
 	}
 	if got := edges(run.ControllerLog); !reflect.DeepEqual(got, want) {
 		t.Fatalf("transition log:\n got %q\nwant %q", got, want)
 	}
-	if run.RecoveredSteps != 6 {
-		t.Fatalf("recovered steps = %d, want 6 (three per cooldown window)", run.RecoveredSteps)
+	if run.RecoveredSteps != 4 {
+		t.Fatalf("recovered steps = %d, want 4 (two per cooldown window)", run.RecoveredSteps)
 	}
 }
 
 // TestControllerShrinkDuringReprofiling lands a capacity shrink in the
 // middle of a sampling round: the round must complete against the shrunken
-// machine and the swap still happen, with no wedge and no error.
+// machine and the swap still happen, with no wedge and no error. Sampling
+// starts at the close of step 1 and observes steps 2 and 3; the shrink
+// lands at step 3, between the round's two sampling steps.
 func TestControllerShrinkDuringReprofiling(t *testing.T) {
 	p := &burstPolicy{evict: func(int) bool { return true }}
-	cfg := exec.OnlineConfig{Enabled: true, MinDwell: 0, SampleSteps: 2, SampleEvery: 1,
-		Cooldown: 1, MaxReplans: 1, Div: alwaysStalling(1)}
-	run, err := runBurst(t, p, 4, cfg,
-		exec.WithChaos(chaos.New(chaos.Config{Seed: 1, ShrinkAtStep: 1, ShrinkFrac: 0.5})))
+	cfg := exec.OnlineConfig{Enabled: true, MaxReplans: 1, Div: alwaysStalling(1)}
+	run, err := runBurst(t, p, 5, cfg,
+		exec.WithChaos(chaos.New(chaos.Config{Seed: 1, ShrinkAtStep: 3, ShrinkFrac: 0.5})))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,8 +288,7 @@ func TestControllerShrinkDuringReprofiling(t *testing.T) {
 // TestControllerDeterminism: identical seeds and knobs reproduce the whole
 // run — stats, recovery counters, and the transition log — byte for byte.
 func TestControllerDeterminism(t *testing.T) {
-	cfg := exec.OnlineConfig{Enabled: true, MinDwell: 1, SampleSteps: 1, SampleEvery: 1,
-		Cooldown: 2, MaxReplans: 2, Div: alwaysStalling(1)}
+	cfg := exec.OnlineConfig{Enabled: true, MaxReplans: 2, Div: alwaysStalling(1)}
 	one := func() *metrics.RunStats {
 		p := &burstPolicy{evict: func(step int) bool { return step%2 == 0 }}
 		run, err := runBurst(t, p, 10, cfg,

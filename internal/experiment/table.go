@@ -113,7 +113,7 @@ type Options struct {
 	// shared cache never serves a clean result for a perturbed cell.
 	Chaos chaos.Config
 	// Online arms the adaptive controller on every cell that does not
-	// carry its own config (the -online flags of sentinel-bench). The zero
+	// carry its own config (the -online flag of sentinel-bench). The zero
 	// value keeps cells static. Online cells are cached under
 	// online-qualified keys, so a shared cache never serves a static
 	// result for an adaptive run.

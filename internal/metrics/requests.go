@@ -85,7 +85,7 @@ func (s *RequestStats) End(elapsed time.Duration, ok bool) {
 type RequestSnapshot struct {
 	// Accepted counts requests admitted past admission control.
 	Accepted int64
-	// Rejected counts requests turned away (saturated queue or tenant cap).
+	// Rejected counts requests turned away (saturated queue or draining).
 	Rejected int64
 	// Completed and Failed partition finished requests by outcome.
 	Completed, Failed int64

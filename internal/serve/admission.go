@@ -3,93 +3,51 @@ package serve
 import (
 	"context"
 	"errors"
-	"sync"
 )
 
 // Admission control bounds what the daemon accepts: at most MaxInFlight
-// requests execute at once, at most QueueDepth more wait for an
-// execution slot, and (optionally) each tenant holds at most PerTenant
-// of the admitted total. Everything past those bounds is rejected
-// immediately with a typed error the HTTP layer maps to 429 +
-// Retry-After — the daemon sheds load instead of queueing unboundedly,
-// which is what keeps memory bounded under a request flood.
+// requests execute at once and at most QueueDepth more wait for an
+// execution slot. Everything past those bounds is rejected immediately
+// with a typed error the HTTP layer maps to 429 + Retry-After — the
+// daemon sheds load instead of queueing unboundedly, which is what keeps
+// memory bounded under a request flood.
 //
 // The design is two nested token pools: `admitted` (capacity
 // MaxInFlight+QueueDepth) is acquired non-blockingly at the door, and
 // `running` (capacity MaxInFlight) is acquired blockingly once inside —
 // the wait is bounded because only admitted requests compete for it.
 
-// Typed admission failures; the HTTP layer maps both to 429.
-var (
-	// ErrSaturated reports a full admission queue: the daemon is already
-	// executing MaxInFlight requests with QueueDepth more waiting.
-	ErrSaturated = errors.New("server saturated")
-	// ErrTenantSaturated reports one tenant exceeding its PerTenant
-	// share of the admitted total while the server itself has room.
-	ErrTenantSaturated = errors.New("tenant quota exhausted")
-)
+// ErrSaturated reports a full admission queue: the daemon is already
+// executing MaxInFlight requests with QueueDepth more waiting. The HTTP
+// layer maps it to 429.
+var ErrSaturated = errors.New("server saturated")
 
 // admission is the daemon's bounded admission controller. The zero
 // value is unusable; use newAdmission.
 type admission struct {
 	admitted chan struct{} // tokens for every admitted (waiting or running) request
 	running  chan struct{} // tokens for executing requests
-
-	mu        sync.Mutex
-	perTenant int            // per-tenant admitted cap; 0 = unlimited
-	tenants   map[string]int // admitted requests per tenant key
 }
 
 // newAdmission sizes the controller; maxInFlight must be positive,
-// queueDepth and perTenant non-negative.
-func newAdmission(maxInFlight, queueDepth, perTenant int) *admission {
+// queueDepth non-negative.
+func newAdmission(maxInFlight, queueDepth int) *admission {
 	return &admission{
-		admitted:  make(chan struct{}, maxInFlight+queueDepth),
-		running:   make(chan struct{}, maxInFlight),
-		perTenant: perTenant,
-		tenants:   map[string]int{},
+		admitted: make(chan struct{}, maxInFlight+queueDepth),
+		running:  make(chan struct{}, maxInFlight),
 	}
 }
 
-// Admit tries to admit one request for tenant. It never blocks: a full
-// queue returns ErrSaturated, an over-quota tenant ErrTenantSaturated.
-// On success the caller must call the returned release exactly once,
-// after Start's slot (if acquired) has been released.
-func (a *admission) Admit(tenant string) (release func(), err error) {
-	if a.perTenant > 0 {
-		a.mu.Lock()
-		if a.tenants[tenant] >= a.perTenant {
-			a.mu.Unlock()
-			return nil, ErrTenantSaturated
-		}
-		a.tenants[tenant]++
-		a.mu.Unlock()
-	}
+// Admit tries to admit one request. It never blocks: a full queue
+// returns ErrSaturated. On success the caller must call the returned
+// release exactly once, after Start's slot (if acquired) has been
+// released.
+func (a *admission) Admit() (release func(), err error) {
 	select {
 	case a.admitted <- struct{}{}:
+		return func() { <-a.admitted }, nil
 	default:
-		if a.perTenant > 0 {
-			a.forgetTenant(tenant)
-		}
 		return nil, ErrSaturated
-	}
-	return func() {
-		<-a.admitted
-		if a.perTenant > 0 {
-			a.forgetTenant(tenant)
-		}
-	}, nil
-}
-
-// forgetTenant decrements a tenant's admitted count, dropping the map
-// entry at zero so the map stays proportional to *active* tenants.
-func (a *admission) forgetTenant(tenant string) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.tenants[tenant] <= 1 {
-		delete(a.tenants, tenant)
-	} else {
-		a.tenants[tenant]--
 	}
 }
 
@@ -103,13 +61,6 @@ func (a *admission) Start(ctx context.Context) (stop func(), err error) {
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
-}
-
-// Tenants reports how many tenants currently hold admitted requests.
-func (a *admission) Tenants() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.tenants)
 }
 
 // Queued reports admitted-but-not-yet-finished requests (waiting plus

@@ -65,7 +65,6 @@ func TestServeLoad(t *testing.T) {
 				body = `{"model":"resnet32","batch":32}`
 			}
 			req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))
-			req.Header.Set(TenantHeader, fmt.Sprintf("tenant-%d", i%5))
 			w := httptest.NewRecorder()
 			h.ServeHTTP(w, req)
 			switch w.Code {

@@ -31,7 +31,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"sentinel_request_latency_seconds_max", "gauge", "Host wall-clock latency of the slowest finished request.", secs(rq.LatencyMax)},
 		{"sentinel_admission_admitted", "gauge", "Admission tokens held, queued or running.", num(admitted)},
 		{"sentinel_admission_running", "gauge", "Requests holding an execution slot.", num(running)},
-		{"sentinel_admission_tenants", "gauge", "Tenants holding admission tokens.", num(s.adm.Tenants())},
 		{"sentinel_plan_cache_entries", "gauge", "Entries in the shared plan cache.", num(s.cache.Len())},
 		{"sentinel_plan_cache_hits_total", "counter", "Plan-cache lookups served by a completed entry.", num(cs.Hits)},
 		{"sentinel_plan_cache_misses_total", "counter", "Plan-cache lookups that computed a fresh entry.", num(cs.Misses)},

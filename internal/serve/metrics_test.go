@@ -65,7 +65,6 @@ func TestMetricsExposition(t *testing.T) {
 			"sentinel_request_latency_seconds_max <host-time>",
 			"sentinel_admission_admitted 0",
 			"sentinel_admission_running 0",
-			"sentinel_admission_tenants 0",
 			"sentinel_plan_cache_entries 2",
 			"sentinel_plan_cache_hits_total 0",
 			"sentinel_plan_cache_misses_total 2",

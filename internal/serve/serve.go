@@ -6,9 +6,9 @@
 // served from memory.
 //
 // The package is transport scaffolding only — request validation with
-// typed JSON errors, per-tenant admission control with backpressure
-// (bounded queue, 429 + Retry-After), health/readiness endpoints, a
-// /metrics endpoint, and graceful drain — while all simulation goes
+// typed JSON errors, admission control with backpressure (bounded
+// queue, 429 + Retry-After), health/readiness endpoints, a /metrics
+// endpoint, and graceful drain — while all simulation goes
 // through internal/experiment's request-shaped entry points
 // (experiment.RunPlan, experiment.RunCell, experiment.RunSweep), the
 // exact code path a sentinel-bench invocation takes. That is what makes
@@ -36,11 +36,6 @@ import (
 	"sentinel/internal/tracecli"
 )
 
-// TenantHeader carries the caller's tenant key; absent means the
-// anonymous tenant. Admission control partitions its per-tenant quota
-// by this value.
-const TenantHeader = "X-Sentinel-Tenant"
-
 // maxBodyBytes bounds a request body; requests are tiny JSON documents,
 // so anything larger is a client error (and an unbounded read would
 // undo the memory bound admission control provides).
@@ -59,9 +54,6 @@ type Config struct {
 	// to 64. (Waiting requests each hold one handler goroutine and one
 	// admission token — the queue is what keeps memory bounded.)
 	QueueDepth int
-	// PerTenant caps one tenant's share of the admitted total;
-	// 0 = unlimited.
-	PerTenant int
 	// RetryAfter is the hint attached to 429/503 responses; 0 defaults
 	// to 1s.
 	RetryAfter time.Duration
@@ -104,7 +96,7 @@ func New(cfg Config) *Server {
 		cfg:      cfg,
 		cache:    experiment.NewCache(),
 		progress: metrics.NewSweepProgress(nil),
-		adm:      newAdmission(cfg.MaxInFlight, cfg.QueueDepth, cfg.PerTenant),
+		adm:      newAdmission(cfg.MaxInFlight, cfg.QueueDepth),
 		reqs:     &metrics.RequestStats{},
 	}
 }
@@ -122,9 +114,6 @@ func (s *Server) CacheStats() metrics.CacheStats { return s.cache.Stats() }
 // call more than once. The caller (cmd/sentinel-serve) pairs this with
 // http.Server.Shutdown, which waits for the in-flight requests.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
-
-// Draining reports whether BeginDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // options assembles the per-request experiment options: the shared
 // cache and sweep progress, the configured pool width, and the
@@ -197,14 +186,6 @@ func (s *Server) retryAfter(w http.ResponseWriter) {
 	w.Header().Set("Retry-After", strconv.Itoa(secs))
 }
 
-// tenantOf names the request's tenant for admission accounting.
-func tenantOf(r *http.Request) string {
-	if tenant := r.Header.Get(TenantHeader); tenant != "" {
-		return tenant
-	}
-	return "anonymous"
-}
-
 // writeExecError maps a request-execution failure to a response:
 // validation failures (experiment.ErrBadRequest) are 400s naming the
 // field, client hang-ups are 499-style cancellations, everything else
@@ -226,7 +207,7 @@ func writeExecError(w http.ResponseWriter, r *http.Request, err error) {
 }
 
 // admitted wraps an API handler with the full request lifecycle:
-// method check, drain refusal, per-tenant admission with backpressure,
+// method check, drain refusal, admission with backpressure,
 // the execution-slot wait, and latency/outcome accounting. The wrapped
 // handler reports its outcome by return value.
 func (s *Server) admitted(h func(w http.ResponseWriter, r *http.Request) error) http.HandlerFunc {
@@ -244,16 +225,12 @@ func (s *Server) admitted(h func(w http.ResponseWriter, r *http.Request) error) 
 				Code: "draining", Message: "server is draining; retry against another instance"})
 			return
 		}
-		release, err := s.adm.Admit(tenantOf(r))
+		release, err := s.adm.Admit()
 		if err != nil {
 			s.reqs.Reject()
 			s.retryAfter(w)
-			code := "overloaded"
-			if errors.Is(err, ErrTenantSaturated) {
-				code = "tenant_overloaded"
-			}
 			writeError(w, http.StatusTooManyRequests, apiError{
-				Code: code, Message: fmt.Sprintf("%v; retry after %v", err, s.cfg.RetryAfter)})
+				Code: "overloaded", Message: fmt.Sprintf("%v; retry after %v", err, s.cfg.RetryAfter)})
 			return
 		}
 		defer release()

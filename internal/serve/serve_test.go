@@ -215,11 +215,11 @@ func TestBackpressure429(t *testing.T) {
 	h := s.Handler()
 	// Occupy the whole admission budget (1 running + 1 queued) directly,
 	// so the HTTP-level rejection is deterministic.
-	rel1, err := s.adm.Admit("occupier")
+	rel1, err := s.adm.Admit()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel2, err := s.adm.Admit("occupier")
+	rel2, err := s.adm.Admit()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,48 +247,17 @@ func TestBackpressure429(t *testing.T) {
 	}
 }
 
-func TestPerTenantQuota(t *testing.T) {
-	s := New(Config{MaxInFlight: 4, QueueDepth: 4, PerTenant: 1})
-	h := s.Handler()
-	rel, err := s.adm.Admit("alice")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rel()
-	// alice is at her cap; her next request bounces.
-	req := httptest.NewRequest(http.MethodPost, "/v1/simulate",
-		strings.NewReader(`{"model":"resnet32","batch":32,"policy":"sentinel","steps":2}`))
-	req.Header.Set(TenantHeader, "alice")
-	w := httptest.NewRecorder()
-	h.ServeHTTP(w, req)
-	if w.Code != http.StatusTooManyRequests {
-		t.Fatalf("alice over quota: %d, want 429", w.Code)
-	}
-	if code, _ := errCode(t, w); code != "tenant_overloaded" {
-		t.Errorf("code %q, want tenant_overloaded", code)
-	}
-	// bob is unaffected by alice's quota.
-	req = httptest.NewRequest(http.MethodPost, "/v1/simulate",
-		strings.NewReader(`{"model":"resnet32","batch":32,"policy":"sentinel","steps":2}`))
-	req.Header.Set(TenantHeader, "bob")
-	w = httptest.NewRecorder()
-	h.ServeHTTP(w, req)
-	if w.Code != http.StatusOK {
-		t.Fatalf("bob blocked by alice's quota: %d (body %s)", w.Code, w.Body.String())
-	}
-}
-
 func TestAdmissionController(t *testing.T) {
-	a := newAdmission(1, 1, 0)
-	r1, err := a.Admit("t")
+	a := newAdmission(1, 1)
+	r1, err := a.Admit()
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := a.Admit("t")
+	r2, err := a.Admit()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.Admit("t"); !errors.Is(err, ErrSaturated) {
+	if _, err := a.Admit(); !errors.Is(err, ErrSaturated) {
 		t.Fatalf("third admit: %v, want ErrSaturated", err)
 	}
 	stop, err := a.Start(context.Background())
@@ -312,26 +281,6 @@ func TestAdmissionController(t *testing.T) {
 	r2()
 	if adm, run := a.Queued(); adm != 0 || run != 0 {
 		t.Errorf("tokens leaked: admitted %d running %d", adm, run)
-	}
-}
-
-func TestAdmissionTenantAccounting(t *testing.T) {
-	a := newAdmission(4, 4, 2)
-	r1, _ := a.Admit("a")
-	r2, _ := a.Admit("a")
-	if _, err := a.Admit("a"); !errors.Is(err, ErrTenantSaturated) {
-		t.Fatalf("over-quota tenant: %v", err)
-	}
-	if _, err := a.Admit("b"); err != nil {
-		t.Fatalf("other tenant blocked: %v", err)
-	}
-	if got := a.Tenants(); got != 2 {
-		t.Errorf("active tenants %d, want 2", got)
-	}
-	r1()
-	r2()
-	if got := a.Tenants(); got != 1 {
-		t.Errorf("after release: %d tenants, want 1 (b still admitted)", got)
 	}
 }
 
