@@ -18,10 +18,10 @@
 //
 // Usage:
 //
-//	sentinel-benchgate -out BENCH_27.json -against BENCH_26.json   # run, record, gate
-//	sentinel-benchgate -against BENCH_26.json                      # run and gate only
-//	sentinel-benchgate -check BENCH_26.json                        # schema/shape validation
-//	sentinel-benchgate -compare BENCH_27.json -against BENCH_26.json  # offline compare
+//	sentinel-benchgate -out BENCH_28.json -against BENCH_27.json   # run, record, gate
+//	sentinel-benchgate -against BENCH_27.json                      # run and gate only
+//	sentinel-benchgate -check BENCH_27.json                        # schema/shape validation
+//	sentinel-benchgate -compare BENCH_28.json -against BENCH_27.json  # offline compare
 package main
 
 import (

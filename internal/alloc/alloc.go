@@ -98,10 +98,16 @@ type Config struct {
 
 type block struct{ addr, size int64 }
 
+// chunk is a block of pages mapped for an arena by one kernel Map.
+type chunk struct {
+	block
+	m kernel.MapID
+}
+
 // arenaKey identifies a packing domain without building a string per
 // lookup: the Reconfigure generation plus the caller-visible group.
 type arenaKey struct {
-	gen   int
+	gen   int32
 	group string
 }
 
@@ -110,26 +116,30 @@ type arena struct {
 	name   string   // display name "g<gen>/<group>", built once
 	key    arenaKey // map key, kept for deletion in Reconfigure
 	free   []block  // sorted by addr, coalesced
-	chunks []block  // every page chunk ever mapped for this arena
+	chunks []chunk  // the arena's mapped chunks, sorted by addr
 	bytes  int64    // sum of chunk sizes, maintained by grow/reclaim
 	live   int      // live allocations
 	pin    bool
 }
 
 // allocation records where a tensor went and which arena owns the space,
-// so frees remain correct across Reconfigure.
+// so frees remain correct across Reconfigure. Free clears only live; the
+// other fields are rewritten by the next Alloc.
 type allocation struct {
-	region      Region
-	ar          *arena // owning arena; nil for page-aligned allocations
-	live        bool
-	pageAligned bool
+	region Region
 	// cacheAr memoizes the arena this tensor id resolved to in generation
 	// cacheGen: step-cycled tensors are re-allocated every step under the
 	// same policy, and the group-string render plus map lookup dominated
 	// the packed Alloc path. Reconfigure bumps the generation, so a stale
-	// pointer can never be used after its arena is torn down.
+	// pointer can never be used after its arena is torn down. While the
+	// allocation is live and not page-aligned, cacheAr is its arena.
 	cacheAr  *arena
-	cacheGen int
+	cacheGen int32
+	// m is the kernel mapping holding every page of region, or
+	// kernel.NoMap when the region spans two chunks.
+	m           kernel.MapID
+	live        bool
+	pageAligned bool
 }
 
 // Allocator simulates the framework allocator against the kernel.
@@ -137,7 +147,7 @@ type Allocator struct {
 	k   *kernel.Kernel
 	now func() simtime.Time
 	cfg Config
-	gen int // bumped by Reconfigure; prefixes arena names
+	gen int32 // bumped by Reconfigure; prefixes arena names
 	// arenas resolves (generation, group) to a packing domain; arenaList
 	// holds the same arenas sorted by name, so reclamation and teardown
 	// iterate deterministically without re-sorting per call.
@@ -331,24 +341,26 @@ func (a *Allocator) roundSize(size int64) int64 {
 // grow extends the arena with fresh pages sized for need, mapping them on
 // the requested tier (falling back to the other tier when full).
 func (a *Allocator) grow(ar *arena, need int64, tier memsys.Tier) error {
-	chunk := need
-	if a.cfg.Mode != PageAligned && chunk < minChunk {
-		chunk = minChunk
+	size := need
+	if a.cfg.Mode != PageAligned && size < minChunk {
+		size = minChunk
 	}
-	chunk = (chunk + kernel.PageSize - 1) &^ (kernel.PageSize - 1)
-	pages := chunk >> kernel.PageShift
+	size = (size + kernel.PageSize - 1) &^ (kernel.PageSize - 1)
+	pages := size >> kernel.PageShift
 	first := a.nextPage
 	last := first + kernel.PageID(pages) - 1
 	placed := tier
-	if err := a.k.Map(first, last, tier); err != nil {
+	m, err := a.k.Map(first, last, tier)
+	if err != nil {
 		// Release cached dead chunks and retry before falling back to
 		// the other tier, as a real allocator would rather than
 		// failing the training step.
-		a.Reclaim(tier, chunk)
-		if err = a.k.Map(first, last, tier); err != nil {
+		a.Reclaim(tier, size)
+		if m, err = a.k.Map(first, last, tier); err != nil {
 			other := tier.Other()
-			a.Reclaim(other, chunk)
-			if err2 := a.k.Map(first, last, other); err2 != nil {
+			a.Reclaim(other, size)
+			var err2 error
+			if m, err2 = a.k.Map(first, last, other); err2 != nil {
 				return fmt.Errorf("alloc: both tiers full: %v; %v", err, err2)
 			}
 			placed = other
@@ -359,13 +371,13 @@ func (a *Allocator) grow(ar *arena, need int64, tier memsys.Tier) error {
 		a.k.Pin(first, last, true)
 	}
 	a.nextPage = last + 1
-	b := block{addr: int64(first) << kernel.PageShift, size: chunk}
-	ar.chunks = append(ar.chunks, b)
-	ar.bytes += chunk
+	b := block{addr: int64(first) << kernel.PageShift, size: size}
+	ar.chunks = append(ar.chunks, chunk{block: b, m: m})
+	ar.bytes += size
 	a.usageDirty = true
 	a.freeInsert(ar, b)
 	a.sink.Emit(trace.Event{At: a.now(), Kind: trace.KArenaGrow, Tensor: trace.NoTensor,
-		Name: ar.name, Bytes: chunk, Tier: traceTier(placed)})
+		Name: ar.name, Bytes: size, Tier: traceTier(placed)})
 	return nil
 }
 
@@ -384,17 +396,23 @@ func (a *Allocator) freeInsert(ar *arena, b block) {
 			i = mid + 1
 		}
 	}
-	ar.free = append(ar.free, block{})
-	copy(ar.free[i+1:], ar.free[i:])
-	ar.free[i] = b
-	// Coalesce with successor then predecessor.
-	if i+1 < len(ar.free) && ar.free[i].addr+ar.free[i].size == ar.free[i+1].addr {
-		ar.free[i].size += ar.free[i+1].size
-		ar.free = append(ar.free[:i+1], ar.free[i+2:]...)
-	}
-	if i > 0 && ar.free[i-1].addr+ar.free[i-1].size == ar.free[i].addr {
-		ar.free[i-1].size += ar.free[i].size
+	// Merge into an adjacent neighbour in place; only a block touching
+	// neither is inserted, and only one touching both deletes one.
+	prev := i > 0 && ar.free[i-1].addr+ar.free[i-1].size == b.addr
+	next := i < len(ar.free) && b.addr+b.size == ar.free[i].addr
+	switch {
+	case prev && next:
+		ar.free[i-1].size += b.size + ar.free[i].size
 		ar.free = append(ar.free[:i], ar.free[i+1:]...)
+	case prev:
+		ar.free[i-1].size += b.size
+	case next:
+		ar.free[i].addr = b.addr
+		ar.free[i].size += b.size
+	default:
+		ar.free = append(ar.free, block{})
+		copy(ar.free[i+1:], ar.free[i:])
+		ar.free[i] = b
 	}
 }
 
@@ -441,15 +459,17 @@ func (a *Allocator) Alloc(t *tensor.Tensor) (Region, error) {
 		first := a.nextPage
 		last := first + kernel.PageID(pages) - 1
 		tier := a.cfg.Tier(t)
-		if err := a.k.Map(first, last, tier); err != nil {
-			if err2 := a.k.Map(first, last, tier.Other()); err2 != nil {
+		m, err := a.k.Map(first, last, tier)
+		if err != nil {
+			var err2 error
+			if m, err2 = a.k.Map(first, last, tier.Other()); err2 != nil {
 				return Region{}, fmt.Errorf("alloc: both tiers full: %v; %v", err, err2)
 			}
 			a.failedTier++
 		}
 		a.nextPage = last + 1
 		r := Region{Addr: int64(first) << kernel.PageShift, Size: t.Size}
-		rec.region, rec.ar, rec.live, rec.pageAligned = r, nil, true, true
+		rec.region, rec.m, rec.live, rec.pageAligned = r, m, true, true
 		a.liveCount++
 		return r, nil
 	}
@@ -460,7 +480,7 @@ func (a *Allocator) Alloc(t *tensor.Tensor) (Region, error) {
 		key := arenaKey{gen: a.gen, group: group}
 		ar = a.arenas[key]
 		if ar == nil {
-			ar = &arena{name: "g" + strconv.Itoa(a.gen) + "/" + group, key: key}
+			ar = &arena{name: "g" + strconv.Itoa(int(a.gen)) + "/" + group, key: key}
 			if a.cfg.Pin != nil {
 				ar.pin = a.cfg.Pin(group)
 			}
@@ -482,7 +502,11 @@ func (a *Allocator) Alloc(t *tensor.Tensor) (Region, error) {
 	}
 	ar.live++
 	r := Region{Addr: addr, Size: t.Size}
-	rec.region, rec.ar, rec.live, rec.pageAligned = r, ar, true, false
+	// A step-cycled tensor mostly lands in the chunk it held last step.
+	if first, last := r.Pages(); !a.k.Holds(rec.m, first, last) {
+		rec.m = a.k.MapOf(first, last)
+	}
+	rec.region, rec.live, rec.pageAligned = r, true, false
 	a.liveCount++
 	if a.sink.Enabled() {
 		a.sink.Emit(trace.Event{At: a.now(), Kind: trace.KPlace, Tensor: t.ID,
@@ -500,9 +524,8 @@ func (a *Allocator) Free(t *tensor.Tensor) error {
 	if t.ID < 0 || int(t.ID) >= len(a.regions) || !a.regions[t.ID].live {
 		return fmt.Errorf("alloc: tensor %d (%s) not allocated", t.ID, t.Name)
 	}
-	rec := a.regions[t.ID]
-	// Keep the arena memo across the free/alloc cycle; clear the rest.
-	a.regions[t.ID] = allocation{cacheAr: rec.cacheAr, cacheGen: rec.cacheGen}
+	rec := &a.regions[t.ID]
+	rec.live = false
 	a.liveCount--
 	if rec.pageAligned {
 		size := (t.Size + kernel.PageSize - 1) &^ (kernel.PageSize - 1)
@@ -510,7 +533,7 @@ func (a *Allocator) Free(t *tensor.Tensor) error {
 		a.k.Unmap(first, last, 0)
 		return nil
 	}
-	ar := rec.ar
+	ar := rec.cacheAr
 	if ar == nil {
 		return fmt.Errorf("alloc: tensor %d (%s): arena missing", t.ID, t.Name)
 	}
@@ -528,6 +551,19 @@ func (a *Allocator) Region(id tensor.ID) (Region, bool) {
 		return Region{}, false
 	}
 	return a.regions[id].region, true
+}
+
+// RegionMap reports the live region of a tensor and the kernel mapping
+// holding all of its pages (kernel.NoMap when the region spans two
+// chunks).
+//
+//perf:hot
+func (a *Allocator) RegionMap(id tensor.ID) (Region, kernel.MapID, bool) {
+	if id < 0 || int(id) >= len(a.regions) || !a.regions[id].live {
+		return Region{}, kernel.NoMap, false
+	}
+	rec := &a.regions[id]
+	return rec.region, rec.m, true
 }
 
 // Live returns the number of live allocations.
@@ -564,7 +600,16 @@ func (a *Allocator) ArenaBytes() []ArenaUsage {
 // chunkFree reports whether the chunk is entirely on the arena's free list
 // (no live allocation inside), returning the covering free-block index.
 func chunkFree(ar *arena, c block) (int, bool) {
-	i := sort.Search(len(ar.free), func(i int) bool { return ar.free[i].addr+ar.free[i].size > c.addr })
+	// Hand-rolled lower bound, as in freeInsert.
+	i, hi := 0, len(ar.free)
+	for i < hi {
+		mid := int(uint(i+hi) >> 1)
+		if ar.free[mid].addr+ar.free[mid].size > c.addr {
+			hi = mid
+		} else {
+			i = mid + 1
+		}
+	}
 	if i >= len(ar.free) {
 		return 0, false
 	}
@@ -600,7 +645,15 @@ func (a *Allocator) reclaim(tier memsys.Tier, need int64) int64 {
 				return freed
 			}
 			c := ar.chunks[ci]
-			fi, ok := chunkFree(ar, c)
+			// A chunk without a fast or inbound page holds no fast byte
+			// however its runs settle.
+			if tier == memsys.Fast {
+				if n, _ := a.k.Counts(c.m); n.FastOrInbound == 0 {
+					ci++
+					continue
+				}
+			}
+			fi, ok := chunkFree(ar, c.block)
 			if !ok {
 				ci++
 				continue

@@ -101,9 +101,16 @@ func (p *AutoTM) Setup(rt *exec.Runtime) error {
 	prob, gaps := placementProblem(g, spec)
 	res := ilp.Solve(prob, 100_000)
 	p.result = res
+	// Variables come tensor by tensor: fast, then offload if it has one.
+	v := 0
 	for id := 0; id < n; id++ {
-		p.planFast[id] = res.X[2*id]
-		p.planOffload[id] = res.X[2*id+1]
+		p.planFast[id] = res.X[v]
+		v++
+		if !gaps[id].offloadable() {
+			continue
+		}
+		p.planOffload[id] = res.X[v]
+		v++
 		if p.planOffload[id] {
 			gp := gaps[id]
 			p.outAt[gp.end] = append(p.outAt[gp.end], tensor.ID(id))
@@ -115,14 +122,17 @@ func (p *AutoTM) Setup(rt *exec.Runtime) error {
 	return nil
 }
 
-// placementProblem formulates AutoTM's placement ILP. Variables: 2 per
-// tensor (fast, offload). Offload is only meaningful for tensors with an
-// idle gap of more than two layers. Rows: one fast-capacity row per
-// layer, then one exclusivity row per offloadable tensor. A tensor's
-// fast variable occupies its lifetime span of capacity rows, its offload
-// variable the lifetime minus the gap, so each column is at most three
-// spans, built tensor by tensor in ascending row order. gaps[id] is the
-// gap tensor id offloads over.
+// placementProblem formulates AutoTM's placement ILP. Variables, tensor
+// by tensor in id order: a fast variable, then an offload variable if the
+// tensor has an idle gap of more than two layers (offload is meaningless
+// otherwise; such a variable would have no column and no benefit, and
+// the search, which ends every path at the first variable of density 0,
+// would never reach it). Rows: one fast-capacity row per layer, then one
+// exclusivity row per offloadable tensor. A tensor's fast variable
+// occupies its lifetime span of capacity rows, its offload variable the
+// lifetime minus the gap, so each column is at most three spans, built
+// tensor by tensor in ascending row order. gaps[id] is the gap tensor id
+// offloads over.
 func placementProblem(g *graph.Graph, spec memsys.Spec) (*ilp.Problem, []gapSpan) {
 	n := len(g.Tensors)
 	deltaRead := 1/spec.Slow.ReadBW - 1/spec.Fast.ReadBW
@@ -132,15 +142,15 @@ func placementProblem(g *graph.Graph, spec memsys.Spec) (*ilp.Problem, []gapSpan
 	gaps := make([]gapSpan, n)
 	offloadable := 0
 	for id, t := range g.Tensors {
-		if gp := largestGap(t); gp.resume-gp.end > 2 {
+		if gp := largestGap(t); gp.offloadable() {
 			gaps[id] = gp
 			offloadable++
 		}
 	}
 	prob := &ilp.Problem{
-		Benefit: make([]float64, 2*n),
+		Benefit: make([]float64, 0, n+offloadable),
 		Bound:   make([]int64, g.NumLayers, g.NumLayers+offloadable),
-		Cols:    make([][]ilp.Span, 2*n),
+		Cols:    make([][]ilp.Span, 0, n+offloadable),
 	}
 	for l := range prob.Bound {
 		prob.Bound[l] = spec.Fast.Size
@@ -158,22 +168,22 @@ func placementProblem(g *graph.Graph, spec memsys.Spec) (*ilp.Problem, []gapSpan
 			writes += a.Writes
 		}
 		benefit := float64(t.Size) * (float64(reads)*deltaRead + float64(writes)*deltaWrite)
-		prob.Benefit[2*id] = benefit
+		prob.Benefit = append(prob.Benefit, benefit)
 		fast := len(spans)
 		if t.AllocLayer <= t.FreeLayer {
 			spans = append(spans, ilp.Span{Lo: t.AllocLayer, Hi: t.FreeLayer, Coef: t.Size})
 		}
 		gp := gaps[id]
-		if gp.resume-gp.end <= 2 {
-			prob.Cols[2*id] = col(fast)
+		if !gp.offloadable() {
+			prob.Cols = append(prob.Cols, col(fast))
 			continue
 		}
 		// Offload variable: fast only outside the largest access gap.
-		prob.Benefit[2*id+1] = benefit - float64(t.Size)*moveCost
+		prob.Benefit = append(prob.Benefit, benefit-float64(t.Size)*moveCost)
 		excl := len(prob.Bound)
 		prob.Bound = append(prob.Bound, 1)
 		spans = append(spans, ilp.Span{Lo: excl, Hi: excl, Coef: 1})
-		prob.Cols[2*id] = col(fast)
+		prob.Cols = append(prob.Cols, col(fast))
 		off := len(spans)
 		if hi := min(gp.end, t.FreeLayer); t.AllocLayer <= hi {
 			spans = append(spans, ilp.Span{Lo: t.AllocLayer, Hi: hi, Coef: t.Size})
@@ -182,12 +192,15 @@ func placementProblem(g *graph.Graph, spec memsys.Spec) (*ilp.Problem, []gapSpan
 			spans = append(spans, ilp.Span{Lo: lo, Hi: t.FreeLayer, Coef: t.Size})
 		}
 		spans = append(spans, ilp.Span{Lo: excl, Hi: excl, Coef: 1})
-		prob.Cols[2*id+1] = col(off)
+		prob.Cols = append(prob.Cols, col(off))
 	}
 	return prob, gaps
 }
 
 type gapSpan struct{ end, resume int }
+
+// offloadable reports whether the gap is long enough to offload over.
+func (g gapSpan) offloadable() bool { return g.resume-g.end > 2 }
 
 // largestGap finds the biggest idle span between consecutive accesses.
 func largestGap(t *tensor.Tensor) gapSpan {

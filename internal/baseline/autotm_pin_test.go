@@ -9,14 +9,19 @@ import (
 	"sentinel/internal/model"
 )
 
-// xDigest is an FNV-64a digest of an ILP assignment, one byte per
-// variable.
-func xDigest(x []bool) uint64 {
+// xDigest is an FNV-64a digest of AutoTM's placement, two bytes per
+// tensor: its fast and its offload choice. That is one byte per variable
+// of the ILP that gave every tensor an offload variable, so the pinned
+// digests predate the dropped variables of tensors without an idle gap.
+func xDigest(p *AutoTM) uint64 {
 	h := fnv.New64a()
-	buf := make([]byte, len(x))
-	for i, v := range x {
-		if v {
-			buf[i] = 1
+	buf := make([]byte, 2*len(p.planFast))
+	for id := range p.planFast {
+		if p.planFast[id] {
+			buf[2*id] = 1
+		}
+		if p.planOffload[id] {
+			buf[2*id+1] = 1
 		}
 	}
 	h.Write(buf)
@@ -60,9 +65,9 @@ func TestAutoTMSearchPinned(t *testing.T) {
 				t.Fatal(err)
 			}
 			r := p.result
-			if r.Value != c.value || r.Nodes != c.nodes || r.Optimal != c.optimal || xDigest(r.X) != c.digest {
+			if r.Value != c.value || r.Nodes != c.nodes || r.Optimal != c.optimal || xDigest(p) != c.digest {
 				t.Fatalf("ILP search moved: value %v nodes %d optimal %v digest %#x; pinned %v %d %v %#x",
-					r.Value, r.Nodes, r.Optimal, xDigest(r.X), c.value, c.nodes, c.optimal, c.digest)
+					r.Value, r.Nodes, r.Optimal, xDigest(p), c.value, c.nodes, c.optimal, c.digest)
 			}
 		})
 	}

@@ -70,7 +70,11 @@ func termProblem(g *graph.Graph, spec memsys.Spec) (benefit, bound []float64, co
 // TestPlacementSpansExpandToTerms checks that AutoTM's span-form
 // placement ILP, written out one term per row, is exactly the per-layer
 // term problem: the same benefits bit for bit, the same bounds, the same
-// coefficients in the same rows, and the same offload gaps.
+// coefficients in the same rows, and the same offload gaps. The term
+// problem gives every tensor an offload variable (variable 2*id+1); the
+// span form drops those of tensors without an idle gap, so each of them
+// must have had no benefit and no column, and the span form's variables
+// must be the others in the same order.
 func TestPlacementSpansExpandToTerms(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -93,12 +97,22 @@ func TestPlacementSpansExpandToTerms(t *testing.T) {
 			prob, gaps := placementProblem(g, spec)
 			benefit, bound, cols, wantGaps := termProblem(g, spec)
 
-			if len(prob.Benefit) != len(benefit) {
-				t.Fatalf("%d variables, want %d", len(prob.Benefit), len(benefit))
+			// kept[vi] is the term variable span-form variable vi stands for.
+			var kept []int
+			for id := range g.Tensors {
+				kept = append(kept, 2*id)
+				if wantGaps[id].offloadable() {
+					kept = append(kept, 2*id+1)
+				} else if benefit[2*id+1] != 0 || len(cols[2*id+1]) != 0 {
+					t.Fatalf("tensor %d has no idle gap but an offload benefit %v and column %v", id, benefit[2*id+1], cols[2*id+1])
+				}
+			}
+			if len(prob.Benefit) != len(kept) || len(prob.Cols) != len(kept) {
+				t.Fatalf("%d variables (%d columns), want %d", len(prob.Benefit), len(prob.Cols), len(kept))
 			}
 			for i, b := range prob.Benefit {
-				if math.Float64bits(b) != math.Float64bits(benefit[i]) {
-					t.Fatalf("benefit[%d] = %v, want %v", i, b, benefit[i])
+				if want := benefit[kept[i]]; math.Float64bits(b) != math.Float64bits(want) {
+					t.Fatalf("benefit[%d] = %v, want %v", i, b, want)
 				}
 			}
 			if len(prob.Bound) != len(bound) {
@@ -122,8 +136,8 @@ func TestPlacementSpansExpandToTerms(t *testing.T) {
 						got = append(got, termRef{r, float64(sp.Coef)})
 					}
 				}
-				if !slices.Equal(got, cols[vi]) {
-					t.Fatalf("variable %d expands to %v, want %v", vi, got, cols[vi])
+				if want := cols[kept[vi]]; !slices.Equal(got, want) {
+					t.Fatalf("variable %d expands to %v, want %v", vi, got, want)
 				}
 			}
 			if !slices.Equal(gaps, wantGaps) {

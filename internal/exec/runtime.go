@@ -220,18 +220,31 @@ func (rt *Runtime) MigrateTensor(id tensor.ID, dst memsys.Tier) (done simtime.Ti
 	return rt.MigrateRange(r.Addr, r.Size, dst)
 }
 
-// EvictInOrder migrates tensors to slow memory, one MigrateTensor call
-// per id in the order given, until need bytes have moved, and returns the
-// bytes moved. An id that is not live moves
-// nothing and has no other effect, so an evictor can walk a standing
-// order without filtering it first.
+// EvictInOrder migrates tensors to slow memory as MigrateTensor does, one
+// id at a time in the order given, until need bytes have moved, and
+// returns the bytes moved. An id that is not live moves nothing and has
+// no other effect, so an evictor can walk a standing order without
+// filtering it first.
+//
+// A tensor whose mapping has no fast page outside an outbound migration
+// and no inbound page has nothing to move, so it is skipped after the one
+// fault draw its migration would have made: the injector's stream, and
+// so every chaos run, stays as if the migration had been tried.
 func (rt *Runtime) EvictInOrder(ids []tensor.ID, need int64) int64 {
 	var freed int64
 	for _, id := range ids {
 		if freed >= need {
 			break
 		}
-		_, moved, _ := rt.MigrateTensor(id, memsys.Slow)
+		r, m, ok := rt.a.RegionMap(id)
+		if !ok {
+			continue
+		}
+		if c, ok := rt.k.Counts(m); ok && c.Inbound == 0 && c.FastOrInbound == c.Outbound {
+			rt.chaos.MigrateBatchFails()
+			continue
+		}
+		_, moved, _ := rt.MigrateRange(r.Addr, r.Size, memsys.Slow)
 		freed += moved
 	}
 	return freed
@@ -466,7 +479,7 @@ func (rt *Runtime) execOp(i int, op *graph.Op) error {
 	var faults int64
 	for _, ac := range op.Accesses {
 		t := rt.g.T(ac.Tensor)
-		r, ok := rt.a.Region(ac.Tensor)
+		r, m, ok := rt.a.RegionMap(ac.Tensor)
 		if !ok {
 			return fmt.Errorf("op accesses unallocated tensor %s", t.Name)
 		}
@@ -476,7 +489,7 @@ func (rt *Runtime) execOp(i int, op *graph.Op) error {
 		if rt.modeler != nil {
 			sp = rt.modeler.ModelAccess(t, r, readBytes, writeBytes, start)
 		} else {
-			fastFrac := rt.fastFraction(r, start)
+			fastFrac := rt.fastFraction(r, m, start)
 			sp = AccessSplit{
 				FastRead:  int64(fastFrac * float64(readBytes)),
 				FastWrite: int64(fastFrac * float64(writeBytes)),
@@ -535,10 +548,20 @@ func (rt *Runtime) execOp(i int, op *graph.Op) error {
 	return nil
 }
 
-// fastFraction returns the fraction of a region resident on fast memory.
+// fastFraction returns the fraction of a region in mapping m resident on
+// fast memory. With no page of m in flight and m on one tier, the counts
+// answer for any mapped region inside m; TierBytes walks the rest.
 //
 //perf:hot
-func (rt *Runtime) fastFraction(r alloc.Region, at simtime.Time) float64 {
+func (rt *Runtime) fastFraction(r alloc.Region, m kernel.MapID, at simtime.Time) float64 {
+	if c, ok := rt.k.Counts(m); ok && c.Inbound == 0 && c.Outbound == 0 {
+		switch c.FastOrInbound {
+		case 0:
+			return 0
+		case c.Pages:
+			return 1
+		}
+	}
 	fast, slow := rt.k.TierBytes(r.Addr, r.Size, at)
 	switch {
 	case fast == 0:
@@ -547,6 +570,13 @@ func (rt *Runtime) fastFraction(r alloc.Region, at simtime.Time) float64 {
 		return 1
 	}
 	return float64(fast) / float64(fast+slow)
+}
+
+// wholeMapping reports whether r's pages are exactly the mapping's, none
+// of them unmapped.
+func wholeMapping(r alloc.Region, c kernel.MapCounts) bool {
+	first, last := r.Pages()
+	return first == c.First && last == c.Last && int64(c.Pages) == int64(last-first)+1
 }
 
 // makeRoomFor frees fast-tier space for n more bytes: first by reclaiming
@@ -592,13 +622,21 @@ func (rt *Runtime) ensureResident(op *graph.Op) (simtime.Time, error) {
 			// the interconnect (the access split charges slow bandwidth).
 			continue
 		}
-		r, ok := rt.a.Region(ac.Tensor)
+		r, m, ok := rt.a.RegionMap(ac.Tensor)
 		if !ok {
 			return 0, fmt.Errorf("residency check on unallocated tensor %d", ac.Tensor)
 		}
 		t := rt.g.T(ac.Tensor)
-		first, last := r.Pages()
-		ready, resident := rt.k.ResidentFastBy(first, last, rt.now)
+		ready, resident := rt.now, false
+		if c, ok := rt.k.Counts(m); ok && c.Inbound == 0 && c.Outbound == 0 && wholeMapping(r, c) {
+			// Only a whole mapping is answered from its counts:
+			// ResidentFastBy splits runs at the tensor's boundaries, and
+			// later migrations of overlapping ranges see those splits.
+			resident = c.FastOrInbound == c.Pages
+		} else {
+			first, last := r.Pages()
+			ready, resident = rt.k.ResidentFastBy(first, last, rt.now)
+		}
 		if resident {
 			stallOn(ready, t)
 			continue

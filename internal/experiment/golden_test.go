@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"bytes"
 	"flag"
 	"os"
 	"path/filepath"
@@ -48,5 +49,48 @@ func TestGoldenTables(t *testing.T) {
 				t.Errorf("%s: output diverged from committed snapshot\n--- want ---\n%s\n--- got ---\n%s", id, want, got)
 			}
 		})
+	}
+}
+
+// TestFullFidelitySnapshots pins every experiment "sentinel-bench" runs
+// by default at full fidelity (its default five steps, not quick mode) to
+// the CSV "sentinel-bench -exp <id> -format csv" prints, under
+// testdata/golden/full. Quick goldens miss what only full sweeps reach:
+// cells the quick sweeps trim away, and step counts long enough for the
+// online controller to act. The sweep shares one plan cache and runs
+// cells in parallel, as the CLI does. Regenerate deliberately with:
+//
+//	go test ./internal/experiment -run TestFullFidelitySnapshots -update
+func TestFullFidelitySnapshots(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-fidelity sweep")
+	}
+	o := Options{Steps: 5, Cache: NewCache()}
+	for _, id := range DefaultIDs() {
+		tb, err := Run(id, o)
+		if err != nil {
+			t.Fatalf("run %s: %v", id, err)
+		}
+		var got bytes.Buffer
+		if err := tb.WriteCSV(&got); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join("testdata", "golden", "full", id+".csv")
+		if *updateGolden {
+			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("missing snapshot (run with -update to create): %v", err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("%s: full-fidelity output diverged from committed snapshot\n--- want ---\n%s\n--- got ---\n%s", id, want, got.Bytes())
+		}
 	}
 }

@@ -27,7 +27,7 @@ func mapTensors(b *testing.B, k *Kernel, n int, pages int64, tier memsys.Tier) [
 	addrs := make([]int64, 0, n)
 	next := PageID(1)
 	for i := 0; i < n; i++ {
-		if err := k.Map(next, next+PageID(pages)-1, tier); err != nil {
+		if _, err := k.Map(next, next+PageID(pages)-1, tier); err != nil {
 			b.Fatal(err)
 		}
 		addrs = append(addrs, int64(next)<<PageShift)

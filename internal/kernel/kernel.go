@@ -11,6 +11,7 @@ package kernel
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"sentinel/internal/memsys"
 	"sentinel/internal/simtime"
@@ -41,6 +42,42 @@ func PageSpan(addr, size int64) (first, last PageID) {
 	return PageOf(addr), PageOf(addr + size - 1)
 }
 
+// MapID names one mapping: the page range of one successful Map call.
+// The allocator maps one chunk or one page-aligned tensor per call, so a
+// tensor's mapping answers residency questions about its pages from
+// counts instead of a walk over runs. A full Unmap recycles the id.
+type MapID int32
+
+// NoMap stands for "no single mapping", e.g. a region that spans two.
+const NoMap MapID = -1
+
+// MapCounts is one mapping's page census. A page is fast while its run's
+// tier is fast, so a page leaving on an outbound migration stays fast
+// until the migration settles, and an inbound page counts as fast from
+// submit. The counts are exact after every change of run state (Map,
+// Unmap, migrate submit, lazy settle, Relocate), whether or not the runs
+// concerned have been settled yet.
+type MapCounts struct {
+	// First and Last are the page range Map was called with.
+	First, Last PageID
+	// Pages is the mapping's mapped page count (less than the range after
+	// a partial Unmap).
+	Pages int32
+	// FastOrInbound counts pages on fast memory (outbound ones included
+	// until they settle) or on their way there.
+	FastOrInbound int32
+	// Inbound and Outbound count pages in flight toward fast and slow.
+	Inbound, Outbound int32
+}
+
+// mapping is one entry of the mapping table.
+type mapping struct {
+	MapCounts
+	// next is, while the id is released, the id released before it
+	// (NoMap at the end of the chain).
+	next MapID
+}
+
 // run is a maximal extent of mapped virtual pages with uniform state.
 // The interval is [start, end) in page numbers.
 type run struct {
@@ -53,6 +90,9 @@ type run struct {
 	migrating    bool
 	pinned       bool
 	poisoned     bool
+	// m is the mapping the run belongs to; splits inherit it, and runs
+	// never merge, so no run crosses a mapping boundary.
+	m MapID
 	// faults accumulates profiling protection faults per page of this
 	// run (each main-memory access to a poisoned page faults once, and
 	// the handler re-poisons the page).
@@ -61,6 +101,10 @@ type run struct {
 
 func (r *run) pages() int64 { return int64(r.end - r.start) }
 func (r *run) bytes() int64 { return r.pages() * PageSize }
+
+// pages32 is pages for the mapping counts; Map keeps a mapping, and so
+// each of its runs, under 2^31 pages.
+func (r *run) pages32() int32 { return int32(r.end - r.start) }
 
 // TouchFunc observes page accesses; baselines such as IAL hook it to drive
 // their active lists. The range is [first, last] inclusive.
@@ -78,6 +122,11 @@ type Kernel struct {
 	// hint memoizes findIdx answers; entries are revalidated before use.
 	hint [hintSlots]int32
 	used [2]int64
+	// maps holds each mapping's counts, indexed by MapID. The ids of
+	// fully unmapped mappings form a chain from free through their
+	// entries, reused last in, first out.
+	maps []mapping
+	free MapID
 	// in moves pages slow->fast, out fast->slow; independent channels
 	// mirroring Sentinel's two migration helper threads.
 	in, out *memsys.Channel
@@ -97,6 +146,11 @@ func New(spec memsys.Spec) (*Kernel, error) {
 	}
 	return &Kernel{
 		spec: spec,
+		// 256 entries (10 KiB) hold every mapping live at once in
+		// resnet32's profiling step, where each tensor is a mapping,
+		// so most kernels allocate the table once.
+		maps: make([]mapping, 0, 256),
+		free: NoMap,
 		in:   memsys.NewChannel(spec.MigrationBW),
 		out:  memsys.NewChannel(spec.MigrationBW),
 	}, nil
@@ -139,12 +193,62 @@ func (k *Kernel) InChannel() *memsys.Channel { return k.in }
 // OutChannel returns the fast->slow migration channel.
 func (k *Kernel) OutChannel() *memsys.Channel { return k.out }
 
-// settle commits a run's pending migration if it completed by instant at.
-func (r *run) settle(at simtime.Time) {
-	if r.migrating && r.pendingUntil <= at {
-		r.tier = r.pendingTier
-		r.migrating = false
+// Counts returns the page counts of a live mapping; ok is false for
+// NoMap.
+func (k *Kernel) Counts(m MapID) (c MapCounts, ok bool) {
+	if m == NoMap {
+		return MapCounts{}, false
 	}
+	return k.maps[m].MapCounts, true
+}
+
+// MapOf returns the mapping that holds every page of [first, last], or
+// NoMap when no single mapping does.
+//
+//perf:hot
+func (k *Kernel) MapOf(first, last PageID) MapID {
+	i := k.findIdx(first)
+	if i == len(k.runs) || k.runs[i].start > first || !k.Holds(k.runs[i].m, first, last) {
+		return NoMap
+	}
+	return k.runs[i].m
+}
+
+// Holds reports whether mapping m holds every page of [first, last]. It
+// is exact for any id: one never mapped or released holds no page, and a
+// reused one's counts are its new mapping's.
+//
+//perf:hot
+func (k *Kernel) Holds(m MapID, first, last PageID) bool {
+	if m < 0 || int(m) >= len(k.maps) {
+		return false
+	}
+	// A mapping with no page unmapped owns every page of its range.
+	c := &k.maps[m]
+	return c.First <= first && last <= c.Last && int64(c.Pages) == int64(c.Last-c.First)+1
+}
+
+// settle commits a run's pending migration if it completed by instant at.
+//
+//perf:hot
+func (k *Kernel) settle(r *run, at simtime.Time) {
+	if r.migrating && r.pendingUntil <= at {
+		k.land(r)
+	}
+}
+
+// land commits a run's pending migration now: it settles, or Relocate
+// cancels it (the pages count as arrived).
+func (k *Kernel) land(r *run) {
+	m := &k.maps[r.m]
+	if r.pendingTier == memsys.Fast {
+		m.Inbound -= r.pages32()
+	} else {
+		m.Outbound -= r.pages32()
+		m.FastOrInbound -= r.pages32()
+	}
+	r.tier = r.pendingTier
+	r.migrating = false
 }
 
 // Run-index hints: a direct-mapped table of findIdx answers keyed by a
@@ -204,28 +308,44 @@ func (k *Kernel) splitRun(i int, page PageID) {
 	k.ends[i] = page
 }
 
-// Map maps the page range [first, last] onto the given tier. It fails if
-// any page is already mapped or the tier lacks capacity.
-func (k *Kernel) Map(first, last PageID, tier memsys.Tier) error {
+// Map maps the page range [first, last] onto the given tier as one new
+// mapping and returns its id. It fails if any page is already mapped or
+// the tier lacks capacity.
+func (k *Kernel) Map(first, last PageID, tier memsys.Tier) (MapID, error) {
 	if last < first {
-		return fmt.Errorf("kernel: map: invalid range [%d,%d]", first, last)
+		return NoMap, fmt.Errorf("kernel: map: invalid range [%d,%d]", first, last)
+	}
+	if int64(last-first) >= math.MaxInt32 {
+		return NoMap, fmt.Errorf("kernel: map: [%d,%d] spans 2^31 pages or more", first, last)
 	}
 	n := (int64(last-first) + 1) * PageSize
 	if k.Free(tier) < n {
-		return fmt.Errorf("kernel: map: %s full (need %s, free %s)", tier, simtime.Bytes(n), simtime.Bytes(k.Free(tier)))
+		return NoMap, fmt.Errorf("kernel: map: %s full (need %s, free %s)", tier, simtime.Bytes(n), simtime.Bytes(k.Free(tier)))
 	}
 	i := k.findIdx(first)
 	if i < len(k.runs) && k.runs[i].start <= PageID(last) {
-		return fmt.Errorf("%w: [%d,%d] overlaps run [%d,%d)", ErrAlreadyMapped, first, last, k.runs[i].start, k.runs[i].end)
+		return NoMap, fmt.Errorf("%w: [%d,%d] overlaps run [%d,%d)", ErrAlreadyMapped, first, last, k.runs[i].start, k.runs[i].end)
+	}
+	c := MapCounts{First: first, Last: last, Pages: int32(n >> PageShift)}
+	if tier == memsys.Fast {
+		c.FastOrInbound = c.Pages
+	}
+	m := k.free
+	if m != NoMap {
+		k.free = k.maps[m].next
+		k.maps[m] = mapping{MapCounts: c}
+	} else {
+		m = MapID(len(k.maps))
+		k.maps = append(k.maps, mapping{MapCounts: c})
 	}
 	k.runs = append(k.runs, run{})
 	copy(k.runs[i+1:], k.runs[i:])
-	k.runs[i] = run{start: first, end: last + 1, tier: tier}
+	k.runs[i] = run{start: first, end: last + 1, tier: tier, m: m}
 	k.ends = append(k.ends, 0)
 	copy(k.ends[i+1:], k.ends[i:])
 	k.ends[i] = last + 1
 	k.used[tier] += n
-	return nil
+	return m, nil
 }
 
 // Unmap releases the page range [first, last]. Unmapped holes inside the
@@ -241,10 +361,32 @@ func (k *Kernel) Unmap(first, last PageID, at simtime.Time) {
 			k.splitRun(i, last+1)
 		}
 		r := &k.runs[i]
-		r.settle(at)
+		k.settle(r, at)
 		k.used[r.tier] -= r.bytes()
+		k.unmapRun(r)
 		k.runs = append(k.runs[:i], k.runs[i+1:]...)
 		k.ends = append(k.ends[:i], k.ends[i+1:]...)
+	}
+}
+
+// unmapRun takes a run about to be removed out of its mapping's counts,
+// recycling the mapping's id once no page of it is left.
+func (k *Kernel) unmapRun(r *run) {
+	m := &k.maps[r.m]
+	p := r.pages32()
+	m.Pages -= p
+	// Inbound runs sit on slow and outbound ones on fast until settled.
+	if r.tier == memsys.Fast || r.migrating {
+		m.FastOrInbound -= p
+	}
+	if r.migrating && r.pendingTier == memsys.Fast {
+		m.Inbound -= p
+	} else if r.migrating {
+		m.Outbound -= p
+	}
+	if m.Pages == 0 {
+		m.next = k.free
+		k.free = r.m
 	}
 }
 
@@ -307,7 +449,7 @@ func (k *Kernel) TierBytes(addr, size int64, at simtime.Time) (fast, slow int64)
 	// Most tensors sit inside one run: that run's tier holds every byte.
 	if i < len(k.runs) && k.runs[i].start <= first && k.runs[i].end > last {
 		r := &k.runs[i]
-		r.settle(at)
+		k.settle(r, at)
 		if r.tier == memsys.Fast {
 			return size, 0
 		}
@@ -318,7 +460,7 @@ func (k *Kernel) TierBytes(addr, size int64, at simtime.Time) (fast, slow int64)
 	// engine's op loop, and the per-run closure call was measurable.
 	for ; i < len(k.runs) && k.runs[i].start <= last; i++ {
 		r := &k.runs[i]
-		r.settle(at)
+		k.settle(r, at)
 		lo, hi := r.start, r.end
 		if lo < first {
 			lo = first
@@ -352,7 +494,7 @@ func (k *Kernel) ResidentFastBy(first, last PageID, at simtime.Time) (ready simt
 	ready = at
 	ok = true
 	k.forRange(first, last, func(r *run) {
-		r.settle(at)
+		k.settle(r, at)
 		switch {
 		case r.tier == memsys.Fast:
 		case r.migrating && r.pendingTier == memsys.Fast:
@@ -441,7 +583,7 @@ func (k *Kernel) FaultCounts(addr, size int64) int64 {
 func (k *Kernel) MigrateStats(addr, size int64, dst memsys.Tier, at simtime.Time) (movable int64) {
 	first, last := PageSpan(addr, size)
 	k.forOverlap(first, last, func(r *run, pages int64) {
-		r.settle(at)
+		k.settle(r, at)
 		if r.pinned || r.tier == dst || r.migrating {
 			return
 		}
@@ -484,7 +626,7 @@ func (k *Kernel) migrate(addr, size int64, dst memsys.Tier, at simtime.Time, urg
 	}
 	done = at
 	k.forRange(first, last, func(r *run) {
-		r.settle(at)
+		k.settle(r, at)
 		if r.pinned || r.migrating || r.tier == dst {
 			return
 		}
@@ -500,6 +642,12 @@ func (k *Kernel) migrate(addr, size int64, dst memsys.Tier, at simtime.Time, urg
 			complete = ch.SubmitUrgent(at, n)
 		} else {
 			complete = ch.Submit(at, n)
+		}
+		if dst == memsys.Fast {
+			k.maps[r.m].Inbound += r.pages32()
+			k.maps[r.m].FastOrInbound += r.pages32()
+		} else {
+			k.maps[r.m].Outbound += r.pages32()
 		}
 		r.migrating = true
 		r.pendingTier = dst
@@ -566,12 +714,11 @@ func (k *Kernel) ChargeChannel(dst memsys.Tier, n int64, at simtime.Time, urgent
 func (k *Kernel) Relocate(addr, size int64, dst memsys.Tier, at simtime.Time) (moved, shortfall int64) {
 	first, last := PageSpan(addr, size)
 	k.forRange(first, last, func(r *run) {
-		r.settle(at)
+		k.settle(r, at)
 		if r.migrating {
 			// Cancel: residency accounting already reflects the
 			// pending destination.
-			r.tier = r.pendingTier
-			r.migrating = false
+			k.land(r)
 		}
 		if r.pinned || r.tier == dst {
 			return
@@ -583,6 +730,11 @@ func (k *Kernel) Relocate(addr, size int64, dst memsys.Tier, at simtime.Time) (m
 		}
 		k.used[r.tier] -= n
 		k.used[dst] += n
+		if dst == memsys.Fast {
+			k.maps[r.m].FastOrInbound += r.pages32()
+		} else {
+			k.maps[r.m].FastOrInbound -= r.pages32()
+		}
 		r.tier = dst
 		moved += n
 	})
@@ -595,7 +747,7 @@ func (k *Kernel) Relocate(addr, size int64, dst memsys.Tier, at simtime.Time) (m
 func (k *Kernel) FirstOnTier(tier memsys.Tier, at simtime.Time) (addr, size int64, ok bool) {
 	for i := range k.runs {
 		r := &k.runs[i]
-		r.settle(at)
+		k.settle(r, at)
 		if r.pinned || r.migrating || r.tier != tier {
 			continue
 		}

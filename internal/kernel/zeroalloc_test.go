@@ -15,7 +15,7 @@ func TestTouchFaultPathDoesNotAllocate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := k.Map(1, 64, memsys.Slow); err != nil {
+	if _, err := k.Map(1, 64, memsys.Slow); err != nil {
 		t.Fatal(err)
 	}
 	k.SetProfiling(true)
@@ -37,7 +37,7 @@ func TestTouchUnprofiledDoesNotAllocate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := k.Map(1, 64, memsys.Fast); err != nil {
+	if _, err := k.Map(1, 64, memsys.Fast); err != nil {
 		t.Fatal(err)
 	}
 	addr := int64(1) << PageShift
