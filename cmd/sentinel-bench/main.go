@@ -33,7 +33,6 @@ import (
 	"time"
 
 	"sentinel/internal/chaos"
-	"sentinel/internal/exec"
 	"sentinel/internal/experiment"
 	"sentinel/internal/metrics"
 	"sentinel/internal/tracecli"
@@ -50,7 +49,6 @@ func main() {
 		seq         = flag.Bool("seq", false, "sequential reference path: one worker, plan cache disabled")
 		progress    = flag.Bool("progress", stderrIsTerminal(), "live cell-completion progress on stderr")
 		cellTimeout = flag.Duration("cell-timeout", 0, "per-cell wall-clock deadline; cells past it are quarantined (0 = none)")
-		online      = flag.Bool("online", false, "adaptive controller: re-profile and replan when the plan diverges")
 	)
 	tf := tracecli.Register()
 	cf := chaos.RegisterFlags()
@@ -78,9 +76,6 @@ func main() {
 
 	opts := experiment.Options{Steps: *steps, Quick: *quick, Workers: *workers,
 		Trace: tf.Bus(), Chaos: *cf, Ctx: ctx, CellTimeout: *cellTimeout}
-	if *online {
-		opts.Online = exec.DefaultOnline()
-	}
 	if *seq {
 		// The reference path the golden determinism tests compare
 		// against: strictly sequential and cache-free.

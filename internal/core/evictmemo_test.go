@@ -172,8 +172,9 @@ func (c *memoChecker) check(l int, where string) {
 // TestMakeRoomMemoMatchesScan checks, on the GPU cells that exercise
 // every part of MakeRoom, that the standing orders it walks offer
 // MigrateTensor the same live tensors in the same order as the per-call
-// scan: resnet200 at b1024 reaches the last-resort loop, and the chaos
-// plus online resnet32 cell replans through setPlan.
+// scan: resnet200 at b1024 reaches the last-resort loop, and the online
+// resnet32 cell, whose fast tier shrinks 25% at step 1, replans through
+// setPlan.
 func TestMakeRoomMemoMatchesScan(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
@@ -187,7 +188,7 @@ func TestMakeRoomMemoMatchesScan(t *testing.T) {
 	}{
 		{"resnet200-b1024", "resnet200", 1024, nil, 0, 4, true, false},
 		{"chaos-online-resnet32", "resnet32", 128, []exec.Option{
-			exec.WithChaos(chaos.New(chaos.Config{Seed: 42, MigrateFail: 0.3})),
+			exec.WithChaos(chaos.New(chaos.Config{Seed: 42, ShrinkAtStep: 1, ShrinkFrac: 0.25})),
 			exec.WithOnline(exec.DefaultOnline()),
 		}, 0.2, 8, false, true},
 	} {

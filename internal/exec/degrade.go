@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"errors"
 	"fmt"
 
 	"sentinel/internal/alloc"
@@ -13,28 +12,11 @@ import (
 	"sentinel/internal/trace"
 )
 
-// Typed failure modes beyond plain ErrOOM. The paper's plan is static
-// (Sec. IV); these are the ways its assumptions break at run time.
-var (
-	// ErrMigrationFailed reports a demand migration abandoned after its
-	// retry budget, with graceful fallback disabled (WithFailHard).
-	ErrMigrationFailed = errors.New("migration failed after retries")
-	// ErrPlanDiverged reports the divergence monitor concluding the
-	// static migration plan no longer matches observed behaviour, with
-	// graceful fallback disabled (WithFailHard).
-	ErrPlanDiverged = errors.New("migration plan diverged")
-	// ErrCapacityShrunk wraps ErrOOM for out-of-memory failures that
-	// occurred after the fast tier lost capacity mid-run: the plan was
-	// sized for a machine that no longer exists. errors.Is(err, ErrOOM)
-	// still holds, so capacity-probing callers behave unchanged.
-	ErrCapacityShrunk = fmt.Errorf("fast capacity shrunk mid-run: %w", ErrOOM)
-	// ErrReplanFailed wraps ErrPlanDiverged for online replans that could
-	// not produce a usable replacement plan: the divergence is real and
-	// stands unrecovered. errors.Is(err, ErrPlanDiverged) still holds, so
-	// divergence-aware callers behave unchanged. Surfaced only under
-	// WithFailHard; the default path degrades to demand-only mode.
-	ErrReplanFailed = fmt.Errorf("online replan failed: %w", ErrPlanDiverged)
-)
+// ErrCapacityShrunk wraps ErrOOM for out-of-memory failures that occurred
+// after the fast tier lost capacity mid-run: the plan was sized for a
+// machine that no longer exists. errors.Is(err, ErrOOM) still holds, so
+// capacity-probing callers behave unchanged.
+var ErrCapacityShrunk = fmt.Errorf("fast capacity shrunk mid-run: %w", ErrOOM)
 
 // Migration retry budget and backoff cap shared by the prefetch and
 // demand paths.
@@ -46,8 +28,7 @@ const (
 // WithChaos attaches a fault injector to the runtime. A nil injector (the
 // result of chaos.New on a disabled config) attaches nothing, keeping the
 // zero-knob run byte-identical to a clean one. A live injector also arms
-// the controller with replanning off (MaxReplans 0), unless WithOnline
-// armed it.
+// the controller with no replan budget, unless WithOnline armed it.
 func WithChaos(in *chaos.Injector) Option {
 	return func(rt *Runtime) { rt.chaos = in }
 }
@@ -56,41 +37,27 @@ func WithChaos(in *chaos.Injector) Option {
 // the engine (the profiler) consult it for their own perturbations.
 func (rt *Runtime) Chaos() *chaos.Injector { return rt.chaos }
 
-// WithFailHard makes the runtime surface degradation as typed errors
-// (ErrMigrationFailed, ErrPlanDiverged) instead of falling back to demand
-// paging or zero-copy access. Default off: runs complete degraded.
-func WithFailHard() Option {
-	return func(rt *Runtime) { rt.failHard = true }
-}
-
-// DivergenceConfig tunes the plan-divergence monitor. The monitor has no
-// oracle: it judges each step against the best step observed so far,
-// which a valid static plan keeps representative.
-type DivergenceConfig struct {
-	// StallFrac flags a step whose exposed stall time exceeds this
-	// fraction of its duration.
-	StallFrac float64
-	// DemandFactor flags a step with more than DemandFactor times the
+// The divergence judgement. The monitor has no oracle: it judges each
+// step against the best step observed so far, which a valid static plan
+// keeps representative. Demand migrations measure exactly what a plan is
+// for (tensors the prefetch schedule failed to have resident), where
+// exposed stall time cannot tell a stale plan from a slow platform: at a
+// fifth of peak fast memory on GPU a healthy plan stalls for most of its
+// step.
+const (
+	// divDemandFactor flags a step with more than this many times the
 	// best observed step's demand migrations.
-	DemandFactor float64
-	// MinDemand is the floor below which demand-migration counts are
+	divDemandFactor = 4
+	// divMinDemand is the floor below which demand-migration counts are
 	// never flagged (quiet plans have noisy small counts).
-	MinDemand int64
-	// Window is how many consecutive flagged steps it takes to declare
-	// divergence; isolated bad steps are tolerated.
-	Window int
-}
-
-// DefaultDivergence returns the thresholds armed by WithChaos: half the
-// step stalled, or 4x the best step's demand migrations (at least 8), two
-// steps in a row.
-func DefaultDivergence() DivergenceConfig {
-	return DivergenceConfig{StallFrac: 0.5, DemandFactor: 4, MinDemand: 8, Window: 2}
-}
+	divMinDemand = 8
+	// divWindow is how many consecutive flagged steps it takes to
+	// declare divergence; isolated bad steps are tolerated.
+	divWindow = 2
+)
 
 // divMonitor accumulates the divergence evidence across steps.
 type divMonitor struct {
-	cfg DivergenceConfig
 	// bestDemand is the fewest demand migrations any step has needed so
 	// far (-1 before the first step) — the monitor's stand-in for "what
 	// the plan predicts".
@@ -102,22 +69,15 @@ type divMonitor struct {
 // the best-step baseline. The returned detail is non-empty exactly when
 // the step is flagged; the controller owns the windowing.
 func (m *divMonitor) flagged(st *metrics.StepStats) (bool, string) {
-	var reasons []byte
-	if st.Duration > 0 && m.cfg.StallFrac > 0 &&
-		float64(st.StallTime) > m.cfg.StallFrac*float64(st.Duration) {
-		reasons = fmt.Appendf(reasons, "stall %.0f%% of step", 100*float64(st.StallTime)/float64(st.Duration))
-	}
-	if m.bestDemand >= 0 && st.DemandMigrations >= m.cfg.MinDemand &&
-		float64(st.DemandMigrations) > m.cfg.DemandFactor*float64(m.bestDemand) {
-		if len(reasons) > 0 {
-			reasons = append(reasons, ", "...)
-		}
-		reasons = fmt.Appendf(reasons, "%d demand migrations vs best %d", st.DemandMigrations, m.bestDemand)
+	var detail string
+	if m.bestDemand >= 0 && st.DemandMigrations >= divMinDemand &&
+		st.DemandMigrations > divDemandFactor*m.bestDemand {
+		detail = fmt.Sprintf("%d demand migrations vs best %d", st.DemandMigrations, m.bestDemand)
 	}
 	if m.bestDemand < 0 || st.DemandMigrations < m.bestDemand {
 		m.bestDemand = st.DemandMigrations
 	}
-	return len(reasons) > 0, string(reasons)
+	return detail != "", detail
 }
 
 // reset discards the monitor's accumulated evidence and baseline — called
@@ -160,17 +120,17 @@ func (rt *Runtime) isDegraded(id tensor.ID) bool {
 // failed batch wastes the urgent channel path (the bytes crossed and were
 // thrown away), then the engine backs off — the wasted transfer plus an
 // exponentially growing pause, capped — and retries. After the retry
-// budget it returns ErrMigrationFailed; the caller degrades or, under
-// WithFailHard, propagates.
-func (rt *Runtime) demandMigrate(r alloc.Region, t *tensor.Tensor) (done simtime.Time, moved, short int64, err error) {
+// budget it reports the migration abandoned (ok false), and the caller
+// degrades the tensor to zero-copy access.
+func (rt *Runtime) demandMigrate(r alloc.Region, t *tensor.Tensor) (done simtime.Time, moved, short int64, ok bool) {
 	for attempt := 1; ; attempt++ {
 		if !rt.chaos.MigrateBatchFails() {
 			done, moved, short = rt.k.MigrateUrgent(r.Addr, r.Size, memsys.Fast, rt.now)
-			return done, moved, short, nil
+			return done, moved, short, true
 		}
 		n := rt.k.MigrateStats(r.Addr, r.Size, memsys.Fast, rt.now)
 		if n == 0 {
-			return rt.now, 0, 0, nil
+			return rt.now, 0, 0, true
 		}
 		wasted := rt.k.ChargeChannel(memsys.Fast, n, rt.now, true)
 		rt.noteRetry(t.ID, t.Name, n, attempt)
@@ -180,8 +140,7 @@ func (rt *Runtime) demandMigrate(r alloc.Region, t *tensor.Tensor) (done simtime
 		}
 		rt.WaitUntil(wasted.Add(pause))
 		if attempt >= maxMigrateAttempts {
-			return rt.now, 0, 0, fmt.Errorf("%w: demand-migrating %s (%d attempts)",
-				ErrMigrationFailed, t.Name, attempt)
+			return rt.now, 0, 0, false
 		}
 	}
 }

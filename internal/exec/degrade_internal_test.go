@@ -14,7 +14,7 @@ import (
 // controller would flap straight back into recovery — unless the swap
 // resets the baseline (which controllerStep does via reset()).
 func TestMonitorBaselineResetAfterSwap(t *testing.T) {
-	m := divMonitor{cfg: DivergenceConfig{DemandFactor: 2, MinDemand: 1, Window: 1}, bestDemand: -1}
+	m := divMonitor{bestDemand: -1}
 	step := func(demand int64) *metrics.StepStats {
 		return &metrics.StepStats{Duration: 100, DemandMigrations: demand}
 	}

@@ -253,24 +253,6 @@ func TestMigrationTraceRecorded(t *testing.T) {
 	}
 }
 
-func TestRunUntilSteady(t *testing.T) {
-	g := microGraph(t, 1<<20)
-	rt, err := exec.NewRuntime(g, memsys.OptaneHM(), &slowAllocPolicy{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	run, steady, err := rt.RunUntilSteady(0.01, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !steady {
-		t.Fatal("static policy never reached steady state")
-	}
-	if len(run.Steps) < 2 {
-		t.Fatalf("steady after %d steps?", len(run.Steps))
-	}
-}
-
 func TestSetGraphValidation(t *testing.T) {
 	g1 := microGraph(t, 1<<20)
 	rt, err := exec.NewRuntime(g1, memsys.OptaneHM(), &slowAllocPolicy{})

@@ -16,8 +16,8 @@ import (
 // last-resort loop at b1024, and the eviction set rebuilt by an online
 // replan) and UM's LRU MakeRoom. Each digest covers every StepStats
 // field staticDigest hashes, over the cell's first four steps; the online
-// cell runs eight, because its first replan lands at the end of step 6
-// and the steps after it evict from the replanned set.
+// cell (a 25% shrink at step 1) runs eight, because its replan lands at
+// the end of step 5 and the steps after it evict from the replanned set.
 func TestEvictorStepsPinned(t *testing.T) {
 	sentinelGPU := func() exec.Policy { return gpu.New() }
 	for _, tc := range []struct {
@@ -38,10 +38,10 @@ func TestEvictorStepsPinned(t *testing.T) {
 			0x6ae162729500f207},
 		{"sentinel-gpu-chaos-online", "resnet32", 128, sentinelGPU,
 			[]exec.Option{
-				exec.WithChaos(chaos.New(chaos.Config{Seed: 42, MigrateFail: 0.3})),
+				exec.WithChaos(chaos.New(chaos.Config{Seed: 42, ShrinkAtStep: 1, ShrinkFrac: 0.25})),
 				exec.WithOnline(exec.DefaultOnline()),
 			}, 0.2, 8,
-			0xe67ef68c18cd0524},
+			0xf175dd934c37232a},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			g, err := model.Build(tc.model, tc.batch)

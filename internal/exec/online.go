@@ -19,9 +19,9 @@ import (
 // Hysteresis keeps it from flapping: divergence must persist for the
 // monitor's window plus one more suspect step before sampling starts, a
 // successful swap is followed by cooldown steps during which verdicts are
-// ignored (the baseline still re-learns), and at most MaxReplans rebuilds
-// are attempted per run — after that, or when replanning itself fails,
-// the controller falls back to demand-only mode.
+// ignored (the baseline still re-learns), and at most onlineReplans
+// rebuilds are attempted per run — after that, or when replanning itself
+// fails, the controller falls back to demand-only mode.
 
 // CtlState is one state of the online controller.
 //
@@ -79,36 +79,24 @@ const (
 	// Decay is the weight of the old profile in the blended access
 	// counts: blended = Decay*old + (1-Decay)*observed.
 	Decay = 0.25
+	// onlineReplans caps plan rebuilds per run under WithOnline; the
+	// controller a fault injector alone arms has none.
+	onlineReplans = 2
 )
 
 // OnlineConfig configures the adaptive controller. The zero value is
-// disabled; DefaultOnline returns the enabled defaults the -online flag
+// disabled; DefaultOnline returns the enabled config the -online flag
 // arms.
 type OnlineConfig struct {
-	// Enabled arms the recovery loop. Off, WithOnline attaches nothing;
-	// a fault injector alone still arms the controller, with default
-	// thresholds and MaxReplans 0.
+	// Enabled arms the recovery loop with a budget of onlineReplans
+	// rebuilds. Off, WithOnline attaches nothing; a fault injector alone
+	// still arms the controller, with no replan budget.
 	Enabled bool
-	// MaxReplans caps plan rebuilds per run; exhausted, the controller
-	// falls back to demand-only mode.
-	MaxReplans int
-	// Div tunes the divergence judgement; the zero value means
-	// DefaultDivergence.
-	Div DivergenceConfig
 }
 
-// DefaultOnline returns the enabled controller defaults: at most two
-// replans under the default divergence judgement.
+// DefaultOnline returns the enabled controller.
 func DefaultOnline() OnlineConfig {
-	return OnlineConfig{Enabled: true, MaxReplans: 2, Div: DefaultDivergence()}
-}
-
-// withDefaults fills the zero Div with DefaultDivergence.
-func (c OnlineConfig) withDefaults() OnlineConfig {
-	if c.Div == (DivergenceConfig{}) {
-		c.Div = DefaultDivergence()
-	}
-	return c
+	return OnlineConfig{Enabled: true}
 }
 
 // Key canonicalizes the config for cache keys from every field, so a
@@ -120,7 +108,7 @@ func (c OnlineConfig) Key() string {
 	}
 	// fields drops String, so %+v prints every field by name.
 	type fields OnlineConfig
-	return fmt.Sprintf("online|%+v", fields(c.withDefaults()))
+	return fmt.Sprintf("online|%+v", fields(c))
 }
 
 // String summarizes the controller for logs.
@@ -129,7 +117,7 @@ func (c OnlineConfig) String() string {
 		return "online off"
 	}
 	return fmt.Sprintf("dwell 1, sample %d steps every %d, cooldown %d, max %d replans, decay %g",
-		sampleSteps, SampleEvery, cooldownSteps, c.MaxReplans, Decay)
+		sampleSteps, SampleEvery, cooldownSteps, onlineReplans, Decay)
 }
 
 // WithOnline arms the adaptive controller. A disabled config attaches
@@ -138,16 +126,15 @@ func (c OnlineConfig) String() string {
 func WithOnline(cfg OnlineConfig) Option {
 	return func(rt *Runtime) {
 		if cfg.Enabled {
-			rt.ctl = newController(cfg)
+			rt.ctl = newController(onlineReplans)
 		}
 	}
 }
 
 // newController builds the per-run state machine that WithOnline and a
-// chaos-only NewRuntime both arm; the zero Div means DefaultDivergence.
-func newController(cfg OnlineConfig) *onlineController {
-	cfg = cfg.withDefaults()
-	return &onlineController{cfg: cfg, mon: divMonitor{cfg: cfg.Div, bestDemand: -1}}
+// chaos-only NewRuntime both arm, allowed maxReplans plan rebuilds.
+func newController(maxReplans int) *onlineController {
+	return &onlineController{maxReplans: maxReplans, mon: divMonitor{bestDemand: -1}}
 }
 
 // Reprofiler is the optional Policy extension the online controller
@@ -168,8 +155,10 @@ type Reprofiler interface {
 
 // onlineController is the per-run state machine.
 type onlineController struct {
-	cfg   OnlineConfig
-	state CtlState
+	// maxReplans caps plan rebuilds per run; exhausted, the controller
+	// falls back to demand-only mode.
+	maxReplans int
+	state      CtlState
 	// mon judges each step; the controller owns the windowing.
 	mon divMonitor
 	// sampleLeft counts down the re-profiling round's remaining steps.
@@ -194,22 +183,14 @@ func (rt *Runtime) transition(step int, to CtlState, reason string) {
 }
 
 // fallbackDemandOnly is the controller's terminal degradation: demand-only
-// mode (prefetch suppressed run-wide), or the typed error under
-// WithFailHard.
-func (rt *Runtime) fallbackDemandOnly(st *metrics.StepStats, reason string, err error) error {
+// mode, prefetch suppressed run-wide.
+func (rt *Runtime) fallbackDemandOnly(st *metrics.StepStats, reason string) {
 	st.Diverged = true
 	rt.run.Diverged = true
 	rt.transition(st.Step, CtlDemandOnly, reason)
-	if rt.failHard {
-		if err != nil {
-			return err
-		}
-		return fmt.Errorf("%w: %s", ErrPlanDiverged, reason)
-	}
 	rt.demandOnly = true
 	rt.emit(trace.Event{At: rt.now, Kind: trace.KDegrade, Tensor: trace.NoTensor,
 		Count: trace.DegradeDemandOnly})
-	return nil
 }
 
 // controllerStep advances the state machine at each step's close.
@@ -231,7 +212,8 @@ func (rt *Runtime) controllerStep(st *metrics.StepStats) error {
 		return nil
 
 	case CtlHealthy:
-		return rt.judgeHealthy(st)
+		rt.judgeHealthy(st)
+		return nil
 
 	case CtlSuspect:
 		// One more flagged step confirms the divergence; a clean one
@@ -242,7 +224,8 @@ func (rt *Runtime) controllerStep(st *metrics.StepStats) error {
 			rt.transition(st.Step, CtlHealthy, "step clean, divergence was transient")
 			return nil
 		}
-		return rt.startSampling(st, detail)
+		rt.startSampling(st, detail)
+		return nil
 
 	case CtlReprofiling:
 		// Sampling steps are not judged: their fault overhead inflates
@@ -258,9 +241,8 @@ func (rt *Runtime) controllerStep(st *metrics.StepStats) error {
 		rt.emit(trace.Event{At: rt.now, Kind: trace.KReplan, Tensor: trace.NoTensor,
 			Name: "rebuilding plan from blended counts", Count: int64(c.round - 1)})
 		if err := rt.policy.(Reprofiler).Replan(c.round - 1); err != nil {
-			reason := fmt.Sprintf("replan failed: %v", err)
-			return rt.fallbackDemandOnly(st, reason,
-				fmt.Errorf("%w: %v", ErrReplanFailed, err))
+			rt.fallbackDemandOnly(st, fmt.Sprintf("replan failed: %v", err))
+			return nil
 		}
 		// Fresh baseline for the new plan: the best step of the old plan
 		// must not mis-flag it.
@@ -282,41 +264,41 @@ func (rt *Runtime) controllerStep(st *metrics.StepStats) error {
 // judgeHealthy accumulates divergence evidence in the healthy state and
 // escalates to suspect (or straight to demand-only when the replan budget
 // is spent) once the monitor's window fills.
-func (rt *Runtime) judgeHealthy(st *metrics.StepStats) error {
+func (rt *Runtime) judgeHealthy(st *metrics.StepStats) {
 	c := rt.ctl
 	bad, detail := c.mon.flagged(st)
 	if !bad {
 		c.mon.bad = 0
-		return nil
+		return
 	}
 	c.mon.bad++
-	if c.mon.bad < c.cfg.Div.Window {
-		return nil
+	if c.mon.bad < divWindow {
+		return
 	}
 	// Divergence declared: with replans left it opens the recovery loop;
 	// with none it closes the run down to demand paging.
 	c.mon.bad = 0
 	st.Diverged = true
 	rt.emit(trace.Event{At: rt.now, Kind: trace.KPlanDiverged, Tensor: trace.NoTensor, Name: detail})
-	if c.replans >= c.cfg.MaxReplans {
-		return rt.fallbackDemandOnly(st, "replan budget exhausted: "+detail, nil)
+	if c.replans >= c.maxReplans {
+		rt.fallbackDemandOnly(st, "replan budget exhausted: "+detail)
+		return
 	}
 	rt.transition(st.Step, CtlSuspect, detail)
-	return nil
 }
 
 // startSampling leaves the suspect state for a re-profiling round, or
 // falls back to demand-only mode when the policy cannot re-profile.
-func (rt *Runtime) startSampling(st *metrics.StepStats, detail string) error {
+func (rt *Runtime) startSampling(st *metrics.StepStats, detail string) {
 	c := rt.ctl
 	rp, ok := rt.policy.(Reprofiler)
 	if !ok || !rp.ReprofileStart(c.round) {
-		return rt.fallbackDemandOnly(st, "policy cannot re-profile: "+detail, nil)
+		rt.fallbackDemandOnly(st, "policy cannot re-profile: "+detail)
+		return
 	}
 	c.round++
 	c.sampleLeft = sampleSteps
 	rt.transition(st.Step, CtlReprofiling, detail)
-	return nil
 }
 
 // ControllerState reports the controller's current state; CtlHealthy when

@@ -2,6 +2,7 @@ package exec_test
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -15,16 +16,49 @@ import (
 	"sentinel/internal/tensor"
 )
 
+// burstWeights is how many weights the burst workload reads each step:
+// exactly the monitor's demand floor, so a step that finds them all
+// evicted is flagged against a clean baseline.
+const burstWeights = 8
+
+// burstGraph is the controller workload: one op reading burstWeights
+// page-aligned weights, so every evicted weight is one demand migration.
+func burstGraph(t *testing.T) *graph.Graph {
+	t.Helper()
+	b := graph.NewBuilder("burst", 1)
+	ws := make([]tensor.ID, burstWeights)
+	for i := range ws {
+		ws[i] = b.Prealloc(fmt.Sprintf("w%d", i), tensor.Weight, 1<<20)
+	}
+	b.BeginLayer()
+	op := b.Op("read", 1e9)
+	for _, w := range ws {
+		op.Read(w, 1)
+	}
+	b.EndLayer()
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 // burstPolicy is a minimal Reprofiler for driving the controller state
-// machine deterministically: it places everything on slow memory, and on
-// the steps evict selects it pushes the resident weight back to slow at
-// step start, so that step demand-migrates (and stalls) on a GPU-like
-// machine — a divergence burst on demand.
+// machine deterministically with real demand pressure: it places
+// everything on fast memory, so step 0 needs no demand migration and
+// sets a zero baseline, and on the steps evict selects it pushes every
+// weight back to slow at step start, so that step demand-migrates all
+// burstWeights of them on a GPU-like machine — a divergence burst on
+// demand.
 type burstPolicy struct {
 	exec.Base
 	rt *exec.Runtime
-	// evict selects the steps that open with the weight evicted.
+	// evict selects the steps that open with the weights evicted.
 	evict func(step int) bool
+	// quietAfterReplan makes the first step after each Replan open
+	// without an eviction, as if the new plan fit for one step.
+	quietAfterReplan bool
+	quiet            bool
 	// refuseStart makes ReprofileStart decline; replanErr makes Replan
 	// fail after sampling.
 	refuseStart bool
@@ -33,15 +67,22 @@ type burstPolicy struct {
 	replans     int
 }
 
+// fromStep1 evicts on every step but the baseline step 0.
+func fromStep1(step int) bool { return step > 0 }
+
 func (p *burstPolicy) Name() string { return "burst" }
 func (p *burstPolicy) AllocConfig(*graph.Graph) alloc.Config {
-	return alloc.Config{Mode: alloc.Packed, Tier: func(*tensor.Tensor) memsys.Tier { return memsys.Slow }}
+	return alloc.Config{Mode: alloc.Packed, Tier: func(*tensor.Tensor) memsys.Tier { return memsys.Fast }}
 }
 func (p *burstPolicy) Setup(rt *exec.Runtime) error {
 	p.rt = rt
 	return nil
 }
 func (p *burstPolicy) StepStart(step int) {
+	if p.quiet {
+		p.quiet = false
+		return
+	}
 	if p.evict == nil || !p.evict(step) {
 		return
 	}
@@ -60,22 +101,16 @@ func (p *burstPolicy) ReprofileStart(round int) bool {
 }
 func (p *burstPolicy) Replan(round int) error {
 	p.replans++
+	p.quiet = p.quietAfterReplan && p.replanErr == nil
 	return p.replanErr
 }
 
-// alwaysStalling is the divergence judgement every burst step trips: any
-// exposed stall flags, demand counting disabled.
-func alwaysStalling(window int) exec.DivergenceConfig {
-	return exec.DivergenceConfig{StallFrac: 0.0001, DemandFactor: 1000, MinDemand: 1 << 60, Window: window}
-}
-
-// runBurst executes the micro workload with the burst policy under the
-// given controller config and options.
-func runBurst(t *testing.T, p *burstPolicy, steps int, cfg exec.OnlineConfig, opts ...exec.Option) (*metrics.RunStats, error) {
+// runBurst executes the burst workload with the burst policy under the
+// online controller and the given options.
+func runBurst(t *testing.T, p *burstPolicy, steps int, opts ...exec.Option) (*metrics.RunStats, error) {
 	t.Helper()
-	g := microGraph(t, 64<<20)
-	rt, err := exec.NewRuntime(g, gpuSpec(256<<20), p,
-		append([]exec.Option{exec.WithOnline(cfg)}, opts...)...)
+	rt, err := exec.NewRuntime(burstGraph(t), gpuSpec(256<<20), p,
+		append([]exec.Option{exec.WithOnline(exec.DefaultOnline())}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,18 +133,18 @@ func edges(log []string) []string {
 	return out
 }
 
-// TestControllerWindowOne drives the full loop with a window of one: a
-// single flagged step declares divergence, the next flagged step starts
-// sampling, two sampling steps later the plan is swapped, two cooldown
-// steps later the controller is healthy again, and once the replan budget
-// is spent the next divergence is terminal. The transition log is pinned
-// edge by edge.
-func TestControllerWindowOne(t *testing.T) {
-	p := &burstPolicy{evict: func(int) bool { return true }}
-	cfg := exec.OnlineConfig{Enabled: true, MaxReplans: 1, Div: alwaysStalling(1)}
-	run, err := runBurst(t, p, 7, cfg)
+// TestControllerFullLoop drives the loop once end to end: two flagged
+// steps declare divergence, a third confirms it and starts sampling, two
+// sampling steps later the plan is swapped, and two cooldown steps later
+// the controller is healthy again. The bursts never stop, but the swap
+// resets the best-step baseline, so the replacement plan's steady burst
+// is its own normal and the controller settles instead of flapping. The
+// transition log is pinned edge by edge.
+func TestControllerFullLoop(t *testing.T) {
+	p := &burstPolicy{evict: fromStep1}
+	run, err := runBurst(t, p, 12)
 	if err != nil {
-		t.Fatalf("soft-mode run must complete: %v", err)
+		t.Fatalf("run must complete: %v", err)
 	}
 	if run.Replans != 1 || p.replans != 1 || p.starts != 1 {
 		t.Fatalf("replans: run=%d policy=%d starts=%d, want 1 each", run.Replans, p.replans, p.starts)
@@ -117,19 +152,21 @@ func TestControllerWindowOne(t *testing.T) {
 	if run.RecoveredSteps != 2 {
 		t.Fatalf("recovered steps = %d, want 2 (one cooldown window)", run.RecoveredSteps)
 	}
-	if !run.Diverged {
-		t.Fatal("exhausted replan budget must end demand-only")
+	if run.Diverged {
+		t.Fatal("a swapped plan whose steps stay at its own baseline must not degrade")
 	}
-	if st := p.rt.ControllerState(); st != exec.CtlDemandOnly {
-		t.Fatalf("final controller state %v, want demand-only", st)
+	if st := p.rt.ControllerState(); st != exec.CtlHealthy {
+		t.Fatalf("final controller state %v, want healthy", st)
+	}
+	if d := run.Steps[1].DemandMigrations; d != burstWeights {
+		t.Fatalf("burst step demand migrations = %d, want %d", d, burstWeights)
 	}
 	want := []string{
-		"step 0: healthy->suspect",
-		"step 1: suspect->reprofiling",
-		"step 3: reprofiling->replanning",
-		"step 3: replanning->recovered",
-		"step 5: recovered->healthy",
-		"step 6: healthy->demand-only",
+		"step 2: healthy->suspect",
+		"step 3: suspect->reprofiling",
+		"step 5: reprofiling->replanning",
+		"step 5: replanning->recovered",
+		"step 7: recovered->healthy",
 	}
 	if got := edges(run.ControllerLog); !reflect.DeepEqual(got, want) {
 		t.Fatalf("transition log:\n got %q\nwant %q", got, want)
@@ -141,13 +178,13 @@ func TestControllerWindowOne(t *testing.T) {
 // controller suspect (or mid-sampling) with nothing swapped and no error.
 func TestControllerDivergenceOnFinalStep(t *testing.T) {
 	t.Run("suspect", func(t *testing.T) {
-		p := &burstPolicy{evict: func(int) bool { return true }}
-		cfg := exec.OnlineConfig{Enabled: true, MaxReplans: 1, Div: alwaysStalling(1)}
-		run, err := runBurst(t, p, 1, cfg)
+		p := &burstPolicy{evict: fromStep1}
+		// Steps 1 and 2 fill the window; step 2 is the run's last.
+		run, err := runBurst(t, p, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !run.Steps[0].Diverged {
+		if !run.Steps[2].Diverged {
 			t.Fatal("final step not marked diverged")
 		}
 		if run.Diverged || run.Replans != 0 {
@@ -158,11 +195,10 @@ func TestControllerDivergenceOnFinalStep(t *testing.T) {
 		}
 	})
 	t.Run("mid-sampling", func(t *testing.T) {
-		p := &burstPolicy{evict: func(int) bool { return true }}
-		cfg := exec.OnlineConfig{Enabled: true, MaxReplans: 1, Div: alwaysStalling(1)}
-		// Step 0 suspect, step 1 starts sampling, step 2 is the first of
+		p := &burstPolicy{evict: fromStep1}
+		// Step 2 suspect, step 3 starts sampling, step 4 is the first of
 		// the round's two sampling steps and the run's last.
-		run, err := runBurst(t, p, 3, cfg)
+		run, err := runBurst(t, p, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,85 +211,74 @@ func TestControllerDivergenceOnFinalStep(t *testing.T) {
 	})
 }
 
-// TestControllerFallbacks covers the paths into demand-only mode and the
-// error chain under fail-hard: a policy that cannot re-profile degrades
-// with ErrPlanDiverged, a failed replan with ErrReplanFailed — and
-// errors.Is(ErrReplanFailed, ErrPlanDiverged) holds, so divergence-aware
-// callers see both the same way.
+// TestControllerFallbacks covers the two paths into demand-only mode
+// besides a spent budget: a policy that cannot re-profile, and a replan
+// that fails. Each run completes degraded, and its log names its own
+// cause, so a refusal is never reported as a failed replan.
 func TestControllerFallbacks(t *testing.T) {
-	cfg := exec.OnlineConfig{Enabled: true, MaxReplans: 2, Div: alwaysStalling(1)}
-
 	t.Run("refusal soft", func(t *testing.T) {
-		p := &burstPolicy{evict: func(int) bool { return true }, refuseStart: true}
-		run, err := runBurst(t, p, 3, cfg)
+		p := &burstPolicy{evict: fromStep1, refuseStart: true}
+		run, err := runBurst(t, p, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !run.Diverged || run.Replans != 0 {
 			t.Fatalf("refused re-profile must degrade without replans: %+v", run)
 		}
-		if !strings.Contains(strings.Join(run.ControllerLog, "\n"), "cannot re-profile") {
+		log := strings.Join(run.ControllerLog, "\n")
+		if !strings.Contains(log, "step 3: suspect->demand-only: policy cannot re-profile") {
 			t.Fatalf("fallback reason missing from log: %q", run.ControllerLog)
 		}
-	})
-	t.Run("refusal hard", func(t *testing.T) {
-		p := &burstPolicy{evict: func(int) bool { return true }, refuseStart: true}
-		_, err := runBurst(t, p, 3, cfg, exec.WithFailHard())
-		if !errors.Is(err, exec.ErrPlanDiverged) {
-			t.Fatalf("err = %v, want ErrPlanDiverged", err)
-		}
-		if errors.Is(err, exec.ErrReplanFailed) {
-			t.Fatalf("refusal is not a failed replan: %v", err)
+		if strings.Contains(log, "replan failed") {
+			t.Fatalf("refusal logged as a failed replan: %q", run.ControllerLog)
 		}
 	})
 	t.Run("replan failure soft", func(t *testing.T) {
-		p := &burstPolicy{evict: func(int) bool { return true }, replanErr: errors.New("no viable plan")}
-		run, err := runBurst(t, p, 4, cfg)
+		p := &burstPolicy{evict: fromStep1, replanErr: errors.New("no viable plan")}
+		run, err := runBurst(t, p, 6)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !run.Diverged {
-			t.Fatal("failed replan must degrade to demand-only")
+		if !run.Diverged || run.Replans != 1 {
+			t.Fatalf("failed replan must degrade to demand-only after one attempt: %+v", run)
 		}
-	})
-	t.Run("replan failure hard", func(t *testing.T) {
-		p := &burstPolicy{evict: func(int) bool { return true }, replanErr: errors.New("no viable plan")}
-		_, err := runBurst(t, p, 4, cfg, exec.WithFailHard())
-		if !errors.Is(err, exec.ErrReplanFailed) {
-			t.Fatalf("err = %v, want ErrReplanFailed", err)
+		want := "step 5: replanning->demand-only: replan failed: no viable plan"
+		if log := strings.Join(run.ControllerLog, "\n"); !strings.Contains(log, want) {
+			t.Fatalf("log %q lacks %q", run.ControllerLog, want)
 		}
-		if !errors.Is(err, exec.ErrPlanDiverged) {
-			t.Fatalf("ErrReplanFailed must wrap ErrPlanDiverged, got %v", err)
+		if st := p.rt.ControllerState(); st != exec.CtlDemandOnly {
+			t.Fatalf("controller state %v, want demand-only", st)
 		}
 	})
 }
 
 // TestControllerCooldownHysteresis is the no-flapping property under
-// back-to-back bursts: every step diverges, yet the controller performs
-// exactly MaxReplans spaced rebuilds — cooldown steps ignore verdicts, so
-// a burst landing inside one never re-triggers sampling.
+// back-to-back bursts: each replacement plan fits for one step, then the
+// bursts resume, yet the controller performs exactly its two spaced
+// rebuilds and then falls back to demand-only. The burst landing on each
+// cooldown's second step is flagged but ignored: were it counted, the
+// next suspect edge would come a step early.
 func TestControllerCooldownHysteresis(t *testing.T) {
-	p := &burstPolicy{evict: func(int) bool { return true }}
-	cfg := exec.OnlineConfig{Enabled: true, MaxReplans: 2, Div: alwaysStalling(1)}
-	run, err := runBurst(t, p, 14, cfg)
+	p := &burstPolicy{evict: fromStep1, quietAfterReplan: true}
+	run, err := runBurst(t, p, 18)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if run.Replans != 2 {
-		t.Fatalf("replans = %d, want exactly MaxReplans (2) despite 14 diverging steps", run.Replans)
+		t.Fatalf("replans = %d, want exactly the budget (2) despite 15 burst steps", run.Replans)
 	}
 	want := []string{
-		"step 0: healthy->suspect",
-		"step 1: suspect->reprofiling",
-		"step 3: reprofiling->replanning",
-		"step 3: replanning->recovered",
-		"step 5: recovered->healthy",
-		"step 6: healthy->suspect",
-		"step 7: suspect->reprofiling",
-		"step 9: reprofiling->replanning",
-		"step 9: replanning->recovered",
-		"step 11: recovered->healthy",
-		"step 12: healthy->demand-only",
+		"step 2: healthy->suspect",
+		"step 3: suspect->reprofiling",
+		"step 5: reprofiling->replanning",
+		"step 5: replanning->recovered",
+		"step 7: recovered->healthy",
+		"step 9: healthy->suspect",
+		"step 10: suspect->reprofiling",
+		"step 12: reprofiling->replanning",
+		"step 12: replanning->recovered",
+		"step 14: recovered->healthy",
+		"step 16: healthy->demand-only",
 	}
 	if got := edges(run.ControllerLog); !reflect.DeepEqual(got, want) {
 		t.Fatalf("transition log:\n got %q\nwant %q", got, want)
@@ -261,18 +286,23 @@ func TestControllerCooldownHysteresis(t *testing.T) {
 	if run.RecoveredSteps != 4 {
 		t.Fatalf("recovered steps = %d, want 4 (two per cooldown window)", run.RecoveredSteps)
 	}
+	if !run.Diverged {
+		t.Fatal("divergence after the budget is spent must end demand-only")
+	}
+	if st := p.rt.ControllerState(); st != exec.CtlDemandOnly {
+		t.Fatalf("final controller state %v, want demand-only", st)
+	}
 }
 
 // TestControllerShrinkDuringReprofiling lands a capacity shrink in the
 // middle of a sampling round: the round must complete against the shrunken
 // machine and the swap still happen, with no wedge and no error. Sampling
-// starts at the close of step 1 and observes steps 2 and 3; the shrink
-// lands at step 3, between the round's two sampling steps.
+// starts at the close of step 3 and observes steps 4 and 5; the shrink
+// lands at step 5, the round's second sampling step.
 func TestControllerShrinkDuringReprofiling(t *testing.T) {
-	p := &burstPolicy{evict: func(int) bool { return true }}
-	cfg := exec.OnlineConfig{Enabled: true, MaxReplans: 1, Div: alwaysStalling(1)}
-	run, err := runBurst(t, p, 5, cfg,
-		exec.WithChaos(chaos.New(chaos.Config{Seed: 1, ShrinkAtStep: 3, ShrinkFrac: 0.5})))
+	p := &burstPolicy{evict: fromStep1}
+	run, err := runBurst(t, p, 7,
+		exec.WithChaos(chaos.New(chaos.Config{Seed: 1, ShrinkAtStep: 5, ShrinkFrac: 0.5})))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,18 +310,17 @@ func TestControllerShrinkDuringReprofiling(t *testing.T) {
 		t.Fatalf("replans = %d (policy %d), want 1: the shrunken round must still swap", run.Replans, p.replans)
 	}
 	log := strings.Join(run.ControllerLog, "\n")
-	if !strings.Contains(log, "plan swapped") {
-		t.Fatalf("no plan swap in log:\n%s", log)
+	if !strings.Contains(log, "step 5: replanning->recovered: plan swapped") {
+		t.Fatalf("no plan swap at step 5 in log:\n%s", log)
 	}
 }
 
-// TestControllerDeterminism: identical seeds and knobs reproduce the whole
-// run — stats, recovery counters, and the transition log — byte for byte.
+// TestControllerDeterminism: identical seeds reproduce the whole run —
+// stats, recovery counters, and the transition log — byte for byte.
 func TestControllerDeterminism(t *testing.T) {
-	cfg := exec.OnlineConfig{Enabled: true, MaxReplans: 2, Div: alwaysStalling(1)}
 	one := func() *metrics.RunStats {
-		p := &burstPolicy{evict: func(step int) bool { return step%2 == 0 }}
-		run, err := runBurst(t, p, 10, cfg,
+		p := &burstPolicy{evict: fromStep1, quietAfterReplan: true}
+		run, err := runBurst(t, p, 10,
 			exec.WithChaos(chaos.New(chaos.Config{Seed: 7, MigrateFail: 0.4})))
 		if err != nil {
 			t.Fatal(err)
@@ -299,6 +328,9 @@ func TestControllerDeterminism(t *testing.T) {
 		return run
 	}
 	a, b := one(), one()
+	if len(a.ControllerLog) == 0 {
+		t.Fatal("controller never left healthy; the run checks nothing")
+	}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("identical seeds produced different runs:\n%q\nvs\n%q", a.ControllerLog, b.ControllerLog)
 	}

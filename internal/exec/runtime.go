@@ -62,9 +62,6 @@ type Runtime struct {
 	// ctl judges each step against the plan (WithOnline, or WithChaos
 	// with replanning off); nil disables the check.
 	ctl *onlineController
-	// failHard surfaces degradation as typed errors instead of falling
-	// back (WithFailHard).
-	failHard bool
 	// stepJitter scales op compute time for the step in flight.
 	stepJitter float64
 	// shrunk records that the fast tier lost capacity mid-run; OOM
@@ -124,7 +121,7 @@ func NewRuntime(g *graph.Graph, spec memsys.Spec, p Policy, opts ...Option) (*Ru
 		k.OutChannel().Derate(f)
 	}
 	if rt.chaos != nil && rt.ctl == nil {
-		rt.ctl = newController(OnlineConfig{Div: DefaultDivergence()})
+		rt.ctl = newController(0)
 	}
 	rt.wireTrace()
 	rt.a = alloc.New(k, p.AllocConfig(g))
@@ -408,35 +405,6 @@ func (rt *Runtime) RunSteps(n int) (*metrics.RunStats, error) {
 	return &rt.run, nil
 }
 
-// RunUntilSteady executes steps until two consecutive step times agree
-// within tol (e.g. 0.01 for 1%), or maxSteps is reached. It returns the
-// run statistics and whether steady state was detected — convenient when a
-// policy's warm-up length is unknown (profiling, test-and-trial, variant
-// discovery).
-func (rt *Runtime) RunUntilSteady(tol float64, maxSteps int) (*metrics.RunStats, bool, error) {
-	if maxSteps <= 0 {
-		maxSteps = 32
-	}
-	var prev simtime.Duration
-	for i := 0; i < maxSteps; i++ {
-		st, err := rt.RunStep()
-		if err != nil {
-			return nil, false, err
-		}
-		if i > 0 && prev > 0 {
-			diff := float64(st.Duration-prev) / float64(prev)
-			if diff < 0 {
-				diff = -diff
-			}
-			if diff <= tol {
-				return &rt.run, true, nil
-			}
-		}
-		prev = st.Duration
-	}
-	return &rt.run, false, nil
-}
-
 //perf:hot
 func (rt *Runtime) execOp(i int, op *graph.Op) error {
 	st := rt.st
@@ -669,8 +637,8 @@ func (rt *Runtime) ensureResident(op *graph.Op) (simtime.Time, error) {
 				Name: t.Name, Bytes: need - free, Count: int64(attempt + 1)})
 			rt.makeRoomFor(need)
 		}
-		done, moved, short, derr := rt.demandMigrate(r, t)
-		if derr == nil && short > 0 {
+		done, moved, short, ok := rt.demandMigrate(r, t)
+		if ok && short > 0 {
 			// Much of fast memory may be tied up in in-flight
 			// transfers that eviction cannot touch; block until the
 			// migration channels drain (the real runtime waits on its
@@ -679,12 +647,9 @@ func (rt *Runtime) ensureResident(op *graph.Op) (simtime.Time, error) {
 			settle := simtime.Max(rt.k.InChannel().BusyUntil(), rt.k.OutChannel().BusyUntil())
 			rt.WaitUntil(settle.Add(simtime.Microsecond))
 			rt.makeRoomFor(need)
-			done, moved, short, derr = rt.demandMigrate(r, t)
+			done, moved, short, ok = rt.demandMigrate(r, t)
 		}
-		if derr != nil {
-			if rt.failHard {
-				return 0, derr
-			}
+		if !ok {
 			rt.degradeTensor(t, trace.DegradeZeroCopy)
 			continue
 		}

@@ -212,9 +212,6 @@ func (o Options) run(c cellRun) (*metrics.RunStats, error) {
 	if !c.chaos.Enabled() && o.Chaos.Enabled() {
 		c.chaos = o.Chaos
 	}
-	if !c.online.Enabled && o.Online.Enabled {
-		c.online = o.Online
-	}
 	return cacheDo(o, c.key(), func() (*metrics.RunStats, error) {
 		if o.cellHook != nil {
 			o.cellHook(c)

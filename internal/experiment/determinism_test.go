@@ -1,10 +1,6 @@
 package experiment
 
-import (
-	"testing"
-
-	"sentinel/internal/exec"
-)
+import "testing"
 
 // The acceptance bar for the parallel executor: a sweep run on the worker
 // pool with the plan cache enabled renders byte-identical tables to the
@@ -73,31 +69,5 @@ func TestQuickSweepGoldenParallel(t *testing.T) {
 				t.Errorf("parallel+shared-cache output differs\n--- sequential ---\n%s\n--- parallel ---\n%s", w, g)
 			}
 		})
-	}
-}
-
-// TestOnlineRobustnessCachedMatchesSequential runs quick online-robustness
-// with the controller armed sweep-wide (sentinel-bench -online) through a
-// shared cache and again on the sequential, cache-free path. Its static
-// chaos cells take the default controller and its online cells the
-// demand-only judgement, so the two differ only in their divergence
-// config: a cache key that leaves it out serves one cell's result for the
-// other.
-func TestOnlineRobustnessCachedMatchesSequential(t *testing.T) {
-	if testing.Short() {
-		t.Skip("integration sweep")
-	}
-	seq := Options{Quick: true, Online: exec.DefaultOnline(), Workers: 1, NoCache: true}
-	par := Options{Quick: true, Online: exec.DefaultOnline(), Workers: 2, Cache: NewCache()}
-	want, err := Run("online-robustness", seq)
-	if err != nil {
-		t.Fatalf("sequential: %v", err)
-	}
-	got, err := Run("online-robustness", par)
-	if err != nil {
-		t.Fatalf("cached: %v", err)
-	}
-	if g, w := got.String(), want.String(); g != w {
-		t.Errorf("cached output differs from sequential reference\n--- sequential ---\n%s\n--- cached ---\n%s", w, g)
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"sentinel/internal/chaos"
-	"sentinel/internal/exec"
 	"sentinel/internal/simtime"
 	"sentinel/internal/trace"
 )
@@ -112,12 +111,6 @@ type Options struct {
 	// clean run. Chaos cells are cached under chaos-qualified keys, so a
 	// shared cache never serves a clean result for a perturbed cell.
 	Chaos chaos.Config
-	// Online arms the adaptive controller on every cell that does not
-	// carry its own config (the -online flag of sentinel-bench). The zero
-	// value keeps cells static. Online cells are cached under
-	// online-qualified keys, so a shared cache never serves a static
-	// result for an adaptive run.
-	Online exec.OnlineConfig
 	// Ctx, when non-nil, cancels the sweep: cells that have not started
 	// are skipped, in-flight cells are abandoned, and tables render
 	// marked incomplete. sentinel-bench wires SIGINT/SIGTERM here.

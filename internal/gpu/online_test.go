@@ -12,16 +12,6 @@ import (
 	"sentinel/internal/model"
 )
 
-// onlineDiv is the demand-only divergence judgement used for online runs
-// on the constrained GPU platform: at 20% of peak fast memory the
-// interconnect is saturated even by a healthy plan, so a stall-fraction
-// check would flap. Demand-migration pressure separates "plan gone
-// stale" from "platform is just slow". Mirrors the online-robustness
-// experiment's configuration.
-func onlineDiv() exec.DivergenceConfig {
-	return exec.DivergenceConfig{StallFrac: 0, DemandFactor: 4, MinDemand: 8, Window: 2}
-}
-
 func runOnlineGPU(t *testing.T, cfg chaos.Config, online bool) *metrics.RunStats {
 	t.Helper()
 	g, err := model.Build("resnet32", 128)
@@ -34,9 +24,7 @@ func runOnlineGPU(t *testing.T, cfg chaos.Config, online bool) *metrics.RunStats
 		opts = append(opts, exec.WithChaos(chaos.New(cfg)))
 	}
 	if online {
-		oc := exec.DefaultOnline()
-		oc.Div = onlineDiv()
-		opts = append(opts, exec.WithOnline(oc))
+		opts = append(opts, exec.WithOnline(exec.DefaultOnline()))
 	}
 	rt, err := exec.NewRuntime(g, spec, gpu.New(), opts...)
 	if err != nil {
@@ -95,9 +83,12 @@ func TestOnlineRecoversFromShrink(t *testing.T) {
 // transition log — virtual time, seeded chaos, and the controller's
 // state machine admit no host-order dependence.
 func TestOnlineGPUDeterminism(t *testing.T) {
-	cfg := chaos.Config{Seed: 42, MigrateFail: 0.3}
+	cfg := chaos.Config{Seed: 42, MigrateFail: 0.3, ShrinkAtStep: 1, ShrinkFrac: 0.25}
 	a := runOnlineGPU(t, cfg, true)
 	b := runOnlineGPU(t, cfg, true)
+	if a.Replans == 0 {
+		t.Fatalf("the configuration never replans; the transition log checks nothing\nlog: %v", a.ControllerLog)
+	}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same seed, different runs:\n a: %+v\n b: %+v", a, b)
 	}

@@ -170,9 +170,6 @@ func (k *Kernel) SetTouchHook(f TouchFunc) { k.onTouch = f }
 // SetProfiling enables or disables poison-fault accounting.
 func (k *Kernel) SetProfiling(on bool) { k.profiling = on }
 
-// Profiling reports whether poison-fault accounting is active.
-func (k *Kernel) Profiling() bool { return k.profiling }
-
 // Faults returns the total number of profiling protection faults taken.
 func (k *Kernel) Faults() int64 { return k.faults }
 

@@ -8,7 +8,7 @@ import (
 )
 
 // ErrWrapAnalyzer enforces the error-handling contract around typed
-// sentinel errors (ErrOOM, ErrMigrationFailed, ErrPlanDiverged, ...):
+// sentinel errors (ErrOOM, ErrCapacityShrunk, ErrCellTimeout, ...):
 // they must be wrapped with %w when context is added, and matched with
 // errors.Is/errors.As — never compared with == / != or string-matched.
 // The degradation ladder depends on this: ErrCapacityShrunk wraps

@@ -41,12 +41,6 @@ var registry = map[string]Factory{
 	},
 }
 
-// Register adds a policy factory; the sentinel and gpu packages register
-// themselves via sentinel's facade to avoid import cycles.
-func Register(name string, f Factory) {
-	registry[name] = f
-}
-
 // New builds the named policy.
 func New(name string) (exec.Policy, error) {
 	f, ok := registry[name]

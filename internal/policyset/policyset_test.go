@@ -35,23 +35,6 @@ func TestUnknownPolicy(t *testing.T) {
 	}
 }
 
-func TestRegister(t *testing.T) {
-	Register("test-probe", registry["slow-only"])
-	defer delete(registry, "test-probe")
-	if _, err := New("test-probe"); err != nil {
-		t.Fatalf("registered policy not constructible: %v", err)
-	}
-	found := false
-	for _, n := range Names() {
-		if n == "test-probe" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("registered policy not listed")
-	}
-}
-
 func TestRunHelper(t *testing.T) {
 	g, err := model.Build("resnet32", 16)
 	if err != nil {
