@@ -123,10 +123,9 @@ type CellRequest struct {
 	// docs/ROBUSTNESS.md). Omitted or zero means a clean run. Perturbed
 	// cells are cached under chaos-qualified keys.
 	Chaos *chaos.Config `json:"chaos,omitempty"`
-	// Online arms the adaptive controller with its default hysteresis
-	// (the -online flag; see the online controller section of
-	// docs/ROBUSTNESS.md). Adaptive cells are cached under
-	// online-qualified keys.
+	// Online arms the adaptive controller (sentinel-train's -online
+	// flag; see the online controller section of docs/ROBUSTNESS.md).
+	// Adaptive cells are cached under online-qualified keys.
 	Online bool `json:"online,omitempty"`
 }
 
