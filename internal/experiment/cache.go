@@ -220,37 +220,24 @@ func (o Options) run(c cellRun) (*metrics.RunStats, error) {
 	})
 }
 
-// runAll submits a batch of cells through the worker pool, returning run
-// stats in cell order. It is the one way a runner runs cellRuns.
+// runAll submits a batch of cells through the worker pool, each under the
+// fault boundary (runCell) with its label, returning run stats in cell
+// order. It is the one way a runner runs cellRuns.
 //
 // A cell that runs out of fast memory (exec.ErrOOM) is a result, not a
 // fault: its slot is nil, and the table renders it "oom" (runFit refuses
-// it for tables that cannot). Quarantinable failures (panic, deadline,
-// cancellation) do not fail the sweep: the cell is recorded for the table
-// footer and contributes placeholder (zeroed) stats, so every other cell
-// still completes and renders. Any other error fails the experiment,
-// naming the cell.
-//
-// The deadline/cancel watchdog is applied here, inside the pool fn, so
-// its typed errors flow through the quarantine check instead of escaping
-// straight out of runCells as sweep errors; the pool itself gets a
-// watchdog-free Options to avoid double-wrapping each cell.
+// it for tables that cannot). A quarantined cell contributes placeholder
+// (zeroed) stats, so every other cell still completes and renders.
 func (o Options) runAll(cells []cellRun) ([]*metrics.RunStats, error) {
-	pool := o
-	pool.Ctx, pool.CellTimeout = nil, 0
-	return runCells(pool, len(cells), func(i int) (*metrics.RunStats, error) {
+	return runCells(o, len(cells), func(i int) (*metrics.RunStats, error) {
 		c := cells[i]
-		r, err := runCell(o, func(int) (*metrics.RunStats, error) { return o.run(c) }, i)
-		switch {
-		case err == nil:
-			return r, nil
-		case errors.Is(err, exec.ErrOOM):
-			return nil, nil
-		case o.quar != nil && quarantinable(err):
-			o.quar.record(o.Trace, c.label(), o.CellTimeout, err)
-			return quarantinedStats(c), nil
-		}
-		return nil, c.fail(err)
+		return runCell(o, c.label(), quarantinedStats(c), func() (*metrics.RunStats, error) {
+			r, err := o.run(c)
+			if errors.Is(err, exec.ErrOOM) {
+				return nil, nil
+			}
+			return r, err
+		})
 	})
 }
 
@@ -263,15 +250,10 @@ func (o Options) runFit(cells []cellRun) ([]*metrics.RunStats, error) {
 	}
 	for i, r := range runs {
 		if r == nil {
-			return nil, cells[i].fail(exec.ErrOOM)
+			return nil, fmt.Errorf("%s: %w", cells[i].label(), exec.ErrOOM)
 		}
 	}
 	return runs, nil
-}
-
-// fail attributes err to the cell.
-func (c cellRun) fail(err error) error {
-	return fmt.Errorf("%s %s b%d: %w", c.policy, c.model, c.batch, err)
 }
 
 // quarantinedStats is the placeholder result of a quarantined cell: the
@@ -336,15 +318,14 @@ func (o Options) collectProfile(modelName string, batch int, spec memsys.Spec) (
 // builds every distinct batch's graph once and fans its probes out over
 // the pool. Policy names are validated up front: a factory cannot return
 // an error, and a bad name must fail the experiment, not the process.
-//
-// The cell watchdog (Options.CellTimeout, Options.Ctx) wraps the whole
-// memoized search, as it wraps a whole simulation cell, so an abandoned
-// search still completes into the cache and never stores a timeout.
+// Table V runs each model's search as one cell under the fault boundary,
+// which wraps the memoized search whole, so an abandoned search still
+// completes into the cache and never stores a timeout.
 func (o Options) maxBatches(modelName string, spec memsys.Spec, policies []string, limit int) ([]int, error) {
 	factories := make([]func() exec.Policy, len(policies))
 	for i, name := range policies {
 		if _, err := policyset.New(name); err != nil {
-			return nil, fmt.Errorf("max-batch %s: %w", modelName, err)
+			return nil, err
 		}
 		factories[i] = func() exec.Policy {
 			// Validated above; a registry lookup cannot fail between
@@ -354,15 +335,11 @@ func (o Options) maxBatches(modelName string, spec memsys.Spec, policies []strin
 		}
 	}
 	build := func(batch int) (*graph.Graph, error) { return model.Build(modelName, batch) }
-	pool := o
-	pool.Ctx, pool.CellTimeout = nil, 0
 	round := func(probes []gpu.Probe, fit func(i int) (bool, error)) ([]bool, error) {
-		return runCells(pool, len(probes), fit)
+		return runCells(o, len(probes), fit)
 	}
 	key := fmt.Sprintf("maxb|%s|%s|f%d|%s|l%d", modelName, spec.Name, spec.Fast.Size, strings.Join(policies, ","), limit)
-	return runCell(o, func(int) ([]int, error) {
-		return cacheDo(o, key, func() ([]int, error) {
-			return gpu.Lockstep(build, spec, factories, limit, round)
-		})
-	}, 0)
+	return cacheDo(o, key, func() ([]int, error) {
+		return gpu.Lockstep(build, spec, factories, limit, round)
+	})
 }

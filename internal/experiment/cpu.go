@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"errors"
 	"fmt"
 
 	"sentinel/internal/core"
@@ -232,7 +233,7 @@ func Fig10(o Options) (*Table, error) {
 
 // Fig11 reports, for each ResNet variant, the minimum fast memory size at
 // which Sentinel matches fast-only within 5% (paper Fig. 11). Each variant
-// is one pool cell; the capacity search inside a cell is sequential
+// is one labelled cell; the capacity search inside a cell is sequential
 // because each probe depends on the previous one stopping the search.
 func Fig11(o Options) (*Table, error) {
 	t := &Table{
@@ -246,50 +247,45 @@ func Fig11(o Options) (*Table, error) {
 	if o.Quick {
 		variants = variants[:3]
 	}
-	type result struct {
-		peak   int64
-		minPct float64
-	}
-	results, err := runCells(o, len(variants), func(i int) (result, error) {
+	rows, err := runCells(o, len(variants), func(i int) ([]string, error) {
 		v := variants[i]
 		name := fmt.Sprintf("resnet%d", v.depth)
-		peak, err := o.peak(name, v.batch)
-		if err != nil {
-			return result{}, err
-		}
-		fast, err := o.run(cellRun{model: name, batch: v.batch,
-			spec: memsys.OptaneHM().WithFastSize(2 * peak), policy: "fast-only", steps: 2})
-		if err != nil {
-			return result{}, err
-		}
-		target := fast.SteadyStepTime() * 105 / 100
-		minPct := 0.0
-		for pct := 15.0; pct <= 100; pct += 5 {
-			run, err := o.run(cellRun{model: name, batch: v.batch,
-				spec:   memsys.OptaneHM().WithFastSize(int64(pct / 100 * float64(peak))),
-				policy: "sentinel", steps: o.steps()})
+		variant := fmt.Sprintf("%s (b=%d)", name, v.batch)
+		return runCell(o, fmt.Sprintf("min-fast/%s/b%d", name, v.batch), naRow(len(t.Header), variant), func() ([]string, error) {
+			peak, err := o.peak(name, v.batch)
 			if err != nil {
-				continue
+				return nil, err
 			}
-			if run.SteadyStepTime() <= target {
-				minPct = pct
-				break
+			fast, err := o.run(cellRun{model: name, batch: v.batch,
+				spec: memsys.OptaneHM().WithFastSize(2 * peak), policy: "fast-only", steps: 2})
+			if err != nil {
+				return nil, err
 			}
-		}
-		return result{peak: peak, minPct: minPct}, nil
+			target := fast.SteadyStepTime() * 105 / 100
+			row := []string{variant, simtime.Bytes(peak), "n/a", "n/a"}
+			for pct := 15.0; pct <= 100; pct += 5 {
+				size := int64(pct / 100 * float64(peak))
+				run, err := o.run(cellRun{model: name, batch: v.batch,
+					spec: memsys.OptaneHM().WithFastSize(size), policy: "sentinel", steps: o.steps()})
+				if errors.Is(err, exec.ErrOOM) {
+					continue // does not fit at this size: try a larger one
+				}
+				if err != nil {
+					return nil, err
+				}
+				if run.SteadyStepTime() <= target {
+					row[2], row[3] = simtime.Bytes(size), fmt.Sprintf("%.0f%%", pct)
+					break
+				}
+			}
+			return row, nil
+		})
 	})
 	if err != nil {
 		return nil, err
 	}
-	for i, v := range variants {
-		r := results[i]
-		cell := "n/a"
-		frac := "n/a"
-		if r.minPct > 0 {
-			cell = simtime.Bytes(int64(r.minPct / 100 * float64(r.peak)))
-			frac = fmt.Sprintf("%.0f%%", r.minPct)
-		}
-		t.AddRow(fmt.Sprintf("resnet%d (b=%d)", v.depth, v.batch), simtime.Bytes(r.peak), cell, frac)
+	for _, row := range rows {
+		t.AddRow(row...)
 	}
 	t.AddNote("paper: peak memory grows much faster across variants than the fast memory Sentinel needs")
 	return t, nil
@@ -307,41 +303,45 @@ func Table3(o Options) (*Table, error) {
 	ms := model.EvalSet()
 	rows, err := runCells(o, len(ms), func(i int) ([]string, error) {
 		m := ms[i]
-		// This cell needs the live policy instance (OverheadSteps), so
-		// it runs the runtime directly instead of a cached cellRun.
-		g, err := model.BuildShared(m.Name, m.SmallBatch)
-		if err != nil {
-			return nil, err
-		}
-		spec, _, err := o.fastSized(memsys.OptaneHM(), m.Name, m.SmallBatch)
-		if err != nil {
-			return nil, err
-		}
-		s := core.NewDefault()
-		rt, err := exec.NewRuntime(g, spec, s)
-		if err != nil {
-			return nil, err
-		}
-		run, err := rt.RunSteps(o.steps())
-		if err != nil {
-			return nil, err
-		}
-		profStep := run.Steps[0]
-		steady := run.SteadyStepTime()
-		slowdown := float64(profStep.Duration) / float64(steady)
-		// Memory overhead of page-aligned profiling over the model's
-		// true peak concurrent footprint: every tensor is rounded up
-		// to whole pages during the profiling step.
-		memOverhead := float64(profStep.PeakMapped)/float64(g.PeakMemory()) - 1
-		if memOverhead < 0 {
-			memOverhead = 0
-		}
-		return []string{m.Name, fmt.Sprintf("%d", m.SmallBatch),
-			fmt.Sprintf("%d", g.NumLayers), fmt.Sprintf("%d", len(g.Tensors)),
-			simtime.Bytes(g.PeakMemory()),
-			fmt.Sprintf("%d", s.OverheadSteps()),
-			fmt.Sprintf("%.1fx", slowdown),
-			fmt.Sprintf("%.1f%%", 100*memOverhead)}, nil
+		batch := fmt.Sprintf("%d", m.SmallBatch)
+		label := fmt.Sprintf("overhead/%s/b%d", m.Name, m.SmallBatch)
+		return runCell(o, label, naRow(len(t.Header), m.Name, batch), func() ([]string, error) {
+			// This cell needs the live policy instance (OverheadSteps),
+			// so it runs the runtime directly instead of a cached cellRun.
+			g, err := model.BuildShared(m.Name, m.SmallBatch)
+			if err != nil {
+				return nil, err
+			}
+			spec, _, err := o.fastSized(memsys.OptaneHM(), m.Name, m.SmallBatch)
+			if err != nil {
+				return nil, err
+			}
+			s := core.NewDefault()
+			rt, err := exec.NewRuntime(g, spec, s)
+			if err != nil {
+				return nil, err
+			}
+			run, err := rt.RunSteps(o.steps())
+			if err != nil {
+				return nil, err
+			}
+			profStep := run.Steps[0]
+			steady := run.SteadyStepTime()
+			slowdown := float64(profStep.Duration) / float64(steady)
+			// Memory overhead of page-aligned profiling over the model's
+			// true peak concurrent footprint: every tensor is rounded up
+			// to whole pages during the profiling step.
+			memOverhead := float64(profStep.PeakMapped)/float64(g.PeakMemory()) - 1
+			if memOverhead < 0 {
+				memOverhead = 0
+			}
+			return []string{m.Name, batch,
+				fmt.Sprintf("%d", g.NumLayers), fmt.Sprintf("%d", len(g.Tensors)),
+				simtime.Bytes(g.PeakMemory()),
+				fmt.Sprintf("%d", s.OverheadSteps()),
+				fmt.Sprintf("%.1fx", slowdown),
+				fmt.Sprintf("%.1f%%", 100*memOverhead)}, nil
+		})
 	})
 	if err != nil {
 		return nil, err
@@ -400,22 +400,25 @@ func Characterization(o Options) (*Table, error) {
 	ms := model.EvalSet()
 	rows, err := runCells(o, len(ms), func(i int) ([]string, error) {
 		m := ms[i]
-		c, err := o.characterize(m.Name, m.SmallBatch, memsys.OptaneHM())
-		if err != nil {
-			return nil, err
-		}
-		p, err := o.collectProfile(m.Name, m.SmallBatch, memsys.OptaneHM())
-		if err != nil {
-			return nil, err
-		}
-		slowdown := float64(p.StepTime) / float64(p.StepTime-p.FaultTime)
-		return []string{m.Name,
-			fmt.Sprintf("%d", c.Tensors),
-			fmt.Sprintf("%.1f%%", 100*c.ShortLivedFraction()),
-			fmt.Sprintf("%.1f%%", 100*c.SmallFraction()),
-			simtime.Bytes(c.TensorBytes[profile.BucketHot]),
-			simtime.Bytes(c.FalseSharingBytes),
-			fmt.Sprintf("%.1fx", slowdown)}, nil
+		label := fmt.Sprintf("characterize/%s/b%d", m.Name, m.SmallBatch)
+		return runCell(o, label, naRow(len(t.Header), m.Name), func() ([]string, error) {
+			c, err := o.characterize(m.Name, m.SmallBatch, memsys.OptaneHM())
+			if err != nil {
+				return nil, err
+			}
+			p, err := o.collectProfile(m.Name, m.SmallBatch, memsys.OptaneHM())
+			if err != nil {
+				return nil, err
+			}
+			slowdown := float64(p.StepTime) / float64(p.StepTime-p.FaultTime)
+			return []string{m.Name,
+				fmt.Sprintf("%d", c.Tensors),
+				fmt.Sprintf("%.1f%%", 100*c.ShortLivedFraction()),
+				fmt.Sprintf("%.1f%%", 100*c.SmallFraction()),
+				simtime.Bytes(c.TensorBytes[profile.BucketHot]),
+				simtime.Bytes(c.FalseSharingBytes),
+				fmt.Sprintf("%.1fx", slowdown)}, nil
+		})
 	})
 	if err != nil {
 		return nil, err

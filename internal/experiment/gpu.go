@@ -91,8 +91,9 @@ func Table5(o Options) (*Table, error) {
 	if o.Quick {
 		models = models[:2]
 	}
-	// One lockstep max-batch search per model over its policies;
-	// unsupported vdnn combinations are skipped and render "n/a".
+	// One labelled cell per model: a lockstep max-batch search over its
+	// policies. Unsupported vdnn combinations are skipped and render
+	// "n/a", as does every policy of a quarantined search.
 	var tfSum, sentinelSum float64
 	for _, m := range models {
 		var searched []string
@@ -101,13 +102,15 @@ func Table5(o Options) (*Table, error) {
 				searched = append(searched, p)
 			}
 		}
-		maxes, err := o.maxBatches(m.Name, spec, searched, limit)
+		maxes, err := runCell(o, fmt.Sprintf("max-batch/%s/%s", m.Name, spec.Name), nil, func() ([]int, error) {
+			return o.maxBatches(m.Name, spec, searched, limit)
+		})
 		if err != nil {
-			return nil, fmt.Errorf("max batch %s: %w", m.Name, err)
+			return nil, err
 		}
 		found := make(map[string]int, len(searched))
-		for i, p := range searched {
-			found[p] = maxes[i]
+		for i, n := range maxes {
+			found[searched[i]] = n
 		}
 		row := []string{m.Name}
 		for _, p := range policies {

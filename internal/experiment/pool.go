@@ -14,26 +14,16 @@ import (
 	"sentinel/internal/trace"
 )
 
-// simDur casts a wall-clock duration onto the trace's virtual-time Dur
-// field; cell-timeout events are sweep-level, so the field is purely
-// informational (the deadline that expired).
-func simDur(d time.Duration) simtime.Duration { return simtime.Duration(d.Nanoseconds()) }
-
 // This file is the parallel experiment executor. Every figure and table is
-// a sweep over independent cells — one (model, policy, machine, capacity)
-// simulation each — so the runners build a flat cellRun list and submit it
-// through Options.runAll, which fans the cells out over a bounded worker
-// pool (runCells). Results come back in submission order regardless of
-// completion order, so the emitted tables are byte-identical to a
-// sequential run.
-//
-// The pool is also the sweep's fault boundary: a panicking cell is
-// recovered into a typed ErrCellPanicked instead of taking down the
-// process, a cell that exceeds Options.CellTimeout is abandoned with
-// ErrCellTimeout, and a cancelled Options.Ctx (SIGINT/SIGTERM in
-// sentinel-bench) skips cells that have not started and abandons the ones
-// in flight, so a long sweep always winds down to rendered — if partial —
-// tables.
+// a sweep over independent cells — a simulation, a search or a study each
+// — composed from two pieces. runCells fans a batch out over a bounded
+// worker pool and returns the results in submission order, so the emitted
+// tables are byte-identical to a sequential run. runCell is the sweep's
+// one fault boundary around each labelled cell: a panicking cell, one past
+// Options.CellTimeout, and one skipped or abandoned because Options.Ctx
+// was cancelled (SIGINT/SIGTERM in sentinel-bench) are quarantined into
+// the table's footer, so a long sweep always winds down to rendered — if
+// partial — tables.
 
 // Sentinel errors for the pool's fault boundary. Cell errors wrap these,
 // so errors.Is distinguishes a quarantined cell from a genuine failure.
@@ -71,15 +61,6 @@ type Progress interface {
 	CellDone()
 }
 
-// workers resolves the worker-pool width: Options.Workers if set,
-// otherwise GOMAXPROCS. Workers=1 is the strictly sequential path.
-func (o Options) workers() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // ctx resolves the sweep context; nil means never cancelled.
 func (o Options) ctx() context.Context {
 	if o.Ctx != nil {
@@ -88,64 +69,26 @@ func (o Options) ctx() context.Context {
 	return context.Background()
 }
 
-// callCell invokes fn(i) with a panic boundary: a panic in the cell — a
+// callCell invokes fn with a panic boundary: a panic in the cell — a
 // simulator bug, a bad model spec — becomes a *PanicError instead of
-// crashing the whole worker pool.
-func callCell[T any](fn func(i int) (T, error), i int) (v T, err error) {
+// crashing the worker pool or the caller.
+func callCell[T any](fn func() (T, error)) (v T, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &PanicError{Value: r, Stack: debug.Stack()}
 		}
 	}()
-	return fn(i)
+	return fn()
 }
 
-// runCell executes one cell under the pool's fault boundary: panic
-// recovery always; additionally a wall-clock deadline when CellTimeout is
-// set and cancellation when Ctx is set. The deadline/cancel path runs the
-// cell on a child goroutine and abandons it on expiry — the simulator has
-// no internal preemption points, so an abandoned cell's goroutine drains
-// in the background while the sweep moves on (or the process exits).
-func runCell[T any](o Options, fn func(i int) (T, error), i int) (T, error) {
-	if err := o.ctx().Err(); err != nil {
-		var zero T
-		return zero, fmt.Errorf("skipped: %w", err)
-	}
-	if o.CellTimeout <= 0 && o.Ctx == nil {
-		return callCell(fn, i)
-	}
-	type result struct {
-		v   T
-		err error
-	}
-	ch := make(chan result, 1)
-	go func() {
-		v, err := callCell(fn, i)
-		ch <- result{v, err}
-	}()
-	var deadline <-chan time.Time
-	if o.CellTimeout > 0 {
-		t := time.NewTimer(o.CellTimeout)
-		defer t.Stop()
-		deadline = t.C
-	}
-	select {
-	case r := <-ch:
-		return r.v, r.err
-	case <-deadline:
-		var zero T
-		return zero, fmt.Errorf("no result after %v: %w", o.CellTimeout, ErrCellTimeout)
-	case <-o.ctx().Done():
-		var zero T
-		return zero, fmt.Errorf("abandoned: %w", o.ctx().Err())
-	}
-}
-
-// runCells executes fn(i) for every i in [0, n) on up to o.workers()
-// goroutines and returns the results in index order. All cells run even if
-// some fail; the returned error joins every per-cell error (nil if none).
-// A panicking cell contributes a *PanicError rather than crashing the
-// pool. Progress, when configured, observes each completed cell.
+// runCells executes fn(i) for every i in [0, n) on up to Options.Workers
+// goroutines (GOMAXPROCS if unset; one worker runs the cells in
+// submission order) and returns the results in index order. All cells
+// run even if some fail; the returned error joins every per-cell error,
+// each prefixed "cell i:" (nil if none). A panicking fn contributes a
+// *PanicError rather than crashing the pool. Progress, when configured,
+// observes each completed cell. The pool knows nothing of deadlines,
+// cancellation or quarantine: a cell that needs them runs under runCell.
 func runCells[T any](o Options, n int, fn func(i int) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, nil
@@ -155,45 +98,94 @@ func runCells[T any](o Options, n int, fn func(i int) (T, error)) ([]T, error) {
 	}
 	results := make([]T, n)
 	errs := make([]error, n)
-	run := func(i int) {
-		results[i], errs[i] = runCell(o, fn, i)
-		if errs[i] != nil {
-			errs[i] = fmt.Errorf("cell %d: %w", i, errs[i])
-		}
-		if o.Progress != nil {
-			o.Progress.CellDone()
-		}
+	idx := make(chan int)
+	w := o.Workers
+	if w <= 0 {
+		w = runtime.GOMAXPROCS(0)
 	}
-	if w := o.workers(); w <= 1 {
-		// Sequential path: cells execute one at a time in submission
-		// order, so Workers=1 behaves exactly like the pre-pool serial
-		// code (and, with no Ctx or CellTimeout, runs entirely on the
-		// calling goroutine).
-		for i := 0; i < n; i++ {
-			run(i)
-		}
-	} else {
-		if w > n {
-			w = n
-		}
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		wg.Add(w)
-		for g := 0; g < w; g++ {
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					run(i)
+	w = min(w, n)
+	var wg sync.WaitGroup
+	wg.Add(w)
+	for g := 0; g < w; g++ {
+		go func() {
+			defer wg.Done()
+			for i := range idx {
+				results[i], errs[i] = callCell(func() (T, error) { return fn(i) })
+				if errs[i] != nil {
+					errs[i] = fmt.Errorf("cell %d: %w", i, errs[i])
 				}
-			}()
-		}
-		for i := 0; i < n; i++ {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
+				if o.Progress != nil {
+					o.Progress.CellDone()
+				}
+			}
+		}()
 	}
+	for i := 0; i < n; i++ {
+		idx <- i
+	}
+	close(idx)
+	wg.Wait()
 	return results, errors.Join(errs...)
+}
+
+// runCell runs fn as one sweep cell named label, under the sweep's fault
+// boundary. A cell is skipped if Options.Ctx is already cancelled;
+// otherwise fn runs with panic recovery and, when CellTimeout or Ctx is
+// set, on a child goroutine that is abandoned when the deadline expires or
+// the sweep is cancelled — the simulator has no internal preemption
+// points, so an abandoned cell's goroutine drains in the background while
+// the sweep moves on (or the process exits).
+//
+// Inside an experiment (Run sets Options.quar), a panicking, timed-out,
+// skipped or abandoned cell is filed for the table footer under label and
+// returns placeholder, so the rest of the table still renders; any other
+// error fails the experiment, prefixed with label. Outside one (RunCell,
+// RunPlan) every error is returned as it is.
+func runCell[T any](o Options, label string, placeholder T, fn func() (T, error)) (T, error) {
+	run := fn
+	if o.labelHook != nil {
+		run = func() (T, error) { o.labelHook(label); return fn() }
+	}
+	var v T
+	err := o.ctx().Err()
+	switch {
+	case err != nil:
+		err = fmt.Errorf("skipped: %w", err)
+	case o.CellTimeout <= 0 && o.Ctx == nil:
+		v, err = callCell(run)
+	default:
+		type result struct {
+			v   T
+			err error
+		}
+		ch := make(chan result, 1)
+		go func() {
+			v, err := callCell(run)
+			ch <- result{v, err}
+		}()
+		var deadline <-chan time.Time
+		if o.CellTimeout > 0 {
+			t := time.NewTimer(o.CellTimeout)
+			defer t.Stop()
+			deadline = t.C
+		}
+		select {
+		case r := <-ch:
+			v, err = r.v, r.err
+		case <-deadline:
+			err = fmt.Errorf("no result after %v: %w", o.CellTimeout, ErrCellTimeout)
+		case <-o.ctx().Done():
+			err = fmt.Errorf("abandoned: %w", o.ctx().Err())
+		}
+	}
+	switch {
+	case err == nil || o.quar == nil:
+		return v, err
+	case quarantinable(err):
+		o.quar.record(o.Trace, label, o.CellTimeout, err)
+		return placeholder, nil
+	}
+	return v, fmt.Errorf("%s: %w", label, err)
 }
 
 // quarantinable reports whether err is a fault the sweep degrades around
@@ -207,8 +199,8 @@ func quarantinable(err error) bool {
 
 // quarantine collects the cells a sweep completed *around*: panicked,
 // timed-out, and cancelled (skipped or abandoned) cells, each reported
-// by label in the table footer. It is shared by every runCells batch of
-// one experiment and must be safe for concurrent use by pool workers.
+// by label in the table footer. It is shared by every cell of one
+// experiment and must be safe for concurrent use by pool workers.
 type quarantine struct {
 	mu       sync.Mutex
 	entries  []string // "label: error" per quarantined cell
@@ -238,7 +230,7 @@ func (q *quarantine) record(bus *trace.Bus, label string, timeout time.Duration,
 		e.Kind = trace.KCellPanic
 	case errors.Is(err, ErrCellTimeout):
 		e.Kind = trace.KCellTimeout
-		e.Dur = simDur(timeout)
+		e.Dur = simtime.Duration(timeout.Nanoseconds()) // the deadline that expired
 	case firstCancel:
 		e.Kind = trace.KSweepCancel
 	default:

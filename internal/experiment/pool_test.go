@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -108,15 +109,18 @@ func TestRunCellsEmpty(t *testing.T) {
 }
 
 // TestRunCellsSequentialOrder proves Workers=1 executes cells strictly in
-// submission order on the calling goroutine — the pre-pool serial behavior.
+// submission order, one at a time — the pre-pool serial behavior.
 func TestRunCellsSequentialOrder(t *testing.T) {
 	var order []int
 	_, err := runCells(Options{Workers: 1}, 10, func(i int) (int, error) {
-		order = append(order, i) // safe: sequential path has no goroutines
+		order = append(order, i) // safe: one worker runs one cell at a time
 		return i, nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(order) != 10 {
+		t.Fatalf("ran %d cells, want 10", len(order))
 	}
 	for i, v := range order {
 		if v != i {
@@ -127,7 +131,7 @@ func TestRunCellsSequentialOrder(t *testing.T) {
 
 // TestRunCellsPanicRecovery: a panicking cell becomes a typed per-cell
 // error joined into the sweep result; the process survives and every
-// other cell still runs. This holds on both the sequential and pool paths.
+// other cell still runs, whatever the pool's width.
 func TestRunCellsPanicRecovery(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		workers := workers
@@ -162,12 +166,20 @@ func TestRunCellsPanicRecovery(t *testing.T) {
 	}
 }
 
-// TestRunCellsTimeout: a cell past Options.CellTimeout is abandoned with
-// ErrCellTimeout; fast cells are untouched.
-func TestRunCellsTimeout(t *testing.T) {
+// boundary runs fn(i) for each of n cells through the pool, each under
+// the fault boundary as cell "c<i>", with placeholder -1.
+func boundary(o Options, n int, fn func(i int) (int, error)) ([]int, error) {
+	return runCells(o, n, func(i int) (int, error) {
+		return runCell(o, fmt.Sprintf("c%d", i), -1, func() (int, error) { return fn(i) })
+	})
+}
+
+// TestCellBoundaryTimeout: a cell past Options.CellTimeout is abandoned
+// with ErrCellTimeout; fast cells are untouched.
+func TestCellBoundaryTimeout(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
-	res, err := runCells(Options{Workers: 4, CellTimeout: 50 * time.Millisecond}, 6,
+	res, err := boundary(Options{Workers: 4, CellTimeout: 50 * time.Millisecond}, 6,
 		func(i int) (int, error) {
 			if i == 2 {
 				<-release // hang until the test ends
@@ -190,12 +202,12 @@ func TestRunCellsTimeout(t *testing.T) {
 	}
 }
 
-// TestRunCellsCancel: a cancelled context skips cells that have not
+// TestCellBoundaryCancel: a cancelled context skips cells that have not
 // started; every skipped cell reports context.Canceled.
-func TestRunCellsCancel(t *testing.T) {
+func TestCellBoundaryCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var started atomic.Int64
-	_, err := runCells(Options{Workers: 2, Ctx: ctx}, 16, func(i int) (int, error) {
+	_, err := boundary(Options{Workers: 2, Ctx: ctx}, 16, func(i int) (int, error) {
 		if started.Add(1) == 2 {
 			cancel()
 		}
@@ -210,13 +222,13 @@ func TestRunCellsCancel(t *testing.T) {
 	}
 }
 
-// TestRunCellsPreCancelled: a context cancelled before the sweep starts
-// runs no cell at all.
-func TestRunCellsPreCancelled(t *testing.T) {
+// TestCellBoundaryPreCancelled: a context cancelled before the sweep
+// starts runs no cell at all.
+func TestCellBoundaryPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var calls atomic.Int64
-	_, err := runCells(Options{Workers: 4, Ctx: ctx}, 8, func(i int) (int, error) {
+	_, err := boundary(Options{Workers: 4, Ctx: ctx}, 8, func(i int) (int, error) {
 		calls.Add(1)
 		return i, nil
 	})
@@ -225,6 +237,59 @@ func TestRunCellsPreCancelled(t *testing.T) {
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestCellBoundaryQuarantine: inside an experiment the boundary files a
+// panicking, hung, abandoned or skipped cell under its label and hands
+// back the placeholder, while a genuine error still fails, named by its
+// label.
+func TestCellBoundaryQuarantine(t *testing.T) {
+	release := make(chan struct{})
+	defer close(release)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	o := Options{Workers: 1, Ctx: ctx, CellTimeout: 50 * time.Millisecond, quar: &quarantine{}}
+	res, err := boundary(o, 5, func(i int) (int, error) {
+		switch i {
+		case 1:
+			panic("injected")
+		case 2:
+			<-release
+		case 3:
+			cancel() // cell 3 is abandoned, cell 4 skipped
+			<-release
+		}
+		return i, nil
+	})
+	if err != nil {
+		t.Fatalf("quarantinable faults failed the batch: %v", err)
+	}
+	if want := []int{0, -1, -1, -1, -1}; !reflect.DeepEqual(res, want) {
+		t.Errorf("results %v, want %v", res, want)
+	}
+	want := []string{
+		"TABLE INCOMPLETE: 4 cell(s) quarantined or skipped; affected cells render as n/a or zero",
+		"quarantined c1: cell panicked: injected",
+		"quarantined c2: no result after 50ms: cell timed out",
+		"quarantined c3: sweep cancelled: abandoned: context canceled",
+		"quarantined c4: sweep cancelled: skipped: context canceled",
+	}
+	if got := o.quar.report(); !reflect.DeepEqual(got, want) {
+		t.Errorf("footer\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+
+	boom := errors.New("boom")
+	o = Options{quar: &quarantine{}}
+	if _, err := runCell(o, "bad/cell", 0, func() (int, error) { return 0, boom }); !errors.Is(err, boom) || err.Error() != "bad/cell: boom" {
+		t.Errorf("genuine error = %v, want %q", err, "bad/cell: boom")
+	}
+	if notes := o.quar.report(); notes != nil {
+		t.Errorf("genuine error was quarantined: %v", notes)
+	}
+	// Outside an experiment nothing is quarantined or renamed.
+	if _, err := runCell(Options{}, "bad/cell", 0, func() (int, error) { return 0, boom }); err != boom {
+		t.Errorf("error outside an experiment = %v, want it as returned", err)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"sentinel/internal/metrics"
+	"sentinel/internal/model"
 	"sentinel/internal/trace"
 )
 
@@ -367,5 +368,128 @@ func TestQuarantinedCellCachesPanic(t *testing.T) {
 	}
 	if rendered := tbl.String(); !strings.Contains(rendered, "TABLE INCOMPLETE") || !strings.Contains(rendered, "cell panicked") {
 		t.Errorf("second sweep did not quarantine the cached failure:\n%s", rendered)
+	}
+}
+
+// TestQuarantineCustomCells drives the experiments whose cells are not
+// simulation cellRuns — Fig. 11's capacity searches, Table III's live
+// runs, the characterization studies and Table V's max-batch searches —
+// through a panicking and a hung cell. Each must still return a table
+// whose footer names the faulted cell by label; the faulted row keeps its
+// identity columns and renders "n/a" in every measured one, and every
+// other row equals the committed golden.
+func TestQuarantineCustomCells(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration sweep")
+	}
+	tables := []struct {
+		id    string
+		label string // the faulted cell
+		row   int    // its row
+		keep  int    // identity columns the placeholder row keeps
+	}{
+		{"fig11", "min-fast/resnet32/b128", 1, 1},
+		{"table3", "overhead/lstm/b20", 2, 2},
+		{"characterization", "characterize/mobilenet/b64", 3, 1},
+		{"table5", "max-batch/bert-large/gpu-hm", 1, 1},
+	}
+	// One clean run warms a shared cache, so every healthy cell but
+	// Table III's live runs returns at once and the deadline can only
+	// expire on the hung cell, even under the race detector. The hooks
+	// fire before a cell computes, so the warm cache cannot hide them.
+	warm := NewCache()
+	for _, tb := range tables {
+		if _, err := Run(tb.id, Options{Steps: 3, Quick: true, Workers: 2, Cache: warm}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tb := range tables {
+		golden := goldenCells(t, tb.id)
+		for _, fault := range []string{"panic", "hang"} {
+			t.Run(tb.id+"/"+fault, func(t *testing.T) {
+				release := make(chan struct{})
+				defer close(release) // unblock the abandoned cell at test end
+				o := Options{Steps: 3, Quick: true, Workers: 2, Cache: warm}
+				footer := "cell panicked: injected custom cell bug"
+				if fault == "hang" {
+					o.CellTimeout = time.Second
+					footer = "no result after 1s: cell timed out"
+				}
+				o.labelHook = func(label string) {
+					if label != tb.label {
+						return
+					}
+					if fault == "panic" {
+						panic("injected custom cell bug")
+					}
+					<-release
+				}
+				tbl, err := Run(tb.id, o)
+				if err != nil {
+					t.Fatalf("%s failed instead of quarantining: %v", tb.id, err)
+				}
+				checkQuarantinedRow(t, tbl, golden, tb.row, tb.keep, tb.label+": "+footer)
+			})
+		}
+	}
+}
+
+// TestQuarantineFig11CachedProbe: a sentinel probe whose panic the plan
+// cache memoized fails Fig. 11's capacity search, so the variant is
+// quarantined rather than rendered with the next capacity that fits.
+func TestQuarantineFig11CachedProbe(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration sweep")
+	}
+	warm := NewCache()
+	if _, err := Run("fig11", Options{Steps: 3, Quick: true, Workers: 2, Cache: warm}); err != nil {
+		t.Fatal(err)
+	}
+	g, err := model.BuildShared("resnet20", 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The golden's resnet20 minimum: 45% of peak.
+	answer := int64(45.0 / 100 * float64(g.PeakMemory()))
+	o := Options{Steps: 3, Quick: true, Workers: 2, Cache: seededWithout(warm, "resnet20", "sentinel")}
+	o.cellHook = func(c cellRun) {
+		if c.model == "resnet20" && c.policy == "sentinel" && c.spec.Fast.Size == answer {
+			panic("injected probe bug")
+		}
+	}
+	tbl, err := Run("fig11", o)
+	if err != nil {
+		t.Fatalf("fig11 failed instead of quarantining: %v", err)
+	}
+	checkQuarantinedRow(t, tbl, goldenCells(t, "fig11"), 0, 1,
+		"min-fast/resnet20/b128: cell panicked: injected probe bug")
+}
+
+// checkQuarantinedRow asserts tbl quarantined exactly one cell, whose
+// footer line reads "quarantined "+entry, and that it renders as golden
+// except for row faulted, which keeps its first keep columns and reads
+// "n/a" in the rest.
+func checkQuarantinedRow(t *testing.T, tbl *Table, golden [][]string, faulted, keep int, entry string) {
+	t.Helper()
+	rendered := tbl.String()
+	if !strings.Contains(rendered, "note: TABLE INCOMPLETE: 1 cell(s)") {
+		t.Errorf("missing incomplete-table marker:\n%s", rendered)
+	}
+	if !strings.Contains(rendered, "note: quarantined "+entry+"\n") {
+		t.Errorf("footer does not report %q:\n%s", entry, rendered)
+	}
+	if len(tbl.Rows) != len(golden) {
+		t.Fatalf("%d rows, golden has %d:\n%s", len(tbl.Rows), len(golden), rendered)
+	}
+	for i, row := range tbl.Rows {
+		for j, cell := range row {
+			want := golden[i][j]
+			if i == faulted && j >= keep {
+				want = "n/a"
+			}
+			if cell != want {
+				t.Errorf("row %d col %q renders %q, want %q", i, tbl.Header[j], cell, want)
+			}
+		}
 	}
 }

@@ -220,8 +220,9 @@ func (r CellRequest) spec(o Options) (memsys.Spec, error) {
 
 // RunCell executes one requested simulation cell through the shared
 // plan cache (singleflight: concurrent identical requests compute
-// once) and the pool's fault boundary — a panicking or cancelled cell
-// comes back as a typed error, never a crash. Results are
+// once) and the fault boundary (runCell). A request belongs to no
+// table, so nothing is quarantined: a panicking, timed-out or cancelled
+// cell comes back as a typed error, never a crash. Results are
 // deterministic: identical requests yield identical stats whether
 // computed or cached.
 func RunCell(o Options, r CellRequest) (*metrics.RunStats, error) {
@@ -240,7 +241,7 @@ func RunCell(o Options, r CellRequest) (*metrics.RunStats, error) {
 	if r.Online {
 		c.online = exec.DefaultOnline()
 	}
-	return runCell(o, func(int) (*metrics.RunStats, error) { return o.run(c) }, 0)
+	return runCell(o, c.label(), nil, func() (*metrics.RunStats, error) { return o.run(c) })
 }
 
 // PlanRequest asks for Sentinel's profiling-and-planning stage on a
@@ -305,7 +306,8 @@ type PlanSummary struct {
 }
 
 // RunPlan executes the profiling stage for the request, memoized in the
-// shared cache under the same key the sweeps use, and summarizes it.
+// shared cache under the same key the sweeps use, through the fault
+// boundary as RunCell does, and summarizes it.
 func RunPlan(o Options, r PlanRequest) (*PlanSummary, error) {
 	r = r.Normalized()
 	if err := r.Validate(); err != nil {
@@ -315,9 +317,9 @@ func RunPlan(o Options, r PlanRequest) (*PlanSummary, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := runCell(o, func(int) (*profile.Profile, error) {
+	p, err := runCell(o, "plan/"+r.Model, nil, func() (*profile.Profile, error) {
 		return o.collectProfile(r.Model, r.Batch, spec)
-	}, 0)
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -120,9 +120,11 @@ type Options struct {
 	// with ErrCellTimeout and quarantined.
 	CellTimeout time.Duration
 	// cellHook, when non-nil, runs at the start of every freshly
-	// computed cell. It exists for tests: a hook that panics or blocks
-	// stands in for a buggy or livelocked simulation.
-	cellHook func(c cellRun)
+	// computed cellRun, and labelHook at the start of every cell runCell
+	// runs, keyed by its label. They exist for tests: a hook that panics
+	// or blocks stands in for a buggy or livelocked simulation.
+	cellHook  func(c cellRun)
+	labelHook func(label string)
 	// quar collects panicked/timed-out/cancelled cells so Run can report
 	// them in the table footer; created by normalized().
 	quar *quarantine
@@ -156,6 +158,16 @@ func speedup(base, x simtime.Duration) string {
 		return "n/a"
 	}
 	return fmt.Sprintf("%.2fx", float64(base)/float64(x))
+}
+
+// naRow is the placeholder row of a quarantined cell: the row's identity
+// columns lead, then "n/a" in every measured column up to width.
+func naRow(width int, lead ...string) []string {
+	row := append([]string{}, lead...)
+	for len(row) < width {
+		row = append(row, "n/a")
+	}
+	return row
 }
 
 // pctOf formats x as a percentage of base.
