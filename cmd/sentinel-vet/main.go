@@ -3,15 +3,12 @@
 // bit-determinism (no wall-clock time or unseeded randomness in
 // simulation code, no order-sensitive map iteration), unit safety
 // (bytes never silently become pages), the closed trace schema, sentinel
-// error wrapping, and context conventions — plus the concurrency
-// discipline of the serving layer: lock release and blocking
-// (locksafe), goroutine exit paths (goroleak), and declared state
-// machines (statemach); copying a mutex by value is left to go vet.
-// The ten checks run module-wide in one invocation: packages load in
-// dependency order with cross-package type identity, so module-level
-// analyzers can follow a types.Object across package boundaries. See
-// docs/LINTING.md for the checks and the //lint:allow suppression
-// syntax.
+// error wrapping, context conventions, and map-free hot paths.
+// Copying a mutex by value is left to go vet. The seven checks run
+// module-wide in one invocation: packages load in dependency order,
+// each type-checked once, and every analyzer sees one package at a
+// time. See docs/LINTING.md for the checks and the //lint:allow
+// suppression syntax.
 //
 // Usage:
 //

@@ -396,22 +396,29 @@ func TestControlDependencyReprofiling(t *testing.T) {
 
 // TestVariableMILMinimalBenefit measures the Sec. IV-E claim: variable
 // migration interval lengths bring minimal performance benefit over the
-// uniform length in practice.
+// uniform length in practice. Across these cells the variable/uniform
+// step-time ratio measures 0.970-1.059: the greedy growth neither wins
+// nor loses more than a few percent.
 func TestVariableMILMinimalBenefit(t *testing.T) {
-	uniform, _ := runSentinel(t, "resnet32", 128, 0.2, core.DefaultConfig(), 6)
-	cfg := core.DefaultConfig()
-	cfg.VariableMIL = true
-	variable, _ := runSentinel(t, "resnet32", 128, 0.2, cfg, 6)
-	u := uniform.Run().SteadyStepTime()
-	v := variable.Run().SteadyStepTime()
-	ratio := float64(v) / float64(u)
-	// The paper's point is that variable lengths bring no meaningful
-	// win; in this simulation they can also cost up to ~30% at fine
-	// layer granularity (growth trades eviction eagerness for fewer
-	// boundaries). Assert "no large benefit" and a bounded cost.
-	if ratio < 0.85 || ratio > 1.35 {
-		t.Errorf("variable MIL changed step time by %.0f%% (uniform %v, variable %v)",
-			100*(ratio-1), u, v)
+	for _, c := range []struct {
+		model string
+		batch int
+		frac  float64
+	}{
+		{"resnet32", 128, 0.2}, {"resnet32", 128, 0.4},
+		{"bert-base", 16, 0.2}, {"bert-base", 16, 0.4},
+		{"lstm", 64, 0.2}, {"lstm", 64, 0.4},
+	} {
+		uniform, _ := runSentinel(t, c.model, c.batch, c.frac, core.DefaultConfig(), 6)
+		cfg := core.DefaultConfig()
+		cfg.VariableMIL = true
+		variable, _ := runSentinel(t, c.model, c.batch, c.frac, cfg, 6)
+		u := uniform.Run().SteadyStepTime()
+		v := variable.Run().SteadyStepTime()
+		if ratio := float64(v) / float64(u); ratio < 0.95 || ratio > 1.07 {
+			t.Errorf("%s b%d at %.0f%%: variable MIL changed step time by %.1f%% (uniform %v, variable %v)",
+				c.model, c.batch, 100*c.frac, 100*(ratio-1), u, v)
+		}
 	}
 }
 

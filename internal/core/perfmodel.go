@@ -182,18 +182,25 @@ func (m *perfModel) variableBoundaries(baseMIL int, budget int64) []int {
 	maxLen := 2 * baseMIL
 	starts := []int{0}
 	clear(m.mark) // mark[id] == len(starts): id already counted this interval
-	var bytes int64
-	length := 0
-	for l, ids := range m.byLayer {
-		var add int64
+	// unseen sums the bytes of ids the current interval does not hold yet.
+	unseen := func(ids []tensor.ID) (add int64) {
 		for _, id := range ids {
 			if m.mark[id] != len(starts) {
 				add += m.p.ByID(id).Size
 			}
 		}
+		return add
+	}
+	var bytes int64
+	length := 0
+	for l, ids := range m.byLayer {
+		add := unseen(ids)
 		if length > 0 && (bytes+add > budget || length >= maxLen) {
 			starts = append(starts, l)
 			bytes, length = 0, 0
+			// The new interval holds none of this layer's tensors, even
+			// those the old one already counted.
+			add = unseen(ids)
 		}
 		for _, id := range ids {
 			m.mark[id] = len(starts)

@@ -25,11 +25,11 @@ import (
 
 // CtlState is one state of the online controller.
 //
-// sentinel-vet's statemach analyzer enforces the machine shape: every
-// default-less switch over CtlState handles all six states, and only
-// transition may write a CtlState constant into durable storage.
-//
-//lint:statemach transitions=transition
+// TestCtlStateClosed pins the machine's shape: exactly six named states,
+// and one clean step from each either errors (CtlReplanning) or lands in
+// a named state. Only transition writes the state; the transition-log
+// assertions of TestControllerCooldownHysteresis and
+// TestControllerFullLoop see every edge it records.
 type CtlState int
 
 // Controller states, in escalation order. CtlReplanning is transient:

@@ -493,3 +493,28 @@ func checkQuarantinedRow(t *testing.T, tbl *Table, golden [][]string, faulted, k
 		}
 	}
 }
+
+// TestValidateFailsOnQuarantinedCell: Validate's checks judge whatever
+// stats their cells return, so a quarantined cell's placeholder zeros
+// would pass "sentinel is fastest" at 0ns. Validate must instead fail,
+// naming the quarantined cell.
+func TestValidateFailsOnQuarantinedCell(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration sweep")
+	}
+	o := Options{Steps: 3}
+	o.cellHook = func(c cellRun) {
+		if c.model == "resnet32" && c.policy == "sentinel" {
+			panic("injected cell bug")
+		}
+	}
+	checks, err := Validate(o)
+	if err == nil {
+		t.Fatalf("Validate judged a quarantined cell's placeholders: %+v", checks)
+	}
+	for _, want := range []string{"quarantined sentinel/resnet32/b128/", "cell panicked: injected cell bug"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"strings"
 
 	"sentinel/internal/memsys"
 	"sentinel/internal/profile"
@@ -20,7 +21,9 @@ type Check struct {
 // paper that must hold in this simulation (with the tolerances documented
 // in EXPERIMENTS.md). Used by cmd/sentinel-validate as a one-command
 // self-check. Independent simulation groups fan out over the worker pool;
-// the check list itself is assembled in a fixed order.
+// the check list itself is assembled in a fixed order. A quarantined cell
+// leaves only placeholder stats for the checks to judge, so Validate
+// fails naming every such cell rather than report a verdict on zeros.
 func Validate(o Options) ([]Check, error) {
 	o = o.normalized()
 	var checks []Check
@@ -131,5 +134,8 @@ func Validate(o Options) ([]Check, error) {
 	add("table5-batch", "sentinel-gpu trains much larger batches than plain TF",
 		sMax >= 2*tfMax, "sentinel %d vs tf %d", sMax, tfMax)
 
+	if notes := o.quar.report(); notes != nil {
+		return nil, fmt.Errorf("validate: %s", strings.Join(notes[1:], "; "))
+	}
 	return checks, nil
 }

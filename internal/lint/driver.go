@@ -137,9 +137,6 @@ func RunPackages(loader *Loader, pkgs []*Package, analyzers []*Analyzer) ([]Diag
 			diags = append(diags, d)
 		})
 		for _, a := range analyzers {
-			if a.Run == nil {
-				continue
-			}
 			pass := &Pass{
 				Fset:    loader.Fset,
 				Files:   pkg.Files,
@@ -154,50 +151,6 @@ func RunPackages(loader *Loader, pkgs []*Package, analyzers []*Analyzer) ([]Diag
 				},
 			}
 			a.Run(pass)
-		}
-	}
-
-	// Module-level analyzers run once over the whole set. Suppressions
-	// from dependency packages outside the analysis set also apply: a
-	// fact-declaring package may annotate its own exception.
-	moduleAnalyzers := false
-	for _, a := range analyzers {
-		if a.RunModule != nil {
-			moduleAnalyzers = true
-			break
-		}
-	}
-	if moduleAnalyzers {
-		all := loader.Loaded()
-		inPkgs := map[string]bool{}
-		for _, pkg := range pkgs {
-			inPkgs[pkg.Path] = true
-		}
-		for _, pkg := range all {
-			if !inPkgs[pkg.Path] {
-				scanSuppressions(pkg, nodePositioner{loader, relFile}, known, sup, func(Diagnostic) {
-					// Malformed directives in packages outside the
-					// analysis set are that package's problem; they are
-					// reported when it is analyzed directly.
-				})
-			}
-		}
-		for _, a := range analyzers {
-			if a.RunModule == nil {
-				continue
-			}
-			pass := &ModulePass{
-				Fset:    loader.Fset,
-				Pkgs:    pkgs,
-				All:     all,
-				ModRoot: loader.ModRoot,
-				check:   a.Name,
-				report: func(d Diagnostic) {
-					d.File = relFile(d.File)
-					diags = append(diags, d)
-				},
-			}
-			a.RunModule(pass)
 		}
 	}
 

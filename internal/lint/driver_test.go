@@ -232,62 +232,6 @@ func writeMultiModule(t *testing.T, pkgs map[string]string) string {
 	return dir
 }
 
-// crossPkgModule is a two-package module where the finding in app is
-// only visible with facts from core: core declares a state enum, app
-// switches over it without naming every state.
-var crossPkgModule = map[string]string{
-	"core": `package core
-
-//lint:statemach
-type State int
-
-const (
-	Idle State = iota
-	Running
-	Done
-)
-`,
-	"app": `package app
-
-import "tmpmod/core"
-
-func Busy(s core.State) bool {
-	switch s {
-	case core.Idle, core.Done:
-		return false
-	}
-	return true
-}
-`,
-}
-
-// TestCrossPackageFinding: analyzing only app must still surface the
-// statemach finding, because the module driver loads core as a
-// dependency and reads the enum declaration from it.
-func TestCrossPackageFinding(t *testing.T) {
-	dir := writeMultiModule(t, crossPkgModule)
-	loader, err := NewLoader(dir, "tmpmod")
-	if err != nil {
-		t.Fatal(err)
-	}
-	analyzers, err := ByName([]string{"statemach"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags, err := Run(loader, []string{"app"}, analyzers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diags) != 1 {
-		t.Fatalf("want exactly 1 cross-package statemach finding, got %v", diags)
-	}
-	d := diags[0]
-	if d.File != "app/app.go" || d.Check != "statemach" ||
-		!strings.Contains(d.Message, "core.State") || !strings.Contains(d.Message, "Running") {
-		t.Errorf("unexpected finding: %+v", d)
-	}
-}
-
 // TestLoadImportCycle: a module-internal import cycle (illegal Go, but
 // a loader must not hang or overflow on it) is an error naming a
 // member of the cycle.

@@ -137,9 +137,6 @@ func TestTraceKindsFixtures(t *testing.T)  { runFixtures(t, TraceKindsAnalyzer) 
 func TestErrWrapFixtures(t *testing.T)     { runFixtures(t, ErrWrapAnalyzer) }
 func TestCtxFirstFixtures(t *testing.T)    { runFixtures(t, CtxFirstAnalyzer) }
 func TestHotPathFixtures(t *testing.T)     { runFixtures(t, HotPathAnalyzer) }
-func TestLockSafeFixtures(t *testing.T)    { runFixtures(t, LockSafeAnalyzer) }
-func TestGoroLeakFixtures(t *testing.T)    { runFixtures(t, GoroLeakAnalyzer) }
-func TestStateMachFixtures(t *testing.T)   { runFixtures(t, StateMachAnalyzer) }
 
 // TestFixtureDrift is the CI drift gate: every analyzer in the suite
 // must have a fixture directory with at least one positive expectation,

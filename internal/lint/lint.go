@@ -42,10 +42,7 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", d.File, d.Line, d.Col, d.Check, d.Message)
 }
 
-// Analyzer is one named check. Exactly one of Run and RunModule is
-// set: Run inspects one package at a time, RunModule sees the whole
-// dependency-ordered package set at once (for checks whose facts cross
-// package boundaries, like statemach).
+// Analyzer is one named check, run over one package at a time.
 type Analyzer struct {
 	// Name is the check's identifier, used in -checks selections and
 	// //lint:allow annotations.
@@ -54,10 +51,6 @@ type Analyzer struct {
 	Doc string
 	// Run executes the check over one package.
 	Run func(*Pass)
-	// RunModule executes the check once over every package under
-	// analysis, with the full loaded dependency closure available as a
-	// fact source.
-	RunModule func(*ModulePass)
 }
 
 // Pass hands one type-checked package to an analyzer.
@@ -92,40 +85,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// ModulePass hands the whole analysis run to a module-level analyzer.
-// Facts (a state-enum declaration) are gathered from All; findings are
-// only reported against Pkgs.
-type ModulePass struct {
-	// Fset maps token positions back to file/line/col.
-	Fset *token.FileSet
-	// Pkgs are the packages under analysis, in dependency order (a
-	// package always follows its module-internal dependencies).
-	Pkgs []*Package
-	// All is Pkgs plus every module-internal dependency the loader
-	// pulled in to type-check them, sorted by import path. Analyzers
-	// read declarations and directives from here so a fact declared in
-	// an imported package is visible even when only the importer is
-	// under analysis.
-	All []*Package
-	// ModRoot is the module root directory.
-	ModRoot string
-
-	check  string
-	report func(Diagnostic)
-}
-
-// Reportf records one finding at pos.
-func (p *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
-	position := p.Fset.Position(pos)
-	p.report(Diagnostic{
-		File:    position.Filename,
-		Line:    position.Line,
-		Col:     position.Column,
-		Check:   p.check,
-		Message: fmt.Sprintf(format, args...),
-	})
-}
-
 // Analyzers returns the full suite, in stable order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
@@ -136,9 +95,6 @@ func Analyzers() []*Analyzer {
 		ErrWrapAnalyzer,
 		CtxFirstAnalyzer,
 		HotPathAnalyzer,
-		LockSafeAnalyzer,
-		GoroLeakAnalyzer,
-		StateMachAnalyzer,
 	}
 }
 

@@ -27,9 +27,8 @@ type Package struct {
 // through the loader itself; everything else (the standard library)
 // resolves through the compiler's source importer. Loaded packages are
 // memoized, so a whole-tree run type-checks each package once and the
-// module ends up with exactly one *types.Package per import path —
-// analyzers rely on that identity to follow a types.Object across
-// package boundaries.
+// module ends up with exactly one *types.Package per import path: an
+// imported declaration is the same types.Object in every importer.
 //
 // A Loader is not safe for concurrent use; each caller owns one.
 type Loader struct {
@@ -156,18 +155,6 @@ func (l *Loader) LoadAll(dirs []string) ([]*Package, error) {
 		}
 	}
 	return out, nil
-}
-
-// Loaded returns every package this loader has successfully
-// type-checked — the analysis targets plus every module-internal
-// dependency pulled in to check them — sorted by import path. Module
-// analyzers use it as their fact source: a state enum declared in a
-// dependency is visible even when only the importing package is under
-// analysis.
-func (l *Loader) Loaded() []*Package {
-	out := append([]*Package(nil), l.done...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
-	return out
 }
 
 // load parses and type-checks one module-internal package, memoized.
