@@ -10,7 +10,7 @@
 //     the tree, so prose does not keep naming packages that were
 //     renamed or deleted. A trailing `/...` wildcard checks the prefix
 //     directory; a trailing :line suffix is ignored; the package.Symbol
-//     citation form (`internal/memsys.BWTrace`) checks the package
+//     citation form (`internal/memsys.Channel`) checks the package
 //     directory.
 //
 // Link targets resolve relative to the referencing file; Go paths
@@ -127,7 +127,7 @@ func checkGoPaths(root, file string, lineno int, line string, w io.Writer) int {
 			continue
 		}
 		path := gp[1]
-		// package.Symbol citations (`internal/memsys.BWTrace`) name an
+		// package.Symbol citations (`internal/memsys.Channel`) name an
 		// exported identifier inside a package: strip the symbol and
 		// check the package directory.
 		if sym := symbolRE.FindStringSubmatch(path); sym != nil {

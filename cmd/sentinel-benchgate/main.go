@@ -18,10 +18,10 @@
 //
 // Usage:
 //
-//	sentinel-benchgate -out BENCH_28.json -against BENCH_27.json   # run, record, gate
-//	sentinel-benchgate -against BENCH_27.json                      # run and gate only
-//	sentinel-benchgate -check BENCH_27.json                        # schema/shape validation
-//	sentinel-benchgate -compare BENCH_28.json -against BENCH_27.json  # offline compare
+//	sentinel-benchgate -out BENCH_29.json -against BENCH_28.json   # run, record, gate
+//	sentinel-benchgate -against BENCH_28.json                      # run and gate only
+//	sentinel-benchgate -check BENCH_28.json                        # schema/shape validation
+//	sentinel-benchgate -compare BENCH_29.json -against BENCH_28.json  # offline compare
 package main
 
 import (
@@ -113,7 +113,6 @@ var suite = []suiteEntry{
 	{pkg: "sentinel/internal/memsys", benches: []string{
 		"BenchmarkChannelSubmit",
 		"BenchmarkChannelSubmitUrgent",
-		"BenchmarkBWTraceConsume",
 	}},
 	{pkg: "sentinel/internal/model", benches: []string{
 		// Graph construction, paid once per Table V round and batch.

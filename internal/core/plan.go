@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 
-	"sentinel/internal/kernel"
 	"sentinel/internal/memsys"
 	"sentinel/internal/profile"
 	"sentinel/internal/simtime"
@@ -258,7 +257,3 @@ func (pl *Plan) String() string {
 	return fmt.Sprintf("plan{MIL=%d intervals=%d reserve=%s}",
 		pl.MIL, pl.NumIntervals, simtime.Bytes(pl.Reserve))
 }
-
-// kernel/memsys imports are part of the package's public signature surface.
-var _ = kernel.PageSize
-var _ = memsys.Fast

@@ -9,6 +9,7 @@ import (
 	"sentinel/internal/memsys"
 	"sentinel/internal/simtime"
 	"sentinel/internal/tensor"
+	"sentinel/internal/trace"
 )
 
 // microGraph builds a 2-layer graph with one big activation produced in
@@ -233,10 +234,19 @@ func TestOverlapFactorMonotonic(t *testing.T) {
 	}
 }
 
+// TestMigrationTraceRecorded: every slow->fast byte the step accounts
+// crosses the bus as a migrate-in event.
 func TestMigrationTraceRecorded(t *testing.T) {
 	g := microGraph(t, 64<<20)
 	p := &slowAllocPolicy{}
-	rt, err := exec.NewRuntime(g, gpuSpec(256<<20), p, exec.WithBWTrace(simtime.Millisecond))
+	var in int64
+	bus := trace.NewBus(1)
+	bus.Subscribe(func(e trace.Event) {
+		if e.Kind == trace.KMigrateIn {
+			in += e.Bytes
+		}
+	})
+	rt, err := exec.NewRuntime(g, gpuSpec(256<<20), p, exec.WithTrace(bus, ""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,12 +254,11 @@ func TestMigrationTraceRecorded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, mig := st.Trace.Totals()
-	if mig == 0 {
-		t.Fatal("migration traffic missing from trace")
+	if in == 0 {
+		t.Fatal("migration traffic missing from the bus")
 	}
-	if mig != st.MigratedIn {
-		t.Fatalf("trace migration %d != stats %d", mig, st.MigratedIn)
+	if in != st.MigratedIn {
+		t.Fatalf("bus migrate-in %d != stats %d", in, st.MigratedIn)
 	}
 }
 

@@ -76,9 +76,6 @@ type Recomputer interface {
 	Recompute(t *tensor.Tensor) (simtime.Duration, bool)
 }
 
-// simtime.Time reference to keep the import used in interface docs.
-var _ = simtime.Time(0)
-
 // Base is a no-op Policy for embedding; policies override what they need.
 type Base struct{}
 

@@ -41,10 +41,9 @@ type Runtime struct {
 	recomputer Recomputer
 	evictor    Evictor
 
-	now        simtime.Time
-	st         *metrics.StepStats
-	traceWidth simtime.Duration
-	run        metrics.RunStats
+	now simtime.Time
+	st  *metrics.StepStats
+	run metrics.RunStats
 	// pinnedAccess lets GPU compute read host-resident pages in place
 	// (pinned/zero-copy memory) instead of requiring residency;
 	// Sentinel-GPU's profiling step runs in this mode (Sec. V).
@@ -83,11 +82,6 @@ func (rt *Runtime) SetPinnedAccess(on bool) { rt.pinnedAccess = on }
 
 // Option configures a Runtime.
 type Option func(*Runtime)
-
-// WithBWTrace enables bandwidth tracing with the given bucket width.
-func WithBWTrace(width simtime.Duration) Option {
-	return func(rt *Runtime) { rt.traceWidth = width }
-}
 
 // NewRuntime builds a runtime: kernel, policy-configured allocator,
 // preallocated tensors placed, and the policy set up.
@@ -281,22 +275,16 @@ func (rt *Runtime) MigrateRange(addr, size int64, dst memsys.Tier) (done simtime
 }
 
 // noteMigration folds a completed migration submission into the step
-// statistics and the per-step bandwidth trace. The unified bus learns
-// about migrations from the kernel layer, which knows the channel
-// service span; here we only account bytes.
+// statistics. The bus learns about migrations from the kernel layer,
+// which knows the channel service span; here we only account bytes.
 func (rt *Runtime) noteMigration(dst memsys.Tier, moved int64) {
 	if moved == 0 || rt.st == nil {
 		return
 	}
-	kind := trace.KMigrateOut
 	if dst == memsys.Fast {
 		rt.st.MigratedIn += moved
-		kind = trace.KMigrateIn
 	} else {
 		rt.st.MigratedOut += moved
-	}
-	if rt.st.Trace != nil {
-		rt.st.Trace.Consume(trace.Event{At: rt.now, Kind: kind, Bytes: moved})
 	}
 }
 
@@ -332,9 +320,6 @@ func (rt *Runtime) RunStep() (*metrics.StepStats, error) {
 		LayerTime:        make([]simtime.Duration, rt.g.NumLayers),
 		LayerComputeTime: make([]simtime.Duration, rt.g.NumLayers),
 		LayerMemTime:     make([]simtime.Duration, rt.g.NumLayers),
-	}
-	if rt.traceWidth > 0 {
-		st.Trace = memsys.NewBWTrace(rt.traceWidth)
 	}
 	rt.st = st
 	rt.curLayer = -1

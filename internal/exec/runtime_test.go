@@ -8,7 +8,7 @@ import (
 	"sentinel/internal/exec"
 	"sentinel/internal/memsys"
 	"sentinel/internal/model"
-	"sentinel/internal/simtime"
+	"sentinel/internal/trace"
 )
 
 // testSpec returns an Optane-like machine whose fast tier holds frac of the
@@ -137,13 +137,21 @@ func TestGPUResidencyOOM(t *testing.T) {
 	}
 }
 
+// TestBandwidthTrace: the bus carries every demand byte, so its slow-tier
+// access events add up to the step's SlowBytes.
 func TestBandwidthTrace(t *testing.T) {
 	g, err := model.Build("resnet32", 128)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := exec.NewRuntime(g, memsys.OptaneHM(), baseline.NewSlowOnly(),
-		exec.WithBWTrace(simtime.Millisecond))
+	var slow int64
+	bus := trace.NewBus(1)
+	bus.Subscribe(func(e trace.Event) {
+		if e.Kind == trace.KAccess && e.Tier == trace.TierSlow {
+			slow += e.Bytes
+		}
+	})
+	rt, err := exec.NewRuntime(g, memsys.OptaneHM(), baseline.NewSlowOnly(), exec.WithTrace(bus, ""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,11 +159,7 @@ func TestBandwidthTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Trace == nil {
-		t.Fatal("trace not recorded")
-	}
-	_, slow, _ := st.Trace.Totals()
-	if slow != st.SlowBytes {
-		t.Errorf("trace slow bytes %d != stats %d", slow, st.SlowBytes)
+	if slow == 0 || slow != st.SlowBytes {
+		t.Errorf("bus slow bytes %d != stats %d", slow, st.SlowBytes)
 	}
 }

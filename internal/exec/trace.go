@@ -46,25 +46,15 @@ func (rt *Runtime) emit(e trace.Event) { rt.sink.Emit(e) }
 // run label and step/layer context like engine events.
 func (rt *Runtime) Emit(e trace.Event) { rt.sink.Emit(e) }
 
-// noteAccess records demand traffic served by one tier: it feeds both the
-// event bus and the per-step bandwidth trace, which consumes the same
-// unified event.
+// noteAccess emits demand traffic served by one tier onto the bus.
 //
 //perf:hot
 func (rt *Runtime) noteAccess(at simtime.Time, tier trace.Tier, n int64, id tensor.ID, name string) {
-	if n <= 0 {
-		return
-	}
 	// Skip event construction entirely on untraced runs: this is called
 	// twice per access in the op inner loop, and building the discarded
 	// event was measurable in sweep profiles.
-	bwTrace := rt.st != nil && rt.st.Trace != nil
-	if !bwTrace && !rt.sink.Enabled() {
+	if n <= 0 || !rt.sink.Enabled() {
 		return
 	}
-	ev := trace.Event{At: at, Kind: trace.KAccess, Tier: tier, Bytes: n, Tensor: id, Name: name}
-	rt.emit(ev)
-	if bwTrace {
-		rt.st.Trace.Consume(ev)
-	}
+	rt.emit(trace.Event{At: at, Kind: trace.KAccess, Tier: tier, Bytes: n, Tensor: id, Name: name})
 }

@@ -122,7 +122,7 @@ func cacheDo[T any](o Options, key string, compute func() (T, error)) (T, error)
 
 // cellRun describes one simulation cell: a (model, batch, machine, policy,
 // steps) configuration, optionally with a forced migration-interval length
-// (Fig. 5) or a bandwidth trace (Fig. 9).
+// (Fig. 5).
 type cellRun struct {
 	model  string
 	batch  int
@@ -130,7 +130,6 @@ type cellRun struct {
 	policy string
 	steps  int
 	mil    int               // ForceMIL for the sentinel policy; 0 = model-chosen
-	trace  simtime.Duration  // bandwidth-trace bucket width; 0 = off
 	chaos  chaos.Config      // fault injection; zero = clean run
 	online exec.OnlineConfig // adaptive controller; zero = static plan
 }
@@ -139,9 +138,9 @@ type cellRun struct {
 // tier sizes: presets share a Name, so WithFastSize variants must not
 // collide.
 func (c cellRun) key() string {
-	k := fmt.Sprintf("run|%s|b%d|%s|f%d|s%d|%s|n%d|mil%d|tr%d",
+	k := fmt.Sprintf("run|%s|b%d|%s|f%d|s%d|%s|n%d|mil%d",
 		c.model, c.batch, c.spec.Name, c.spec.Fast.Size, c.spec.Slow.Size,
-		c.policy, c.steps, c.mil, c.trace)
+		c.policy, c.steps, c.mil)
 	// Chaos knobs change the cell's result; a disabled config contributes
 	// nothing, so clean cells keep their pre-chaos keys.
 	if ck := c.chaos.Key(); ck != "" {
@@ -156,12 +155,12 @@ func (c cellRun) key() string {
 	return k
 }
 
-// label names the cell's run in trace events: policy, model, batch, and
-// the capacity point, enough to tell sweep cells apart in an exported
-// timeline.
+// label names the cell's run in trace events and quarantine notes:
+// policy, model, batch, the capacity point and the step count, enough to
+// tell sweep cells apart in an exported timeline.
 func (c cellRun) label() string {
-	l := fmt.Sprintf("%s/%s/b%d/%s/fast=%s",
-		c.policy, c.model, c.batch, c.spec.Name, simtime.Bytes(c.spec.Fast.Size))
+	l := fmt.Sprintf("%s/%s/b%d/%s/fast=%s/steps=%d",
+		c.policy, c.model, c.batch, c.spec.Name, simtime.Bytes(c.spec.Fast.Size), c.steps)
 	if c.mil > 0 {
 		l += fmt.Sprintf("/mil=%d", c.mil)
 	}
@@ -181,9 +180,6 @@ func (c cellRun) execute(bus *trace.Bus) (*metrics.RunStats, error) {
 		return nil, err
 	}
 	var opts []exec.Option
-	if c.trace > 0 {
-		opts = append(opts, exec.WithBWTrace(c.trace))
-	}
 	if bus != nil {
 		opts = append(opts, exec.WithTrace(bus, c.label()))
 	}
@@ -205,13 +201,21 @@ func (c cellRun) execute(bus *trace.Bus) (*metrics.RunStats, error) {
 	return policyset.Run(g, c.spec, c.policy, c.steps, opts...)
 }
 
-// run executes one cell, memoized when the plan cache is enabled. Cached
-// *RunStats are shared across cells and experiments; they are read-only
-// once the run completes.
-func (o Options) run(c cellRun) (*metrics.RunStats, error) {
+// withChaos gives a cell that carries no fault injection of its own the
+// sweep-wide Options.Chaos. Callers apply it before taking the cell's
+// label, so quarantine notes, out-of-memory errors and trace run labels
+// all name the cell that actually ran.
+func (o Options) withChaos(c cellRun) cellRun {
 	if !c.chaos.Enabled() && o.Chaos.Enabled() {
 		c.chaos = o.Chaos
 	}
+	return c
+}
+
+// run executes one cell, already resolved by withChaos, memoized when the
+// plan cache is enabled. Cached *RunStats are shared across cells and
+// experiments; they are read-only once the run completes.
+func (o Options) run(c cellRun) (*metrics.RunStats, error) {
 	return cacheDo(o, c.key(), func() (*metrics.RunStats, error) {
 		if o.cellHook != nil {
 			o.cellHook(c)
@@ -230,7 +234,7 @@ func (o Options) run(c cellRun) (*metrics.RunStats, error) {
 // (zeroed) stats, so every other cell still completes and renders.
 func (o Options) runAll(cells []cellRun) ([]*metrics.RunStats, error) {
 	return runCells(o, len(cells), func(i int) (*metrics.RunStats, error) {
-		c := cells[i]
+		c := o.withChaos(cells[i])
 		return runCell(o, c.label(), quarantinedStats(c), func() (*metrics.RunStats, error) {
 			r, err := o.run(c)
 			if errors.Is(err, exec.ErrOOM) {
@@ -250,7 +254,7 @@ func (o Options) runFit(cells []cellRun) ([]*metrics.RunStats, error) {
 	}
 	for i, r := range runs {
 		if r == nil {
-			return nil, fmt.Errorf("%s: %w", cells[i].label(), exec.ErrOOM)
+			return nil, fmt.Errorf("%s: %w", o.withChaos(cells[i]).label(), exec.ErrOOM)
 		}
 	}
 	return runs, nil

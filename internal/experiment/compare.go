@@ -119,7 +119,7 @@ func (o Options) compare(t *Table, rows []compRow, policies []string) ([][]*metr
 			grid[i] = append(grid[i], run)
 		}
 		if grid[i][0] == nil {
-			return nil, fmt.Errorf("%s: %w", r.cell(o, policies[0]).label(), exec.ErrOOM)
+			return nil, fmt.Errorf("%s: %w", o.withChaos(r.cell(o, policies[0])).label(), exec.ErrOOM)
 		}
 		base := grid[i][0].SteadyStepTime()
 		row := append([]string{}, r.label...)

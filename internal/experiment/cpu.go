@@ -138,8 +138,9 @@ func Fig8(o Options) (*Table, error) {
 	return t, nil
 }
 
-// Fig9 records memory-bandwidth traces for IAL and Sentinel on ResNet-32
-// (paper Fig. 9: Sentinel drives ~7.3x more fast-memory bandwidth).
+// Fig9 compares the steady step's per-tier memory bandwidth for IAL and
+// Sentinel on ResNet-32 (paper Fig. 9: Sentinel drives ~7.3x more
+// fast-memory bandwidth); Fig9Series has the series over time.
 func Fig9(o Options) (*Table, error) {
 	t := &Table{
 		ID:     "fig9",
@@ -154,7 +155,7 @@ func Fig9(o Options) (*Table, error) {
 	cells := make([]cellRun, len(pols))
 	for i, p := range pols {
 		cells[i] = cellRun{model: "resnet32", batch: 128, spec: spec,
-			policy: p, steps: o.steps(), trace: 5 * simtime.Millisecond}
+			policy: p, steps: o.steps()}
 	}
 	runs, err := o.runFit(cells)
 	if err != nil {
@@ -256,8 +257,8 @@ func Fig11(o Options) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			fast, err := o.run(cellRun{model: name, batch: v.batch,
-				spec: memsys.OptaneHM().WithFastSize(2 * peak), policy: "fast-only", steps: 2})
+			fast, err := o.run(o.withChaos(cellRun{model: name, batch: v.batch,
+				spec: memsys.OptaneHM().WithFastSize(2 * peak), policy: "fast-only", steps: 2}))
 			if err != nil {
 				return nil, err
 			}
@@ -265,8 +266,8 @@ func Fig11(o Options) (*Table, error) {
 			row := []string{variant, simtime.Bytes(peak), "n/a", "n/a"}
 			for pct := 15.0; pct <= 100; pct += 5 {
 				size := int64(pct / 100 * float64(peak))
-				run, err := o.run(cellRun{model: name, batch: v.batch,
-					spec: memsys.OptaneHM().WithFastSize(size), policy: "sentinel", steps: o.steps()})
+				run, err := o.run(o.withChaos(cellRun{model: name, batch: v.batch,
+					spec: memsys.OptaneHM().WithFastSize(size), policy: "sentinel", steps: o.steps()}))
 				if errors.Is(err, exec.ErrOOM) {
 					continue // does not fit at this size: try a larger one
 				}

@@ -7,10 +7,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
 
+	"sentinel/internal/chaos"
 	"sentinel/internal/metrics"
 	"sentinel/internal/model"
 	"sentinel/internal/trace"
@@ -344,8 +346,9 @@ func TestQuarantinedCellCachesPanic(t *testing.T) {
 		t.Fatal(err)
 	}
 	panicked := 0
+	mil3 := regexp.MustCompile(`\|mil3(\||$)`)
 	for key, e := range cache.entries {
-		if strings.Contains(key, "|mil3|") {
+		if mil3.MatchString(key) {
 			var pe *PanicError
 			if !errors.As(e.err, &pe) {
 				t.Errorf("quarantined cell %s holds err=%v val=%v, want a *PanicError", key, e.err, e.val)
@@ -497,12 +500,13 @@ func checkQuarantinedRow(t *testing.T, tbl *Table, golden [][]string, faulted, k
 // TestValidateFailsOnQuarantinedCell: Validate's checks judge whatever
 // stats their cells return, so a quarantined cell's placeholder zeros
 // would pass "sentinel is fastest" at 0ns. Validate must instead fail,
-// naming the quarantined cell.
+// naming each quarantined cell: the Fig. 7 sentinel cell and the 3-step
+// Table III one are distinct cells, so they need distinct labels.
 func TestValidateFailsOnQuarantinedCell(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration sweep")
 	}
-	o := Options{Steps: 3}
+	o := Options{Steps: 5}
 	o.cellHook = func(c cellRun) {
 		if c.model == "resnet32" && c.policy == "sentinel" {
 			panic("injected cell bug")
@@ -516,5 +520,33 @@ func TestValidateFailsOnQuarantinedCell(t *testing.T) {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not mention %q", err, want)
 		}
+	}
+	labels := map[string]bool{}
+	for _, m := range regexp.MustCompile(`quarantined (sentinel/resnet32/\S+): `).FindAllStringSubmatch(err.Error(), -1) {
+		labels[m[1]] = true
+	}
+	if len(labels) != 2 {
+		t.Errorf("error %q names resnet32 sentinel cells %v, want two distinct labels", err, labels)
+	}
+}
+
+// TestQuarantineNamesSweepChaos: under a sweep-wide Options.Chaos the
+// footer names the cell that ran, chaos key included, as its trace run
+// label does.
+func TestQuarantineNamesSweepChaos(t *testing.T) {
+	cfg := chaos.Config{Seed: 7, MigrateSlow: 0.5}
+	o := Options{Steps: 2, Quick: true, Workers: 1, NoCache: true, Chaos: cfg}
+	o.cellHook = func(c cellRun) {
+		if c.policy == "ial" {
+			panic("injected cell bug")
+		}
+	}
+	tb, err := Run("fig9", o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	notes := strings.Join(tb.Notes, "\n")
+	if want := "/" + cfg.Key() + ": cell panicked"; !strings.Contains(notes, want) {
+		t.Errorf("footer %q does not name the cell with its chaos key %q", notes, want)
 	}
 }

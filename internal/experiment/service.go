@@ -241,6 +241,7 @@ func RunCell(o Options, r CellRequest) (*metrics.RunStats, error) {
 	if r.Online {
 		c.online = exec.DefaultOnline()
 	}
+	c = o.withChaos(c)
 	return runCell(o, c.label(), nil, func() (*metrics.RunStats, error) { return o.run(c) })
 }
 

@@ -42,3 +42,41 @@ func TestSharedBusAcrossSweep(t *testing.T) {
 		t.Fatalf("expected events from multiple cells, got runs %v", runs)
 	}
 }
+
+// TestFig9SeriesConservation: the Fig. 9 series is the bus's access and
+// migration events summed into buckets, and every demand and migrated byte
+// of a step crosses the bus, so per cell the series totals equal the
+// steady step's counters exactly. With Options.Trace set, the cells' events
+// are forwarded there too.
+func TestFig9SeriesConservation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration sweep")
+	}
+	// Three steps is the quick golden's setting, five the CLI default.
+	for _, steps := range []int{3, 5} {
+		fwd := trace.NewBus(1)
+		forwarded := map[string]bool{}
+		fwd.Subscribe(func(e trace.Event) { forwarded[e.Run] = true })
+		o := Options{Steps: steps, Quick: true, Workers: 2, Trace: fwd}
+		cells, err := fig9Cells(o.normalized())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range cells {
+			var got bwBucket
+			for _, b := range c.buckets {
+				got.fast += b.fast
+				got.slow += b.slow
+				got.migrated += b.migrated
+			}
+			st := c.run.SteadyStep()
+			want := bwBucket{fast: st.FastBytes, slow: st.SlowBytes, migrated: st.MigratedTotal()}
+			if got != want || want.migrated == 0 {
+				t.Errorf("%d steps, %s: series totals %+v, steady step %+v", steps, c.policy, got, want)
+			}
+		}
+		if len(forwarded) != len(cells) {
+			t.Errorf("%d steps: forwarded events from runs %v, want one per cell (%d)", steps, forwarded, len(cells))
+		}
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"sentinel/internal/simtime"
-	"sentinel/internal/trace"
 )
 
 // BenchmarkChannelSubmit measures migration-channel queuing — the bandwidth
@@ -25,18 +24,5 @@ func BenchmarkChannelSubmitUrgent(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.SubmitUrgent(simtime.Time(i), 4<<10)
-	}
-}
-
-// BenchmarkBWTraceConsume measures folding access events into the bucketed
-// Fig. 9 bandwidth series.
-func BenchmarkBWTraceConsume(b *testing.B) {
-	tr := NewBWTrace(simtime.Millisecond)
-	ev := trace.Event{Kind: trace.KAccess, Tier: trace.TierFast, Bytes: 4096}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev.At = simtime.Time(i % (1 << 20))
-		tr.Consume(ev)
 	}
 }

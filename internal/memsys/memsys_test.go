@@ -139,31 +139,6 @@ func TestChannelIdleAndReset(t *testing.T) {
 	}
 }
 
-func TestBWTrace(t *testing.T) {
-	tr := NewBWTrace(simtime.Millisecond)
-	tr.AddAccess(0, Fast, 100)
-	tr.AddAccess(simtime.Time(simtime.Millisecond)+1, Slow, 200)
-	tr.AddMigration(simtime.Time(2*simtime.Millisecond)+1, 300)
-	fast, slow, mig := tr.Totals()
-	if fast != 100 || slow != 200 || mig != 300 {
-		t.Fatalf("totals %d/%d/%d", fast, slow, mig)
-	}
-	if len(tr.Samples()) != 3 {
-		t.Fatalf("want 3 buckets, got %d", len(tr.Samples()))
-	}
-	fBW, sBW := tr.MeanBW()
-	if fBW <= 0 || sBW <= 0 {
-		t.Fatal("mean bandwidths should be positive")
-	}
-}
-
-func TestBWTraceDefaultsWidth(t *testing.T) {
-	tr := NewBWTrace(0)
-	if tr.Width() != simtime.Millisecond {
-		t.Fatalf("default width %v", tr.Width())
-	}
-}
-
 func TestA100Preset(t *testing.T) {
 	a100 := GPUHM_A100()
 	if err := a100.Validate(); err != nil {

@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"sentinel/internal/memsys"
 	"sentinel/internal/simtime"
 )
 
@@ -59,10 +58,6 @@ type StepStats struct {
 	// project layer times onto other tier placements.
 	LayerComputeTime []simtime.Duration
 	LayerMemTime     []simtime.Duration
-	// Trace is the optional bandwidth-over-time trace (Fig. 9). It is a
-	// consumer of the unified event stream: the runtime feeds it the same
-	// access and migration events it emits on the internal/trace bus.
-	Trace *memsys.BWTrace
 }
 
 // MigratedTotal returns total migrated bytes in both directions.

@@ -213,6 +213,3 @@ func Characterize(g *graph.Graph, spec memsys.Spec) (*Characterization, error) {
 	}
 	return c, nil
 }
-
-// memsys import anchors the spec parameter type.
-var _ = memsys.Fast

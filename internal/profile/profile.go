@@ -17,7 +17,6 @@ import (
 	"sentinel/internal/chaos"
 	"sentinel/internal/exec"
 	"sentinel/internal/graph"
-	"sentinel/internal/kernel"
 	"sentinel/internal/memsys"
 	"sentinel/internal/metrics"
 	"sentinel/internal/simtime"
@@ -304,31 +303,6 @@ func assemble(g *graph.Graph, st *metrics.StepStats, stats []TensorStat) *Profil
 			ts.FreeLayer = g.NumLayers - 1
 		}
 	}
-	p.PeakShortLived = peakShortLived(g)
+	p.PeakShortLived = g.PeakShortLived()
 	return p
 }
-
-// peakShortLived computes the peak concurrent short-lived bytes the way the
-// runtime observes it from (de)allocation events.
-func peakShortLived(g *graph.Graph) int64 {
-	var cur, peak int64
-	for i := range g.Ops {
-		for _, id := range g.Ops[i].Allocs {
-			if g.T(id).ShortLived() {
-				cur += g.T(id).Size
-			}
-		}
-		if cur > peak {
-			peak = cur
-		}
-		for _, id := range g.Ops[i].Frees {
-			if g.T(id).ShortLived() {
-				cur -= g.T(id).Size
-			}
-		}
-	}
-	return peak
-}
-
-// kernel import is used for page constants in the sharing analysis.
-var _ = kernel.PageSize

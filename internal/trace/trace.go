@@ -1,9 +1,8 @@
 // Package trace is the unified runtime observability layer: a single
 // structured event bus that every simulated subsystem — the execution
-// engine (internal/exec), the OS memory manager (internal/kernel), the
-// framework allocator (internal/alloc), and the machine model
-// (internal/memsys) — emits into, replacing the per-package ad-hoc sinks
-// that preceded it.
+// engine (internal/exec), the OS memory manager (internal/kernel) and the
+// framework allocator (internal/alloc) — emits into, replacing the
+// per-package ad-hoc sinks that preceded it.
 //
 // The paper's results hinge on *when* migrations overlap compute and
 // *where* stalls land (Sec. V–VII, Fig. 9); the bus makes those timelines
@@ -134,8 +133,8 @@ func Kinds() []Kind {
 // Tier identifies the memory tier an event concerns. The zero value is
 // TierNone so events without a tier need not set the field. Values mirror
 // memsys.Fast/memsys.Slow but are redeclared here to keep this package at
-// the bottom of the dependency graph (memsys itself consumes trace
-// events).
+// the bottom of the dependency graph, below every package that emits
+// events.
 type Tier int8
 
 const (
