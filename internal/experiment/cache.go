@@ -235,7 +235,8 @@ func (o Options) run(c cellRun) (*metrics.RunStats, error) {
 func (o Options) runAll(cells []cellRun) ([]*metrics.RunStats, error) {
 	return runCells(o, len(cells), func(i int) (*metrics.RunStats, error) {
 		c := o.withChaos(cells[i])
-		return runCell(o, c.label(), quarantinedStats(c), func() (*metrics.RunStats, error) {
+		name := func() (string, *metrics.RunStats) { return c.label(), quarantinedStats(c) }
+		return runCell(o, name, func() (*metrics.RunStats, error) {
 			r, err := o.run(c)
 			if errors.Is(err, exec.ErrOOM) {
 				return nil, nil

@@ -252,7 +252,10 @@ func Fig11(o Options) (*Table, error) {
 		v := variants[i]
 		name := fmt.Sprintf("resnet%d", v.depth)
 		variant := fmt.Sprintf("%s (b=%d)", name, v.batch)
-		return runCell(o, fmt.Sprintf("min-fast/%s/b%d", name, v.batch), naRow(len(t.Header), variant), func() ([]string, error) {
+		cell := func() (string, []string) {
+			return fmt.Sprintf("min-fast/%s/b%d", name, v.batch), naRow(len(t.Header), variant)
+		}
+		return runCell(o, cell, func() ([]string, error) {
 			peak, err := o.peak(name, v.batch)
 			if err != nil {
 				return nil, err
@@ -305,8 +308,10 @@ func Table3(o Options) (*Table, error) {
 	rows, err := runCells(o, len(ms), func(i int) ([]string, error) {
 		m := ms[i]
 		batch := fmt.Sprintf("%d", m.SmallBatch)
-		label := fmt.Sprintf("overhead/%s/b%d", m.Name, m.SmallBatch)
-		return runCell(o, label, naRow(len(t.Header), m.Name, batch), func() ([]string, error) {
+		name := func() (string, []string) {
+			return fmt.Sprintf("overhead/%s/b%d", m.Name, m.SmallBatch), naRow(len(t.Header), m.Name, batch)
+		}
+		return runCell(o, name, func() ([]string, error) {
 			// This cell needs the live policy instance (OverheadSteps),
 			// so it runs the runtime directly instead of a cached cellRun.
 			g, err := model.BuildShared(m.Name, m.SmallBatch)
@@ -401,8 +406,10 @@ func Characterization(o Options) (*Table, error) {
 	ms := model.EvalSet()
 	rows, err := runCells(o, len(ms), func(i int) ([]string, error) {
 		m := ms[i]
-		label := fmt.Sprintf("characterize/%s/b%d", m.Name, m.SmallBatch)
-		return runCell(o, label, naRow(len(t.Header), m.Name), func() ([]string, error) {
+		name := func() (string, []string) {
+			return fmt.Sprintf("characterize/%s/b%d", m.Name, m.SmallBatch), naRow(len(t.Header), m.Name)
+		}
+		return runCell(o, name, func() ([]string, error) {
 			c, err := o.characterize(m.Name, m.SmallBatch, memsys.OptaneHM())
 			if err != nil {
 				return nil, err

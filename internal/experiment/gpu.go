@@ -102,7 +102,8 @@ func Table5(o Options) (*Table, error) {
 				searched = append(searched, p)
 			}
 		}
-		maxes, err := runCell(o, fmt.Sprintf("max-batch/%s/%s", m.Name, spec.Name), nil, func() ([]int, error) {
+		name := func() (string, []int) { return fmt.Sprintf("max-batch/%s/%s", m.Name, spec.Name), nil }
+		maxes, err := runCell(o, name, func() ([]int, error) {
 			return o.maxBatches(m.Name, spec, searched, limit)
 		})
 		if err != nil {

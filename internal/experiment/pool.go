@@ -128,8 +128,12 @@ func runCells[T any](o Options, n int, fn func(i int) (T, error)) ([]T, error) {
 	return results, errors.Join(errs...)
 }
 
-// runCell runs fn as one sweep cell named label, under the sweep's fault
-// boundary. A cell is skipped if Options.Ctx is already cancelled;
+// runCell runs fn as one sweep cell under the sweep's fault boundary.
+// name returns the cell's label and the placeholder a quarantined cell
+// yields; it is called only when one of them is used, because formatting
+// a label for every cell of a sweep showed up in allocs/op.
+//
+// A cell is skipped if Options.Ctx is already cancelled;
 // otherwise fn runs with panic recovery and, when CellTimeout or Ctx is
 // set, on a child goroutine that is abandoned when the deadline expires or
 // the sweep is cancelled — the simulator has no internal preemption
@@ -137,14 +141,18 @@ func runCells[T any](o Options, n int, fn func(i int) (T, error)) ([]T, error) {
 // the sweep moves on (or the process exits).
 //
 // Inside an experiment (Run sets Options.quar), a panicking, timed-out,
-// skipped or abandoned cell is filed for the table footer under label and
-// returns placeholder, so the rest of the table still renders; any other
-// error fails the experiment, prefixed with label. Outside one (RunCell,
-// RunPlan) every error is returned as it is.
-func runCell[T any](o Options, label string, placeholder T, fn func() (T, error)) (T, error) {
+// skipped or abandoned cell is filed for the table footer under its label
+// and returns the placeholder, so the rest of the table still renders;
+// any other error fails the experiment, prefixed with the label. Outside
+// one (RunCell, RunPlan) every error is returned as it is.
+func runCell[T any](o Options, name func() (label string, placeholder T), fn func() (T, error)) (T, error) {
 	run := fn
 	if o.labelHook != nil {
-		run = func() (T, error) { o.labelHook(label); return fn() }
+		run = func() (T, error) {
+			label, _ := name()
+			o.labelHook(label)
+			return fn()
+		}
 	}
 	var v T
 	err := o.ctx().Err()
@@ -178,10 +186,11 @@ func runCell[T any](o Options, label string, placeholder T, fn func() (T, error)
 			err = fmt.Errorf("abandoned: %w", o.ctx().Err())
 		}
 	}
-	switch {
-	case err == nil || o.quar == nil:
+	if err == nil || o.quar == nil {
 		return v, err
-	case quarantinable(err):
+	}
+	label, placeholder := name()
+	if quarantinable(err) {
 		o.quar.record(o.Trace, label, o.CellTimeout, err)
 		return placeholder, nil
 	}

@@ -170,7 +170,7 @@ func TestRunCellsPanicRecovery(t *testing.T) {
 // the fault boundary as cell "c<i>", with placeholder -1.
 func boundary(o Options, n int, fn func(i int) (int, error)) ([]int, error) {
 	return runCells(o, n, func(i int) (int, error) {
-		return runCell(o, fmt.Sprintf("c%d", i), -1, func() (int, error) { return fn(i) })
+		return runCell(o, func() (string, int) { return fmt.Sprintf("c%d", i), -1 }, func() (int, error) { return fn(i) })
 	})
 }
 
@@ -281,14 +281,15 @@ func TestCellBoundaryQuarantine(t *testing.T) {
 
 	boom := errors.New("boom")
 	o = Options{quar: &quarantine{}}
-	if _, err := runCell(o, "bad/cell", 0, func() (int, error) { return 0, boom }); !errors.Is(err, boom) || err.Error() != "bad/cell: boom" {
+	name := func() (string, int) { return "bad/cell", 0 }
+	if _, err := runCell(o, name, func() (int, error) { return 0, boom }); !errors.Is(err, boom) || err.Error() != "bad/cell: boom" {
 		t.Errorf("genuine error = %v, want %q", err, "bad/cell: boom")
 	}
 	if notes := o.quar.report(); notes != nil {
 		t.Errorf("genuine error was quarantined: %v", notes)
 	}
 	// Outside an experiment nothing is quarantined or renamed.
-	if _, err := runCell(Options{}, "bad/cell", 0, func() (int, error) { return 0, boom }); err != boom {
+	if _, err := runCell(Options{}, name, func() (int, error) { return 0, boom }); err != boom {
 		t.Errorf("error outside an experiment = %v, want it as returned", err)
 	}
 }

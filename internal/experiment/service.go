@@ -242,7 +242,8 @@ func RunCell(o Options, r CellRequest) (*metrics.RunStats, error) {
 		c.online = exec.DefaultOnline()
 	}
 	c = o.withChaos(c)
-	return runCell(o, c.label(), nil, func() (*metrics.RunStats, error) { return o.run(c) })
+	name := func() (string, *metrics.RunStats) { return c.label(), nil }
+	return runCell(o, name, func() (*metrics.RunStats, error) { return o.run(c) })
 }
 
 // PlanRequest asks for Sentinel's profiling-and-planning stage on a
@@ -318,7 +319,8 @@ func RunPlan(o Options, r PlanRequest) (*PlanSummary, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := runCell(o, "plan/"+r.Model, nil, func() (*profile.Profile, error) {
+	name := func() (string, *profile.Profile) { return "plan/" + r.Model, nil }
+	p, err := runCell(o, name, func() (*profile.Profile, error) {
 		return o.collectProfile(r.Model, r.Batch, spec)
 	})
 	if err != nil {
