@@ -76,7 +76,7 @@ func fig9Cells(o Options) ([]fig9Cell, error) {
 		cells[i] = o.withChaos(cellRun{model: "resnet32", batch: 128, spec: spec,
 			policy: p, steps: o.steps()})
 	}
-	series := &bwSeries{width: fig9Width, step: o.steps() - 1, runs: map[string][]bwBucket{}}
+	series := &bwSeries{step: o.steps() - 1, runs: map[string][]bwBucket{}}
 	// Nothing reads the ring; the subscriber is the bus's consumer.
 	bus := trace.NewBus(1)
 	fwd := o.Trace
@@ -103,10 +103,9 @@ func fig9Cells(o Options) ([]fig9Cell, error) {
 type bwBucket struct{ fast, slow, migrated int64 }
 
 // bwSeries sums one step's access, migrate-in and migrate-out events into
-// fixed-width windows of virtual time (window e.At/width), per run label.
+// windows of virtual time (window e.At/fig9Width), per run label.
 type bwSeries struct {
-	width simtime.Duration
-	step  int
+	step int
 
 	// mu guards runs: a cell abandoned past its deadline keeps emitting
 	// while the table is assembled.
@@ -121,7 +120,7 @@ func (s *bwSeries) consume(e trace.Event) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	i := int(int64(e.At) / int64(s.width))
+	i := int(int64(e.At) / int64(fig9Width))
 	bs := s.runs[e.Run]
 	if len(bs) <= i {
 		bs = append(bs, make([]bwBucket, i+1-len(bs))...)
