@@ -596,7 +596,7 @@ func (rt *Runtime) ensureResident(op *graph.Op) (simtime.Time, error) {
 		}
 		if rt.recomputer != nil {
 			if d, yes := rt.recomputer.Recompute(t); yes {
-				moved, short := rt.k.Relocate(r.Addr, r.Size, memsys.Fast, rt.now)
+				_, short := rt.k.Relocate(r.Addr, r.Size, memsys.Fast, rt.now)
 				if short > 0 {
 					rt.makeRoomFor(short)
 					_, short = rt.k.Relocate(r.Addr, r.Size, memsys.Fast, rt.now)
@@ -604,7 +604,6 @@ func (rt *Runtime) ensureResident(op *graph.Op) (simtime.Time, error) {
 				if short > 0 {
 					return 0, fmt.Errorf("%w: recomputing %s", rt.oomErr(), t.Name)
 				}
-				_ = moved
 				st.RecomputeTime += d
 				start = start.Add(d)
 				continue
@@ -632,8 +631,12 @@ func (rt *Runtime) ensureResident(op *graph.Op) (simtime.Time, error) {
 			settle := simtime.Max(rt.k.InChannel().BusyUntil(), rt.k.OutChannel().BusyUntil())
 			rt.WaitUntil(settle.Add(simtime.Microsecond))
 			rt.makeRoomFor(need)
-			done, moved, short, ok = rt.demandMigrate(r, t)
+			var more int64
+			done, more, short, ok = rt.demandMigrate(r, t)
+			moved += more
 		}
+		// The first attempt's bytes landed even when it came back short.
+		rt.noteMigration(memsys.Fast, moved)
 		if !ok {
 			rt.degradeTensor(t, trace.DegradeZeroCopy)
 			continue
@@ -643,7 +646,6 @@ func (rt *Runtime) ensureResident(op *graph.Op) (simtime.Time, error) {
 				rt.oomErr(), t.Name, simtime.Bytes(short), simtime.Bytes(rt.k.Used(memsys.Fast)),
 				simtime.Bytes(rt.k.Free(memsys.Fast)), rt.a.Live(), rt.a.ArenaCount())
 		}
-		rt.noteMigration(memsys.Fast, moved)
 		rt.emit(trace.Event{At: rt.now, Kind: trace.KDemand, Tensor: t.ID, Name: t.Name, Bytes: moved})
 		st.DemandMigrations++
 		done = done.Add(rt.spec.DemandFaultCost)
