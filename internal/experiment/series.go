@@ -49,7 +49,7 @@ func Fig9Series(o Options) (*Table, error) {
 				fmt.Sprintf("%.2f", float64(b.migrated)/sec/1e9))
 		}
 	}
-	t.AddNote("traces cover the whole run; the time axis is cumulative virtual time, so the last step's buckets sit at the end")
+	t.AddNote("rows are the last (steady) step's non-empty 5 ms buckets; t_ms is virtual time since the run began, so the first row is where that step starts")
 	return t, nil
 }
 
