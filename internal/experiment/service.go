@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"sentinel/internal/chaos"
@@ -84,14 +85,19 @@ func Known(id string) bool {
 	return ok
 }
 
-// knownModel reports whether name is in the model zoo.
-func knownModel(name string) bool {
-	for _, m := range model.Names() {
-		if m == name {
-			return true
-		}
+// validateWorkload checks the model and batch every workload request
+// names, in that order; a request checks its platform with Platform.
+func validateWorkload(name string, batch int) error {
+	if name == "" {
+		return badField("model", "required (known: %v)", model.Names())
 	}
-	return false
+	if !slices.Contains(model.Names(), name) {
+		return badField("model", "unknown model %q (known: %v)", name, model.Names())
+	}
+	if batch < 1 || batch > BatchLimit {
+		return badField("batch", "must be in [1, %d], got %d", BatchLimit, batch)
+	}
+	return nil
 }
 
 // BatchLimit is the largest batch size a CellRequest or PlanRequest
@@ -144,14 +150,8 @@ func (r CellRequest) Normalized() CellRequest {
 // *RequestError (wrapping ErrBadRequest) naming the first offending
 // field. Call on a Normalized request.
 func (r CellRequest) Validate() error {
-	if r.Model == "" {
-		return badField("model", "required (known: %v)", model.Names())
-	}
-	if !knownModel(r.Model) {
-		return badField("model", "unknown model %q (known: %v)", r.Model, model.Names())
-	}
-	if r.Batch < 1 || r.Batch > BatchLimit {
-		return badField("batch", "must be in [1, %d], got %d", BatchLimit, r.Batch)
+	if err := validateWorkload(r.Model, r.Batch); err != nil {
+		return err
 	}
 	if r.Policy == "" {
 		return badField("policy", "required (known: %v)", policyset.Names())
@@ -266,19 +266,11 @@ func (r PlanRequest) Normalized() PlanRequest {
 
 // Validate checks the request fields; see CellRequest.Validate.
 func (r PlanRequest) Validate() error {
-	if r.Model == "" {
-		return badField("model", "required (known: %v)", model.Names())
-	}
-	if !knownModel(r.Model) {
-		return badField("model", "unknown model %q (known: %v)", r.Model, model.Names())
-	}
-	if r.Batch < 1 || r.Batch > BatchLimit {
-		return badField("batch", "must be in [1, %d], got %d", BatchLimit, r.Batch)
-	}
-	if _, err := Platform(r.Platform); err != nil {
+	if err := validateWorkload(r.Model, r.Batch); err != nil {
 		return err
 	}
-	return nil
+	_, err := Platform(r.Platform)
+	return err
 }
 
 // PlanSummary is the wire form of a profiling/planning result. All

@@ -24,7 +24,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
+	"reflect"
+	"sort"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -257,31 +261,111 @@ func (s *Server) admitted(h func(w http.ResponseWriter, r *http.Request) error) 
 	}
 }
 
-// decodeInto parses a request's parameters into dst (a pointer to a
-// request struct): the JSON body for POSTs, nothing for GETs (callers
-// layer query parameters on top). Unknown JSON fields are client
-// errors, so typos like "modle" fail loudly instead of simulating a
-// default.
-func decodeInto(r *http.Request, dst any) error {
-	if r.Method != http.MethodPost {
+// decodeRequest fills dst, a pointer to a request struct, from a
+// request: first from the JSON body of a POST, then from the URL query
+// on any method, whose parameters override the body. A query parameter
+// is looked up by its field's json tag, embedded structs included, so
+// the tags are the one table of names for both transports. Unknown
+// names are client errors in either, so typos like "modle" fail loudly
+// instead of simulating a default.
+func decodeRequest(r *http.Request, dst any) error {
+	if r.Method == http.MethodPost {
+		body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
+		switch {
+		case err != nil:
+			return badBody("reading request body: %v", err)
+		case len(body) > maxBodyBytes:
+			return badBody("request body exceeds %d bytes", maxBodyBytes)
+		case len(body) > 0:
+			dec := json.NewDecoder(bytes.NewReader(body))
+			dec.DisallowUnknownFields()
+			if err := dec.Decode(dst); err != nil {
+				return badBody("invalid JSON body: %v", err)
+			}
+		}
+	}
+	if r.URL.RawQuery == "" {
 		return nil
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
+	q, err := url.ParseQuery(r.URL.RawQuery)
 	if err != nil {
-		return badBody("reading request body: %v", err)
+		return &experiment.RequestError{Field: "query", Reason: err.Error()}
 	}
-	if len(body) > maxBodyBytes {
-		return badBody("request body exceeds %d bytes", maxBodyBytes)
+	names := make([]string, 0, len(q))
+	for name := range q {
+		names = append(names, name)
 	}
-	if len(body) == 0 {
-		return nil
-	}
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		return badBody("invalid JSON body: %v", err)
+	sort.Strings(names)
+	req := reflect.ValueOf(dst).Elem()
+	for _, name := range names {
+		if err := setParam(req, name, q[name]); err != nil {
+			return err
+		}
 	}
 	return nil
+}
+
+// setParam parses one query parameter's values into the field of req
+// that name selects. An empty value counts as absent; an unknown or
+// repeated name, a malformed value, or a field with no scalar query
+// form (chaos) is a *experiment.RequestError naming the parameter.
+func setParam(req reflect.Value, name string, vals []string) error {
+	bad := func(format string, args ...any) error {
+		return &experiment.RequestError{Field: name, Reason: fmt.Sprintf(format, args...)}
+	}
+	f := jsonField(req, name)
+	switch {
+	case name == "":
+		return &experiment.RequestError{Field: "query", Reason: "parameter with an empty name"}
+	case !f.IsValid():
+		return bad("unknown parameter %q", name)
+	case len(vals) > 1:
+		return bad("given %d times", len(vals))
+	case vals[0] == "":
+		return nil
+	}
+	v := vals[0]
+	switch f.Kind() {
+	case reflect.String:
+		f.SetString(v)
+	case reflect.Int, reflect.Int64:
+		n, err := strconv.ParseInt(v, 10, f.Type().Bits())
+		if err != nil {
+			return bad("not an integer: %q", v)
+		}
+		f.SetInt(n)
+	case reflect.Float64:
+		x, err := strconv.ParseFloat(v, 64)
+		if err != nil {
+			return bad("not a number: %q", v)
+		}
+		f.SetFloat(x)
+	case reflect.Bool:
+		b, err := strconv.ParseBool(v)
+		if err != nil {
+			return bad("not a boolean: %q", v)
+		}
+		f.SetBool(b)
+	default:
+		return bad("not a query parameter; send it in a JSON body")
+	}
+	return nil
+}
+
+// jsonField finds the field of struct v whose json tag names it,
+// searching embedded structs too; the zero Value if there is none.
+func jsonField(v reflect.Value, name string) reflect.Value {
+	for i := 0; i < v.NumField(); i++ {
+		sf := v.Type().Field(i)
+		if sf.Anonymous && sf.Type.Kind() == reflect.Struct {
+			if f := jsonField(v.Field(i), name); f.IsValid() {
+				return f
+			}
+		} else if tag, _, _ := strings.Cut(sf.Tag.Get("json"), ","); tag == name {
+			return v.Field(i)
+		}
+	}
+	return reflect.Value{}
 }
 
 // badBody is a body-level *experiment.RequestError.
@@ -312,13 +396,8 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // for one workload, as a PlanSummary JSON document.
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) error {
 	var req experiment.PlanRequest
-	if err := decodeInto(r, &req); err != nil {
+	if err := decodeRequest(r, &req); err != nil {
 		return err
-	}
-	if r.Method == http.MethodGet {
-		if err := planQuery(r, &req); err != nil {
-			return err
-		}
 	}
 	sum, err := experiment.RunPlan(s.options(r), req)
 	if err != nil {
@@ -371,13 +450,8 @@ type simulateRequest struct {
 // execution whose response body is the exported event stream.
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) error {
 	var req simulateRequest
-	if err := decodeInto(r, &req); err != nil {
+	if err := decodeRequest(r, &req); err != nil {
 		return err
-	}
-	if r.Method == http.MethodGet {
-		if err := cellQuery(r, &req); err != nil {
-			return err
-		}
 	}
 	o := s.options(r)
 	if req.TraceFormat != "" {
@@ -428,50 +502,34 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) error {
 	return writeJSON(w, sum)
 }
 
+// sweepRequest is a SweepRequest plus its rendering.
+type sweepRequest struct {
+	experiment.SweepRequest
+	// Format is text (the default), csv or json.
+	Format string `json:"format,omitempty"`
+}
+
 // handleExperiment serves GET/POST /v1/experiment: one whole paper
 // table or figure, rendered in the requested format. The bytes are
 // identical to the equivalent sentinel-bench run — same runner, same
 // renderer.
 func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) error {
-	var req experiment.SweepRequest
-	format := "text"
-	if err := decodeInto(r, &struct {
-		*experiment.SweepRequest
-		Format *string `json:"format,omitempty"`
-	}{&req, &format}); err != nil {
+	var req sweepRequest
+	if err := decodeRequest(r, &req); err != nil {
 		return err
 	}
-	q := r.URL.Query()
-	if v := q.Get("id"); v != "" {
-		req.ID = v
-	}
-	if v := q.Get("quick"); v != "" {
-		b, err := strconv.ParseBool(v)
-		if err != nil {
-			return &experiment.RequestError{Field: "quick", Reason: fmt.Sprintf("not a boolean: %q", v)}
-		}
-		req.Quick = b
-	}
-	if v := q.Get("steps"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return &experiment.RequestError{Field: "steps", Reason: fmt.Sprintf("not an integer: %q", v)}
-		}
-		req.Steps = n
-	}
-	if v := q.Get("format"); v != "" {
-		format = v
-	}
-	if format != "text" && format != "csv" && format != "json" {
+	switch req.Format {
+	case "", "text", "csv", "json":
+	default:
 		return &experiment.RequestError{Field: "format",
-			Reason: fmt.Sprintf("unknown format %q (known: text, csv, json)", format)}
+			Reason: fmt.Sprintf("unknown format %q (known: text, csv, json)", req.Format)}
 	}
 	req.Quick = req.Quick || s.cfg.Quick
-	t, err := experiment.RunSweep(s.options(r), req)
+	t, err := experiment.RunSweep(s.options(r), req.SweepRequest)
 	if err != nil {
 		return err
 	}
-	switch format {
+	switch req.Format {
 	case "csv":
 		w.Header().Set("Content-Type", "text/csv; charset=utf-8")
 		return t.WriteCSV(w)
@@ -511,70 +569,4 @@ func (s *Server) handleRoot(w http.ResponseWriter, r *http.Request) {
 		Code:    "not_found",
 		Message: fmt.Sprintf("no such endpoint %q; see docs/SERVING.md (endpoints: /healthz /readyz /metrics /v1/plan /v1/simulate /v1/experiment /v1/experiments /v1/catalog)", r.URL.Path),
 	})
-}
-
-// planQuery layers GET query parameters onto a PlanRequest.
-func planQuery(r *http.Request, req *experiment.PlanRequest) error {
-	q := r.URL.Query()
-	req.Model = pick(q.Get("model"), req.Model)
-	req.Platform = pick(q.Get("platform"), req.Platform)
-	return intParam(q.Get("batch"), "batch", &req.Batch)
-}
-
-// cellQuery layers GET query parameters onto a simulateRequest.
-func cellQuery(r *http.Request, req *simulateRequest) error {
-	q := r.URL.Query()
-	req.Model = pick(q.Get("model"), req.Model)
-	req.Policy = pick(q.Get("policy"), req.Policy)
-	req.Platform = pick(q.Get("platform"), req.Platform)
-	req.TraceFormat = pick(q.Get("trace_format"), req.TraceFormat)
-	if err := intParam(q.Get("batch"), "batch", &req.Batch); err != nil {
-		return err
-	}
-	if err := intParam(q.Get("steps"), "steps", &req.Steps); err != nil {
-		return err
-	}
-	if v := q.Get("fast_pct"); v != "" {
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			return &experiment.RequestError{Field: "fast_pct", Reason: fmt.Sprintf("not a number: %q", v)}
-		}
-		req.FastPct = f
-	}
-	if v := q.Get("fast_bytes"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			return &experiment.RequestError{Field: "fast_bytes", Reason: fmt.Sprintf("not an integer: %q", v)}
-		}
-		req.FastBytes = n
-	}
-	if v := q.Get("online"); v != "" {
-		b, err := strconv.ParseBool(v)
-		if err != nil {
-			return &experiment.RequestError{Field: "online", Reason: fmt.Sprintf("not a boolean: %q", v)}
-		}
-		req.Online = b
-	}
-	return nil
-}
-
-// pick returns v unless empty, else def.
-func pick(v, def string) string {
-	if v != "" {
-		return v
-	}
-	return def
-}
-
-// intParam parses v into *dst when non-empty.
-func intParam(v, field string, dst *int) error {
-	if v == "" {
-		return nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		return &experiment.RequestError{Field: field, Reason: fmt.Sprintf("not an integer: %q", v)}
-	}
-	*dst = n
-	return nil
 }

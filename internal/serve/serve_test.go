@@ -87,15 +87,19 @@ func TestReadyzFlipsDuringDrain(t *testing.T) {
 	}
 }
 
+// validationCase is one request the API must reject, and the typed
+// error it must reject it with.
+type validationCase struct {
+	name           string
+	method, target string
+	body           string
+	status         int
+	code, field    string
+}
+
 func TestValidationErrors(t *testing.T) {
 	h := New(Config{}).Handler()
-	cases := []struct {
-		name           string
-		method, target string
-		body           string
-		status         int
-		code, field    string
-	}{
+	cases := []validationCase{
 		{"unknown model", http.MethodPost, "/v1/simulate",
 			`{"model":"resnet9000","batch":32,"policy":"sentinel"}`,
 			http.StatusBadRequest, "invalid_request", "model"},
@@ -125,6 +129,7 @@ func TestValidationErrors(t *testing.T) {
 			http.StatusBadRequest, "invalid_request", "batch"},
 	}
 	cases = append(cases, sizingCases...)
+	cases = append(cases, queryCases...)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			w := doJSON(t, h, tc.method, tc.target, tc.body, nil)
@@ -142,13 +147,7 @@ func TestValidationErrors(t *testing.T) {
 // sizingCases are out-of-range sizing inputs: a non-finite or
 // overflowing fast_pct, a fast tier under one page, and batches above
 // experiment.BatchLimit, over GET and POST.
-var sizingCases = []struct {
-	name           string
-	method, target string
-	body           string
-	status         int
-	code, field    string
-}{
+var sizingCases = []validationCase{
 	{"GET Inf fast_pct", http.MethodGet, "/v1/simulate?model=resnet32&batch=32&policy=sentinel&fast_pct=Inf", "",
 		http.StatusBadRequest, "invalid_request", "fast_pct"},
 	{"GET NaN fast_pct", http.MethodGet, "/v1/simulate?model=resnet32&batch=32&policy=sentinel&fast_pct=NaN", "",
@@ -173,6 +172,46 @@ var sizingCases = []struct {
 	{"POST simulate batch above limit", http.MethodPost, "/v1/simulate",
 		`{"model":"resnet32","batch":16385,"policy":"sentinel"}`,
 		http.StatusBadRequest, "invalid_request", "batch"},
+}
+
+// queryCases are query strings the JSON field table rejects: unknown
+// and repeated parameters, a JSON-only field, and a malformed escape, on
+// every method.
+var queryCases = []validationCase{
+	{"GET simulate unknown parameter", http.MethodGet,
+		"/v1/simulate?model=resnet32&batch=32&policy=sentinel&steps=2&fastpct=20", "",
+		http.StatusBadRequest, "invalid_request", "fastpct"},
+	{"GET experiment unknown parameter", http.MethodGet, "/v1/experiment?id=table1&fromat=csv", "",
+		http.StatusBadRequest, "invalid_request", "fromat"},
+	{"POST experiment unknown parameter", http.MethodPost, "/v1/experiment?fromat=csv",
+		`{"id":"table1"}`, http.StatusBadRequest, "invalid_request", "fromat"},
+	{"POST plan unknown parameter", http.MethodPost, "/v1/plan?bacth=32",
+		`{"model":"resnet32","batch":32}`, http.StatusBadRequest, "invalid_request", "bacth"},
+	{"GET plan repeated parameter", http.MethodGet, "/v1/plan?model=resnet32&batch=32&batch=64", "",
+		http.StatusBadRequest, "invalid_request", "batch"},
+	{"GET simulate chaos parameter", http.MethodGet,
+		"/v1/simulate?model=resnet32&batch=32&policy=sentinel&chaos=42", "",
+		http.StatusBadRequest, "invalid_request", "chaos"},
+	{"GET simulate overflowing steps", http.MethodGet,
+		"/v1/simulate?model=resnet32&batch=32&policy=sentinel&steps=99999999999999999999", "",
+		http.StatusBadRequest, "invalid_request", "steps"},
+	{"GET plan malformed escape", http.MethodGet, "/v1/plan?model=resnet32&batch=3%2", "",
+		http.StatusBadRequest, "invalid_request", "query"},
+}
+
+// TestQueryOverridesBody pins the query-over-body rule on a POST: the
+// body asks for 2 steps and the query for 3, and 3 run.
+func TestQueryOverridesBody(t *testing.T) {
+	h := New(Config{}).Handler()
+	var sum runSummary
+	w := doJSON(t, h, http.MethodPost, "/v1/simulate?steps=3",
+		`{"model":"resnet32","batch":32,"policy":"sentinel","steps":2}`, &sum)
+	if w.Code != http.StatusOK {
+		t.Fatalf("simulate: %d %s", w.Code, w.Body.String())
+	}
+	if sum.Steps != 3 {
+		t.Errorf("ran %d steps, want the query's 3", sum.Steps)
+	}
 }
 
 func TestMethodAndPathErrors(t *testing.T) {
@@ -554,57 +593,49 @@ func TestControllerMetrics(t *testing.T) {
 }
 
 // FuzzCellRequest drives arbitrary bodies and query strings through the
-// /v1/plan and /v1/simulate decoding and validation — decodeInto, then
-// planQuery or cellQuery, then Normalized().Validate() — executing no
-// cell. Every rejection must be an *experiment.RequestError, and every
-// accepted request must carry a finite fast_pct and a batch within
-// experiment.BatchLimit.
+// /v1/plan, /v1/simulate and /v1/experiment decoding and validation —
+// decodeRequest, then Validate — executing nothing. Every rejection must
+// be an *experiment.RequestError naming a non-empty field, and every
+// accepted plan or simulate request must carry a finite fast_pct and a
+// batch within experiment.BatchLimit.
 func FuzzCellRequest(f *testing.F) {
-	for _, tc := range sizingCases {
+	for _, tc := range append(sizingCases, queryCases...) {
 		_, query, _ := strings.Cut(tc.target, "?")
 		f.Add(tc.body, query)
 	}
 	f.Add(`{"model":"resnet32","batch":32,"policy":"sentinel","fast_pct":20,"steps":2}`, "")
 	f.Add("", "model=resnet32&batch=32&policy=sentinel&fast_bytes=1048576&online=true")
+	f.Add(`{"id":"fig5","quick":true}`, "steps=3&format=csv")
 	f.Fuzz(func(t *testing.T, body, query string) {
-		newReq := func() *http.Request {
+		// decode reports whether the endpoint accepted the request.
+		decode := func(endpoint string, dst any, validate func() error) bool {
 			r := httptest.NewRequest(http.MethodPost, "/", strings.NewReader(body))
 			r.URL.RawQuery = query
-			return r
-		}
-		check := func(endpoint string, err error, batch int, fastPct float64) {
-			if err != nil {
-				var re *experiment.RequestError
-				if !errors.As(err, &re) {
-					t.Fatalf("%s: error %T %v is not a *experiment.RequestError (body %q, query %q)", endpoint, err, err, body, query)
-				}
-				return
+			err := decodeRequest(r, dst)
+			if err == nil {
+				err = validate()
 			}
+			var re *experiment.RequestError
+			if err != nil && (!errors.As(err, &re) || re.Field == "") {
+				t.Fatalf("%s: error %T %v is not a *experiment.RequestError naming a field (body %q, query %q)", endpoint, err, err, body, query)
+			}
+			return err == nil
+		}
+		check := func(endpoint string, batch int, fastPct float64) {
 			if math.IsNaN(fastPct) || math.IsInf(fastPct, 0) || batch < 1 || batch > experiment.BatchLimit {
 				t.Fatalf("%s: accepted batch %d, fast_pct %g (body %q, query %q)", endpoint, batch, fastPct, body, query)
 			}
 		}
 
 		var cell simulateRequest
-		r := newReq()
-		err := decodeInto(r, &cell)
-		if err == nil {
-			err = cellQuery(r, &cell)
+		if decode("simulate", &cell, func() error { return cell.Normalized().Validate() }) {
+			check("simulate", cell.Batch, cell.FastPct)
 		}
-		if err == nil {
-			err = cell.Normalized().Validate()
-		}
-		check("simulate", err, cell.Batch, cell.FastPct)
-
 		var plan experiment.PlanRequest
-		r = newReq()
-		err = decodeInto(r, &plan)
-		if err == nil {
-			err = planQuery(r, &plan)
+		if decode("plan", &plan, func() error { return plan.Normalized().Validate() }) {
+			check("plan", plan.Batch, 0)
 		}
-		if err == nil {
-			err = plan.Normalized().Validate()
-		}
-		check("plan", err, plan.Batch, 0)
+		var sweep sweepRequest
+		decode("experiment", &sweep, func() error { return sweep.Validate() })
 	})
 }
