@@ -2,13 +2,12 @@
 // enforces the simulator invariants the Go compiler cannot see —
 // bit-determinism (no wall-clock time or unseeded randomness in
 // simulation code, no order-sensitive map iteration), unit safety
-// (bytes never silently become pages), the closed trace schema, sentinel
-// error wrapping, context conventions, and map-free hot paths.
-// Copying a mutex by value is left to go vet. The seven checks run
-// module-wide in one invocation: packages load in dependency order,
-// each type-checked once, and every analyzer sees one package at a
-// time. See docs/LINTING.md for the checks and the //lint:allow
-// suppression syntax.
+// (bytes never silently become pages), sentinel error wrapping, context
+// conventions, and map-free hot paths. Copying a mutex by value is left
+// to go vet. The six checks run module-wide in one invocation: packages
+// load in dependency order, each type-checked once, and every analyzer
+// sees one package at a time. See docs/LINTING.md for the checks and the
+// //lint:allow suppression syntax.
 //
 // Usage:
 //

@@ -143,7 +143,6 @@ func RunPackages(loader *Loader, pkgs []*Package, analyzers []*Analyzer) ([]Diag
 				Pkg:     pkg.Types,
 				Info:    pkg.Info,
 				PkgPath: pkg.Path,
-				ModRoot: loader.ModRoot,
 				check:   a.Name,
 				report: func(d Diagnostic) {
 					d.File = relFile(d.File)

@@ -133,7 +133,6 @@ func runFixtures(t *testing.T, a *Analyzer) {
 func TestDeterminismFixtures(t *testing.T) { runFixtures(t, DeterminismAnalyzer) }
 func TestMapOrderFixtures(t *testing.T)    { runFixtures(t, MapOrderAnalyzer) }
 func TestUnitSafetyFixtures(t *testing.T)  { runFixtures(t, UnitSafetyAnalyzer) }
-func TestTraceKindsFixtures(t *testing.T)  { runFixtures(t, TraceKindsAnalyzer) }
 func TestErrWrapFixtures(t *testing.T)     { runFixtures(t, ErrWrapAnalyzer) }
 func TestCtxFirstFixtures(t *testing.T)    { runFixtures(t, CtxFirstAnalyzer) }
 func TestHotPathFixtures(t *testing.T)     { runFixtures(t, HotPathAnalyzer) }

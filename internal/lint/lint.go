@@ -65,9 +65,6 @@ type Pass struct {
 	Info *types.Info
 	// PkgPath is the package's import path within the module.
 	PkgPath string
-	// ModRoot is the module root directory; analyzers that cross-check
-	// repo artifacts (docs) resolve paths against it.
-	ModRoot string
 
 	check  string
 	report func(Diagnostic)
@@ -91,7 +88,6 @@ func Analyzers() []*Analyzer {
 		DeterminismAnalyzer,
 		MapOrderAnalyzer,
 		UnitSafetyAnalyzer,
-		TraceKindsAnalyzer,
 		ErrWrapAnalyzer,
 		CtxFirstAnalyzer,
 		HotPathAnalyzer,

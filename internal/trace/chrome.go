@@ -2,7 +2,6 @@ package trace
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"sort"
 )
@@ -63,164 +62,89 @@ func WriteChrome(w io.Writer, events []Event) error {
 	evs := Sorted(events)
 
 	// One process per run label, in sorted first-appearance order.
-	pids := map[string]int{}
+	d := &chromeDoc{pids: map[string]int{}, totals: map[counterKey]int64{}}
 	var runs []string
 	for _, e := range evs {
-		if _, ok := pids[e.Run]; !ok {
-			pids[e.Run] = len(pids) + 1
+		if _, ok := d.pids[e.Run]; !ok {
+			d.pids[e.Run] = len(d.pids) + 1
 			runs = append(runs, e.Run)
 		}
 	}
 
-	var out []map[string]any
-	add := func(m map[string]any) { out = append(out, m) }
-
 	for _, run := range runs {
-		pid := pids[run]
+		pid := d.pids[run]
 		name := run
 		if name == "" {
 			name = "run"
 		}
-		add(map[string]any{"ph": "M", "name": "process_name", "pid": pid, "tid": 0,
+		d.add(map[string]any{"ph": "M", "name": "process_name", "pid": pid, "tid": 0,
 			"args": map[string]any{"name": name}})
 		for _, tid := range []int{tidCompute, tidMigrateIn, tidMigrateOut, tidAllocator} {
-			add(map[string]any{"ph": "M", "name": "thread_name", "pid": pid, "tid": tid,
+			d.add(map[string]any{"ph": "M", "name": "thread_name", "pid": pid, "tid": tid,
 				"args": map[string]any{"name": tidNames[tid]}})
-			add(map[string]any{"ph": "M", "name": "thread_sort_index", "pid": pid, "tid": tid,
+			d.add(map[string]any{"ph": "M", "name": "thread_sort_index", "pid": pid, "tid": tid,
 				"args": map[string]any{"sort_index": tid}})
 		}
 	}
 
-	slice := func(e Event, tid int, name string, args map[string]any) {
-		add(map[string]any{"ph": "X", "cat": string(e.Kind), "name": name,
-			"pid": pids[e.Run], "tid": tid, "ts": micros(e.At), "dur": micros(e.Dur),
-			"args": args})
-	}
-	instant := func(e Event, tid int, name string, args map[string]any) {
-		add(map[string]any{"ph": "i", "s": "t", "cat": string(e.Kind), "name": name,
-			"pid": pids[e.Run], "tid": tid, "ts": micros(e.At), "args": args})
-	}
-
-	// Counter state, accumulated in timeline order per run.
-	type counterKey struct {
-		pid  int
-		name string
-	}
-	totals := map[counterKey]int64{}
-	counter := func(pid int, name string, ts float64, delta int64) {
-		k := counterKey{pid, name}
-		totals[k] += delta
-		add(map[string]any{"ph": "C", "name": name, "pid": pid, "tid": 0, "ts": ts,
-			"args": map[string]any{"value": totals[k]}})
-	}
-
-	// In-flight (occupancy) deltas are generated at span start and end,
-	// then replayed in time order after the main pass.
-	type delta struct {
-		pid   int
-		name  string
-		ts    float64
-		bytes int64
-	}
-	var inflight []delta
-
 	for _, e := range evs {
-		pid := pids[e.Run]
-		step := map[string]any{"step": e.Step, "layer": e.Layer}
-		switch e.Kind {
-		case KStep:
-			slice(e, tidCompute, fmt.Sprintf("step %d", e.Step), map[string]any{"step": e.Step})
-		case KLayer:
-			slice(e, tidCompute, fmt.Sprintf("layer %d", e.Layer), step)
-		case KStall:
-			args := map[string]any{"step": e.Step, "layer": e.Layer, "stall_us": micros(e.Dur)}
-			name := "stall"
-			if e.Tensor != NoTensor {
-				args["tensor"] = e.Name
-				args["tensor_id"] = int64(e.Tensor)
-				name = "stall: " + e.Name
-			}
-			slice(e, tidCompute, name, args)
-		case KMigrateIn, KMigrateOut:
-			tid, cname := tidMigrateIn, "inflight-in"
-			if e.Kind == KMigrateOut {
-				tid, cname = tidMigrateOut, "inflight-out"
-			}
-			slice(e, tid, string(e.Kind), map[string]any{"bytes": e.Bytes, "step": e.Step, "layer": e.Layer})
-			inflight = append(inflight, delta{pid, cname, micros(e.At), e.Bytes})
-			inflight = append(inflight, delta{pid, cname, micros(e.At.Add(e.Dur)), -e.Bytes})
-		case KDemand:
-			instant(e, tidMigrateIn, "demand: "+e.Name,
-				map[string]any{"tensor": e.Name, "tensor_id": int64(e.Tensor), "bytes": e.Bytes, "step": e.Step, "layer": e.Layer})
-		case KAlloc, KFree:
-			instant(e, tidAllocator, string(e.Kind)+": "+e.Name,
-				map[string]any{"tensor": e.Name, "bytes": e.Bytes, "step": e.Step, "layer": e.Layer})
-		case KPlace:
-			instant(e, tidAllocator, "place: "+e.Name,
-				map[string]any{"group": e.Name, "tensor_id": int64(e.Tensor), "bytes": e.Bytes})
-		case KArenaGrow:
-			instant(e, tidAllocator, "arena-grow: "+e.Name,
-				map[string]any{"arena": e.Name, "bytes": e.Bytes, "tier": e.Tier.String()})
-		case KArenaReclaim:
-			instant(e, tidAllocator, "arena-reclaim",
-				map[string]any{"bytes": e.Bytes, "tier": e.Tier.String()})
-		case KOOMRetry:
-			instant(e, tidAllocator, "oom-retry",
-				map[string]any{"tensor": e.Name, "need_bytes": e.Bytes, "attempt": e.Count})
-		case KMigrateRetry:
-			instant(e, tidMigrateIn, "migrate-retry: "+e.Name,
-				map[string]any{"tensor": e.Name, "bytes": e.Bytes, "attempt": e.Count, "step": e.Step, "layer": e.Layer})
-		case KDegrade:
-			instant(e, tidCompute, "degrade: "+e.Name,
-				map[string]any{"tensor": e.Name, "reason": degradeReason(e.Count), "step": e.Step, "layer": e.Layer})
-		case KPlanDiverged:
-			instant(e, tidCompute, "plan-diverged",
-				map[string]any{"detail": e.Name, "step": e.Step})
-		case KCapShrink:
-			instant(e, tidAllocator, "capacity-shrink",
-				map[string]any{"bytes": e.Bytes, "step": e.Step})
-		case KReprofileArm:
-			instant(e, tidCompute, "reprofile-arm: "+e.Name,
-				map[string]any{"round": e.Name, "tensors": e.Count, "poisoned_bytes": e.Bytes, "step": e.Step})
-		case KReprofileSample:
-			instant(e, tidCompute, "reprofile-sample: "+e.Name,
-				map[string]any{"tensor": e.Name, "tensor_id": int64(e.Tensor), "accesses_per_step": e.Count, "bytes": e.Bytes, "step": e.Step})
-		case KReplan:
-			instant(e, tidCompute, "replan",
-				map[string]any{"detail": e.Name, "round": e.Count, "step": e.Step})
-		case KPlanSwap:
-			instant(e, tidMigrateIn, "plan-swap",
-				map[string]any{"plan": e.Name, "round": e.Count, "delta_bytes": e.Bytes, "step": e.Step})
-		case KCtlTransition:
-			instant(e, tidCompute, "controller: "+e.Name,
-				map[string]any{"transition": e.Name, "state": e.Count, "step": e.Step})
-		case KCellPanic:
-			instant(e, tidCompute, "cell-panic: "+e.Name,
-				map[string]any{"cell": e.Name})
-		case KCellTimeout:
-			instant(e, tidCompute, "cell-timeout: "+e.Name,
-				map[string]any{"cell": e.Name, "deadline_us": micros(e.Dur)})
-		case KSweepCancel:
-			instant(e, tidCompute, "sweep-cancel",
-				map[string]any{"cell": e.Name})
-		case KAccess:
-			name := "traffic-fast"
-			if e.Tier == TierSlow {
-				name = "traffic-slow"
-			}
-			counter(pid, name, micros(e.At), e.Bytes)
-		case KFault:
-			counter(pid, "faults", micros(e.At), e.Count)
-		}
+		rowOf(e.Kind).chrome(d, e)
 	}
 
-	sort.SliceStable(inflight, func(i, j int) bool { return inflight[i].ts < inflight[j].ts })
-	for _, d := range inflight {
-		counter(d.pid, d.name, d.ts, d.bytes)
+	sort.SliceStable(d.inflight, func(i, j int) bool { return d.inflight[i].ts < d.inflight[j].ts })
+	for _, f := range d.inflight {
+		d.counter(f.pid, f.name, f.ts, f.bytes)
 	}
 
-	doc := map[string]any{"traceEvents": out, "displayTimeUnit": "ms"}
+	doc := map[string]any{"traceEvents": d.events, "displayTimeUnit": "ms"}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(doc)
+}
+
+// chromeDoc is a Chrome trace-event document being built. The schema's
+// chrome renderers write into it.
+type chromeDoc struct {
+	pids   map[string]int // process id per run label
+	events []map[string]any
+	totals map[counterKey]int64 // counter values, accumulated in timeline order per run
+	// inflight holds the in-flight (occupancy) deltas generated at
+	// migration span start and end, replayed in time order after the
+	// main pass.
+	inflight []inflightDelta
+}
+
+type counterKey struct {
+	pid  int
+	name string
+}
+
+type inflightDelta struct {
+	pid   int
+	name  string
+	ts    float64
+	bytes int64
+}
+
+func (d *chromeDoc) add(m map[string]any) { d.events = append(d.events, m) }
+
+// slice adds a complete ("X") event spanning e.
+func (d *chromeDoc) slice(e Event, tid int, name string, args map[string]any) {
+	d.add(map[string]any{"ph": "X", "cat": string(e.Kind), "name": name,
+		"pid": d.pids[e.Run], "tid": tid, "ts": micros(e.At), "dur": micros(e.Dur),
+		"args": args})
+}
+
+// instant adds a thread-scoped instant ("i") event at e.At.
+func (d *chromeDoc) instant(e Event, tid int, name string, args map[string]any) {
+	d.add(map[string]any{"ph": "i", "s": "t", "cat": string(e.Kind), "name": name,
+		"pid": d.pids[e.Run], "tid": tid, "ts": micros(e.At), "args": args})
+}
+
+// counter moves the named counter of process pid by delta at ts.
+func (d *chromeDoc) counter(pid int, name string, ts float64, delta int64) {
+	k := counterKey{pid, name}
+	d.totals[k] += delta
+	d.add(map[string]any{"ph": "C", "name": name, "pid": pid, "tid": 0, "ts": ts,
+		"args": map[string]any{"value": d.totals[k]}})
 }

@@ -17,8 +17,24 @@ const (
 	FormatAuto   = "auto"   // chrome for .json paths, text otherwise
 )
 
+// formats is the export-format table, in Formats order.
+var formats = []struct {
+	name  string
+	write func(io.Writer, []Event) error
+}{
+	{FormatChrome, WriteChrome},
+	{FormatText, WriteText},
+	{FormatStalls, WriteStallSummary},
+}
+
 // Formats lists the concrete export formats.
-func Formats() []string { return []string{FormatChrome, FormatText, FormatStalls} }
+func Formats() []string {
+	out := make([]string, len(formats))
+	for i, f := range formats {
+		out[i] = f.name
+	}
+	return out
+}
 
 // ResolveFormat maps FormatAuto to a concrete format by file extension
 // (".json" means chrome, anything else text); concrete formats pass
@@ -35,16 +51,12 @@ func ResolveFormat(format, path string) string {
 
 // Export writes the events to w in the named format.
 func Export(w io.Writer, format string, events []Event) error {
-	switch format {
-	case FormatChrome:
-		return WriteChrome(w, events)
-	case FormatText:
-		return WriteText(w, events)
-	case FormatStalls:
-		return WriteStallSummary(w, events)
-	default:
-		return fmt.Errorf("trace: unknown format %q (known: %v)", format, Formats())
+	for _, f := range formats {
+		if f.name == format {
+			return f.write(w, events)
+		}
 	}
+	return fmt.Errorf("trace: unknown format %q (known: %v)", format, Formats())
 }
 
 // WriteText writes one line per event in timeline order. On buses shared

@@ -16,8 +16,10 @@
 // Exporters turn a captured event stream into a Chrome trace-event JSON
 // file (loadable in Perfetto or chrome://tracing, with compute and the
 // two migration directions on distinct tracks), a plain-text timeline, or
-// a per-step stall-attribution summary. The full schema is documented in
-// docs/TRACING.md, which CI cross-checks against Kinds.
+// a per-step stall-attribution summary. The schema is one table, one row
+// per Kind holding its text line and its Chrome events; docs/TRACING.md
+// documents every kind, and TestTraceSchemaClosed checks the table
+// against both the Kind constants and that document.
 package trace
 
 import (
@@ -118,16 +120,239 @@ const (
 	KSweepCancel Kind = "sweep-cancel"
 )
 
-// Kinds returns every event kind, in schema order. docs/TRACING.md must
-// document each of these; a test cross-checks the list.
-func Kinds() []Kind {
-	return []Kind{
-		KStep, KLayer, KAlloc, KFree, KStall, KDemand, KOOMRetry,
-		KAccess, KMigrateIn, KMigrateOut, KFault, KArenaGrow,
-		KArenaReclaim, KPlace, KMigrateRetry, KDegrade, KPlanDiverged,
-		KCapShrink, KReprofileArm, KReprofileSample, KReplan, KPlanSwap,
-		KCtlTransition, KCellPanic, KCellTimeout, KSweepCancel,
+// kindRow is one row of the trace schema: a kind, its text-timeline
+// line, and the Chrome trace events it becomes.
+type kindRow struct {
+	kind   Kind
+	text   func(Event) string
+	chrome func(*chromeDoc, Event)
+}
+
+// schema is the trace schema, one row per Kind in schema order. It is
+// the only place that knows how a kind renders; TestTraceSchemaClosed
+// checks that every Kind constant has exactly one row and that
+// docs/TRACING.md documents it.
+var schema = []kindRow{
+	{KStep,
+		func(e Event) string {
+			return fmt.Sprintf("%12v step=%d span %v", simtime.Duration(e.At), e.Step, e.Dur)
+		},
+		func(d *chromeDoc, e Event) {
+			d.slice(e, tidCompute, fmt.Sprintf("step %d", e.Step), map[string]any{"step": e.Step})
+		}},
+	{KLayer,
+		func(e Event) string { return fmt.Sprintf("%s span %v", e.where(), e.Dur) },
+		func(d *chromeDoc, e Event) {
+			d.slice(e, tidCompute, fmt.Sprintf("layer %d", e.Layer), map[string]any{"step": e.Step, "layer": e.Layer})
+		}},
+	{KAlloc, textGeneric, chromeAllocFree},
+	{KFree, textGeneric, chromeAllocFree},
+	{KStall,
+		func(e Event) string {
+			if e.Tensor == NoTensor {
+				return fmt.Sprintf("%s stall %v", e.where(), e.Dur)
+			}
+			return fmt.Sprintf("%s stall %v waiting for %s", e.where(), e.Dur, e.who())
+		},
+		func(d *chromeDoc, e Event) {
+			args := map[string]any{"step": e.Step, "layer": e.Layer, "stall_us": micros(e.Dur)}
+			name := "stall"
+			if e.Tensor != NoTensor {
+				args["tensor"] = e.Name
+				args["tensor_id"] = int64(e.Tensor)
+				name = "stall: " + e.Name
+			}
+			d.slice(e, tidCompute, name, args)
+		}},
+	{KDemand,
+		func(e Event) string {
+			return fmt.Sprintf("%s demand %s (%s)", e.where(), e.who(), simtime.Bytes(e.Bytes))
+		},
+		func(d *chromeDoc, e Event) {
+			d.instant(e, tidMigrateIn, "demand: "+e.Name,
+				map[string]any{"tensor": e.Name, "tensor_id": int64(e.Tensor), "bytes": e.Bytes, "step": e.Step, "layer": e.Layer})
+		}},
+	{KOOMRetry,
+		func(e Event) string {
+			return fmt.Sprintf("%s oom-retry %s need %s attempt %d", e.where(), e.who(), simtime.Bytes(e.Bytes), e.Count)
+		},
+		func(d *chromeDoc, e Event) {
+			d.instant(e, tidAllocator, "oom-retry",
+				map[string]any{"tensor": e.Name, "need_bytes": e.Bytes, "attempt": e.Count})
+		}},
+	{KAccess,
+		func(e Event) string {
+			return fmt.Sprintf("%s access %s %s (%s)", e.where(), e.Tier, e.who(), simtime.Bytes(e.Bytes))
+		},
+		func(d *chromeDoc, e Event) {
+			name := "traffic-fast"
+			if e.Tier == TierSlow {
+				name = "traffic-slow"
+			}
+			d.counter(d.pids[e.Run], name, micros(e.At), e.Bytes)
+		}},
+	{KMigrateIn, textMigrate, chromeMigrate},
+	{KMigrateOut, textMigrate, chromeMigrate},
+	{KFault,
+		func(e Event) string {
+			return fmt.Sprintf("%s fault x%d over %s", e.where(), e.Count, simtime.Bytes(e.Bytes))
+		},
+		func(d *chromeDoc, e Event) { d.counter(d.pids[e.Run], "faults", micros(e.At), e.Count) }},
+	{KArenaGrow,
+		func(e Event) string {
+			return fmt.Sprintf("%s arena-grow %s +%s on %s", e.where(), e.who(), simtime.Bytes(e.Bytes), e.Tier)
+		},
+		func(d *chromeDoc, e Event) {
+			d.instant(e, tidAllocator, "arena-grow: "+e.Name,
+				map[string]any{"arena": e.Name, "bytes": e.Bytes, "tier": e.Tier.String()})
+		}},
+	{KArenaReclaim,
+		func(e Event) string {
+			return fmt.Sprintf("%s arena-reclaim %s from %s", e.where(), simtime.Bytes(e.Bytes), e.Tier)
+		},
+		func(d *chromeDoc, e Event) {
+			d.instant(e, tidAllocator, "arena-reclaim", map[string]any{"bytes": e.Bytes, "tier": e.Tier.String()})
+		}},
+	{KPlace,
+		func(e Event) string {
+			return fmt.Sprintf("%s place tensor %d -> %s (%s)", e.where(), e.Tensor, e.who(), simtime.Bytes(e.Bytes))
+		},
+		func(d *chromeDoc, e Event) {
+			d.instant(e, tidAllocator, "place: "+e.Name,
+				map[string]any{"group": e.Name, "tensor_id": int64(e.Tensor), "bytes": e.Bytes})
+		}},
+	{KMigrateRetry,
+		func(e Event) string {
+			return fmt.Sprintf("%s migrate-retry %s (%s) attempt %d", e.where(), e.who(), simtime.Bytes(e.Bytes), e.Count)
+		},
+		func(d *chromeDoc, e Event) {
+			d.instant(e, tidMigrateIn, "migrate-retry: "+e.Name,
+				map[string]any{"tensor": e.Name, "bytes": e.Bytes, "attempt": e.Count, "step": e.Step, "layer": e.Layer})
+		}},
+	{KDegrade,
+		func(e Event) string {
+			return fmt.Sprintf("%s degrade %s: %s", e.where(), e.who(), degradeReason(e.Count))
+		},
+		func(d *chromeDoc, e Event) {
+			d.instant(e, tidCompute, "degrade: "+e.Name,
+				map[string]any{"tensor": e.Name, "reason": degradeReason(e.Count), "step": e.Step, "layer": e.Layer})
+		}},
+	{KPlanDiverged,
+		func(e Event) string { return fmt.Sprintf("%s plan-diverged %s", e.where(), e.who()) },
+		func(d *chromeDoc, e Event) {
+			d.instant(e, tidCompute, "plan-diverged", map[string]any{"detail": e.Name, "step": e.Step})
+		}},
+	{KCapShrink,
+		func(e Event) string { return fmt.Sprintf("%s capacity-shrink -%s", e.where(), simtime.Bytes(e.Bytes)) },
+		func(d *chromeDoc, e Event) {
+			d.instant(e, tidAllocator, "capacity-shrink", map[string]any{"bytes": e.Bytes, "step": e.Step})
+		}},
+	{KReprofileArm,
+		func(e Event) string {
+			return fmt.Sprintf("%s reprofile-arm %s: %d tensors (%s poisoned)", e.where(), e.who(), e.Count, simtime.Bytes(e.Bytes))
+		},
+		func(d *chromeDoc, e Event) {
+			d.instant(e, tidCompute, "reprofile-arm: "+e.Name,
+				map[string]any{"round": e.Name, "tensors": e.Count, "poisoned_bytes": e.Bytes, "step": e.Step})
+		}},
+	{KReprofileSample,
+		func(e Event) string {
+			return fmt.Sprintf("%s reprofile-sample %s: %d accesses/step (%s)", e.where(), e.who(), e.Count, simtime.Bytes(e.Bytes))
+		},
+		func(d *chromeDoc, e Event) {
+			d.instant(e, tidCompute, "reprofile-sample: "+e.Name,
+				map[string]any{"tensor": e.Name, "tensor_id": int64(e.Tensor), "accesses_per_step": e.Count, "bytes": e.Bytes, "step": e.Step})
+		}},
+	{KReplan,
+		func(e Event) string { return fmt.Sprintf("%s replan round %d: %s", e.where(), e.Count, e.who()) },
+		func(d *chromeDoc, e Event) {
+			d.instant(e, tidCompute, "replan", map[string]any{"detail": e.Name, "round": e.Count, "step": e.Step})
+		}},
+	{KPlanSwap,
+		func(e Event) string {
+			return fmt.Sprintf("%s plan-swap round %d: %s (%s delta)", e.where(), e.Count, e.who(), simtime.Bytes(e.Bytes))
+		},
+		func(d *chromeDoc, e Event) {
+			d.instant(e, tidMigrateIn, "plan-swap",
+				map[string]any{"plan": e.Name, "round": e.Count, "delta_bytes": e.Bytes, "step": e.Step})
+		}},
+	{KCtlTransition,
+		func(e Event) string { return fmt.Sprintf("%s controller-transition %s", e.where(), e.who()) },
+		func(d *chromeDoc, e Event) {
+			d.instant(e, tidCompute, "controller: "+e.Name,
+				map[string]any{"transition": e.Name, "state": e.Count, "step": e.Step})
+		}},
+	{KCellPanic,
+		func(e Event) string {
+			return fmt.Sprintf("%12v cell-panic %s (cell quarantined)", simtime.Duration(e.At), e.who())
+		},
+		func(d *chromeDoc, e Event) {
+			d.instant(e, tidCompute, "cell-panic: "+e.Name, map[string]any{"cell": e.Name})
+		}},
+	{KCellTimeout,
+		func(e Event) string {
+			return fmt.Sprintf("%12v cell-timeout %s after %v (cell quarantined)", simtime.Duration(e.At), e.who(), e.Dur)
+		},
+		func(d *chromeDoc, e Event) {
+			d.instant(e, tidCompute, "cell-timeout: "+e.Name, map[string]any{"cell": e.Name, "deadline_us": micros(e.Dur)})
+		}},
+	{KSweepCancel,
+		func(e Event) string {
+			return fmt.Sprintf("%12v sweep-cancel %s (remaining cells skipped)", simtime.Duration(e.At), e.who())
+		},
+		func(d *chromeDoc, e Event) { d.instant(e, tidCompute, "sweep-cancel", map[string]any{"cell": e.Name}) }},
+}
+
+// unknownRow renders a Kind with no schema row: the generic text line,
+// and nothing in a Chrome trace.
+var unknownRow = kindRow{text: textGeneric, chrome: func(*chromeDoc, Event) {}}
+
+// rowOf returns k's schema row, or unknownRow.
+func rowOf(k Kind) kindRow {
+	for _, r := range schema {
+		if r.kind == k {
+			return r
+		}
 	}
+	return unknownRow
+}
+
+// Kinds returns every event kind, in schema order.
+func Kinds() []Kind {
+	out := make([]Kind, len(schema))
+	for i, r := range schema {
+		out[i] = r.kind
+	}
+	return out
+}
+
+// textGeneric is the timeline line of alloc, free and any kind without
+// a row of its own.
+func textGeneric(e Event) string {
+	return fmt.Sprintf("%s %-11s %s (%s)", e.where(), e.Kind, e.who(), simtime.Bytes(e.Bytes))
+}
+
+func textMigrate(e Event) string {
+	return fmt.Sprintf("%s %-11s %s over %v", e.where(), e.Kind, simtime.Bytes(e.Bytes), e.Dur)
+}
+
+func chromeAllocFree(d *chromeDoc, e Event) {
+	d.instant(e, tidAllocator, string(e.Kind)+": "+e.Name,
+		map[string]any{"tensor": e.Name, "bytes": e.Bytes, "step": e.Step, "layer": e.Layer})
+}
+
+// chromeMigrate draws a migration batch as a slice on its direction's
+// track and records the in-flight bytes it adds and then releases.
+func chromeMigrate(d *chromeDoc, e Event) {
+	tid, cname := tidMigrateIn, "inflight-in"
+	if e.Kind == KMigrateOut {
+		tid, cname = tidMigrateOut, "inflight-out"
+	}
+	d.slice(e, tid, string(e.Kind), map[string]any{"bytes": e.Bytes, "step": e.Step, "layer": e.Layer})
+	pid := d.pids[e.Run]
+	d.inflight = append(d.inflight,
+		inflightDelta{pid, cname, micros(e.At), e.Bytes},
+		inflightDelta{pid, cname, micros(e.At.Add(e.Dur)), -e.Bytes})
 }
 
 // Tier identifies the memory tier an event concerns. The zero value is
@@ -232,65 +457,17 @@ type Event struct {
 }
 
 // String renders the event as one timeline log line.
-func (e Event) String() string {
-	t := simtime.Duration(e.At)
-	name := e.Name
-	if name == "" {
-		name = "?"
+func (e Event) String() string { return rowOf(e.Kind).text(e) }
+
+// where is the "<time> step=S layer=L" prefix most timeline lines share.
+func (e Event) where() string {
+	return fmt.Sprintf("%12v step=%d layer=%d", simtime.Duration(e.At), e.Step, e.Layer)
+}
+
+// who is the event's attributed name, or "?" when it has none.
+func (e Event) who() string {
+	if e.Name == "" {
+		return "?"
 	}
-	switch e.Kind {
-	case KStep:
-		return fmt.Sprintf("%12v step=%d span %v", t, e.Step, e.Dur)
-	case KLayer:
-		return fmt.Sprintf("%12v step=%d layer=%d span %v", t, e.Step, e.Layer, e.Dur)
-	case KStall:
-		if e.Tensor == NoTensor {
-			return fmt.Sprintf("%12v step=%d layer=%d stall %v", t, e.Step, e.Layer, e.Dur)
-		}
-		return fmt.Sprintf("%12v step=%d layer=%d stall %v waiting for %s", t, e.Step, e.Layer, e.Dur, name)
-	case KDemand:
-		return fmt.Sprintf("%12v step=%d layer=%d demand %s (%s)", t, e.Step, e.Layer, name, simtime.Bytes(e.Bytes))
-	case KOOMRetry:
-		return fmt.Sprintf("%12v step=%d layer=%d oom-retry %s need %s attempt %d", t, e.Step, e.Layer, name, simtime.Bytes(e.Bytes), e.Count)
-	case KAccess:
-		return fmt.Sprintf("%12v step=%d layer=%d access %s %s (%s)", t, e.Step, e.Layer, e.Tier, name, simtime.Bytes(e.Bytes))
-	case KMigrateIn, KMigrateOut:
-		return fmt.Sprintf("%12v step=%d layer=%d %-11s %s over %v", t, e.Step, e.Layer, e.Kind, simtime.Bytes(e.Bytes), e.Dur)
-	case KFault:
-		return fmt.Sprintf("%12v step=%d layer=%d fault x%d over %s", t, e.Step, e.Layer, e.Count, simtime.Bytes(e.Bytes))
-	case KArenaGrow:
-		return fmt.Sprintf("%12v step=%d layer=%d arena-grow %s +%s on %s", t, e.Step, e.Layer, name, simtime.Bytes(e.Bytes), e.Tier)
-	case KArenaReclaim:
-		return fmt.Sprintf("%12v step=%d layer=%d arena-reclaim %s from %s", t, e.Step, e.Layer, simtime.Bytes(e.Bytes), e.Tier)
-	case KPlace:
-		return fmt.Sprintf("%12v step=%d layer=%d place tensor %d -> %s (%s)", t, e.Step, e.Layer, e.Tensor, name, simtime.Bytes(e.Bytes))
-	case KMigrateRetry:
-		return fmt.Sprintf("%12v step=%d layer=%d migrate-retry %s (%s) attempt %d", t, e.Step, e.Layer, name, simtime.Bytes(e.Bytes), e.Count)
-	case KDegrade:
-		return fmt.Sprintf("%12v step=%d layer=%d degrade %s: %s", t, e.Step, e.Layer, name, degradeReason(e.Count))
-	case KPlanDiverged:
-		return fmt.Sprintf("%12v step=%d layer=%d plan-diverged %s", t, e.Step, e.Layer, name)
-	case KCapShrink:
-		return fmt.Sprintf("%12v step=%d layer=%d capacity-shrink -%s", t, e.Step, e.Layer, simtime.Bytes(e.Bytes))
-	case KReprofileArm:
-		return fmt.Sprintf("%12v step=%d layer=%d reprofile-arm %s: %d tensors (%s poisoned)", t, e.Step, e.Layer, name, e.Count, simtime.Bytes(e.Bytes))
-	case KReprofileSample:
-		return fmt.Sprintf("%12v step=%d layer=%d reprofile-sample %s: %d accesses/step (%s)", t, e.Step, e.Layer, name, e.Count, simtime.Bytes(e.Bytes))
-	case KReplan:
-		return fmt.Sprintf("%12v step=%d layer=%d replan round %d: %s", t, e.Step, e.Layer, e.Count, name)
-	case KPlanSwap:
-		return fmt.Sprintf("%12v step=%d layer=%d plan-swap round %d: %s (%s delta)", t, e.Step, e.Layer, e.Count, name, simtime.Bytes(e.Bytes))
-	case KCtlTransition:
-		return fmt.Sprintf("%12v step=%d layer=%d controller-transition %s", t, e.Step, e.Layer, name)
-	case KCellPanic:
-		return fmt.Sprintf("%12v cell-panic %s (cell quarantined)", t, name)
-	case KCellTimeout:
-		return fmt.Sprintf("%12v cell-timeout %s after %v (cell quarantined)", t, name, e.Dur)
-	case KSweepCancel:
-		return fmt.Sprintf("%12v sweep-cancel %s (remaining cells skipped)", t, name)
-	case KAlloc, KFree:
-		return fmt.Sprintf("%12v step=%d layer=%d %-11s %s (%s)", t, e.Step, e.Layer, e.Kind, name, simtime.Bytes(e.Bytes))
-	default: // any future instant kind; sentinel-vet's tracekinds check demands an explicit case
-		return fmt.Sprintf("%12v step=%d layer=%d %-11s %s (%s)", t, e.Step, e.Layer, e.Kind, name, simtime.Bytes(e.Bytes))
-	}
+	return e.Name
 }

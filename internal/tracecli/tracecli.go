@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"sentinel/internal/trace"
 )
@@ -21,12 +22,7 @@ import (
 // Request-scoped tracing (sentinel-serve's trace_format field) uses this
 // to validate before running the traced cell.
 func ValidFormat(format string) bool {
-	for _, f := range trace.Formats() {
-		if f == format {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(trace.Formats(), format)
 }
 
 // ExportBus writes a bus's captured events to w in the named concrete
