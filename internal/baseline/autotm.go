@@ -228,18 +228,12 @@ func (p *AutoTM) TensorAllocated(t *tensor.Tensor, r alloc.Region) {
 func (p *AutoTM) LayerEnd(l int) {
 	gpu := p.rt.Spec().GPULike
 	for _, id := range p.outAt[l] {
-		if _, ok := p.rt.Alloc().Region(id); !ok {
-			continue
-		}
 		done, moved, _ := p.rt.MigrateTensor(id, memsys.Slow)
 		if moved > 0 && !gpu {
 			p.rt.WaitUntil(done)
 		}
 	}
 	for _, id := range p.inAt[l] {
-		if _, ok := p.rt.Alloc().Region(id); !ok {
-			continue
-		}
 		done, moved, _ := p.rt.MigrateTensor(id, memsys.Fast)
 		if moved > 0 && !gpu {
 			p.rt.WaitUntil(done)

@@ -169,9 +169,7 @@ func (p *Capuchin) LayerStart(l int) {
 		return
 	}
 	for _, id := range p.swapInAt[l] {
-		if _, ok := p.rt.Alloc().Region(id); ok {
-			p.rt.MigrateTensor(id, memsys.Fast)
-		}
+		p.rt.MigrateTensor(id, memsys.Fast)
 	}
 }
 
@@ -183,9 +181,7 @@ func (p *Capuchin) LayerEnd(l int) {
 		return
 	}
 	for _, id := range p.swapOutAt[l] {
-		if _, ok := p.rt.Alloc().Region(id); ok {
-			p.rt.MigrateTensor(id, memsys.Slow)
-		}
+		p.rt.MigrateTensor(id, memsys.Slow)
 	}
 	for _, id := range p.dropAt[l] {
 		if r, ok := p.rt.Alloc().Region(id); ok {

@@ -228,18 +228,14 @@ func (p *SwapAdvisor) TensorAllocated(t *tensor.Tensor, r alloc.Region) {
 // LayerStart issues scheduled prefetches.
 func (p *SwapAdvisor) LayerStart(l int) {
 	for _, id := range p.inAt[l] {
-		if _, ok := p.rt.Alloc().Region(id); ok {
-			p.rt.MigrateTensor(id, memsys.Fast)
-		}
+		p.rt.MigrateTensor(id, memsys.Fast)
 	}
 }
 
 // LayerEnd issues scheduled swap-outs.
 func (p *SwapAdvisor) LayerEnd(l int) {
 	for _, id := range p.outAt[l] {
-		if _, ok := p.rt.Alloc().Region(id); ok {
-			p.rt.MigrateTensor(id, memsys.Slow)
-		}
+		p.rt.MigrateTensor(id, memsys.Slow)
 	}
 }
 

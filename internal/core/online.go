@@ -44,16 +44,9 @@ func (s *Sentinel) Replan(round int) error {
 	obs := s.sampler.Finish()
 	s.sampler = nil
 	blended := profile.Blend(s.cur.prof, obs, exec.Decay)
-	// Rebuild against the machine as it is now: rt.Spec() reflects any
-	// mid-run capacity shrink, so the replacement plan is sized for the
-	// fast tier that actually exists.
-	var plan *Plan
-	var err error
-	if s.cfg.VariableMIL && s.cfg.ForceMIL == 0 {
-		plan, err = BuildPlanVariable(blended, s.rt.Spec(), s.cur.decomp)
-	} else {
-		plan, err = BuildPlan(blended, s.rt.Spec(), s.cur.decomp, s.cfg.ForceMIL)
-	}
+	// buildPlan sizes the replacement plan for the fast tier that exists
+	// now, after any mid-run capacity shrink.
+	plan, err := s.buildPlan(blended, s.cur.decomp)
 	if err != nil {
 		return fmt.Errorf("core: rebuild plan: %w", err)
 	}

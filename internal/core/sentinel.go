@@ -472,6 +472,17 @@ func (s *Sentinel) StepEnd(step int, st *metrics.StepStats) {
 	}
 }
 
+// buildPlan derives a plan for prof on the machine as it is now
+// (rt.Spec() reflects any mid-run capacity shrink): variable-length
+// intervals when the config asks for them and no MIL is forced, fixed
+// ones otherwise.
+func (s *Sentinel) buildPlan(prof *profile.Profile, decomp LayerDecomp) (*Plan, error) {
+	if s.cfg.VariableMIL && s.cfg.ForceMIL == 0 {
+		return BuildPlanVariable(prof, s.rt.Spec(), decomp)
+	}
+	return BuildPlan(prof, s.rt.Spec(), decomp, s.cfg.ForceMIL)
+}
+
 // finishProfiling assembles the variant's profile, builds its plan, and
 // reorganizes allocation (Sec. IV-B): the managed phase resumes with the
 // next step.
@@ -480,13 +491,7 @@ func (s *Sentinel) finishProfiling(st *metrics.StepStats) {
 	s.profiling = nil
 	decomp := LayerDecomp{Compute: st.LayerComputeTime, Mem: st.LayerMemTime}
 	s.cur.decomp = decomp
-	var plan *Plan
-	var err error
-	if s.cfg.VariableMIL && s.cfg.ForceMIL == 0 {
-		plan, err = BuildPlanVariable(prof, s.rt.Spec(), decomp)
-	} else {
-		plan, err = BuildPlan(prof, s.rt.Spec(), decomp, s.cfg.ForceMIL)
-	}
+	plan, err := s.buildPlan(prof, decomp)
 	if err != nil {
 		// A profile with no layers cannot occur for validated graphs;
 		// degrade to one giant interval rather than crash mid-run.

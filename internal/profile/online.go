@@ -11,6 +11,8 @@ package profile
 // the initial step's 5x-slowdown accounting.
 
 import (
+	"strconv"
+
 	"sentinel/internal/alloc"
 	"sentinel/internal/exec"
 	"sentinel/internal/tensor"
@@ -190,22 +192,7 @@ func (s *Sampler) Finish() *Observation {
 }
 
 // roundLabel renders a round index for trace events.
-func roundLabel(round int) string { return "round " + itoa(round) }
-
-// itoa avoids strconv for a tiny non-negative int (trace labels only).
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
-}
+func roundLabel(round int) string { return "round " + strconv.Itoa(round) }
 
 // Blend merges a finished round into the prior profile: each sampled
 // tensor's access count becomes decay*old + (1-decay)*observed, with the
