@@ -50,9 +50,9 @@ func TestIDsCoverRegistry(t *testing.T) {
 		}
 		seen[id] = true
 	}
-	for id := range registry {
-		if !seen[id] {
-			t.Fatalf("registered experiment %q missing from IDs()", id)
+	for _, e := range experiments {
+		if !seen[e.id] || !Known(e.id) {
+			t.Fatalf("registered experiment %q missing from IDs() or not Known", e.id)
 		}
 	}
 }

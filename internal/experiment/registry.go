@@ -1,47 +1,47 @@
 package experiment
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Func runs one experiment.
 type Func func(Options) (*Table, error)
 
-// registry maps experiment ids to runners.
-var registry = map[string]Func{
-	"characterization":  Characterization,
-	"table1":            Table1,
-	"table2":            Table2,
-	"fig5":              Fig5,
-	"fig7":              Fig7,
-	"fig8":              Fig8,
-	"fig9":              Fig9,
-	"fig10":             Fig10,
-	"fig11":             Fig11,
-	"fig12":             Fig12,
-	"fig13":             Fig13,
-	"fig9series":        Fig9Series,
-	"fig12-a100":        Fig12A100,
-	"fig7-extended":     Fig7Extended,
-	"fig7-cxl":          Fig7CXL,
-	"table3":            Table3,
-	"table4":            Table4,
-	"table5":            Table5,
-	"robustness":        Robustness,
-	"online-robustness": OnlineRobustness,
+// experiments is the registry, in presentation order: the experiments
+// "all" runs, then the raw-data dumps (extra) it skips.
+var experiments = []struct {
+	id    string
+	run   Func
+	extra bool
+}{
+	{"table1", Table1, false},
+	{"table2", Table2, false},
+	{"characterization", Characterization, false},
+	{"fig5", Fig5, false},
+	{"fig7", Fig7, false},
+	{"fig8", Fig8, false},
+	{"fig9", Fig9, false},
+	{"fig10", Fig10, false},
+	{"fig11", Fig11, false},
+	{"table3", Table3, false},
+	{"table4", Table4, false},
+	{"fig12", Fig12, false},
+	{"fig13", Fig13, false},
+	{"table5", Table5, false},
+	{"robustness", Robustness, false},
+	{"online-robustness", OnlineRobustness, false},
+	{"fig12-a100", Fig12A100, true},
+	{"fig7-cxl", Fig7CXL, true},
+	{"fig7-extended", Fig7Extended, true},
+	{"fig9series", Fig9Series, true},
 }
 
-// order is the presentation order for "all".
-var order = []string{
-	"table1", "table2", "characterization", "fig5", "fig7", "fig8", "fig9",
-	"fig10", "fig11", "table3", "table4", "fig12", "fig13", "table5",
-	"robustness", "online-robustness",
-}
-
-// extras are runnable but not part of "all" (raw data dumps).
-var extras = map[string]bool{
-	"fig9series": true, "fig12-a100": true, "fig7-extended": true, "fig7-cxl": true,
+// find returns id's runner, or nil for an unknown id.
+func find(id string) Func {
+	for _, e := range experiments {
+		if e.id == id {
+			return e.run
+		}
+	}
+	return nil
 }
 
 // Run executes the named experiment. The runner fans its cells out over
@@ -54,8 +54,8 @@ var extras = map[string]bool{
 // completes and the table renders with an incomplete-table marker and one
 // footer note per quarantined cell.
 func Run(id string, o Options) (*Table, error) {
-	f, ok := registry[id]
-	if !ok {
+	f := find(id)
+	if f == nil {
 		return nil, fmt.Errorf("experiment: unknown id %q (known: %v)", id, IDs())
 	}
 	o = o.normalized()
@@ -72,29 +72,19 @@ func Run(id string, o Options) (*Table, error) {
 // IDs lists experiment ids in presentation order. Raw-dump experiments
 // (extras) come last.
 func IDs() []string {
-	ids := append([]string{}, order...)
-	// Include anything registered but not ordered, sorted, so nothing is
-	// silently unreachable.
-	extra := []string{}
-	inOrder := map[string]bool{}
-	for _, id := range order {
-		inOrder[id] = true
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.id
 	}
-	for id := range registry {
-		if !inOrder[id] {
-			extra = append(extra, id)
-		}
-	}
-	sort.Strings(extra)
-	return append(ids, extra...)
+	return ids
 }
 
 // DefaultIDs lists the experiments run by "all" (no raw dumps).
 func DefaultIDs() []string {
 	var ids []string
-	for _, id := range IDs() {
-		if !extras[id] {
-			ids = append(ids, id)
+	for _, e := range experiments {
+		if !e.extra {
+			ids = append(ids, e.id)
 		}
 	}
 	return ids

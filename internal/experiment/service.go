@@ -81,8 +81,7 @@ func Platform(name string) (memsys.Spec, error) {
 
 // Known reports whether id names a registered experiment.
 func Known(id string) bool {
-	_, ok := registry[id]
-	return ok
+	return find(id) != nil
 }
 
 // validateWorkload checks the model and batch every workload request
