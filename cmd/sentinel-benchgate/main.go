@@ -18,10 +18,10 @@
 //
 // Usage:
 //
-//	sentinel-benchgate -out BENCH_29.json -against BENCH_28.json   # run, record, gate
-//	sentinel-benchgate -against BENCH_28.json                      # run and gate only
-//	sentinel-benchgate -check BENCH_28.json                        # schema/shape validation
-//	sentinel-benchgate -compare BENCH_29.json -against BENCH_28.json  # offline compare
+//	sentinel-benchgate -out BENCH_37.json -against BENCH_36.json   # run, record, gate
+//	sentinel-benchgate -against BENCH_36.json                      # run and gate only
+//	sentinel-benchgate -check BENCH_36.json                        # schema/shape validation
+//	sentinel-benchgate -compare BENCH_37.json -against BENCH_36.json  # offline compare
 package main
 
 import (
@@ -124,8 +124,10 @@ var suite = []suiteEntry{
 	}},
 	{pkg: "sentinel/internal/core", benches: []string{
 		// Sentinel's planning step alone: the interval-length model
-		// and every interval's prefetch and eviction sets.
+		// and every interval's prefetch and eviction sets, on Optane
+		// and on the GPU preset.
 		"BenchmarkBuildPlan",
+		"BenchmarkBuildPlanGPU",
 	}},
 	{pkg: "sentinel/internal/exec", benches: []string{
 		// One engine step under a static non-Sentinel policy (AutoTM's

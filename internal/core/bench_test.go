@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"sentinel/internal/core"
+	"sentinel/internal/exec"
 	"sentinel/internal/memsys"
 	"sentinel/internal/model"
 	"sentinel/internal/profile"
@@ -21,6 +22,31 @@ func BenchmarkBuildPlan(b *testing.B) {
 	}
 	spec := memsys.OptaneHM().WithFastSize(int64(0.2 * float64(g.PeakMemory())))
 	p, err := profile.Collect(g, spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	decomp := core.LayerDecompFromProfile(p)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.BuildPlan(p, spec, decomp, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkBuildPlanGPU measures the same planning step for Sentinel-GPU's
+// largest Fig. 13 network: resnet200 at batch 192 on the GPU preset, whose
+// 137 layers make the interval-length search the plan's largest part. The
+// graph and its profile are built once, outside the timer; profiling reads
+// host pages in place, as Sentinel-GPU's does.
+func BenchmarkBuildPlanGPU(b *testing.B) {
+	g, err := model.Build("resnet200", 192)
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec := memsys.GPUHM()
+	p, err := profile.Collect(g, spec, func(rt *exec.Runtime) { rt.SetPinnedAccess(true) })
 	if err != nil {
 		b.Fatal(err)
 	}

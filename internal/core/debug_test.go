@@ -37,19 +37,13 @@ func TestDebugPlan(t *testing.T) {
 		evicts += len(pl.EvictAt[l])
 	}
 	t.Logf("evict entries: %d", evicts)
-	for _, e := range pl.Estimates[:min(len(pl.Estimates), 12)] {
+	ests := MILEstimates(s.Profile(), spec, s.cur.decomp)
+	for _, e := range ests[:min(len(ests), 12)] {
 		t.Logf("MIL=%d est=%v exposed=%v feasible=%v overflow=%s",
 			e.MIL, e.StepTime, e.Exposed, e.Feasible, simtime.Bytes(e.OverflowBytes))
 	}
 	st := rt.Run().SteadyStep()
 	t.Logf("steady: %v", st)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // TestDebugCirculation inspects steady-state migration circulation.

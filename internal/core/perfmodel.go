@@ -7,6 +7,8 @@
 package core
 
 import (
+	"slices"
+
 	"sentinel/internal/memsys"
 	"sentinel/internal/profile"
 	"sentinel/internal/simtime"
@@ -31,31 +33,34 @@ type MILEstimate struct {
 
 // perfModel evaluates candidate interval lengths against the profile.
 type perfModel struct {
-	p       *profile.Profile
-	spec    memsys.Spec
-	reserve int64 // RS: fast memory reserved for short-lived tensors
-	// fastLayer projects each layer's time when its tensors are in fast
-	// memory: max(compute, mem*fastRatio) — the profiling step measured
-	// mem time on slow memory.
-	fastLayer []simtime.Duration
+	p    *profile.Profile
+	spec memsys.Spec
+	// budget is Equation 1's bound on one interval's prefetch: the fast
+	// memory left after RS, the reserve for short-lived tensors.
+	budget int64
+	// fastTime[l] projects layers [0, l) with their tensors in fast
+	// memory, each layer at max(compute, mem*fastRatio) plus its
+	// non-overlapped part — the profiling step measured mem time on slow
+	// memory. An interval's time is the difference of two entries.
+	fastTime []simtime.Duration
 	// longLived is the profile's long-lived tensors by descending access
 	// count; byLayer[l] lists those accessed in layer l in that order.
 	longLived []tensor.ID
 	byLayer   [][]tensor.ID
-	// needsBuf, idxBuf and mark are grouping scratch reused across
-	// ChooseMIL's candidate estimates, where re-allocating the
-	// per-interval lists dominated plan-construction allocations.
-	needsBuf [][]tensor.ID
-	idxBuf   []int
-	mark     []int
-	// intBuf is Estimate's per-interval execution-time scratch.
-	intBuf []simtime.Duration
+	// totals[off[mil]+k] is Equation 1's left side for interval k of
+	// length mil: the bytes of the distinct long-lived tensors the
+	// interval accesses. Filled on first use by sweepTotals.
+	totals []int64
+	off    []int
+	// mark is per-tensor scratch for the grouping walks; it is all zero
+	// between calls.
+	mark []int
 }
 
 func newPerfModel(p *profile.Profile, spec memsys.Spec, reserve int64, st LayerDecomp) *perfModel {
-	m := &perfModel{p: p, spec: spec, reserve: reserve, longLived: p.LongLived()}
+	m := &perfModel{p: p, spec: spec, budget: max(spec.Fast.Size-reserve, 0), longLived: p.LongLived()}
 	ratio := fastMemRatio(spec)
-	m.fastLayer = make([]simtime.Duration, p.NumLayers)
+	m.fastTime = make([]simtime.Duration, p.NumLayers+1)
 	for l := 0; l < p.NumLayers; l++ {
 		c := st.compute(l)
 		mem := simtime.FromSeconds(st.mem(l).Seconds() * ratio)
@@ -67,7 +72,7 @@ func newPerfModel(p *profile.Profile, spec memsys.Spec, reserve int64, st LayerD
 		if mem < lo {
 			lo = mem
 		}
-		m.fastLayer[l] = d + simtime.FromSeconds((1-spec.OverlapFactor)*lo.Seconds())
+		m.fastTime[l+1] = m.fastTime[l] + d + simtime.FromSeconds((1-spec.OverlapFactor)*lo.Seconds())
 	}
 
 	m.byLayer = make([][]tensor.ID, p.NumLayers)
@@ -76,7 +81,6 @@ func newPerfModel(p *profile.Profile, spec memsys.Spec, reserve int64, st LayerD
 			m.byLayer[a.Layer] = append(m.byLayer[a.Layer], id)
 		}
 	}
-	m.idxBuf = make([]int, p.NumLayers)
 	m.mark = make([]int, len(p.Tensors))
 	return m
 }
@@ -140,7 +144,7 @@ func fastMemRatio(spec memsys.Spec) float64 {
 // tensors at the front. Walking the layers in order, each in longLived
 // order, yields that order without a sort.
 func (m *perfModel) groupNeeds(needs [][]tensor.ID, idxOf []int) [][]tensor.ID {
-	clear(m.mark) // mark[id] is 1 + the last interval id was appended to
+	defer clear(m.mark) // mark[id] is 1 + the last interval id was appended to
 	for l, k := range idxOf {
 		for _, id := range m.byLayer[l] {
 			if m.mark[id] != k+1 {
@@ -150,23 +154,6 @@ func (m *perfModel) groupNeeds(needs [][]tensor.ID, idxOf []int) [][]tensor.ID {
 		}
 	}
 	return needs
-}
-
-// intervalNeeds groups the long-lived tensors by uniform intervals of mil
-// layers into scratch that stays valid until the next call.
-func (m *perfModel) intervalNeeds(mil int) [][]tensor.ID {
-	n := numIntervals(m.p.NumLayers, mil)
-	for len(m.needsBuf) < n {
-		m.needsBuf = append(m.needsBuf, nil)
-	}
-	needs := m.needsBuf[:n]
-	for k := range needs {
-		needs[k] = needs[k][:0]
-	}
-	for l := range m.idxBuf {
-		m.idxBuf[l] = l / mil
-	}
-	return m.groupNeeds(needs, m.idxBuf)
 }
 
 // needsByIndex groups the long-lived tensors by an explicit
@@ -181,7 +168,7 @@ func (m *perfModel) needsByIndex(idxOf []int, n int) [][]tensor.ID {
 func (m *perfModel) variableBoundaries(baseMIL int, budget int64) []int {
 	maxLen := 2 * baseMIL
 	starts := []int{0}
-	clear(m.mark) // mark[id] == len(starts): id already counted this interval
+	defer clear(m.mark) // mark[id] == len(starts): id already counted this interval
 	// unseen sums the bytes of ids the current interval does not hold yet.
 	unseen := func(ids []tensor.ID) (add int64) {
 		for _, id := range ids {
@@ -211,58 +198,107 @@ func (m *perfModel) variableBoundaries(baseMIL int, budget int64) []int {
 	return starts
 }
 
-func numIntervals(layers, mil int) int {
-	if mil <= 0 {
-		mil = 1
+// fenwick is a binary indexed tree of byte counts over layers.
+type fenwick []int64
+
+// add adds v at layer l.
+func (f fenwick) add(l int, v int64) {
+	for i := l + 1; i < len(f); i += i & -i {
+		f[i] += v
 	}
-	return (layers + mil - 1) / mil
 }
 
-// Estimate projects the step time for one candidate MIL. Prefetch for
-// interval k overlaps with interval k-1's execution; prefetch volume beyond
-// the Equation 1 budget stays in slow memory and pays slower accesses.
-func (m *perfModel) Estimate(mil int) MILEstimate {
-	est := MILEstimate{MIL: mil, Feasible: true}
-	needs := m.intervalNeeds(mil)
-	n := len(needs)
-	budget := m.spec.Fast.Size - m.reserve
-	if budget < 0 {
-		budget = 0
+// sum returns the total over layers [0, l).
+func (f fenwick) sum(l int) (s int64) {
+	for i := l; i > 0; i -= i & -i {
+		s += f[i]
 	}
+	return s
+}
 
-	// Interval execution times on fast memory (scratch reused across the
-	// ChooseMIL exploration).
-	for len(m.intBuf) < n {
-		m.intBuf = append(m.intBuf, 0)
+// sweepTotals fills totals for every candidate length in one pass over
+// the layers. The tree holds each long-lived tensor's bytes at its latest
+// access so far, so once layer hi-1 is swept, its sum over [lo, hi) is
+// the distinct bytes of the interval [lo, hi). The intervals ending at hi
+// are those of every length dividing hi and, at the last layer, the final
+// interval of every length.
+func (m *perfModel) sweepTotals() {
+	layers := m.p.NumLayers
+	m.off = make([]int, layers+2)
+	for mil := 1; mil <= layers; mil++ {
+		m.off[mil+1] = m.off[mil] + (layers+mil-1)/mil
 	}
-	intTime := m.intBuf[:n]
-	for k := range intTime {
-		intTime[k] = 0
+	m.totals = make([]int64, m.off[layers+1])
+	tree := make(fenwick, layers+1)
+	defer clear(m.mark) // mark[id] is 1 + the layer of id's latest access
+	for l, ids := range m.byLayer {
+		for _, id := range ids {
+			size := m.p.ByID(id).Size
+			if prev := m.mark[id]; prev > 0 {
+				tree.add(prev-1, -size)
+			}
+			tree.add(l, size)
+			m.mark[id] = l + 1
+		}
+		hi := l + 1
+		upTo := tree.sum(hi)
+		store := func(mil int) {
+			k := (hi - 1) / mil
+			m.totals[m.off[mil]+k] = upTo - tree.sum(k*mil)
+		}
+		if hi == layers {
+			for mil := 1; mil <= layers; mil++ {
+				store(mil)
+			}
+			continue
+		}
+		for d := 1; d*d <= hi; d++ {
+			if hi%d == 0 {
+				store(d)
+				if d*d != hi {
+					store(hi / d)
+				}
+			}
+		}
 	}
-	for l := 0; l < m.p.NumLayers; l++ {
-		intTime[l/mil] += m.fastLayer[l]
-	}
+}
 
+// intervalTotals returns Equation 1's left side for each interval of
+// length mil.
+func (m *perfModel) intervalTotals(mil int) []int64 {
+	if m.totals == nil {
+		m.sweepTotals()
+	}
+	return m.totals[m.off[mil]:m.off[mil+1]]
+}
+
+// fits is Equation 1: an interval's prefetch fits the fast memory left
+// after the reserve.
+func (m *perfModel) fits(bytes int64) bool { return bytes <= m.budget }
+
+// overflowWalk prefetches the long-lived tensors of layers [lo, hi) in
+// migration-priority order — by the layer of their first access there,
+// then access count, as groupNeeds orders them — while they fit the
+// Equation 1 budget. What does not fit stays in slow memory, and every
+// access it makes in the interval pays the bandwidth difference.
+func (m *perfModel) overflowWalk(lo, hi int) (bytes, overflow int64, slowPenalty simtime.Duration) {
 	deltaRead := 1/m.spec.Slow.ReadBW - 1/m.spec.Fast.ReadBW
 	deltaWrite := 1/m.spec.Slow.WriteBW - 1/m.spec.Fast.WriteBW
-	var total simtime.Duration
-	for k := 0; k < n; k++ {
-		// Walk the interval's needs in migration-priority order:
-		// tensors past the Equation 1 budget are left in slow memory
-		// and every access they make in this interval pays the
-		// bandwidth difference.
-		var bytes, overflow int64
-		var slowPenalty simtime.Duration
-		for _, id := range needs[k] {
+	for _, ids := range m.byLayer[lo:hi] {
+		for _, id := range ids {
+			if m.mark[id] != 0 {
+				continue
+			}
+			m.mark[id] = 1
 			ts := m.p.ByID(id)
-			if bytes+ts.Size <= budget {
+			if m.fits(bytes + ts.Size) {
 				bytes += ts.Size
 				continue
 			}
 			overflow += ts.Size
 			var reads, writes int
 			for _, a := range ts.PerLayer {
-				if a.Layer/mil == k {
+				if a.Layer >= lo && a.Layer < hi {
 					reads += a.Reads
 					writes += a.Writes
 				}
@@ -274,48 +310,91 @@ func (m *perfModel) Estimate(mil int) MILEstimate {
 			slowPenalty += simtime.FromSeconds(overflowMitigation * float64(ts.Size) *
 				(float64(reads)*deltaRead + float64(writes)*deltaWrite))
 		}
-		if overflow > est.OverflowBytes {
-			est.OverflowBytes = overflow
+	}
+	for _, ids := range m.byLayer[lo:hi] {
+		for _, id := range ids {
+			m.mark[id] = 0
 		}
-		if overflow > 0 {
+	}
+	return bytes, overflow, slowPenalty
+}
+
+// Estimate projects the step time for one candidate MIL (Equation 2).
+// Prefetch for interval k overlaps with interval k-1's execution. An
+// interval whose distinct bytes fit the Equation 1 budget prefetches them
+// all and needs no ordering; only one that does not takes overflowWalk.
+func (m *perfModel) Estimate(mil int) MILEstimate {
+	est := MILEstimate{MIL: mil, Feasible: true}
+	layers := m.p.NumLayers
+	totals := m.intervalTotals(mil)
+	n := len(totals)
+	// run is interval k's execution time on fast memory.
+	run := func(k int) simtime.Duration {
+		return m.fastTime[min((k+1)*mil, layers)] - m.fastTime[k*mil]
+	}
+	for k, bytes := range totals {
+		var slowPenalty simtime.Duration
+		if !m.fits(bytes) {
+			var overflow int64
+			bytes, overflow, slowPenalty = m.overflowWalk(k*mil, min((k+1)*mil, layers))
+			est.OverflowBytes = max(est.OverflowBytes, overflow)
 			est.Feasible = false
 		}
 		// Migration for interval k overlaps interval k-1 (cyclically:
 		// steady-state steps wrap).
-		mig := simtime.TransferTime(bytes, m.spec.MigrationBW)
-		prev := intTime[(k-1+n)%n]
-		exposed := mig - prev
-		if exposed < 0 {
-			exposed = 0
-		}
+		exposed := max(simtime.TransferTime(bytes, m.spec.MigrationBW)-run((k-1+n)%n), 0)
 		est.Exposed += exposed
-		total += intTime[k] + exposed + slowPenalty + m.spec.SyncCost
+		est.StepTime += run(k) + exposed + slowPenalty + m.spec.SyncCost
 	}
-	est.StepTime = total
 	return est
 }
 
-// ChooseMIL runs the Equation 1 + Equation 2 exploration over all interval
-// lengths and returns the best MIL plus every candidate's estimate. The
+// ChooseMIL runs the Equation 1 + Equation 2 exploration over interval
+// lengths 1 to NumLayers and returns the best MIL, feasible first: it
+// tests Equation 1 on every candidate's interval totals and projects
+// only the candidates that pass, taking the lowest step time and the
+// longer interval on a tie. Only when no candidate is feasible does it
+// project every candidate in full and take the best by the same rule.
+// The pick equals the best of MILEstimates under better, since better
+// never prefers an infeasible candidate to a feasible one. The
 // exploration is analytical — no training steps are spent (Sec. IV-D).
-func (m *perfModel) ChooseMIL() (int, []MILEstimate) {
-	maxMIL := m.p.NumLayers
-	if maxMIL < 1 {
-		maxMIL = 1
+func (m *perfModel) ChooseMIL() int {
+	if mil := m.bestMIL(true); mil > 0 {
+		return mil
 	}
-	var ests []MILEstimate
-	best := 1
-	var bestEst *MILEstimate
-	for mil := 1; mil <= maxMIL; mil++ {
-		e := m.Estimate(mil)
-		ests = append(ests, e)
-		if bestEst == nil || better(e, *bestEst) {
-			best = mil
-			be := e
-			bestEst = &be
+	return m.bestMIL(false)
+}
+
+// bestMIL returns the candidate better ranks first, among the feasible
+// ones only if feasibleOnly; 0 if there is none.
+func (m *perfModel) bestMIL(feasibleOnly bool) int {
+	var best MILEstimate
+	for mil := 1; mil <= m.p.NumLayers; mil++ {
+		if feasibleOnly && !m.fits(slices.Max(m.intervalTotals(mil))) {
+			continue
+		}
+		if e := m.Estimate(mil); best.MIL == 0 || better(e, best) {
+			best = e
 		}
 	}
-	return best, ests
+	return best.MIL
+}
+
+// MILEstimates projects every candidate interval length from 1 to the
+// profile's layer count in full, infeasible ones included, with the
+// model BuildPlan uses. ChooseMIL projects only what it needs, so
+// diagnostics and fidelity checks that want every projection take them
+// from here.
+func MILEstimates(p *profile.Profile, spec memsys.Spec, st LayerDecomp) []MILEstimate {
+	if p.NumLayers <= 0 {
+		return nil
+	}
+	m := newPerfModel(p, spec, shortReserve(p), st)
+	ests := make([]MILEstimate, p.NumLayers)
+	for i := range ests {
+		ests[i] = m.Estimate(i + 1)
+	}
+	return ests
 }
 
 // better prefers feasible estimates, then lower projected step time, then

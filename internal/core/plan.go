@@ -40,9 +40,6 @@ type Plan struct {
 	EvictAt [][]tensor.ID
 	// Short reports whether a tensor is short-lived per the profile.
 	Short []bool
-	// Estimates holds the performance model's projection for every
-	// candidate MIL it evaluated; nil when the MIL was forced.
-	Estimates []MILEstimate
 	// groupKeys memoizes GroupKey per tensor ID for the profile the plan
 	// was built from. The allocator resolves a group on every allocation,
 	// so re-rendering the same key string per call dominated the
@@ -55,6 +52,12 @@ type Plan struct {
 // reserveSlack oversizes the short-lived pool slightly so allocation-order
 // jitter cannot overflow it.
 const reserveSlack = 1.10
+
+// shortReserve is RS, the fast memory a plan reserves for the short-lived
+// pool: the profile's peak short-lived consumption plus slack.
+func shortReserve(p *profile.Profile) int64 {
+	return int64(float64(p.PeakShortLived) * reserveSlack)
+}
 
 // BuildPlan derives the migration plan from a profile for the given
 // machine. If forceMIL > 0 the performance model is bypassed (used by the
@@ -76,13 +79,12 @@ func buildPlan(p *profile.Profile, spec memsys.Spec, st LayerDecomp, forceMIL in
 	if p.NumLayers <= 0 {
 		return nil, fmt.Errorf("core: profile has no layers")
 	}
-	reserve := int64(float64(p.PeakShortLived) * reserveSlack)
+	reserve := shortReserve(p)
 	model := newPerfModel(p, spec, reserve, st)
 
 	mil := forceMIL
-	var ests []MILEstimate
 	if mil <= 0 {
-		mil, ests = model.ChooseMIL()
+		mil = model.ChooseMIL()
 	}
 	if mil > p.NumLayers {
 		mil = p.NumLayers
@@ -94,7 +96,6 @@ func buildPlan(p *profile.Profile, spec memsys.Spec, st LayerDecomp, forceMIL in
 		Reserve:   reserve,
 		EvictAt:   make([][]tensor.ID, p.NumLayers),
 		Short:     make([]bool, len(p.Tensors)),
-		Estimates: ests,
 	}
 	if variable {
 		pl.Starts = model.variableBoundaries(mil, spec.Fast.Size-reserve)

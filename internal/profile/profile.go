@@ -10,8 +10,9 @@
 package profile
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"sentinel/internal/alloc"
 	"sentinel/internal/chaos"
@@ -113,12 +114,11 @@ func (p *Profile) LongLived() []tensor.ID {
 			ids = append(ids, p.Tensors[i].ID)
 		}
 	}
-	sort.Slice(ids, func(a, b int) bool {
-		ta, tb := p.ByID(ids[a]), p.ByID(ids[b])
-		if ta.Accesses != tb.Accesses {
-			return ta.Accesses > tb.Accesses
+	slices.SortFunc(ids, func(a, b tensor.ID) int {
+		if c := cmp.Compare(p.Tensors[b].Accesses, p.Tensors[a].Accesses); c != 0 {
+			return c
 		}
-		return ta.ID < tb.ID
+		return cmp.Compare(a, b)
 	})
 	return ids
 }
