@@ -86,7 +86,9 @@ type PinFunc func(group string) bool
 // Config configures an allocator.
 type Config struct {
 	Mode Mode
-	// Group assigns arena groups in Grouped mode; ignored otherwise.
+	// Group assigns arena groups in Grouped mode; ignored otherwise. It
+	// must answer the same for a tensor until the next Reconfigure: Alloc
+	// resolves each tensor's arena once per configuration.
 	Group GroupFunc
 	// Tier chooses placement of new pages. Defaults to always-slow,
 	// matching "before the training happens, tensors are allocated in
@@ -130,9 +132,11 @@ type allocation struct {
 	// cacheAr memoizes the arena this tensor id resolved to in generation
 	// cacheGen: step-cycled tensors are re-allocated every step under the
 	// same policy, and the group-string render plus map lookup dominated
-	// the packed Alloc path. Reconfigure bumps the generation, so a stale
-	// pointer can never be used after its arena is torn down. While the
-	// allocation is live and not page-aligned, cacheAr is its arena.
+	// the packed Alloc path. The memo holds because a configuration's
+	// Group function answers the same for a tensor until the next
+	// Reconfigure, which bumps the generation, so a stale pointer can
+	// never be used after its arena is torn down. While the allocation is
+	// live and not page-aligned, cacheAr is its arena.
 	cacheAr  *arena
 	cacheGen int32
 	// m is the kernel mapping holding every page of region, or
@@ -258,40 +262,27 @@ func (a *Allocator) TierFallbacks() int64 { return a.failedTier }
 // ones.
 const bfcLargeThreshold = 256 << 10
 
-// bfcLargeName pre-renders every possible large-bin group name: Alloc
-// resolves a group per call, and Sprintf on that path was 28% of all
-// simulator allocations. Size is int64, so the bin index never exceeds
-// 1+log2(2^63>>18) = 46.
-var bfcLargeName = func() (names [48]string) {
-	for i := range names {
-		names[i] = "bfc-large-" + strconv.Itoa(i)
-	}
-	return
-}()
-
+// groupOf names the arena of a packed or grouped allocation; Alloc calls
+// it once per tensor per Reconfigure generation. Page-aligned allocations
+// have no arena.
 func (a *Allocator) groupOf(t *tensor.Tensor) string {
-	switch a.cfg.Mode {
-	case PageAligned:
-		// Every tensor is its own group: exclusive pages.
-		return "t" + strconv.FormatInt(int64(t.ID), 10)
-	case Grouped:
+	if a.cfg.Mode == Grouped {
 		if a.cfg.Group == nil {
 			return "default"
 		}
 		return a.cfg.Group(t)
-	default:
-		// BFC keeps per-size-class bins; freed chunks are reused by
-		// allocations of the same class, so page sharing happens
-		// within a class and at class-chunk boundaries.
-		if t.Size >= bfcLargeThreshold {
-			bin := 0
-			for sz := t.Size >> 18; sz > 0; sz >>= 1 {
-				bin++
-			}
-			return bfcLargeName[bin]
-		}
-		return "bfc-small"
 	}
+	// BFC keeps per-size-class bins; freed chunks are reused by
+	// allocations of the same class, so page sharing happens within a
+	// class and at class-chunk boundaries.
+	if t.Size >= bfcLargeThreshold {
+		bin := 0
+		for sz := t.Size >> 18; sz > 0; sz >>= 1 {
+			bin++
+		}
+		return "bfc-large-" + strconv.Itoa(bin)
+	}
+	return "bfc-small"
 }
 
 // Reserve pre-sizes the dense region table for n tensor IDs, avoiding

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"strings"
 	"testing"
 
 	"sentinel/internal/baseline"
@@ -10,6 +11,7 @@ import (
 	"sentinel/internal/model"
 	"sentinel/internal/profile"
 	"sentinel/internal/simtime"
+	"sentinel/internal/trace"
 )
 
 // runSentinel trains a model under Sentinel at a fast-memory fraction of
@@ -355,7 +357,9 @@ func TestBucketedProfiling(t *testing.T) {
 
 // TestControlDependencyReprofiling exercises the control-flow path: when a
 // new dataflow appears mid-training, Sentinel profiles it once and keeps
-// both plans.
+// both plans. Every tensor placed in a managed step lands in the arena of
+// the running variant's group key, also after a return to a variant
+// profiled earlier.
 func TestControlDependencyReprofiling(t *testing.T) {
 	graphs, err := model.ControlVariants(32, 64, 2)
 	if err != nil {
@@ -363,20 +367,47 @@ func TestControlDependencyReprofiling(t *testing.T) {
 	}
 	spec := memsys.OptaneHM().WithFastSize(graphs[0].PeakMemory() / 5)
 	s := core.NewDefault()
-	rt, err := exec.NewRuntime(graphs[0], spec, s)
+	bus := trace.NewBus(1)
+	var placed []trace.Event
+	bus.Subscribe(func(e trace.Event) {
+		if e.Kind == trace.KPlace {
+			placed = append(placed, e)
+		}
+	})
+	rt, err := exec.NewRuntime(graphs[0], spec, s, exec.WithTrace(bus, "control"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Variant 0 runs for a while before variant 1 first appears.
+	// Variant 0 runs for a while before variant 1 first appears; steps 0
+	// and 3 profile.
+	checked := 0
 	for i, idx := range []int{0, 0, 0, 1, 0, 1} {
 		if i > 0 {
 			if err := rt.SetGraph(graphs[idx]); err != nil {
 				t.Fatalf("step %d: %v", i, err)
 			}
 		}
+		placed = placed[:0]
 		if _, err := rt.RunStep(); err != nil {
 			t.Fatalf("step %d: %v", i, err)
 		}
+		if i == 0 || i == 3 {
+			continue
+		}
+		stale := 0
+		for _, e := range placed {
+			_, group, _ := strings.Cut(e.Name, "/")
+			if group != s.Plan().GroupKey(s.Profile(), graphs[idx].T(e.Tensor)) {
+				stale++
+			}
+		}
+		if stale > 0 {
+			t.Errorf("step %d (variant %d): %d of %d placements outside the variant's groups", i, idx, stale, len(placed))
+		}
+		checked += len(placed)
+	}
+	if checked == 0 {
+		t.Fatal("no managed placement was checked")
 	}
 	if s.Variants() != 2 {
 		t.Fatalf("variants %d", s.Variants())
@@ -466,32 +497,5 @@ func TestVariableBoundariesRespectBudget(t *testing.T) {
 	}
 	if starts != pl.NumIntervals {
 		t.Fatalf("%d interval starts, %d intervals", starts, pl.NumIntervals)
-	}
-}
-
-// TestWarmupSteps reproduces the Sec. VI detail: Sentinel skips the
-// framework's hardware-detection steps and profiles the first step after
-// warm-up.
-func TestWarmupSteps(t *testing.T) {
-	cfg := core.DefaultConfig()
-	cfg.WarmupSteps = 3
-	rt, s := runSentinel(t, "resnet32", 64, 0.2, cfg, 6)
-	steps := rt.Run().Steps
-	for i := 0; i < 3; i++ {
-		if steps[i].Faults != 0 {
-			t.Fatalf("warm-up step %d took profiling faults", i)
-		}
-		if steps[i].MigratedTotal() != 0 {
-			t.Fatalf("warm-up step %d migrated", i)
-		}
-	}
-	if steps[3].Faults == 0 {
-		t.Fatal("profiling step after warm-up took no faults")
-	}
-	if steps[5].Faults != 0 {
-		t.Fatal("managed step took faults")
-	}
-	if s.Plan() == nil {
-		t.Fatal("no plan after warm-up + profiling")
 	}
 }

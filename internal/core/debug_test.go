@@ -30,7 +30,7 @@ func TestDebugPlan(t *testing.T) {
 		simtime.Bytes(LowerBound(s.Profile())), simtime.Bytes(spec.Fast.Size))
 	for k := 0; k < pl.NumIntervals; k++ {
 		t.Logf("interval %d: %d needs, %s", k, len(pl.Needs[k]),
-			simtime.Bytes(pl.PrefetchBytes(s.Profile(), k)))
+			simtime.Bytes(pl.NeedBytes[k]))
 	}
 	evicts := 0
 	for l := range pl.EvictAt {

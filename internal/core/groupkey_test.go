@@ -7,13 +7,11 @@ import (
 	"sentinel/internal/memsys"
 	"sentinel/internal/model"
 	"sentinel/internal/profile"
-	"sentinel/internal/tensor"
 )
 
 // TestGroupKeysMatchSprintf checks that the group keys built with strconv
 // are the strings fmt.Sprintf gives: the plan's L<alloc>-<free>/h<bucket>
-// key for every profiled long-lived tensor, and the warm-up allocator's
-// prealloc-<id> key for every tensor id, on resnet32 and bert-base.
+// key for every profiled long-lived tensor, on resnet32 and bert-base.
 func TestGroupKeysMatchSprintf(t *testing.T) {
 	for _, c := range []struct {
 		model string
@@ -41,26 +39,12 @@ func TestGroupKeysMatchSprintf(t *testing.T) {
 					want = fmt.Sprintf("L%d-%d/h%d", ts.AllocLayer, ts.FreeLayer, hotBucket(ts.Accesses))
 					long++
 				}
-				if got := pl.groupKeyFor(p, tensor.ID(i)); got != want {
-					t.Fatalf("tensor %d (%s): key %q, want %q", i, ts.Name, got, want)
-				}
 				if got := pl.GroupKey(p, g.Tensors[i]); got != want {
-					t.Fatalf("tensor %d (%s): memoized key %q, want %q", i, ts.Name, got, want)
+					t.Fatalf("tensor %d (%s): key %q, want %q", i, ts.Name, got, want)
 				}
 			}
 			if long == 0 {
 				t.Fatal("no long-lived tensor: the L key went unchecked")
-			}
-
-			cfg := DefaultConfig()
-			cfg.WarmupSteps = 1
-			group := New(cfg).AllocConfig(g).Group
-			for _, tt := range g.Tensors {
-				pre := *tt
-				pre.Preallocated = true
-				if got, want := group(&pre), fmt.Sprintf("prealloc-%d", tt.ID); got != want {
-					t.Fatalf("tensor %d: warm-up key %q, want %q", tt.ID, got, want)
-				}
 			}
 		})
 	}

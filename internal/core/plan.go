@@ -40,13 +40,6 @@ type Plan struct {
 	EvictAt [][]tensor.ID
 	// Short reports whether a tensor is short-lived per the profile.
 	Short []bool
-	// groupKeys memoizes GroupKey per tensor ID for the profile the plan
-	// was built from. The allocator resolves a group on every allocation,
-	// so re-rendering the same key string per call dominated the
-	// simulator's allocation profile; profile and plan are immutable once
-	// built, so the memo can never go stale.
-	groupKeys []string
-	keyProf   *profile.Profile
 }
 
 // reserveSlack oversizes the short-lived pool slightly so allocation-order
@@ -126,11 +119,6 @@ func buildPlan(p *profile.Profile, spec memsys.Spec, st LayerDecomp, forceMIL in
 	for i := range p.Tensors {
 		pl.Short[i] = p.Tensors[i].ShortLived()
 	}
-	pl.keyProf = p
-	pl.groupKeys = make([]string, len(p.Tensors))
-	for i := range p.Tensors {
-		pl.groupKeys[i] = pl.groupKeyFor(p, tensor.ID(i))
-	}
 
 	// Eviction schedule: a long-lived tensor leaves fast memory after
 	// the last layer of an access burst when its next access is beyond
@@ -185,39 +173,21 @@ func (pl *Plan) IntervalStart(l int) bool {
 // the step (weights prefetched for the next step's first interval).
 func (pl *Plan) NextInterval(k int) int { return (k + 1) % pl.NumIntervals }
 
-// PrefetchBytes sums the sizes of interval k's needs.
-func (pl *Plan) PrefetchBytes(p *profile.Profile, k int) int64 {
-	var n int64
-	for _, id := range pl.Needs[k] {
-		n += p.ByID(id).Size
-	}
-	return n
-}
-
 // GroupKey assigns a tensor to its co-allocation group (Sec. IV-B):
 // short-lived tensors share the reserved pool; long-lived tensors are
 // grouped by exact layer residence and access-frequency bucket so no page
-// mixes different lifetimes or temperatures.
+// mixes different lifetimes or temperatures. p is the profile the plan was
+// built from. The allocator resolves a tensor's group once per
+// Reconfigure generation, so the key is rendered on each call.
 func (pl *Plan) GroupKey(p *profile.Profile, t *tensor.Tensor) string {
-	if p == pl.keyProf && t.ID >= 0 && int(t.ID) < len(pl.groupKeys) {
-		return pl.groupKeys[t.ID]
-	}
-	return pl.groupKeyFor(p, t.ID)
-}
-
-// groupKeyFor computes a group key directly; GroupKey serves memoized
-// results for the plan's own profile and falls back here for unprofiled
-// or foreign lookups.
-func (pl *Plan) groupKeyFor(p *profile.Profile, id tensor.ID) string {
-	ts := p.ByID(id)
+	ts := p.ByID(t.ID)
 	if ts == nil || ts.Name == "" {
 		return "unprofiled"
 	}
-	if pl.Short[id] {
+	if pl.Short[t.ID] {
 		return ShortPoolGroup
 	}
-	// L<alloc>-<free>/h<bucket>, built without fmt: buildPlan keys every
-	// tensor.
+	// L<alloc>-<free>/h<bucket>, built without fmt.
 	var buf [32]byte
 	k := append(buf[:0], 'L')
 	k = strconv.AppendInt(k, int64(ts.AllocLayer), 10)

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"strconv"
-
 	"sentinel/internal/alloc"
 	"sentinel/internal/exec"
 	"sentinel/internal/graph"
@@ -18,11 +16,9 @@ type Config struct {
 	// ForceMIL bypasses the performance model with a fixed migration
 	// interval length (0 = choose via Equations 1 and 2).
 	ForceMIL int
-	// ReserveShortPool pins a reserved fast-memory pool for short-lived
-	// tensors (Sec. IV-C).
-	ReserveShortPool bool
 	// CoAllocate groups tensors by lifetime and access frequency to
-	// avoid page-level false sharing (Sec. IV-B).
+	// avoid page-level false sharing (Sec. IV-B), and pins the reserved
+	// fast-memory pool that holds the short-lived group (Sec. IV-C).
 	CoAllocate bool
 	// TestAndTrial resolves Case 3 (migration unfinished for lack of
 	// time) by trying continuation vs no-migration for one step each
@@ -32,16 +28,11 @@ type Config struct {
 	// the model-chosen base length (Sec. IV-E's alternative design; the
 	// paper finds it brings minimal benefit).
 	VariableMIL bool
-	// WarmupSteps delays profiling: the paper's implementation skips the
-	// first 10 steps, which TensorFlow uses to detect hardware
-	// configurations, and profiles the 11th (Sec. VI). Warm-up steps run
-	// with the framework's default packed allocation on slow memory.
-	WarmupSteps int
 }
 
 // DefaultConfig returns full-featured Sentinel.
 func DefaultConfig() Config {
-	return Config{ReserveShortPool: true, CoAllocate: true, TestAndTrial: true}
+	return Config{CoAllocate: true, TestAndTrial: true}
 }
 
 // DirectConfig is the Figure 13 "direct tensor migration" ablation:
@@ -185,24 +176,13 @@ func (s *Sentinel) managed() bool {
 	return s.profiling == nil && s.cur != nil && s.cur.plan != nil
 }
 
-// AllocConfig starts page-aligned on slow memory: profiling-ready, and
-// preallocated tensors never share pages (they cannot be reorganized
-// later). With warm-up steps configured, training starts under the
-// framework's default packed allocator instead and switches at profiling
-// time. Preallocated tensors keep exclusive pages either way — they cannot
-// be reorganized later (Sec. IV-B).
+// AllocConfig is the profiling configuration: page-aligned on slow
+// memory, so every page holds one tensor and page-level access counts are
+// tensor-level counts. Training starts with a profiling step, and
+// preallocated tensors, placed now, keep their exclusive pages for the
+// whole run because they cannot be reorganized later (Sec. IV-B). Each
+// plan's managed configuration comes from managedAllocConfig.
 func (s *Sentinel) AllocConfig(*graph.Graph) alloc.Config {
-	if s.cfg.WarmupSteps > 0 {
-		cfg := s.profilingAllocConfig()
-		cfg.Mode = alloc.Grouped
-		cfg.Group = func(t *tensor.Tensor) string {
-			if t.Preallocated {
-				return "prealloc-" + strconv.Itoa(int(t.ID))
-			}
-			return "warmup"
-		}
-		return cfg
-	}
 	return s.profilingAllocConfig()
 }
 
@@ -222,15 +202,16 @@ func (s *Sentinel) Setup(rt *exec.Runtime) error {
 
 // StepStart begins a profiling step whenever the incoming dataflow variant
 // has not been seen — the first step of training, a new input bucket, or a
-// new control-flow path (Sec. IV-E).
+// new control-flow path (Sec. IV-E). A return to a known variant installs
+// that variant's allocator configuration, so fresh tensors pack by the
+// profile of the dataflow that is running.
 func (s *Sentinel) StepStart(step int) {
 	s.sawCase3 = false
-	if step < s.cfg.WarmupSteps {
-		s.cur = nil // unmanaged warm-up step
-		return
-	}
 	v := s.rt.Graph().Variant
 	if st, ok := s.variants[v]; ok {
+		if st != s.cur && st.plan != nil {
+			s.rt.Alloc().Reconfigure(s.managedAllocConfig(st))
+		}
 		s.cur = st
 		return
 	}
@@ -238,7 +219,7 @@ func (s *Sentinel) StepStart(step int) {
 	s.cur = &variantState{}
 	s.variants[v] = s.cur
 	s.profSteps++
-	if step > 0 || s.cfg.WarmupSteps > 0 {
+	if step > 0 {
 		// Re-profiling mid-training: switch the allocator back to
 		// page-aligned placement on slow memory for this step.
 		s.rt.Alloc().Reconfigure(s.profilingAllocConfig())
@@ -450,8 +431,8 @@ func (s *Sentinel) StepEnd(step int, st *metrics.StepStats) {
 	if s.sampler != nil {
 		s.sampler.StepEnd()
 	}
-	if !s.cfg.TestAndTrial {
-		return
+	if !s.cfg.TestAndTrial || s.rt.Spec().GPULike {
+		return // shouldWait never consults the trial on GPU-like machines
 	}
 	switch s.ttState {
 	case ttIdle:
@@ -507,29 +488,30 @@ func (s *Sentinel) finishProfiling(st *metrics.StepStats) {
 		s.cur.missing[k] = plan.NeedBytes[k] // everything starts in slow memory
 	}
 	s.rt.Kernel().ResetCounters()
+	s.rt.Alloc().Reconfigure(s.managedAllocConfig(s.cur))
+}
 
+// managedAllocConfig is the allocator configuration of v's plan, installed
+// after v's profiling step and on a return to v from another variant.
+// Fresh tensors go to fast memory while it has room. Under co-allocation
+// they pack by v's group keys (Sec. IV-B), and the short-lived pool is
+// pinned only while it is a modest share of fast memory: at extreme batch
+// sizes it is left unpinned so it can shrink under pressure (Sec. IV-C
+// notes the space can be dynamically shrunk), which is what lets Sentinel
+// reach Table V's large batches.
+func (s *Sentinel) managedAllocConfig(v *variantState) alloc.Config {
+	if !s.cfg.CoAllocate {
+		return alloc.Config{Mode: alloc.Packed, Tier: s.allocTier}
+	}
 	cfg := alloc.Config{
-		Mode: alloc.Packed,
-		Tier: s.allocTier,
+		Mode:  alloc.Grouped,
+		Tier:  s.allocTier,
+		Group: func(t *tensor.Tensor) string { return v.plan.GroupKey(v.prof, t) },
 	}
-	if s.cfg.CoAllocate {
-		cfg.Mode = alloc.Grouped
-		cfg.Group = func(t *tensor.Tensor) string {
-			if s.cur == nil || s.cur.plan == nil || s.cur.prof == nil {
-				return "unplanned"
-			}
-			return s.cur.plan.GroupKey(s.cur.prof, t)
-		}
-		// Pin the reserved pool only while it is a modest share of fast
-		// memory; at extreme batch sizes the pool is left unpinned so
-		// it can shrink under pressure (Sec. IV-C notes the space can
-		// be dynamically shrunk), which is what lets Sentinel reach
-		// Table V's large batches.
-		if s.cfg.ReserveShortPool && plan.Reserve <= s.rt.Spec().Fast.Size/4 {
-			cfg.Pin = func(group string) bool { return group == ShortPoolGroup }
-		}
+	if v.plan.Reserve <= s.rt.Spec().Fast.Size/4 {
+		cfg.Pin = func(group string) bool { return group == ShortPoolGroup }
 	}
-	s.rt.Alloc().Reconfigure(cfg)
+	return cfg
 }
 
 // allocTier places new tensors: fast memory when there is room (they are

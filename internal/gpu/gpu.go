@@ -33,15 +33,12 @@ type SentinelGPU struct {
 
 // New returns Sentinel-GPU with full features (no test-and-trial — the
 // engine's residency stalls are the GPU's Case-3 handling).
-func New() *SentinelGPU {
-	cfg := core.DefaultConfig()
-	cfg.TestAndTrial = false
-	return &SentinelGPU{Sentinel: core.New(cfg)}
-}
+func New() *SentinelGPU { return NewWithConfig(core.DefaultConfig()) }
 
 // NewWithConfig returns Sentinel-GPU with an ablation config (Fig. 13).
+// The core skips test-and-trial on GPU-like machines whatever the config
+// says.
 func NewWithConfig(cfg core.Config) *SentinelGPU {
-	cfg.TestAndTrial = false
 	return &SentinelGPU{Sentinel: core.New(cfg)}
 }
 
