@@ -58,9 +58,9 @@ func (s *Sentinel) Replan(round int) error {
 // are reused: the per-interval missing bytes are seeded from what is
 // actually *not* fast-resident right now, so the next prefetches move only
 // the delta between the old plan's placements and the new plan's needs.
-// The allocator needs no reconfiguration — its group closure reads the
-// current plan dynamically, so fresh allocations pack by the new grouping
-// from the next allocation on.
+// Like every plan change it installs the plan's allocator configuration,
+// so fresh allocations pack by the blended profile's groups and the
+// short-pool pin is decided again for the fast tier as it is now.
 func (s *Sentinel) swapPlan(p *profile.Profile, plan *Plan, round int) {
 	kern := s.rt.Kernel()
 	now := s.rt.Now()
@@ -84,6 +84,7 @@ func (s *Sentinel) swapPlan(p *profile.Profile, plan *Plan, round int) {
 	s.cur.setPlan(p, plan)
 	s.cur.pendingReady = make([]simtime.Time, plan.NumIntervals)
 	s.cur.missing = missing
+	s.rt.Alloc().Reconfigure(s.managedAllocConfig(s.cur))
 	s.rt.Emit(trace.Event{At: now, Kind: trace.KPlanSwap, Tensor: trace.NoTensor,
 		Name: plan.String(), Count: int64(round), Bytes: delta})
 }

@@ -492,7 +492,9 @@ func (s *Sentinel) finishProfiling(st *metrics.StepStats) {
 }
 
 // managedAllocConfig is the allocator configuration of v's plan, installed
-// after v's profiling step and on a return to v from another variant.
+// at every plan change: after v's profiling step, on a return to v from
+// another variant, and at an online plan swap. The group closure reads v's
+// plan and profile, which change only together with such a Reconfigure.
 // Fresh tensors go to fast memory while it has room. Under co-allocation
 // they pack by v's group keys (Sec. IV-B), and the short-lived pool is
 // pinned only while it is a modest share of fast memory: at extreme batch

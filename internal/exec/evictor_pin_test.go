@@ -41,7 +41,7 @@ func TestEvictorStepsPinned(t *testing.T) {
 				exec.WithChaos(chaos.New(chaos.Config{Seed: 42, ShrinkAtStep: 1, ShrinkFrac: 0.25})),
 				exec.WithOnline(exec.DefaultOnline()),
 			}, 0.2, 8,
-			0xf175dd934c37232a},
+			0x2553c6fc9a04cc66},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			g, err := model.Build(tc.model, tc.batch)
