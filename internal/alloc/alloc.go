@@ -17,6 +17,7 @@ package alloc
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strconv"
 
@@ -107,10 +108,12 @@ type chunk struct {
 }
 
 // arenaKey identifies a packing domain without building a string per
-// lookup: the Reconfigure generation plus the caller-visible group.
+// lookup: the Reconfigure generation plus, in Grouped mode, the
+// caller-visible group or, in Packed mode, the BFC size class.
 type arenaKey struct {
 	gen   int32
-	group string
+	bin   int    // Packed: 0 for the small bin, else 1+log2(size>>18)
+	group string // Grouped: the configuration's group
 }
 
 // arena is one packing domain: a free list over chunks of mapped pages.
@@ -262,27 +265,22 @@ func (a *Allocator) TierFallbacks() int64 { return a.failedTier }
 // ones.
 const bfcLargeThreshold = 256 << 10
 
-// groupOf names the arena of a packed or grouped allocation; Alloc calls
+// keyOf resolves the arena of a packed or grouped allocation; Alloc calls
 // it once per tensor per Reconfigure generation. Page-aligned allocations
 // have no arena.
-func (a *Allocator) groupOf(t *tensor.Tensor) string {
-	if a.cfg.Mode == Grouped {
-		if a.cfg.Group == nil {
-			return "default"
-		}
-		return a.cfg.Group(t)
+func (a *Allocator) keyOf(t *tensor.Tensor) arenaKey {
+	switch {
+	case a.cfg.Mode != Grouped:
+		// BFC keeps per-size-class bins: one below bfcLargeThreshold,
+		// one per power of two above it. Freed chunks are reused by
+		// allocations of the same class, so page sharing happens within
+		// a class and at class-chunk boundaries.
+		return arenaKey{gen: a.gen, bin: bits.Len64(uint64(t.Size / bfcLargeThreshold))}
+	case a.cfg.Group == nil:
+		return arenaKey{gen: a.gen, group: "default"}
+	default:
+		return arenaKey{gen: a.gen, group: a.cfg.Group(t)}
 	}
-	// BFC keeps per-size-class bins; freed chunks are reused by
-	// allocations of the same class, so page sharing happens within a
-	// class and at class-chunk boundaries.
-	if t.Size >= bfcLargeThreshold {
-		bin := 0
-		for sz := t.Size >> 18; sz > 0; sz >>= 1 {
-			bin++
-		}
-		return "bfc-large-" + strconv.Itoa(bin)
-	}
-	return "bfc-small"
 }
 
 // Reserve pre-sizes the dense region table for n tensor IDs, avoiding
@@ -467,10 +465,16 @@ func (a *Allocator) Alloc(t *tensor.Tensor) (Region, error) {
 
 	ar := rec.cacheAr
 	if ar == nil || rec.cacheGen != a.gen {
-		group := a.groupOf(t)
-		key := arenaKey{gen: a.gen, group: group}
+		key := a.keyOf(t)
 		ar = a.arenas[key]
 		if ar == nil {
+			group := key.group
+			if a.cfg.Mode != Grouped {
+				group = "bfc-small"
+				if key.bin > 0 {
+					group = "bfc-large-" + strconv.Itoa(key.bin)
+				}
+			}
 			ar = &arena{name: "g" + strconv.Itoa(int(a.gen)) + "/" + group, key: key}
 			if a.cfg.Pin != nil {
 				ar.pin = a.cfg.Pin(group)

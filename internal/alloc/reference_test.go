@@ -182,7 +182,7 @@ func runFreeListReference(t *testing.T, seed int64) {
 // arenaFor returns the arena a packed or grouped Alloc of ts would use, or
 // nil if it does not exist yet.
 func (a *Allocator) arenaFor(ts *tensor.Tensor) *arena {
-	return a.arenas[arenaKey{gen: a.gen, group: a.groupOf(ts)}]
+	return a.arenas[a.keyOf(ts)]
 }
 
 // takeAt removes [addr, addr+size) from the front of the free block that

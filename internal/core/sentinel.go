@@ -183,10 +183,6 @@ func (s *Sentinel) managed() bool {
 // whole run because they cannot be reorganized later (Sec. IV-B). Each
 // plan's managed configuration comes from managedAllocConfig.
 func (s *Sentinel) AllocConfig(*graph.Graph) alloc.Config {
-	return s.profilingAllocConfig()
-}
-
-func (s *Sentinel) profilingAllocConfig() alloc.Config {
 	return alloc.Config{
 		Mode: alloc.PageAligned,
 		Tier: func(*tensor.Tensor) memsys.Tier { return memsys.Slow },
@@ -209,7 +205,7 @@ func (s *Sentinel) StepStart(step int) {
 	s.sawCase3 = false
 	v := s.rt.Graph().Variant
 	if st, ok := s.variants[v]; ok {
-		if st != s.cur && st.plan != nil {
+		if st != s.cur {
 			s.rt.Alloc().Reconfigure(s.managedAllocConfig(st))
 		}
 		s.cur = st
@@ -222,7 +218,7 @@ func (s *Sentinel) StepStart(step int) {
 	if step > 0 {
 		// Re-profiling mid-training: switch the allocator back to
 		// page-aligned placement on slow memory for this step.
-		s.rt.Alloc().Reconfigure(s.profilingAllocConfig())
+		s.rt.Alloc().Reconfigure(s.AllocConfig(s.rt.Graph()))
 	}
 	s.profiling = profile.NewRecorder(s.rt)
 	// Preallocated tensors were placed at runtime construction; poison
