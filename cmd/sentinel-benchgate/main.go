@@ -18,10 +18,10 @@
 //
 // Usage:
 //
-//	sentinel-benchgate -out BENCH_37.json -against BENCH_36.json   # run, record, gate
-//	sentinel-benchgate -against BENCH_36.json                      # run and gate only
-//	sentinel-benchgate -check BENCH_36.json                        # schema/shape validation
-//	sentinel-benchgate -compare BENCH_37.json -against BENCH_36.json  # offline compare
+//	sentinel-benchgate -out BENCH_38.json -against BENCH_37.json   # run, record, gate
+//	sentinel-benchgate -against BENCH_37.json                      # run and gate only
+//	sentinel-benchgate -check BENCH_37.json                        # schema/shape validation
+//	sentinel-benchgate -compare BENCH_38.json -against BENCH_37.json  # offline compare
 package main
 
 import (
