@@ -1,8 +1,6 @@
 package baseline
 
 import (
-	"container/list"
-
 	"sentinel/internal/alloc"
 	"sentinel/internal/exec"
 	"sentinel/internal/graph"
@@ -26,17 +24,22 @@ type MemoryMode struct {
 	exec.Base
 	capacity int64
 	used     int64
-	lru      *list.List              // of *cacheEntry, front = most recent
-	byAddr   map[int64]*list.Element // region addr -> element
+	// entries holds the cached blocks as an LRU list linked by index:
+	// head is the most recent, tail the least, and slots of evicted
+	// blocks chain from free. -1 ends each chain.
+	entries          []cacheEntry
+	head, tail, free int32
+	byAddr           map[int64]int32 // region addr -> entry index
 }
 
 type cacheEntry struct {
 	addr, size int64
+	prev, next int32
 }
 
 // NewMemoryMode returns the hardware-cached baseline.
 func NewMemoryMode() *MemoryMode {
-	return &MemoryMode{lru: list.New(), byAddr: make(map[int64]*list.Element)}
+	return &MemoryMode{head: -1, tail: -1, free: -1, byAddr: make(map[int64]int32)}
 }
 
 // Name identifies the policy.
@@ -84,9 +87,9 @@ func (p *MemoryMode) ModelAccess(t *tensor.Tensor, r alloc.Region, readBytes, wr
 
 // lookup returns the cached fraction of the region.
 func (p *MemoryMode) lookup(r alloc.Region) float64 {
-	if el, ok := p.byAddr[r.Addr]; ok {
-		e := el.Value.(*cacheEntry)
-		p.lru.MoveToFront(el)
+	if i, ok := p.byAddr[r.Addr]; ok {
+		e := &p.entries[i]
+		p.toFront(i)
 		if e.size >= r.Size {
 			return 1
 		}
@@ -97,21 +100,65 @@ func (p *MemoryMode) lookup(r alloc.Region) float64 {
 
 // insert caches the region, evicting LRU entries to make room.
 func (p *MemoryMode) insert(r alloc.Region) {
-	if el, ok := p.byAddr[r.Addr]; ok {
-		e := el.Value.(*cacheEntry)
+	if i, ok := p.byAddr[r.Addr]; ok {
+		e := &p.entries[i]
 		p.used += r.Size - e.size
 		e.size = r.Size
-		p.lru.MoveToFront(el)
+		p.toFront(i)
 	} else {
-		el := p.lru.PushFront(&cacheEntry{addr: r.Addr, size: r.Size})
-		p.byAddr[r.Addr] = el
+		i := p.free
+		if i >= 0 {
+			p.free = p.entries[i].next
+		} else {
+			i = int32(len(p.entries))
+			p.entries = append(p.entries, cacheEntry{})
+		}
+		p.entries[i] = cacheEntry{addr: r.Addr, size: r.Size}
+		p.link(i)
+		p.byAddr[r.Addr] = i
 		p.used += r.Size
 	}
-	for p.used > p.capacity && p.lru.Len() > 1 {
-		tail := p.lru.Back()
-		e := tail.Value.(*cacheEntry)
-		p.lru.Remove(tail)
+	for p.used > p.capacity && len(p.byAddr) > 1 {
+		i := p.tail
+		e := &p.entries[i]
+		p.unlink(i)
 		delete(p.byAddr, e.addr)
 		p.used -= e.size
+		e.next, p.free = p.free, i
+	}
+}
+
+// link puts entry i at the head of the LRU list.
+func (p *MemoryMode) link(i int32) {
+	e := &p.entries[i]
+	e.prev, e.next = -1, p.head
+	if p.head >= 0 {
+		p.entries[p.head].prev = i
+	} else {
+		p.tail = i
+	}
+	p.head = i
+}
+
+// unlink takes entry i out of the LRU list.
+func (p *MemoryMode) unlink(i int32) {
+	e := &p.entries[i]
+	if e.prev >= 0 {
+		p.entries[e.prev].next = e.next
+	} else {
+		p.head = e.next
+	}
+	if e.next >= 0 {
+		p.entries[e.next].prev = e.prev
+	} else {
+		p.tail = e.prev
+	}
+}
+
+// toFront marks entry i most recently used.
+func (p *MemoryMode) toFront(i int32) {
+	if p.head != i {
+		p.unlink(i)
+		p.link(i)
 	}
 }

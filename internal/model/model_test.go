@@ -33,6 +33,21 @@ func TestAllModelsBuildAndValidate(t *testing.T) {
 	}
 }
 
+// TestBuildAllocs bounds graph construction's heap allocations: the
+// builder lays a graph out in a few arrays, so resnet200 at batch 512
+// (4,870 tensors, 543 ops) costs about 580 allocations, nearly all of
+// them the model's specs and the builder's log blocks. One heap object
+// per tensor or name would add thousands.
+func TestBuildAllocs(t *testing.T) {
+	if n := testing.AllocsPerRun(3, func() {
+		if _, err := Build("resnet200", 512); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 1000 {
+		t.Fatalf("Build(resnet200, 512) made %.0f allocations, want <= 1000", n)
+	}
+}
+
 func TestUnknownModel(t *testing.T) {
 	if _, err := Build("alexnet", 8); err == nil {
 		t.Fatal("unknown model accepted")

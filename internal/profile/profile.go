@@ -12,6 +12,7 @@ package profile
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"sentinel/internal/alloc"
@@ -106,20 +107,45 @@ func (p *Profile) ByID(id tensor.ID) *TensorStat {
 
 // LongLived returns ids of non-short-lived, non-preallocated tensors plus
 // preallocated ones (which are long-lived by definition), sorted by
-// descending access count.
+// descending access count, ties by ascending id.
 func (p *Profile) LongLived() []tensor.ID {
-	var ids []tensor.ID
+	n, packable := 0, true
 	for i := range p.Tensors {
-		if !p.Tensors[i].ShortLived() {
-			ids = append(ids, p.Tensors[i].ID)
+		if ts := &p.Tensors[i]; !ts.ShortLived() {
+			n++
+			packable = packable && ts.Accesses >= 0 && ts.Accesses <= math.MaxUint32
 		}
 	}
-	slices.SortFunc(ids, func(a, b tensor.ID) int {
-		if c := cmp.Compare(p.Tensors[b].Accesses, p.Tensors[a].Accesses); c != 0 {
-			return c
+	if n == 0 {
+		return nil
+	}
+	ids := make([]tensor.ID, 0, n)
+	if !packable {
+		for i := range p.Tensors {
+			if !p.Tensors[i].ShortLived() {
+				ids = append(ids, p.Tensors[i].ID)
+			}
 		}
-		return cmp.Compare(a, b)
-	})
+		slices.SortFunc(ids, func(a, b tensor.ID) int {
+			if c := cmp.Compare(p.Tensors[b].Accesses, p.Tensors[a].Accesses); c != 0 {
+				return c
+			}
+			return cmp.Compare(a, b)
+		})
+		return ids
+	}
+	// Each key packs the complement of a tensor's access count above its
+	// id, so ascending keys are descending counts, ties by ascending id.
+	keys := make([]uint64, 0, n)
+	for i := range p.Tensors {
+		if ts := &p.Tensors[i]; !ts.ShortLived() {
+			keys = append(keys, (math.MaxUint32-uint64(ts.Accesses))<<32|uint64(uint32(ts.ID)))
+		}
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
+		ids = append(ids, tensor.ID(uint32(k)))
+	}
 	return ids
 }
 

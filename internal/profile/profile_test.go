@@ -1,12 +1,14 @@
 package profile
 
 import (
+	"slices"
 	"testing"
 
 	"sentinel/internal/chaos"
 	"sentinel/internal/exec"
 	"sentinel/internal/memsys"
 	"sentinel/internal/model"
+	"sentinel/internal/tensor"
 )
 
 func collect(t *testing.T, modelName string, batch int) *Profile {
@@ -94,14 +96,45 @@ func TestLongLivedSorted(t *testing.T) {
 		t.Fatal("no long-lived tensors")
 	}
 	for i := 1; i < len(ids); i++ {
-		if p.ByID(ids[i-1]).Accesses < p.ByID(ids[i]).Accesses {
-			t.Fatal("long-lived list not sorted by access count")
+		a, b := p.ByID(ids[i-1]), p.ByID(ids[i])
+		if a.Accesses < b.Accesses || a.Accesses == b.Accesses && ids[i-1] >= ids[i] {
+			t.Fatalf("long-lived list not sorted by descending access count, then id: %d (%d) before %d (%d)",
+				ids[i-1], a.Accesses, ids[i], b.Accesses)
 		}
 	}
 	for _, id := range ids {
 		if p.ByID(id).ShortLived() {
 			t.Fatal("short-lived tensor in long-lived list")
 		}
+	}
+	long := 0
+	for i := range p.Tensors {
+		if !p.Tensors[i].ShortLived() {
+			long++
+		}
+	}
+	if len(ids) != long {
+		t.Fatalf("%d long-lived ids, want %d", len(ids), long)
+	}
+}
+
+// TestLongLivedOrder covers ties and access counts too large to pack
+// into a sort key, which take the comparator path.
+func TestLongLivedOrder(t *testing.T) {
+	for _, big := range []int64{9, 1 << 40} {
+		p := &Profile{Tensors: []TensorStat{
+			{ID: 0, Preallocated: true, Accesses: 5},
+			{ID: 1, AllocLayer: 2, FreeLayer: 2, Accesses: 100},
+			{ID: 2, AllocLayer: 1, FreeLayer: 3, Accesses: big},
+			{ID: 3, AllocLayer: 0, FreeLayer: 1, Accesses: 5},
+			{ID: 4, Preallocated: true},
+		}}
+		if got, want := p.LongLived(), []tensor.ID{2, 0, 3, 4}; !slices.Equal(got, want) {
+			t.Errorf("accesses %d: LongLived = %v, want %v", big, got, want)
+		}
+	}
+	if got := (&Profile{}).LongLived(); got != nil {
+		t.Errorf("empty profile: LongLived = %v, want nil", got)
 	}
 }
 
