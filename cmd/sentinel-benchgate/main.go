@@ -18,10 +18,10 @@
 //
 // Usage:
 //
-//	sentinel-benchgate -out BENCH_39.json -against BENCH_38.json   # run, record, gate
-//	sentinel-benchgate -against BENCH_38.json                      # run and gate only
-//	sentinel-benchgate -check BENCH_38.json                        # schema/shape validation
-//	sentinel-benchgate -compare BENCH_39.json -against BENCH_38.json  # offline compare
+//	sentinel-benchgate -out BENCH_40.json -against BENCH_39.json   # run, record, gate
+//	sentinel-benchgate -against BENCH_39.json                      # run and gate only
+//	sentinel-benchgate -check BENCH_39.json                        # schema/shape validation
+//	sentinel-benchgate -compare BENCH_40.json -against BENCH_39.json  # offline compare
 package main
 
 import (

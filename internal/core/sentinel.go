@@ -171,6 +171,10 @@ func (s *Sentinel) Variants() int { return len(s.variants) }
 // III runtime-overhead accounting. One profiling step per variant.
 func (s *Sentinel) OverheadSteps() int { return s.profSteps + s.ttSteps }
 
+// Profiling reports whether the current step is a profiling step: from
+// the StepStart that meets an unseen dataflow variant until its StepEnd.
+func (s *Sentinel) Profiling() bool { return s.profiling != nil }
+
 // managed reports whether the current step runs under a plan.
 func (s *Sentinel) managed() bool {
 	return s.profiling == nil && s.cur != nil && s.cur.plan != nil

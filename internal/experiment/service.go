@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 
 	"sentinel/internal/chaos"
@@ -90,7 +89,7 @@ func validateWorkload(name string, batch int) error {
 	if name == "" {
 		return badField("model", "required (known: %v)", model.Names())
 	}
-	if !slices.Contains(model.Names(), name) {
+	if !model.Known(name) {
 		return badField("model", "unknown model %q (known: %v)", name, model.Names())
 	}
 	if batch < 1 || batch > BatchLimit {

@@ -45,15 +45,11 @@ func NewWithConfig(cfg core.Config) *SentinelGPU {
 // Name identifies the policy.
 func (s *SentinelGPU) Name() string { return "sentinel-gpu" }
 
-// Setup enables pinned host access for the profiling step: tensors live in
-// pinned host memory, the GPU reads them over the interconnect, and every
-// access faults on the CPU where Sentinel counts it.
+// Setup prepares the one-time synchronization of the preallocated
+// tensors, which are double-buffered during profiling: the pinned copy is
+// profiled, the device copy is synchronized once afterwards.
 func (s *SentinelGPU) Setup(rt *exec.Runtime) error {
 	s.rt = rt
-	rt.SetPinnedAccess(true)
-	// Preallocated tensors are double-buffered during profiling: the
-	// pinned copy is profiled, the device copy is synchronized once
-	// afterwards.
 	var prealloc int64
 	for _, id := range rt.Graph().Prealloc {
 		prealloc += rt.Graph().T(id).Size
@@ -62,21 +58,36 @@ func (s *SentinelGPU) Setup(rt *exec.Runtime) error {
 	return s.Sentinel.Setup(rt)
 }
 
-// StepEnd finishes the profiling phase as the core does, then reverts from
-// pinned memory to device allocation and charges the one-time copy
-// synchronization.
+// StepStart starts the step as the core does and enables pinned host
+// access whenever the core begins a profiling step: tensors live in pinned
+// host memory, the GPU reads them over the interconnect, and every access
+// faults on the CPU where Sentinel counts it. That holds for step 0 and
+// for a dataflow variant first seen later in training.
+func (s *SentinelGPU) StepStart(step int) {
+	s.Sentinel.StepStart(step)
+	if s.Profiling() {
+		s.rt.SetPinnedAccess(true)
+	}
+}
+
+// StepEnd finishes the step as the core does. After a profiling step it
+// reverts from pinned memory to device allocation; after step 0 it also
+// charges the one-time copy synchronization.
 func (s *SentinelGPU) StepEnd(step int, st *metrics.StepStats) {
+	profiled := s.Profiling()
 	s.Sentinel.StepEnd(step, st)
-	if step == 0 {
+	if profiled {
 		s.rt.SetPinnedAccess(false)
+	}
+	if step == 0 {
 		s.rt.WaitUntil(s.rt.Now().Add(s.syncCost))
 	}
 }
 
-// MaxBatch finds the largest batch size up to limit (by doubling then
-// bisecting) at which the model trains two steps under the policy without
-// running out of GPU memory. It is Lockstep's one-policy case, with the
-// probes run one after another.
+// MaxBatch finds the largest batch size up to limit (probing limit, then
+// bisecting below it) at which the model trains two steps under the
+// policy without running out of GPU memory. It is Lockstep's one-policy
+// case, with the probes run one after another.
 func MaxBatch(modelName string, spec memsys.Spec, factory func() exec.Policy, limit int) (int, error) {
 	build := func(batch int) (*graph.Graph, error) { return model.Build(modelName, batch) }
 	maxes, err := Lockstep(build, spec, []func() exec.Policy{factory}, limit, sequential)
@@ -144,23 +155,21 @@ func Lockstep(build model.BuildFunc, spec memsys.Spec, factories []func() exec.P
 	return maxes, nil
 }
 
-// search is one doubling-then-bisection max-batch search as a state
-// machine: next names the batch to probe, record takes its verdict. It
-// doubles from batch 1 while probes fit, then bisects between the largest
-// batch that fit and the smallest that did not, or limit+1 when doubling
-// passed the limit without a failure.
+// search is one top-down max-batch search as a state machine: next names
+// the batch to probe, record takes its verdict. It probes limit first and,
+// when limit does not fit, bisects between the largest batch that fit and
+// the smallest that did not. Like any bisection it assumes that fitting is
+// monotone in batch; most of its probes are then quick out-of-memory
+// failures rather than full training steps far below the answer.
 type search struct {
 	lo int // largest batch known to fit; 0 until one does
-	hi int // smallest batch known not to fit; 0 while doubling
+	hi int // smallest batch known not to fit; 0 until one does not
 }
 
 // next returns the batch to probe next, or false when the search is done.
 func (s *search) next(limit int) (int, bool) {
-	if s.hi == 0 {
-		if b := max(1, 2*s.lo); b <= limit {
-			return b, true
-		}
-		s.hi = limit + 1
+	if s.lo == 0 && s.hi == 0 {
+		return limit, true
 	}
 	if s.hi-s.lo > 1 {
 		return (s.lo + s.hi) / 2, true

@@ -109,3 +109,41 @@ func TestSentinelGPUNoExplicitTestAndTrial(t *testing.T) {
 		t.Fatalf("GPU runs should not use test-and-trial steps, got %d", s.OverheadSteps())
 	}
 }
+
+// TestSentinelGPUProfilesNewVariantOverPinnedMemory runs a dataflow
+// variant that first appears at step 2. Its profiling step must run over
+// pinned host memory like step 0 does: its tensors start page-aligned on
+// the slow tier with no profile to evict by, so demand-migrating them
+// instead would run out of fast memory. Training returns to device
+// accesses after it, and to a known variant without profiling again.
+func TestSentinelGPUProfilesNewVariantOverPinnedMemory(t *testing.T) {
+	graphs, err := model.ControlVariants(32, 64, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, div := range []int64{5, 2} {
+		spec := memsys.GPUHM().WithFastSize(graphs[0].PeakMemory() / div)
+		rt, err := exec.NewRuntime(graphs[0], spec, gpu.New())
+		if err != nil {
+			t.Fatal(err)
+		}
+		schedule := []int{0, 0, 1, 1, 0}
+		for i, v := range schedule {
+			if i > 0 {
+				if err := rt.SetGraph(graphs[v]); err != nil {
+					t.Fatalf("peak/%d step %d: %v", div, i, err)
+				}
+			}
+			if _, err := rt.RunStep(); err != nil {
+				t.Fatalf("peak/%d step %d: %v", div, i, err)
+			}
+		}
+		for i, st := range rt.Run().Steps {
+			profiling := i == 0 || i == 2
+			if pinned := st.Faults > 0 && st.SlowBytes > 0; pinned != profiling {
+				t.Errorf("peak/%d step %d: %d faults, %d bytes read from host in place; want pinned profiling only at steps 0 and 2",
+					div, i, st.Faults, st.SlowBytes)
+			}
+		}
+	}
+}

@@ -44,26 +44,27 @@ func countingBuild(name string, builds *atomic.Int64) model.BuildFunc {
 // each search's probes in order with their verdicts ("+" fits, "x" does
 // not), as independent one-policy searches make them. Lockstep must make
 // exactly these probes while building each (model, batch) graph once:
-// 164 probes over 51 graphs. The bisection is sound only if fitting is
-// monotone in batch, so every fitting probe of a search must also lie
-// below every probe that did not fit.
+// 81 probes over 41 graphs. The search probes the limit first and then
+// bisects, which is sound only if fitting is monotone in batch, so every
+// fitting probe of a search must also lie below every probe that did not
+// fit.
 func TestMaxBatchPinned(t *testing.T) {
 	pinned := []struct {
 		model, policy string
 		max           int
 		probes        string
 	}{
-		{"resnet200", "fast-only", 80, "1+ 2+ 4+ 8+ 16+ 32+ 64+ 128x 96x 80+ 88x 84x 82x 81x"},
-		{"resnet200", "vdnn", 134, "1+ 2+ 4+ 8+ 16+ 32+ 64+ 128+ 256x 192x 160x 144x 136x 132+ 134+ 135x"},
-		{"resnet200", "swapadvisor", 1024, "1+ 2+ 4+ 8+ 16+ 32+ 64+ 128+ 256+ 512+ 1024+"},
-		{"resnet200", "autotm", 1024, "1+ 2+ 4+ 8+ 16+ 32+ 64+ 128+ 256+ 512+ 1024+"},
-		{"resnet200", "capuchin", 1024, "1+ 2+ 4+ 8+ 16+ 32+ 64+ 128+ 256+ 512+ 1024+"},
-		{"resnet200", "sentinel-gpu", 1024, "1+ 2+ 4+ 8+ 16+ 32+ 64+ 128+ 256+ 512+ 1024+"},
-		{"bert-large", "fast-only", 24, "1+ 2+ 4+ 8+ 16+ 32x 24+ 28x 26x 25x"},
-		{"bert-large", "swapadvisor", 787, "1+ 2+ 4+ 8+ 16+ 32+ 64+ 128+ 256+ 512+ 1024x 768+ 896x 832x 800x 784+ 792x 788x 786+ 787+"},
-		{"bert-large", "autotm", 784, "1+ 2+ 4+ 8+ 16+ 32+ 64+ 128+ 256+ 512+ 1024x 768+ 896x 832x 800x 784+ 792x 788x 786x 785x"},
-		{"bert-large", "capuchin", 791, "1+ 2+ 4+ 8+ 16+ 32+ 64+ 128+ 256+ 512+ 1024x 768+ 896x 832x 800x 784+ 792x 788+ 790+ 791+"},
-		{"bert-large", "sentinel-gpu", 786, "1+ 2+ 4+ 8+ 16+ 32+ 64+ 128+ 256+ 512+ 1024x 768+ 896x 832x 800x 784+ 792x 788x 786+ 787x"},
+		{"resnet200", "fast-only", 80, "1024x 512x 256x 128x 64+ 96x 80+ 88x 84x 82x 81x"},
+		{"resnet200", "vdnn", 134, "1024x 512x 256x 128+ 192x 160x 144x 136x 132+ 134+ 135x"},
+		{"resnet200", "swapadvisor", 1024, "1024+"},
+		{"resnet200", "autotm", 1024, "1024+"},
+		{"resnet200", "capuchin", 1024, "1024+"},
+		{"resnet200", "sentinel-gpu", 1024, "1024+"},
+		{"bert-large", "fast-only", 24, "1024x 512x 256x 128x 64x 32x 16+ 24+ 28x 26x 25x"},
+		{"bert-large", "swapadvisor", 787, "1024x 512+ 768+ 896x 832x 800x 784+ 792x 788x 786+ 787+"},
+		{"bert-large", "autotm", 784, "1024x 512+ 768+ 896x 832x 800x 784+ 792x 788x 786x 785x"},
+		{"bert-large", "capuchin", 791, "1024x 512+ 768+ 896x 832x 800x 784+ 792x 788+ 790+ 791+"},
+		{"bert-large", "sentinel-gpu", 786, "1024x 512+ 768+ 896x 832x 800x 784+ 792x 788x 786+ 787x"},
 	}
 	var builds atomic.Int64
 	probes := 0
@@ -119,18 +120,22 @@ func TestMaxBatchPinned(t *testing.T) {
 			}
 		}
 	}
-	if probes != 164 || builds.Load() != 51 {
-		t.Errorf("%d probes over %d graph builds, want 164 over 51", probes, builds.Load())
+	if probes != 81 || builds.Load() != 41 {
+		t.Errorf("%d probes over %d graph builds, want 81 over 41", probes, builds.Load())
 	}
 }
 
 // TestLockstepProbesShareGraphConcurrently runs each round's probes of
 // several policies concurrently on the one graph the round built for
 // their batch. Under -race this checks that runtimes and policies only
-// read the graph.
+// read the graph. The fast tier is half of resnet32's peak at batch 8, so
+// four of the seven policies fail at the limit and search down together:
+// every round runs at least four probes on one shared graph.
 func TestLockstepProbesShareGraphConcurrently(t *testing.T) {
 	policies := []string{"fast-only", "um", "vdnn", "swapadvisor", "autotm", "capuchin", "sentinel-gpu"}
+	var rounds []string
 	concurrent := func(ps []gpu.Probe, fit func(i int) (bool, error)) ([]bool, error) {
+		rounds = append(rounds, fmt.Sprintf("%dx%d", len(ps), ps[0].Batch))
 		verdicts := make([]bool, len(ps))
 		errs := make([]error, len(ps))
 		var wg sync.WaitGroup
@@ -149,26 +154,32 @@ func TestLockstepProbesShareGraphConcurrently(t *testing.T) {
 		}
 		return verdicts, nil
 	}
+	g, err := model.Build("resnet32", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := memsys.GPUHM().WithFastSize(g.PeakMemory() / 2)
 	var builds atomic.Int64
-	maxes, err := gpu.Lockstep(countingBuild("resnet32", &builds), memsys.GPUHM(),
+	maxes, err := gpu.Lockstep(countingBuild("resnet32", &builds), spec,
 		factories(t, policies), 8, concurrent)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, max := range maxes {
-		if max != 8 {
-			t.Errorf("%s: max batch %d, want 8", policies[i], max)
-		}
+	if got, want := fmt.Sprint(maxes), "[2 8 2 2 8 2 8]"; got != want {
+		t.Errorf("max batches %s, want %s", got, want)
 	}
-	// Batches 1, 2, 4 and 8: one graph per round, shared by every policy.
+	// Four rounds over four graph builds: each round's probes share the
+	// one graph of its batch (8, 4, 2, then 3).
+	if got, want := strings.Join(rounds, " "), "7x8 4x4 4x2 4x3"; got != want {
+		t.Errorf("rounds (probes x batch) %s, want %s", got, want)
+	}
 	if n := builds.Load(); n != 4 {
 		t.Errorf("%d graph builds, want 4", n)
 	}
 }
 
-// TestMaxBatchLimitNotPowerOfTwo pins the bisection over [64, limit+1)
-// when doubling passes a limit that is not a power of two: limit 128
-// finds 80, so limit 100 must too.
+// TestMaxBatchLimitNotPowerOfTwo pins the search at a limit that is not a
+// power of two: limit 128 finds 80, so limit 100 must too.
 func TestMaxBatchLimitNotPowerOfTwo(t *testing.T) {
 	fastOnly := func() exec.Policy { return baseline.NewFastOnly() }
 	for _, limit := range []int{100, 128} {

@@ -3,6 +3,7 @@ package model
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -51,6 +52,27 @@ func TestBuildAllocs(t *testing.T) {
 func TestUnknownModel(t *testing.T) {
 	if _, err := Build("alexnet", 8); err == nil {
 		t.Fatal("unknown model accepted")
+	}
+}
+
+// TestNamesAndKnown checks that Names is sorted, names exactly the models
+// Known accepts, and hands each caller its own slice.
+func TestNamesAndKnown(t *testing.T) {
+	names := Names()
+	if !slices.IsSorted(names) || len(names) != len(registry) {
+		t.Fatalf("Names() = %v, want the %d registered names sorted", names, len(registry))
+	}
+	for _, n := range names {
+		if !Known(n) {
+			t.Errorf("Known(%q) = false", n)
+		}
+	}
+	if Known("resnet9999") || Known("") {
+		t.Error("Known accepts an unregistered name")
+	}
+	names[0] = "clobbered"
+	if Names()[0] == "clobbered" {
+		t.Error("Names returned the shared slice")
 	}
 }
 

@@ -2,7 +2,7 @@ package model
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"sentinel/internal/graph"
@@ -73,14 +73,23 @@ func BuildShared(name string, batch int) (*graph.Graph, error) {
 	return actual.(*graph.Graph), nil
 }
 
-// Names lists registered model names, sorted.
-func Names() []string {
-	names := make([]string, 0, len(registry))
+// names is the registered model names, sorted once.
+var names = func() []string {
+	ns := make([]string, 0, len(registry))
 	for n := range registry {
-		names = append(names, n)
+		ns = append(ns, n)
 	}
-	sort.Strings(names)
-	return names
+	slices.Sort(ns)
+	return ns
+}()
+
+// Names lists registered model names, sorted. The slice is the caller's.
+func Names() []string { return slices.Clone(names) }
+
+// Known reports whether name is a registered model.
+func Known(name string) bool {
+	_, ok := registry[name]
+	return ok
 }
 
 // EvalModel pairs a model with the paper's small/large batch sizes
