@@ -7,7 +7,6 @@ import (
 	"sentinel/internal/baseline"
 	"sentinel/internal/core"
 	"sentinel/internal/exec"
-	"sentinel/internal/gpu"
 	"sentinel/internal/memsys"
 	"sentinel/internal/model"
 	"sentinel/internal/simtime"
@@ -124,7 +123,7 @@ func TestGPUOrderingAtLargeBatch(t *testing.T) {
 		"vdnn":         func() exec.Policy { return baseline.NewVDNN() },
 		"swapadvisor":  func() exec.Policy { return baseline.NewSwapAdvisor() },
 		"capuchin":     func() exec.Policy { return baseline.NewCapuchin() },
-		"sentinel-gpu": func() exec.Policy { return gpu.New() },
+		"sentinel-gpu": func() exec.Policy { return core.NewDefault() },
 	} {
 		rt := run(t, modelName, batch, spec, factory(), 5)
 		times[name] = rt.Run().SteadyStepTime()

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"sentinel/internal/core"
-	"sentinel/internal/exec"
 	"sentinel/internal/memsys"
 	"sentinel/internal/model"
 	"sentinel/internal/profile"
@@ -38,15 +37,14 @@ func BenchmarkBuildPlan(b *testing.B) {
 // BenchmarkBuildPlanGPU measures the same planning step for Sentinel-GPU's
 // largest Fig. 13 network: resnet200 at batch 192 on the GPU preset, whose
 // 137 layers make the interval-length search the plan's largest part. The
-// graph and its profile are built once, outside the timer; profiling reads
-// host pages in place, as Sentinel-GPU's does.
+// graph and its profile are built once, outside the timer.
 func BenchmarkBuildPlanGPU(b *testing.B) {
 	g, err := model.Build("resnet200", 192)
 	if err != nil {
 		b.Fatal(err)
 	}
 	spec := memsys.GPUHM()
-	p, err := profile.Collect(g, spec, func(rt *exec.Runtime) { rt.SetPinnedAccess(true) })
+	p, err := profile.Collect(g, spec)
 	if err != nil {
 		b.Fatal(err)
 	}

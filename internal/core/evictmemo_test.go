@@ -10,10 +10,8 @@ import (
 	"sentinel/internal/chaos"
 	"sentinel/internal/exec"
 	"sentinel/internal/memsys"
-	"sentinel/internal/metrics"
 	"sentinel/internal/model"
 	"sentinel/internal/profile"
-	"sentinel/internal/simtime"
 	"sentinel/internal/tensor"
 )
 
@@ -80,42 +78,20 @@ func liveOf(order []tensor.ID, live func(tensor.ID) bool) []tensor.ID {
 	return out
 }
 
-// memoChecker runs Sentinel-GPU's profiling protocol (pinned host access
-// for the profiling step, then the one-time synchronization) and, after
-// every callback that can reach MakeRoom, compares each standing order
-// built for the callback's layer with refWalk over the runtime's live
-// tensors. Those callbacks migrate but never allocate or free, so the
-// live set after the callback is the one MakeRoom walked.
+// memoChecker runs Sentinel and, after every callback that can reach
+// MakeRoom, compares each standing order built for the callback's layer
+// with refWalk over the runtime's live tensors. Those callbacks migrate
+// but never allocate or free, so the live set after the callback is the
+// one MakeRoom walked.
 type memoChecker struct {
 	*Sentinel
-	t        *testing.T
-	rt       *exec.Runtime
-	syncCost simtime.Duration
+	t *testing.T
 	// lastPlan detects a plan swap; checks after the first swap are
 	// counted apart, as they run on orders setPlan must have reset.
 	lastPlan                    *Plan
 	swaps                       int
 	farthestChecks, spillChecks int
 	checksAfterSwap             int
-}
-
-func (c *memoChecker) Setup(rt *exec.Runtime) error {
-	c.rt = rt
-	rt.SetPinnedAccess(true)
-	var prealloc int64
-	for _, id := range rt.Graph().Prealloc {
-		prealloc += rt.Graph().T(id).Size
-	}
-	c.syncCost = simtime.TransferTime(prealloc, rt.Spec().MigrationBW)
-	return c.Sentinel.Setup(rt)
-}
-
-func (c *memoChecker) StepEnd(step int, st *metrics.StepStats) {
-	c.Sentinel.StepEnd(step, st)
-	if step == 0 {
-		c.rt.SetPinnedAccess(false)
-		c.rt.WaitUntil(c.rt.Now().Add(c.syncCost))
-	}
 }
 
 func (c *memoChecker) LayerStart(l int) {

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"testing"
 
-	"sentinel/internal/exec"
 	"sentinel/internal/memsys"
 	"sentinel/internal/model"
 	"sentinel/internal/profile"
@@ -55,7 +54,6 @@ func TestChooseMILOracle(t *testing.T) {
 			t.Fatalf("%s: chose MIL %d, the exhaustive search picks %d (%+v)", label, pl.MIL, best, want[best-1])
 		}
 	}
-	pinned := func(rt *exec.Runtime) { rt.SetPinnedAccess(true) }
 	for _, name := range model.Names() {
 		for _, batch := range []int{8, 128, 1024} {
 			g, err := model.Build(name, batch)
@@ -85,7 +83,7 @@ func TestChooseMILOracle(t *testing.T) {
 				check(fmt.Sprintf("%s/b%d/optane-free-sync", name, batch), p, free, split)
 			}
 			gpu := memsys.GPUHM()
-			if p, err := profile.Collect(g, gpu, pinned); err == nil {
+			if p, err := profile.Collect(g, gpu); err == nil {
 				check(fmt.Sprintf("%s/b%d/gpu", name, batch), p, gpu, LayerDecompFromProfile(p))
 			}
 		}

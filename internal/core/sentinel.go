@@ -104,7 +104,9 @@ func (v *variantState) setPlan(prof *profile.Profile, plan *Plan) {
 
 // Sentinel is the runtime system of the paper: one profiling step per
 // dataflow variant, data reorganization, then adaptive layer-based
-// migration.
+// migration. One runtime serves CPU and GPU machines; on a GPU only the
+// profiling differs (Sec. V): profile.Recorder reads pinned host memory,
+// and StepEnd charges the one-time weight sync after step 0.
 type Sentinel struct {
 	cfg Config
 	rt  *exec.Runtime
@@ -143,8 +145,15 @@ func New(cfg Config) *Sentinel {
 // NewDefault returns full-featured Sentinel.
 func NewDefault() *Sentinel { return New(DefaultConfig()) }
 
-// Name identifies the policy.
-func (s *Sentinel) Name() string { return "sentinel" }
+// Name identifies the policy: "sentinel-gpu" once set up on a GPU-like
+// machine, where the profiling protocol of Sec. V applies, and "sentinel"
+// otherwise.
+func (s *Sentinel) Name() string {
+	if s.rt != nil && s.rt.Spec().GPULike {
+		return "sentinel-gpu"
+	}
+	return "sentinel"
+}
 
 // Profile returns the current variant's profile (nil before its profiling
 // step completes).
@@ -170,10 +179,6 @@ func (s *Sentinel) Variants() int { return len(s.variants) }
 // OverheadSteps reports profiling plus test-and-trial steps — the Table
 // III runtime-overhead accounting. One profiling step per variant.
 func (s *Sentinel) OverheadSteps() int { return s.profSteps + s.ttSteps }
-
-// Profiling reports whether the current step is a profiling step: from
-// the StepStart that meets an unseen dataflow variant until its StepEnd.
-func (s *Sentinel) Profiling() bool { return s.profiling != nil }
 
 // managed reports whether the current step runs under a plan.
 func (s *Sentinel) managed() bool {
@@ -422,10 +427,21 @@ func (s *Sentinel) TensorFreed(t *tensor.Tensor, r alloc.Region) {
 }
 
 // StepEnd finishes a profiling step by building the variant's plan, and
-// advances the test-and-trial state machine on managed steps.
+// advances the test-and-trial state machine on managed steps. On a
+// GPU-like machine the preallocated tensors were double-buffered during
+// step 0's profiling: the pinned host copy was profiled, and the device
+// copy is synchronized once afterwards (Sec. V).
 func (s *Sentinel) StepEnd(step int, st *metrics.StepStats) {
 	if s.profiling != nil {
 		s.finishProfiling(st)
+		if step == 0 && s.rt.Spec().GPULike {
+			g := s.rt.Graph()
+			var prealloc int64
+			for _, id := range g.Prealloc {
+				prealloc += g.T(id).Size
+			}
+			s.rt.WaitUntil(s.rt.Now().Add(simtime.TransferTime(prealloc, s.rt.Spec().MigrationBW)))
+		}
 		return
 	}
 	if s.sampler != nil {

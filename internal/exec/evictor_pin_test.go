@@ -5,8 +5,8 @@ import (
 
 	"sentinel/internal/baseline"
 	"sentinel/internal/chaos"
+	"sentinel/internal/core"
 	"sentinel/internal/exec"
-	"sentinel/internal/gpu"
 	"sentinel/internal/memsys"
 	"sentinel/internal/model"
 )
@@ -19,7 +19,7 @@ import (
 // cell (a 25% shrink at step 1) runs eight, because its replan lands at
 // the end of step 5 and the steps after it evict from the replanned set.
 func TestEvictorStepsPinned(t *testing.T) {
-	sentinelGPU := func() exec.Policy { return gpu.New() }
+	sentinelGPU := func() exec.Policy { return core.NewDefault() }
 	for _, tc := range []struct {
 		name   string
 		model  string

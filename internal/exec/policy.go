@@ -12,7 +12,8 @@ import (
 // Sentinel and every baseline implement this interface; the engine itself
 // is strategy-free.
 type Policy interface {
-	// Name identifies the policy in reports.
+	// Name identifies the policy in reports. The runtime reads it after
+	// Setup, so it may depend on the machine.
 	Name() string
 	// AllocConfig returns the allocator configuration the policy wants:
 	// packing mode and tier placement for new pages. Called once per run.

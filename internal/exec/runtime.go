@@ -46,7 +46,7 @@ type Runtime struct {
 	run metrics.RunStats
 	// pinnedAccess lets GPU compute read host-resident pages in place
 	// (pinned/zero-copy memory) instead of requiring residency;
-	// Sentinel-GPU's profiling step runs in this mode (Sec. V).
+	// profiling steps run in this mode (Sec. V).
 	pinnedAccess bool
 	// sink emits into the unified event bus when tracing is attached
 	// (WithTrace); nil discards.
@@ -77,7 +77,8 @@ type Runtime struct {
 
 // SetPinnedAccess toggles pinned (zero-copy) host access on a GPU-like
 // machine: while enabled, ops read slow-tier pages over the interconnect
-// instead of stalling for residency.
+// instead of stalling for residency. profile.NewRecorder enables it for
+// the profiling step and Recorder.Assemble disables it (Sec. V).
 func (rt *Runtime) SetPinnedAccess(on bool) { rt.pinnedAccess = on }
 
 // Option configures a Runtime.
@@ -101,7 +102,7 @@ func NewRuntime(g *graph.Graph, spec memsys.Spec, p Policy, opts ...Option) (*Ru
 		spec:       spec,
 		k:          k,
 		policy:     p,
-		run:        metrics.RunStats{Policy: p.Name(), Model: g.Model, Batch: g.Batch},
+		run:        metrics.RunStats{Model: g.Model, Batch: g.Batch},
 		stepJitter: 1,
 	}
 	rt.modeler, _ = p.(AccessModeler)
@@ -132,6 +133,7 @@ func NewRuntime(g *graph.Graph, spec memsys.Spec, p Policy, opts ...Option) (*Ru
 	if err := p.Setup(rt); err != nil {
 		return nil, err
 	}
+	rt.run.Policy = p.Name()
 	for _, id := range g.Prealloc {
 		t := g.T(id)
 		if r, ok := rt.a.Region(id); ok {

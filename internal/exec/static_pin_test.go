@@ -7,8 +7,8 @@ import (
 	"testing"
 
 	"sentinel/internal/chaos"
+	"sentinel/internal/core"
 	"sentinel/internal/exec"
-	"sentinel/internal/gpu"
 	"sentinel/internal/memsys"
 	"sentinel/internal/metrics"
 	"sentinel/internal/model"
@@ -50,7 +50,7 @@ func staticRuntime(t *testing.T, cfg chaos.Config, opts ...exec.Option) *exec.Ru
 	}
 	spec := memsys.GPUHM().WithFastSize(int64(0.2 * float64(g.PeakMemory())))
 	opts = append(opts, exec.WithChaos(chaos.New(cfg)))
-	rt, err := exec.NewRuntime(g, spec, gpu.New(), opts...)
+	rt, err := exec.NewRuntime(g, spec, core.NewDefault(), opts...)
 	if err != nil {
 		t.Fatal(err)
 	}

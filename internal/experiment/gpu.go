@@ -82,7 +82,7 @@ func Table5(o Options) (*Table, error) {
 		Header: []string{"model", "tensorflow", "vdnn", "swapadvisor", "autotm", "capuchin", "sentinel-gpu"},
 	}
 	spec := memsys.GPUHM()
-	limit := 1 << 14
+	limit := BatchLimit
 	if o.Quick {
 		limit = 1 << 10
 	}

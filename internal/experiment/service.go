@@ -8,6 +8,7 @@ import (
 
 	"sentinel/internal/chaos"
 	"sentinel/internal/exec"
+	"sentinel/internal/gpu"
 	"sentinel/internal/memsys"
 	"sentinel/internal/metrics"
 	"sentinel/internal/model"
@@ -99,10 +100,8 @@ func validateWorkload(name string, batch int) error {
 }
 
 // BatchLimit is the largest batch size a CellRequest or PlanRequest
-// accepts: Table V's max-batch search ceiling, the largest batch any
-// experiment simulates. Every model builds at it without overflowing a
-// tensor size; far larger batches would overflow int64 byte counts.
-const BatchLimit = 1 << 14
+// accepts: Table V's max-batch search ceiling.
+const BatchLimit = gpu.BatchLimit
 
 // CellRequest asks for one simulation cell: train Model at Batch for
 // Steps steps under Policy on Platform, with the fast tier sized either

@@ -8,6 +8,9 @@ import (
 	"strings"
 	"testing"
 
+	"sentinel/internal/core"
+	"sentinel/internal/exec"
+	"sentinel/internal/memsys"
 	"sentinel/internal/model"
 )
 
@@ -254,6 +257,45 @@ func TestRunPlan(t *testing.T) {
 	}
 	if *p != *q {
 		t.Errorf("plan summary not deterministic:\n%+v\n%+v", p, q)
+	}
+}
+
+// TestRunPlanGPUMatchesSentinelProfile checks that a plan request on the
+// GPU platform profiles the way Sentinel-GPU's step 0 does, over pinned
+// host memory: resnet200 at batch 128, which Fig. 12 trains, summarizes
+// the profile that step records instead of running out of device memory.
+func TestRunPlanGPUMatchesSentinelProfile(t *testing.T) {
+	got, err := RunPlan(Options{NoCache: true, Workers: 1}, PlanRequest{Model: "resnet200", Batch: 128, Platform: "gpu"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := model.Build("resnet200", 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := core.NewDefault()
+	rt, err := exec.NewRuntime(g, memsys.GPUHM(), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.RunStep(); err != nil {
+		t.Fatal(err)
+	}
+	p := s.Profile()
+	want := PlanSummary{
+		Model: "resnet200", Batch: 128, Platform: "gpu",
+		NumLayers: p.NumLayers, Tensors: len(p.Tensors),
+		PeakMemoryBytes: p.PeakMemory, ReservedPoolBytes: p.PeakShortLived,
+		ProfiledStepNS: int64(p.StepTime), FaultOverheadNS: int64(p.FaultTime), Faults: p.Faults,
+	}
+	for i := range p.Tensors {
+		if p.Tensors[i].ShortLived() {
+			want.ShortLived++
+		}
+	}
+	want.LongLived = want.Tensors - want.ShortLived
+	if *got != want {
+		t.Errorf("plan summary differs from Sentinel-GPU's step-0 profile:\n got %+v\nwant %+v", *got, want)
 	}
 }
 

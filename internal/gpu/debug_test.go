@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"sentinel/internal/core"
 	"testing"
 
 	"sentinel/internal/exec"
@@ -16,7 +17,7 @@ func TestDebugStalls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := exec.NewRuntime(g, memsys.GPUHM(), New())
+	rt, err := exec.NewRuntime(g, memsys.GPUHM(), core.NewDefault())
 	if err != nil {
 		t.Fatal(err)
 	}

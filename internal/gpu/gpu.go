@@ -1,88 +1,24 @@
-// Package gpu adapts Sentinel to GPU-based heterogeneous memory (Sec. V):
-// GPU global memory is the fast tier, host memory the slow tier. The
-// profiling step runs over customized pinned memory — the GPU reads
-// host-resident pages in place while the CPU-side fault handler counts
-// accesses — then training reverts to device allocation, paying a one-time
-// synchronization of the double-buffered preallocated tensors. Case 3 has
-// no test-and-trial on GPU: execution must wait for residency, which the
-// engine's per-op stalls provide.
-//
-// The package also hosts the maximum-batch-size search of Table V.
+// Package gpu hosts the maximum-batch-size search of Table V: the largest
+// batch at which a model trains on GPU-based heterogeneous memory (GPU
+// global memory the fast tier, host memory the slow tier) under a policy.
+// Sentinel itself needs no GPU variant; only its profiling step differs on
+// a GPU (Sec. V), and profile.Recorder and core.Sentinel carry that
+// difference.
 package gpu
 
 import (
 	"errors"
 
-	"sentinel/internal/core"
 	"sentinel/internal/exec"
 	"sentinel/internal/graph"
 	"sentinel/internal/memsys"
-	"sentinel/internal/metrics"
 	"sentinel/internal/model"
-	"sentinel/internal/simtime"
 )
 
-// SentinelGPU wraps the Sentinel core with the GPU profiling protocol.
-type SentinelGPU struct {
-	*core.Sentinel
-	rt *exec.Runtime
-	// syncCost is the one-time double-copy synchronization charged after
-	// profiling (Sec. V).
-	syncCost simtime.Duration
-}
-
-// New returns Sentinel-GPU with full features (no test-and-trial — the
-// engine's residency stalls are the GPU's Case-3 handling).
-func New() *SentinelGPU { return NewWithConfig(core.DefaultConfig()) }
-
-// NewWithConfig returns Sentinel-GPU with an ablation config (Fig. 13).
-// The core skips test-and-trial on GPU-like machines whatever the config
-// says.
-func NewWithConfig(cfg core.Config) *SentinelGPU {
-	return &SentinelGPU{Sentinel: core.New(cfg)}
-}
-
-// Name identifies the policy.
-func (s *SentinelGPU) Name() string { return "sentinel-gpu" }
-
-// Setup prepares the one-time synchronization of the preallocated
-// tensors, which are double-buffered during profiling: the pinned copy is
-// profiled, the device copy is synchronized once afterwards.
-func (s *SentinelGPU) Setup(rt *exec.Runtime) error {
-	s.rt = rt
-	var prealloc int64
-	for _, id := range rt.Graph().Prealloc {
-		prealloc += rt.Graph().T(id).Size
-	}
-	s.syncCost = simtime.TransferTime(prealloc, rt.Spec().MigrationBW)
-	return s.Sentinel.Setup(rt)
-}
-
-// StepStart starts the step as the core does and enables pinned host
-// access whenever the core begins a profiling step: tensors live in pinned
-// host memory, the GPU reads them over the interconnect, and every access
-// faults on the CPU where Sentinel counts it. That holds for step 0 and
-// for a dataflow variant first seen later in training.
-func (s *SentinelGPU) StepStart(step int) {
-	s.Sentinel.StepStart(step)
-	if s.Profiling() {
-		s.rt.SetPinnedAccess(true)
-	}
-}
-
-// StepEnd finishes the step as the core does. After a profiling step it
-// reverts from pinned memory to device allocation; after step 0 it also
-// charges the one-time copy synchronization.
-func (s *SentinelGPU) StepEnd(step int, st *metrics.StepStats) {
-	profiled := s.Profiling()
-	s.Sentinel.StepEnd(step, st)
-	if profiled {
-		s.rt.SetPinnedAccess(false)
-	}
-	if step == 0 {
-		s.rt.WaitUntil(s.rt.Now().Add(s.syncCost))
-	}
-}
+// BatchLimit is the ceiling of the max-batch search and the largest batch
+// any experiment simulates. Every model builds at it without overflowing
+// a tensor size; far larger batches would overflow int64 byte counts.
+const BatchLimit = 1 << 14
 
 // MaxBatch finds the largest batch size up to limit (probing limit, then
 // bisecting below it) at which the model trains two steps under the
@@ -111,10 +47,10 @@ type RoundRunner func(probes []Probe, fit func(i int) (bool, error)) ([]bool, er
 // graphs through run, and drops the graphs when the round ends. Every
 // search makes the probes it would make alone, in the same order. It
 // returns each search's largest fitting batch, 0 when batch 1 does not
-// fit; a limit <= 0 means 1<<14.
+// fit; a limit <= 0 means BatchLimit.
 func Lockstep(build model.BuildFunc, spec memsys.Spec, factories []func() exec.Policy, limit int, run RoundRunner) ([]int, error) {
 	if limit <= 0 {
-		limit = 1 << 14
+		limit = BatchLimit
 	}
 	searches := make([]search, len(factories))
 	for {

@@ -1,6 +1,7 @@
 package gpu_test
 
 import (
+	"sentinel/internal/core"
 	"testing"
 
 	"sentinel/internal/baseline"
@@ -15,7 +16,7 @@ func TestSentinelGPUProfilesOverPinnedMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := exec.NewRuntime(g, memsys.GPUHM(), gpu.New())
+	rt, err := exec.NewRuntime(g, memsys.GPUHM(), core.NewDefault())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func TestMaxBatchOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sentinel, err := gpu.MaxBatch("resnet200", spec, func() exec.Policy { return gpu.New() }, 512)
+	sentinel, err := gpu.MaxBatch("resnet200", spec, func() exec.Policy { return core.NewDefault() }, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestMaxBatchGrowsWithMemory(t *testing.T) {
 
 func TestMaxBatchRespectsLimit(t *testing.T) {
 	spec := memsys.GPUHM()
-	mb, err := gpu.MaxBatch("dcgan", spec, func() exec.Policy { return gpu.New() }, 64)
+	mb, err := gpu.MaxBatch("dcgan", spec, func() exec.Policy { return core.NewDefault() }, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestMaxBatchRespectsLimit(t *testing.T) {
 }
 
 func TestSentinelGPUNoExplicitTestAndTrial(t *testing.T) {
-	s := gpu.New()
+	s := core.NewDefault()
 	g, err := model.Build("resnet200", 96)
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +124,7 @@ func TestSentinelGPUProfilesNewVariantOverPinnedMemory(t *testing.T) {
 	}
 	for _, div := range []int64{5, 2} {
 		spec := memsys.GPUHM().WithFastSize(graphs[0].PeakMemory() / div)
-		rt, err := exec.NewRuntime(graphs[0], spec, gpu.New())
+		rt, err := exec.NewRuntime(graphs[0], spec, core.NewDefault())
 		if err != nil {
 			t.Fatal(err)
 		}

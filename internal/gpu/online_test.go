@@ -5,8 +5,8 @@ import (
 	"testing"
 
 	"sentinel/internal/chaos"
+	"sentinel/internal/core"
 	"sentinel/internal/exec"
-	"sentinel/internal/gpu"
 	"sentinel/internal/memsys"
 	"sentinel/internal/metrics"
 	"sentinel/internal/model"
@@ -26,7 +26,7 @@ func runOnlineGPU(t *testing.T, cfg chaos.Config, online bool) *metrics.RunStats
 	if online {
 		opts = append(opts, exec.WithOnline(exec.DefaultOnline()))
 	}
-	rt, err := exec.NewRuntime(g, spec, gpu.New(), opts...)
+	rt, err := exec.NewRuntime(g, spec, core.NewDefault(), opts...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"fmt"
+	"sentinel/internal/core"
 	"testing"
 
 	"sentinel/internal/baseline"
@@ -61,7 +62,7 @@ func table5Policies(modelName string) ([]string, []func() exec.Policy) {
 		{"swapadvisor", func() exec.Policy { return baseline.NewSwapAdvisor() }},
 		{"autotm", func() exec.Policy { return baseline.NewAutoTM() }},
 		{"capuchin", func() exec.Policy { return baseline.NewCapuchin() }},
-		{"sentinel-gpu", func() exec.Policy { return New() }},
+		{"sentinel-gpu", func() exec.Policy { return core.NewDefault() }},
 	}
 	var names []string
 	var factories []func() exec.Policy

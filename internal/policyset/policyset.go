@@ -9,7 +9,6 @@ import (
 	"sentinel/internal/baseline"
 	"sentinel/internal/core"
 	"sentinel/internal/exec"
-	"sentinel/internal/gpu"
 	"sentinel/internal/graph"
 	"sentinel/internal/memsys"
 	"sentinel/internal/metrics"
@@ -32,13 +31,11 @@ var registry = map[string]Factory{
 	"vdnn":            func() exec.Policy { return baseline.NewVDNN() },
 	"swapadvisor":     func() exec.Policy { return baseline.NewSwapAdvisor() },
 	"capuchin":        func() exec.Policy { return baseline.NewCapuchin() },
-	"sentinel-gpu":    func() exec.Policy { return gpu.New() },
-	"sentinel-gpu-direct": func() exec.Policy {
-		return gpu.NewWithConfig(core.DirectConfig())
-	},
-	"sentinel-gpu-detmi": func() exec.Policy {
-		return gpu.NewWithConfig(core.DetMIConfig())
-	},
+	// The sentinel-gpu names are Table V's and Fig. 13's labels for the
+	// same runtime: Sentinel profiles the GPU way on any GPU-like machine.
+	"sentinel-gpu":        func() exec.Policy { return core.NewDefault() },
+	"sentinel-gpu-direct": func() exec.Policy { return core.New(core.DirectConfig()) },
+	"sentinel-gpu-detmi":  func() exec.Policy { return core.New(core.DetMIConfig()) },
 }
 
 // New builds the named policy.

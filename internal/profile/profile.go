@@ -161,9 +161,14 @@ type Recorder struct {
 }
 
 // NewRecorder starts recording on the runtime: profiling-fault accounting
-// is switched on and stats are sized for the graph.
+// and pinned host access are switched on and stats are sized for the
+// graph. Pinned access is the GPU protocol of Sec. V: the profiled
+// tensors stay in host memory, which the GPU reads in place while the
+// CPU-side fault handler counts the accesses; a CPU reads slow memory in
+// place anyway.
 func NewRecorder(rt *exec.Runtime) *Recorder {
 	rt.Kernel().SetProfiling(true)
+	rt.SetPinnedAccess(true)
 	return &Recorder{rt: rt, stats: make([]TensorStat, len(rt.Graph().Tensors))}
 }
 
@@ -190,13 +195,15 @@ func (rec *Recorder) TensorFreed(t *tensor.Tensor, _ alloc.Region) {
 }
 
 // Assemble finishes recording and builds the Profile from the step's
-// statistics; it also switches fault accounting back off. If the runtime
+// statistics; it also switches fault accounting and pinned host access
+// back off, so training on a GPU reverts to device allocation. If the runtime
 // carries a fault injector with profiling noise, the assembled access
 // counts are jittered per tensor — the profiled step misrepresenting the
 // steady state, which is exactly the plan-quality stress the chaos layer
 // exists to apply.
 func (rec *Recorder) Assemble(st *metrics.StepStats) *Profile {
 	rec.rt.Kernel().SetProfiling(false)
+	rec.rt.SetPinnedAccess(false)
 	p := assemble(rec.rt.Graph(), st, rec.stats)
 	applyNoise(p, rec.rt.Chaos())
 	return p
@@ -261,7 +268,9 @@ func (c *collector) TensorFreed(t *tensor.Tensor, r alloc.Region) {
 
 // Collect runs one profiling step of g on the machine and returns the
 // profile. The step runs entirely on slow memory, so profiling never
-// consumes fast memory (Sec. III-A). Extra runtime options (for example
+// consumes fast memory (Sec. III-A); on a GPU-like machine it reads host
+// memory in place, as Sentinel's own profiling step does. Extra runtime
+// options (for example
 // exec.WithTrace) apply to the profiling run.
 func Collect(g *graph.Graph, spec memsys.Spec, opts ...exec.Option) (*Profile, error) {
 	c := &collector{}

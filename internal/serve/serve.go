@@ -410,8 +410,10 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) error {
 // durations (nanoseconds), and the steady step's traffic accounting.
 // It is deterministic — identical requests serialize identically.
 type runSummary struct {
-	Model    string `json:"model"`
-	Batch    int    `json:"batch"`
+	Model string `json:"model"`
+	Batch int    `json:"batch"`
+	// Policy echoes the requested registry name, as Platform echoes
+	// the requested platform.
 	Policy   string `json:"policy"`
 	Platform string `json:"platform"`
 	Steps    int    `json:"steps"`
@@ -480,7 +482,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) error {
 	}
 	st := run.SteadyStep()
 	sum := runSummary{
-		Model: run.Model, Batch: run.Batch, Policy: run.Policy,
+		Model: run.Model, Batch: run.Batch, Policy: req.Policy,
 		Platform:       req.Normalized().Platform,
 		Steps:          len(run.Steps),
 		SteadyStepNS:   int64(run.SteadyStepTime()),

@@ -354,6 +354,30 @@ func TestSimulateAndPlanEndpoints(t *testing.T) {
 	}
 }
 
+// TestSimulateEchoesPolicy checks that a simulate response names the
+// policy the request asked for, including the Sentinel ablations that
+// share a runtime with sentinel and sentinel-gpu.
+func TestSimulateEchoesPolicy(t *testing.T) {
+	h := New(Config{}).Handler()
+	for _, tc := range []struct{ policy, platform string }{
+		{"sentinel-gpu-direct", "gpu"},
+		{"sentinel-detmi", "optane"},
+		{"sentinel", "gpu"},
+		{"sentinel-gpu", "optane"},
+	} {
+		var sum runSummary
+		body := fmt.Sprintf(`{"model":"resnet32","batch":32,"policy":%q,"platform":%q,"fast_pct":20,"steps":2}`,
+			tc.policy, tc.platform)
+		w := doJSON(t, h, http.MethodPost, "/v1/simulate", body, &sum)
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s on %s: %d %s", tc.policy, tc.platform, w.Code, w.Body.String())
+		}
+		if sum.Policy != tc.policy {
+			t.Errorf("%s on %s: response names policy %q", tc.policy, tc.platform, sum.Policy)
+		}
+	}
+}
+
 func TestTracedSimulate(t *testing.T) {
 	h := New(Config{}).Handler()
 	w := doJSON(t, h, http.MethodPost, "/v1/simulate",

@@ -101,12 +101,10 @@ func Policies() []string { return policyset.Names() }
 // NewPolicy builds a fresh policy by name.
 func NewPolicy(name string) (Policy, error) { return policyset.New(name) }
 
-// NewSentinel builds the Sentinel policy with a custom config (for CPU
-// platforms).
+// NewSentinel builds the Sentinel policy with a custom config. On a
+// GPU-like machine it profiles over pinned host memory and reports itself
+// as sentinel-gpu (Sec. V).
 func NewSentinel(cfg SentinelConfig) Policy { return core.New(cfg) }
-
-// NewSentinelGPU builds the Sentinel-GPU policy with a custom config.
-func NewSentinelGPU(cfg SentinelConfig) Policy { return gpu.NewWithConfig(cfg) }
 
 // DefaultSentinelConfig returns full-featured Sentinel.
 func DefaultSentinelConfig() SentinelConfig { return core.DefaultConfig() }
@@ -142,7 +140,8 @@ func Train(g *Graph, m Machine, policy string, steps int) (*RunStats, error) {
 	return policyset.Run(g, m, policy, steps)
 }
 
-// CollectProfile runs Sentinel's tensor-level profiling step on the model.
+// CollectProfile runs Sentinel's tensor-level profiling step on the model;
+// on a GPU machine it reads pinned host memory, as Sentinel's does.
 func CollectProfile(g *Graph, m Machine) (*Profile, error) {
 	return profile.Collect(g, m)
 }
