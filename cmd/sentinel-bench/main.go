@@ -91,8 +91,6 @@ func main() {
 		sp = metrics.NewSweepProgress(os.Stderr)
 		opts.Progress = sp
 	}
-	//lint:allow determinism: CLI-only wall-clock for the sweep timing line on stderr; table bytes never depend on it
-	sweepStart := time.Now()
 	ids := experiment.DefaultIDs()
 	if *exp != "all" {
 		ids = strings.Split(*exp, ",")
@@ -136,9 +134,7 @@ func main() {
 		}
 	}
 	if sp != nil {
-		fmt.Fprintf(os.Stderr, "sweep: %s across %d experiments (wall-clock %v)\n",
-			//lint:allow determinism: stderr sweep summary is explicitly labelled wall-clock
-			sp.Summary(), ran, time.Since(sweepStart).Round(time.Millisecond))
+		fmt.Fprintf(os.Stderr, "sweep: %s across %d experiments\n", sp.Summary(), ran)
 	}
 	if opts.Cache != nil && *progress {
 		fmt.Fprintf(os.Stderr, "cache: %s\n", opts.Cache.Stats())

@@ -1,45 +1,49 @@
-// Command sentinel-benchgate runs the curated benchmark suite, records the
-// results as a schema-versioned BENCH_*.json snapshot, and gates changes
-// against a previously committed snapshot: it exits non-zero when any
-// benchmark regresses past the configured thresholds, so CI can fail a PR
-// that slows a hot path down.
-//
-// The suite is fixed in code (see suite below): micro-benchmarks over the
-// kernel fault/migrate path, allocator place/reclaim, trace emit,
-// memsys bandwidth math, graph construction, profiling, Sentinel's and
-// the baselines' planning, plus the end-to-end Fig. 10 and Table V
-// experiment benchmarks.
-// Per-benchmark ns/op, B/op, and allocs/op are recorded together with an
-// environment fingerprint. Allocation counts are machine-independent and
-// gated tightly; ns/op is machine-dependent and gated with a generous
-// configurable ratio, so the gate catches order-of-magnitude rot without
-// flaking on runner noise. docs/BENCHMARKING.md describes the workflow,
-// including how to update the baseline legitimately.
+// Command sentinel-benchgate gates a change against its parent commit,
+// measured on the same machine in the same hour: it checks the parent out
+// into a temporary git worktree, runs the curated benchmark suite in both
+// trees for a fixed number of pairs, alternating which side runs first,
+// and exits non-zero when a benchmark's median on the change side regresses
+// past the gate's bounds against its median on the parent side. With -out,
+// the change side's medians are written as a schema-versioned BENCH_*.json
+// record. docs/BENCHMARKING.md describes the workflow.
 //
 // Usage:
 //
-//	sentinel-benchgate -out BENCH_40.json -against BENCH_39.json   # run, record, gate
-//	sentinel-benchgate -against BENCH_39.json                      # run and gate only
-//	sentinel-benchgate -check BENCH_39.json                        # schema/shape validation
-//	sentinel-benchgate -compare BENCH_40.json -against BENCH_39.json  # offline compare
+//	sentinel-benchgate                      # gate the tree against its parent
+//	sentinel-benchgate -out BENCH_N.json    # gate, and record the change side
 package main
 
 import (
-	"bufio"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"os/exec"
+	"os/signal"
+	"path/filepath"
 	"regexp"
 	"runtime"
 	"sort"
 	"strconv"
 	"strings"
+	"syscall"
 )
 
 // Schema identifies the snapshot format; bump on incompatible changes.
 const Schema = "sentinel-bench/v1"
+
+// pairs is how many times the suite runs on each side. The side that runs
+// first alternates from pair to pair, so slow load drift reaches both alike.
+const pairs = 7
+
+// The gate's bounds: a change's median regresses past parent*ratio + slack.
+// The slack keeps a 5 ns or a 0-alloc benchmark from flagging noise.
+const (
+	nsRatio, nsSlack         = 1.30, 50
+	allocsRatio, allocsSlack = 1.01, 1
+	bytesRatio, bytesSlack   = 1.05, 64
+)
 
 // Result is one benchmark's measurement.
 type Result struct {
@@ -74,9 +78,9 @@ type suiteEntry struct {
 	benches []string
 }
 
-// suite is the curated benchmark set. Every entry is required: a snapshot
-// missing one of these fails -check, and a run that no longer produces one
-// fails the gate (a deleted benchmark cannot hide a regression).
+// suite is the curated benchmark set. Every entry is required: a change
+// that no longer produces one fails the gate (a deleted benchmark cannot
+// hide a regression), while one the parent lacks is fresh coverage.
 var suite = []suiteEntry{
 	{pkg: "sentinel", benches: []string{
 		// End-to-end: the Fig. 10 capacity sweep regenerates an entire
@@ -87,8 +91,8 @@ var suite = []suiteEntry{
 		// of the quick paper sweep.
 		"BenchmarkTable5",
 		"BenchmarkSentinelStep",
-		// Engine steps that run the GPU evictors every step:
-		// Sentinel-GPU's farthest-next-use MakeRoom and UM's LRU.
+		// Engine steps that run the GPU evictors every step: Sentinel's
+		// farthest-next-use MakeRoom on the GPU preset and UM's LRU.
 		"BenchmarkSentinelGPUStep",
 		"BenchmarkUMStep",
 		"BenchmarkProfilingStep",
@@ -144,28 +148,6 @@ var suite = []suiteEntry{
 	}},
 }
 
-// Thresholds bound how much worse the new run may be before the gate trips.
-// A regression is declared when new > old*Ratio + Abs; the absolute slack
-// keeps tiny denominators (a 5 ns benchmark, a 0-alloc benchmark) from
-// flagging noise.
-type Thresholds struct {
-	NsRatio     float64 // ns/op ratio ceiling (machine-dependent metric)
-	NsAbs       float64 // ns/op absolute slack
-	AllocsRatio float64 // allocs/op ratio ceiling (deterministic metric)
-	AllocsAbs   int64   // allocs/op absolute slack
-	BytesRatio  float64 // B/op ratio ceiling
-	BytesAbs    int64   // B/op absolute slack
-}
-
-// DefaultThresholds is tuned for same-machine comparison (local runs).
-func DefaultThresholds() Thresholds {
-	return Thresholds{
-		NsRatio: 1.30, NsAbs: 50,
-		AllocsRatio: 1.01, AllocsAbs: 1,
-		BytesRatio: 1.05, BytesAbs: 64,
-	}
-}
-
 // Regression is one gate violation.
 type Regression struct {
 	Name, Pkg, Metric string
@@ -177,10 +159,10 @@ func (r Regression) String() string {
 		r.Name, r.Pkg, r.Metric, r.Old, r.New, r.New/r.Old)
 }
 
-// Compare gates new against old and returns every violation. Benchmarks
-// present only in old fail (required coverage disappeared); benchmarks
-// present only in new are allowed (fresh coverage).
-func Compare(old, new *File, th Thresholds) []Regression {
+// Compare gates new against old and returns every violation, in old's
+// order. Benchmarks present only in old fail (required coverage
+// disappeared); benchmarks present only in new are allowed (fresh coverage).
+func Compare(old, new *File) []Regression {
 	newBy := make(map[string]Result, len(new.Benchmarks))
 	for _, r := range new.Benchmarks {
 		newBy[r.Pkg+"."+r.Name] = r
@@ -188,33 +170,23 @@ func Compare(old, new *File, th Thresholds) []Regression {
 	var regs []Regression
 	for _, o := range old.Benchmarks {
 		n, ok := newBy[o.Pkg+"."+o.Name]
+		trip := func(metric string, old, new float64) {
+			regs = append(regs, Regression{Name: o.Name, Pkg: o.Pkg, Metric: metric, Old: old, New: new})
+		}
 		if !ok {
-			regs = append(regs, Regression{Name: o.Name, Pkg: o.Pkg, Metric: "missing",
-				Old: o.NsOp, New: 0})
+			trip("missing", o.NsOp, 0)
 			continue
 		}
-		if n.NsOp > o.NsOp*th.NsRatio+th.NsAbs {
-			regs = append(regs, Regression{Name: o.Name, Pkg: o.Pkg, Metric: "ns/op",
-				Old: o.NsOp, New: n.NsOp})
+		if n.NsOp > o.NsOp*nsRatio+nsSlack {
+			trip("ns/op", o.NsOp, n.NsOp)
 		}
-		if n.AllocsOp > int64(float64(o.AllocsOp)*th.AllocsRatio)+th.AllocsAbs {
-			regs = append(regs, Regression{Name: o.Name, Pkg: o.Pkg, Metric: "allocs/op",
-				Old: float64(o.AllocsOp), New: float64(n.AllocsOp)})
+		if n.AllocsOp > int64(float64(o.AllocsOp)*allocsRatio)+allocsSlack {
+			trip("allocs/op", float64(o.AllocsOp), float64(n.AllocsOp))
 		}
-		if n.BOp > int64(float64(o.BOp)*th.BytesRatio)+th.BytesAbs {
-			regs = append(regs, Regression{Name: o.Name, Pkg: o.Pkg, Metric: "B/op",
-				Old: float64(o.BOp), New: float64(n.BOp)})
+		if n.BOp > int64(float64(o.BOp)*bytesRatio)+bytesSlack {
+			trip("B/op", float64(o.BOp), float64(n.BOp))
 		}
 	}
-	sort.Slice(regs, func(i, j int) bool {
-		if regs[i].Pkg != regs[j].Pkg {
-			return regs[i].Pkg < regs[j].Pkg
-		}
-		if regs[i].Name != regs[j].Name {
-			return regs[i].Name < regs[j].Name
-		}
-		return regs[i].Metric < regs[j].Metric
-	})
 	return regs
 }
 
@@ -228,7 +200,10 @@ func Validate(f *File) error {
 		return fmt.Errorf("missing environment fingerprint (go/goos/goarch)")
 	}
 	have := make(map[string]Result, len(f.Benchmarks))
-	for _, r := range f.Benchmarks {
+	for i, r := range f.Benchmarks {
+		if i > 0 && less(r, f.Benchmarks[i-1]) {
+			return fmt.Errorf("benchmarks not sorted by (pkg, name)")
+		}
 		if r.NsOp <= 0 {
 			return fmt.Errorf("%s (%s): non-positive ns/op %v", r.Name, r.Pkg, r.NsOp)
 		}
@@ -247,16 +222,15 @@ func Validate(f *File) error {
 			}
 		}
 	}
-	if !sort.SliceIsSorted(f.Benchmarks, func(i, j int) bool {
-		a, b := f.Benchmarks[i], f.Benchmarks[j]
-		if a.Pkg != b.Pkg {
-			return a.Pkg < b.Pkg
-		}
-		return a.Name < b.Name
-	}) {
-		return fmt.Errorf("benchmarks not sorted by (pkg, name)")
-	}
 	return nil
+}
+
+// less orders results by (pkg, name), the order snapshots are kept in.
+func less(a, b Result) bool {
+	if a.Pkg != b.Pkg {
+		return a.Pkg < b.Pkg
+	}
+	return a.Name < b.Name
 }
 
 // benchLine matches one go test benchmark result line, e.g.
@@ -269,10 +243,8 @@ var benchLine = regexp.MustCompile(
 // them to pkg.
 func ParseBenchOutput(pkg string, out []byte) []Result {
 	var rs []Result
-	sc := bufio.NewScanner(strings.NewReader(string(out)))
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		m := benchLine.FindStringSubmatch(sc.Text())
+	for _, line := range strings.Split(string(out), "\n") {
+		m := benchLine.FindStringSubmatch(line)
 		if m == nil {
 			continue
 		}
@@ -281,13 +253,9 @@ func ParseBenchOutput(pkg string, out []byte) []Result {
 		if err != nil {
 			continue
 		}
-		var bop, allocs int64
-		if m[4] != "" {
-			bop, _ = strconv.ParseInt(m[4], 10, 64)
-		}
-		if m[5] != "" {
-			allocs, _ = strconv.ParseInt(m[5], 10, 64)
-		}
+		// An absent B/op or allocs/op column parses as 0.
+		bop, _ := strconv.ParseInt(m[4], 10, 64)
+		allocs, _ := strconv.ParseInt(m[5], 10, 64)
 		rs = append(rs, Result{Name: m[1], Pkg: pkg, Iters: iters,
 			NsOp: ns, BOp: bop, AllocsOp: allocs})
 	}
@@ -308,8 +276,11 @@ func cpuModel() string {
 	return "unknown"
 }
 
-// runSuite executes the curated suite and assembles a snapshot.
-func runSuite(benchtime string, verbose bool) (*File, error) {
+// runSuite runs the curated suite in the module at dir, skipping a suite
+// package dir lacks (one the change adds). With -trimpath, identical code
+// builds identical test binaries in either tree, so where a tree sits
+// cannot shift the code layout of its side.
+func runSuite(ctx context.Context, dir, benchtime string, verbose bool) (*File, error) {
 	f := &File{
 		Schema:    Schema,
 		GoVersion: runtime.Version(),
@@ -320,67 +291,147 @@ func runSuite(benchtime string, verbose bool) (*File, error) {
 		Benchtime: benchtime,
 	}
 	for _, e := range suite {
+		if _, err := os.Stat(filepath.Join(dir, strings.TrimPrefix(e.pkg, "sentinel"))); err != nil {
+			continue
+		}
 		pattern := "^(" + strings.Join(e.benches, "|") + ")$"
-		args := []string{"test", "-run", "^$", "-bench", pattern,
+		args := []string{"test", "-trimpath", "-run", "^$", "-bench", pattern,
 			"-benchmem", "-benchtime", benchtime, e.pkg}
 		if verbose {
-			fmt.Fprintf(os.Stderr, "benchgate: go %s\n", strings.Join(args, " "))
+			fmt.Fprintf(os.Stderr, "benchgate: (in %s) go %s\n", dir, strings.Join(args, " "))
 		}
-		cmd := exec.Command("go", args...)
+		cmd := exec.CommandContext(ctx, "go", args...)
+		cmd.Dir = dir
 		out, err := cmd.CombinedOutput()
 		if err != nil {
-			return nil, fmt.Errorf("go test -bench %s: %v\n%s", e.pkg, err, out)
+			return nil, fmt.Errorf("go test -bench %s in %s: %v\n%s", e.pkg, dir, err, out)
 		}
-		rs := ParseBenchOutput(e.pkg, out)
-		got := make(map[string]bool, len(rs))
-		for _, r := range rs {
-			got[r.Name] = true
-		}
-		for _, b := range e.benches {
-			if !got[b] {
-				return nil, fmt.Errorf("%s: benchmark %s produced no result\n%s", e.pkg, b, out)
-			}
-		}
-		f.Benchmarks = append(f.Benchmarks, rs...)
+		f.Benchmarks = append(f.Benchmarks, ParseBenchOutput(e.pkg, out)...)
 	}
-	sort.Slice(f.Benchmarks, func(i, j int) bool {
-		a, b := f.Benchmarks[i], f.Benchmarks[j]
-		if a.Pkg != b.Pkg {
-			return a.Pkg < b.Pkg
-		}
-		return a.Name < b.Name
-	})
 	return f, nil
 }
 
-func readFile(path string) (*File, error) {
-	data, err := os.ReadFile(path)
+// mergeMedians folds several runs of one tree into one File that holds,
+// per benchmark, the median ns/op with its run's iteration count and the
+// median B/op and allocs/op (the upper middle for an even count), so one
+// run slowed by a load spike cannot move the gate.
+func mergeMedians(runs []*File) *File {
+	var all []Result
+	for _, f := range runs {
+		all = append(all, f.Benchmarks...)
+	}
+	sort.SliceStable(all, func(i, j int) bool { return less(all[i], all[j]) })
+	merged := *runs[0]
+	merged.Benchmarks = nil
+	for i, j := 0, 0; i < len(all); i = j {
+		for j = i; j < len(all) && !less(all[i], all[j]); j++ {
+		}
+		rs := all[i:j]
+		mid := func(key func(Result) float64) Result {
+			sort.Slice(rs, func(a, b int) bool { return key(rs[a]) < key(rs[b]) })
+			return rs[len(rs)/2]
+		}
+		m := mid(func(r Result) float64 { return r.NsOp })
+		m.BOp = mid(func(r Result) float64 { return float64(r.BOp) }).BOp
+		m.AllocsOp = mid(func(r Result) float64 { return float64(r.AllocsOp) }).AllocsOp
+		merged.Benchmarks = append(merged.Benchmarks, m)
+	}
+	return &merged
+}
+
+// git runs git in dir and returns its trimmed standard output.
+func git(dir string, args ...string) (string, error) {
+	var stderr strings.Builder
+	cmd := exec.Command("git", args...)
+	cmd.Dir, cmd.Stderr = dir, &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return "", fmt.Errorf("git %s: %v: %s", strings.Join(args, " "), err, strings.TrimSpace(stderr.String()))
+	}
+	return strings.TrimSpace(string(out)), nil
+}
+
+// parentCommit names the commit the working tree at dir is gated against:
+// HEAD while the tree has uncommitted changes, HEAD's first parent once it
+// is clean.
+func parentCommit(dir string) (string, error) {
+	status, err := git(dir, "status", "--porcelain")
+	if err != nil {
+		return "", err
+	}
+	rev := "HEAD^1"
+	if status != "" {
+		rev = "HEAD"
+	}
+	sha, err := git(dir, "rev-parse", "--verify", "--quiet", rev+"^{commit}")
+	if err != nil {
+		return "", fmt.Errorf("no commit %s to gate against (a shallow clone needs depth 2 or more): %v", rev, err)
+	}
+	return sha, nil
+}
+
+// gate measures the enclosing working tree against its parent commit and
+// returns the regressions; with out set it also records the change side.
+func gate(ctx context.Context, out, benchtime string, verbose bool) ([]Regression, error) {
+	root, err := git(".", "rev-parse", "--show-toplevel")
 	if err != nil {
 		return nil, err
 	}
-	var f File
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("%s: %v", path, err)
-	}
-	return &f, nil
-}
-
-func writeFile(path string, f *File) error {
-	data, err := json.MarshalIndent(f, "", "  ")
+	rev, err := parentCommit(root)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	tree, err := os.MkdirTemp("", "benchgate-parent-")
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(tree)
+	if _, err := git(root, "worktree", "add", "--detach", tree, rev); err != nil {
+		return nil, err
+	}
+	defer func() {
+		if _, err := git(root, "worktree", "remove", "--force", tree); err != nil {
+			fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
+		}
+	}()
+	fmt.Fprintf(os.Stderr, "benchgate: %d interleaved pairs against parent %.12s\n", pairs, rev)
+	runs := map[string][]*File{}
+	for i := 0; i < pairs; i++ {
+		// Even pairs run the parent first, odd pairs the change.
+		for _, dir := range []string{tree, root, tree}[i%2 : i%2+2] {
+			f, err := runSuite(ctx, dir, benchtime, verbose)
+			if err != nil {
+				return nil, err
+			}
+			runs[dir] = append(runs[dir], f)
+		}
+	}
+	parent, change := mergeMedians(runs[tree]), mergeMedians(runs[root])
+	if err := Validate(change); err != nil {
+		return nil, fmt.Errorf("change side: %v", err)
+	}
+	if out != "" {
+		data, err := json.MarshalIndent(change, "", "  ")
+		if err == nil {
+			err = os.WriteFile(out, append(data, '\n'), 0o644)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("writing %s: %v", out, err)
+		}
+		fmt.Fprintf(os.Stderr, "benchgate: wrote %s (%d benchmarks)\n", out, len(change.Benchmarks))
+	}
+	summarize(parent, change)
+	return Compare(parent, change), nil
 }
 
-// summarize prints a per-benchmark comparison table to w-like stderr.
+// summarize prints a per-benchmark comparison table to stderr.
 func summarize(old, new *File) {
 	oldBy := make(map[string]Result, len(old.Benchmarks))
 	for _, r := range old.Benchmarks {
 		oldBy[r.Pkg+"."+r.Name] = r
 	}
 	fmt.Fprintf(os.Stderr, "%-28s %14s %14s %8s %12s\n",
-		"benchmark", "old ns/op", "new ns/op", "ratio", "allocs/op")
+		"benchmark", "parent ns/op", "change ns/op", "ratio", "allocs/op")
 	for _, n := range new.Benchmarks {
 		o, ok := oldBy[n.Pkg+"."+n.Name]
 		if !ok {
@@ -394,77 +445,26 @@ func summarize(old, new *File) {
 }
 
 func main() {
-	var (
-		against   = flag.String("against", "", "baseline BENCH_*.json to gate against")
-		out       = flag.String("out", "", "write the run's snapshot to this file")
-		compare   = flag.String("compare", "", "compare this snapshot against -against without running")
-		check     = flag.String("check", "", "validate a snapshot's schema and suite coverage, then exit")
-		benchtime = flag.String("benchtime", "1s", "go test -benchtime per benchmark")
-		nsRatio   = flag.Float64("threshold", DefaultThresholds().NsRatio,
-			"ns/op regression ratio ceiling (new/old); raise on noisy shared runners")
-		allocAbs = flag.Int64("alloc-slack", DefaultThresholds().AllocsAbs,
-			"allocs/op absolute slack before a regression is declared")
-		bytesRatio = flag.Float64("bytes-threshold", DefaultThresholds().BytesRatio,
-			"B/op regression ratio ceiling (new/old); raise when a change deliberately trades bytes for speed")
-		verbose = flag.Bool("v", false, "log the go test invocations")
-	)
+	out := flag.String("out", "", "write the change side's medians to this BENCH_*.json record")
+	benchtime := flag.String("benchtime", "1s", "go test -benchtime per benchmark")
+	verbose := flag.Bool("v", false, "log the go test invocations")
 	flag.Parse()
 
-	if *check != "" {
-		f, err := readFile(*check)
-		if err == nil {
-			err = Validate(f)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchgate: %s: %v\n", *check, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "benchgate: %s: schema ok, %d benchmarks, suite complete\n",
-			*check, len(f.Benchmarks))
-		return
-	}
-
-	th := DefaultThresholds()
-	th.NsRatio = *nsRatio
-	th.AllocsAbs = *allocAbs
-	th.BytesRatio = *bytesRatio
-
-	var cur *File
-	var err error
-	if *compare != "" {
-		cur, err = readFile(*compare)
-	} else {
-		cur, err = runSuite(*benchtime, *verbose)
-	}
+	// Catching the signals lets an interrupted run still remove the
+	// parent's worktree; the go test children are stopped through ctx.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	regs, err := gate(ctx, *out, *benchtime, *verbose)
+	stop()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
 		os.Exit(1)
 	}
-
-	if *out != "" {
-		if err := writeFile(*out, cur); err != nil {
-			fmt.Fprintf(os.Stderr, "benchgate: writing %s: %v\n", *out, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "benchgate: wrote %s (%d benchmarks)\n", *out, len(cur.Benchmarks))
-	}
-
-	if *against == "" {
-		return
-	}
-	base, err := readFile(*against)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchgate: baseline: %v\n", err)
-		os.Exit(1)
-	}
-	summarize(base, cur)
-	regs := Compare(base, cur, th)
 	if len(regs) > 0 {
-		fmt.Fprintf(os.Stderr, "benchgate: %d regression(s) against %s:\n", len(regs), *against)
+		fmt.Fprintf(os.Stderr, "benchgate: %d regression(s) against the parent:\n", len(regs))
 		for _, r := range regs {
 			fmt.Fprintf(os.Stderr, "  %s\n", r)
 		}
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "benchgate: no regressions against %s\n", *against)
+	fmt.Fprintf(os.Stderr, "benchgate: no regressions against the parent\n")
 }

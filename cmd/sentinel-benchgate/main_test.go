@@ -1,6 +1,10 @@
 package main
 
 import (
+	"encoding/json"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -38,18 +42,18 @@ func TestCompareNoRegression(t *testing.T) {
 	for i := range cur.Benchmarks {
 		cur.Benchmarks[i].NsOp *= 0.5
 	}
-	if regs := Compare(old, cur, DefaultThresholds()); len(regs) != 0 {
+	if regs := Compare(old, cur); len(regs) != 0 {
 		t.Fatalf("unexpected regressions: %v", regs)
 	}
 }
 
-// TestCompareRegressedBaseline is the gate's contract: fed a run that is
-// artificially slower than the baseline, Compare must flag it (and main
+// TestCompareRegressedBaseline is the gate's contract: fed a change that is
+// artificially slower than its parent, Compare must flag it (and main
 // exits non-zero on any flagged regression).
 func TestCompareRegressedBaseline(t *testing.T) {
 	old, cur := sampleFile(), sampleFile()
 	cur.Benchmarks[0].NsOp = old.Benchmarks[0].NsOp * 10
-	regs := Compare(old, cur, DefaultThresholds())
+	regs := Compare(old, cur)
 	if len(regs) != 1 {
 		t.Fatalf("got %d regressions, want 1: %v", len(regs), regs)
 	}
@@ -63,13 +67,13 @@ func TestCompareAllocRegression(t *testing.T) {
 	// allocs/op is deterministic: +2 allocs over a 2-alloc baseline must
 	// trip even though the ratio threshold alone would allow noise.
 	cur.Benchmarks[3].AllocsOp = old.Benchmarks[3].AllocsOp + 2
-	regs := Compare(old, cur, DefaultThresholds())
+	regs := Compare(old, cur)
 	if len(regs) != 1 || regs[0].Metric != "allocs/op" {
 		t.Fatalf("want one allocs/op regression, got %v", regs)
 	}
 	// +1 alloc sits inside the absolute slack.
 	cur.Benchmarks[3].AllocsOp = old.Benchmarks[3].AllocsOp + 1
-	if regs := Compare(old, cur, DefaultThresholds()); len(regs) != 0 {
+	if regs := Compare(old, cur); len(regs) != 0 {
 		t.Fatalf("slack not honored: %v", regs)
 	}
 }
@@ -77,7 +81,7 @@ func TestCompareAllocRegression(t *testing.T) {
 func TestCompareMissingBenchmarkFails(t *testing.T) {
 	old, cur := sampleFile(), sampleFile()
 	cur.Benchmarks = cur.Benchmarks[1:]
-	regs := Compare(old, cur, DefaultThresholds())
+	regs := Compare(old, cur)
 	if len(regs) != 1 || regs[0].Metric != "missing" {
 		t.Fatalf("want one missing-benchmark failure, got %v", regs)
 	}
@@ -133,5 +137,162 @@ ok  	sentinel/internal/kernel	2.5s
 	}
 	if rs[2].AllocsOp != 337115 || rs[2].Pkg != "sentinel/internal/kernel" {
 		t.Fatalf("bad third result: %+v", rs[2])
+	}
+}
+
+// sides builds a parent and a change File the way gate does: pairs runs
+// of each side, merged into medians, with a load drift that slows every
+// benchmark by drift[i] in pair i on both sides alike.
+func sides(drift []float64, slow func(r *Result)) (parent, change *File) {
+	var ps, cs []*File
+	for _, d := range drift {
+		p, c := sampleFile(), sampleFile()
+		for i := range p.Benchmarks {
+			p.Benchmarks[i].NsOp *= d
+			c.Benchmarks[i].NsOp *= d
+			slow(&c.Benchmarks[i])
+		}
+		ps, cs = append(ps, p), append(cs, c)
+	}
+	return mergeMedians(ps), mergeMedians(cs)
+}
+
+func TestCompareSameHourParent(t *testing.T) {
+	drift := []float64{1, 2.5, 1.8, 3, 1.2}
+	parent, change := sides(drift, func(*Result) {})
+	if regs := Compare(parent, change); len(regs) != 0 {
+		t.Fatalf("drift shared by both sides tripped the gate: %v", regs)
+	}
+
+	target := change.Benchmarks[4].Name
+	parent, change = sides(drift, func(r *Result) {
+		if r.Name == target {
+			r.NsOp *= 10
+		}
+	})
+	regs := Compare(parent, change)
+	if len(regs) != 1 || regs[0].Name != target || regs[0].Metric != "ns/op" {
+		t.Fatalf("want one ns/op regression on %s, got %v", target, regs)
+	}
+	if ratio := regs[0].New / regs[0].Old; ratio < 9 || ratio > 11 {
+		t.Fatalf("ratio of medians %.2f, want 10", ratio)
+	}
+
+	// A benchmark the change lacks is a regression; one the parent lacks
+	// is fresh coverage.
+	parent, change = sides(drift, func(*Result) {})
+	if regs := Compare(parent, &File{Benchmarks: change.Benchmarks[1:]}); len(regs) != 1 || regs[0].Metric != "missing" {
+		t.Fatalf("want one missing-benchmark regression, got %v", regs)
+	}
+	parent.Benchmarks = parent.Benchmarks[1:]
+	if regs := Compare(parent, change); len(regs) != 0 {
+		t.Fatalf("new benchmark treated as a regression: %v", regs)
+	}
+}
+
+func TestMergeMedians(t *testing.T) {
+	run := func(rs ...Result) *File {
+		f := sampleFile()
+		f.Benchmarks = rs
+		return f
+	}
+	a := func(ns float64, iters, bop, allocs int64) Result {
+		return Result{Name: "BenchmarkA", Pkg: "sentinel", Iters: iters, NsOp: ns, BOp: bop, AllocsOp: allocs}
+	}
+	b := Result{Name: "BenchmarkB", Pkg: "sentinel", Iters: 7, NsOp: 5, BOp: 1, AllocsOp: 1}
+	early := Result{Name: "BenchmarkZ", Pkg: "sentinel/internal/alloc", Iters: 1, NsOp: 9}
+	m := mergeMedians([]*File{
+		run(a(300, 10, 64, 3), b),
+		run(early, a(100, 30, 80, 2)),
+		run(a(200, 20, 96, 2), b),
+	})
+	if m.Schema != Schema || m.GoVersion == "" {
+		t.Fatalf("fingerprint lost: %+v", m)
+	}
+	want := []Result{
+		{Name: "BenchmarkA", Pkg: "sentinel", Iters: 20, NsOp: 200, BOp: 80, AllocsOp: 2},
+		b,
+		early,
+	}
+	if len(m.Benchmarks) != len(want) {
+		t.Fatalf("merged %d benchmarks, want %d: %+v", len(m.Benchmarks), len(want), m.Benchmarks)
+	}
+	for i := range want {
+		if m.Benchmarks[i] != want[i] {
+			t.Errorf("benchmark %d = %+v, want %+v", i, m.Benchmarks[i], want[i])
+		}
+	}
+}
+
+// TestParentCommit checks which commit a tree is gated against: HEAD while
+// the tree is dirty, HEAD^1 once it is clean, and an error naming the
+// shallow clone when HEAD^1 is missing.
+func TestParentCommit(t *testing.T) {
+	if _, err := exec.LookPath("git"); err != nil {
+		t.Skip("git not installed")
+	}
+	dir := t.TempDir()
+	run := func(args ...string) string {
+		t.Helper()
+		args = append([]string{"-c", "user.name=t", "-c", "user.email=t@example.com",
+			"-c", "commit.gpgsign=false"}, args...)
+		out, err := git(dir, args...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	commit := func(content string) string {
+		t.Helper()
+		if err := os.WriteFile(filepath.Join(dir, "f.txt"), []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		run("add", "f.txt")
+		run("commit", "-q", "-m", content)
+		return run("rev-parse", "HEAD")
+	}
+	run("init", "-q")
+	first := commit("one")
+	if _, err := parentCommit(dir); err == nil || !strings.Contains(err.Error(), "shallow clone") {
+		t.Fatalf("clean root commit: want a shallow-clone error, got %v", err)
+	}
+	second := commit("two")
+	if got, err := parentCommit(dir); err != nil || got != first {
+		t.Fatalf("clean tree: got %q, %v; want HEAD^1 %s", got, err, first)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "f.txt"), []byte("dirty"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := parentCommit(dir); err != nil || got != second {
+		t.Fatalf("dirty tree: got %q, %v; want HEAD %s", got, err, second)
+	}
+}
+
+// TestCommittedSnapshots keeps every BENCH_*.json record at the repository
+// root readable: schema sentinel-bench/v1 and no negative allocation
+// metrics.
+func TestCommittedSnapshots(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "BENCH_*.json"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no BENCH_*.json records found: %v", err)
+	}
+	for _, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var f File
+		if err := json.Unmarshal(data, &f); err != nil {
+			t.Errorf("%s: %v", p, err)
+			continue
+		}
+		if f.Schema != Schema || len(f.Benchmarks) == 0 {
+			t.Errorf("%s: schema %q with %d benchmarks, want %q and at least one", p, f.Schema, len(f.Benchmarks), Schema)
+		}
+		for _, r := range f.Benchmarks {
+			if r.BOp < 0 || r.AllocsOp < 0 {
+				t.Errorf("%s: %s (%s) has negative allocation metrics", p, r.Name, r.Pkg)
+			}
+		}
 	}
 }

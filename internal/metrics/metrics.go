@@ -195,12 +195,11 @@ func (p *SweepProgress) Break() {
 	}
 }
 
-// Snapshot returns cells done, cells scheduled, and wall-clock elapsed.
-func (p *SweepProgress) Snapshot() (done, total int, elapsed time.Duration) {
+// Snapshot returns cells done and cells scheduled.
+func (p *SweepProgress) Snapshot() (done, total int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	//lint:allow determinism: Snapshot reports host elapsed time for progress display, not a simulated quantity
-	return p.done, p.total, time.Since(p.start)
+	return p.done, p.total
 }
 
 // Summary renders a final one-line accounting of the sweep.

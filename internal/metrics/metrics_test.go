@@ -48,7 +48,7 @@ func TestSweepProgress(t *testing.T) {
 	p.CellDone()
 	p.AddCells(2)
 	p.CellDone()
-	if done, total, _ := p.Snapshot(); done != 2 || total != 5 {
+	if done, total := p.Snapshot(); done != 2 || total != 5 {
 		t.Fatalf("snapshot %d/%d, want 2/5", done, total)
 	}
 	out := buf.String()
@@ -88,7 +88,7 @@ func TestSweepProgressConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if done, total, _ := p.Snapshot(); done != 400 || total != 400 {
+	if done, total := p.Snapshot(); done != 400 || total != 400 {
 		t.Fatalf("snapshot %d/%d, want 400/400", done, total)
 	}
 }

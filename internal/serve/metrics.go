@@ -13,7 +13,7 @@ import (
 // sample.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	rq, cs := s.reqs.Snapshot(), s.cache.Stats()
-	done, total, _ := s.progress.Snapshot()
+	done, total := s.progress.Snapshot()
 	admitted, running := s.adm.Queued()
 	ready := 1
 	if s.draining.Load() {
