@@ -146,6 +146,11 @@ var suite = []suiteEntry{
 		// GA's fitness evaluations.
 		"BenchmarkSwapAdvisorSetup",
 	}},
+	{pkg: "sentinel/internal/serve", benches: []string{
+		// The HTTP layer: a plan and a simulate request a warmed server
+		// answers from its stored replies, through the handler.
+		"BenchmarkServeHit",
+	}},
 }
 
 // Regression is one gate violation.

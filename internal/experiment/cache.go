@@ -34,6 +34,10 @@ import (
 // while any concurrent requester for the same key blocks until that
 // computation finishes, so two pool workers never duplicate a plan build.
 // Hit/miss/wait counters (Stats) make the deduplication measurable.
+//
+// An entry also keeps the encoded reply a server sent for it (ServeCell,
+// ServePlan), so that a repeated request is answered without running,
+// summarizing or encoding anything again.
 type Cache struct {
 	mu      sync.Mutex
 	entries map[string]*cacheEntry
@@ -47,6 +51,9 @@ type cacheEntry struct {
 	val  any
 	err  error
 	done atomic.Bool // computation finished
+	// reply is the encoded response served for a successful val, nil
+	// until one is served; guarded by Cache.mu.
+	reply []byte
 }
 
 // NewCache returns an empty cache, safe for concurrent use. One cache may
@@ -54,6 +61,32 @@ type cacheEntry struct {
 // whole sweep).
 func NewCache() *Cache {
 	return &Cache{entries: map[string]*cacheEntry{}}
+}
+
+// reply returns the value and the reply kept on key's entry, counting the
+// hit the entry's lookup would count. An entry with no reply counts
+// nothing: the computation that answers the request counts its own
+// lookups.
+func (c *Cache) reply(key string) (any, []byte, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e := c.entries[key]
+	if e == nil || e.reply == nil {
+		return nil, nil, false
+	}
+	c.stats.hits.Add(1)
+	return e.val, e.reply, true
+}
+
+// keepReply keeps body on key's entry unless a reply is already there.
+// Only the reply to a successful value belongs here: it is served to
+// every later request that resolves to the entry.
+func (c *Cache) keepReply(key string, body []byte) {
+	c.mu.Lock()
+	if e := c.entries[key]; e != nil && e.reply == nil {
+		e.reply = body
+	}
+	c.mu.Unlock()
 }
 
 // do returns the memoized value for key, computing it at most once.
@@ -118,6 +151,34 @@ func cacheDo[T any](o Options, key string, compute func() (T, error)) (T, error)
 		return zero, err
 	}
 	return v.(T), nil
+}
+
+// serveReply answers a served request that resolves to key from the
+// reply kept on key's entry. Otherwise it computes the entry's value,
+// renders the reply and keeps it there, so memory grows by one reply per
+// entry a server answers from. Only a rendered success is kept: a failed
+// or cancelled request leaves the entry without a reply, and the next
+// one computes afresh. Without a cache, every request computes.
+func serveReply[T any](o Options, key string, compute func() (T, error), render func(T) ([]byte, error)) ([]byte, T, error) {
+	cached := o.Cache != nil && !o.NoCache
+	if cached {
+		if v, body, ok := o.Cache.reply(key); ok {
+			return body, v.(T), nil
+		}
+	}
+	var zero T
+	v, err := compute()
+	if err != nil {
+		return nil, zero, err
+	}
+	body, err := render(v)
+	if err != nil {
+		return nil, zero, err
+	}
+	if cached {
+		o.Cache.keepReply(key, body)
+	}
+	return body, v, nil
 }
 
 // cellRun describes one simulation cell: a (model, batch, machine, policy,
@@ -308,14 +369,18 @@ func (o Options) characterize(modelName string, batch int, spec memsys.Spec) (*p
 
 // collectProfile memoizes Sentinel's tensor-level profiling step per model.
 func (o Options) collectProfile(modelName string, batch int, spec memsys.Spec) (*profile.Profile, error) {
-	key := fmt.Sprintf("prof|%s|b%d|%s", modelName, batch, spec.Name)
-	return cacheDo(o, key, func() (*profile.Profile, error) {
+	return cacheDo(o, profileKey(modelName, batch, spec), func() (*profile.Profile, error) {
 		g, err := model.BuildShared(modelName, batch)
 		if err != nil {
 			return nil, err
 		}
 		return profile.Collect(g, spec)
 	})
+}
+
+// profileKey is the cache key of a model's profiling step on spec.
+func profileKey(modelName string, batch int, spec memsys.Spec) string {
+	return fmt.Sprintf("prof|%s|b%d|%s", modelName, batch, spec.Name)
 }
 
 // maxBatches memoizes Table V's max-batch searches for one model, one

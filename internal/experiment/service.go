@@ -223,13 +223,38 @@ func (r CellRequest) spec(o Options) (memsys.Spec, error) {
 // deterministic: identical requests yield identical stats whether
 // computed or cached.
 func RunCell(o Options, r CellRequest) (*metrics.RunStats, error) {
+	c, err := r.cell(o)
+	if err != nil {
+		return nil, err
+	}
+	return o.runRequested(c)
+}
+
+// ServeCell is RunCell for a server, which answers with the reply render
+// encodes from the run. The reply is kept on the cell's cache entry, so
+// every later request that resolves to the same cell gets those bytes
+// and the cached run back without running or rendering again, and
+// counts the one hit the cell's lookup would count. render must depend
+// only on the run and on the request's policy and platform, which the
+// cell fixes.
+func ServeCell(o Options, r CellRequest, render func(*metrics.RunStats) ([]byte, error)) ([]byte, *metrics.RunStats, error) {
+	c, err := r.cell(o)
+	if err != nil {
+		return nil, nil, err
+	}
+	return serveReply(o, c.key(), func() (*metrics.RunStats, error) { return o.runRequested(c) }, render)
+}
+
+// cell resolves the request into the cell it names: its fast tier sized,
+// its chaos copied by value and the sweep-wide chaos applied.
+func (r CellRequest) cell(o Options) (cellRun, error) {
 	r = r.Normalized()
 	if err := r.Validate(); err != nil {
-		return nil, err
+		return cellRun{}, err
 	}
 	spec, err := r.spec(o)
 	if err != nil {
-		return nil, err
+		return cellRun{}, err
 	}
 	c := cellRun{model: r.Model, batch: r.Batch, spec: spec, policy: r.Policy, steps: r.Steps}
 	if r.Chaos != nil {
@@ -238,7 +263,11 @@ func RunCell(o Options, r CellRequest) (*metrics.RunStats, error) {
 	if r.Online {
 		c.online = exec.DefaultOnline()
 	}
-	c = o.withChaos(c)
+	return o.withChaos(c), nil
+}
+
+// runRequested runs a requested cell, memoized, under the fault boundary.
+func (o Options) runRequested(c cellRun) (*metrics.RunStats, error) {
 	name := func() (string, *metrics.RunStats) { return c.label(), nil }
 	return runCell(o, name, func() (*metrics.RunStats, error) { return o.run(c) })
 }
@@ -300,37 +329,65 @@ type PlanSummary struct {
 // shared cache under the same key the sweeps use, through the fault
 // boundary as RunCell does, and summarizes it.
 func RunPlan(o Options, r PlanRequest) (*PlanSummary, error) {
+	r, spec, err := r.resolve()
+	if err != nil {
+		return nil, err
+	}
+	p, err := o.requestedProfile(r, spec)
+	if err != nil {
+		return nil, err
+	}
+	return r.summarize(p), nil
+}
+
+// ServePlan is RunPlan for a server, which answers with the reply render
+// encodes from the summary. The reply is kept on the profile's cache
+// entry, as ServeCell keeps its reply on the cell's.
+func ServePlan(o Options, r PlanRequest, render func(*PlanSummary) ([]byte, error)) ([]byte, error) {
+	r, spec, err := r.resolve()
+	if err != nil {
+		return nil, err
+	}
+	body, _, err := serveReply(o, profileKey(r.Model, r.Batch, spec),
+		func() (*profile.Profile, error) { return o.requestedProfile(r, spec) },
+		func(p *profile.Profile) ([]byte, error) { return render(r.summarize(p)) })
+	return body, err
+}
+
+// resolve normalizes and validates the request and looks up its
+// platform.
+func (r PlanRequest) resolve() (PlanRequest, memsys.Spec, error) {
 	r = r.Normalized()
 	if err := r.Validate(); err != nil {
-		return nil, err
+		return r, memsys.Spec{}, err
 	}
 	spec, err := Platform(r.Platform)
-	if err != nil {
-		return nil, err
-	}
+	return r, spec, err
+}
+
+// requestedProfile collects the request's profile, memoized, under the
+// fault boundary.
+func (o Options) requestedProfile(r PlanRequest, spec memsys.Spec) (*profile.Profile, error) {
 	name := func() (string, *profile.Profile) { return "plan/" + r.Model, nil }
-	p, err := runCell(o, name, func() (*profile.Profile, error) {
+	return runCell(o, name, func() (*profile.Profile, error) {
 		return o.collectProfile(r.Model, r.Batch, spec)
 	})
-	if err != nil {
-		return nil, err
-	}
-	s := &PlanSummary{
+}
+
+// summarize is the PlanSummary of the normalized request's profile p.
+func (r PlanRequest) summarize(p *profile.Profile) *PlanSummary {
+	long := len(p.LongLived())
+	return &PlanSummary{
 		Model: r.Model, Batch: r.Batch, Platform: r.Platform,
 		NumLayers: p.NumLayers, Tensors: len(p.Tensors),
+		ShortLived:        len(p.Tensors) - long,
+		LongLived:         long,
 		PeakMemoryBytes:   p.PeakMemory,
 		ReservedPoolBytes: p.PeakShortLived,
 		ProfiledStepNS:    int64(p.StepTime),
 		FaultOverheadNS:   int64(p.FaultTime),
 		Faults:            p.Faults,
 	}
-	for i := range p.Tensors {
-		if p.Tensors[i].ShortLived() {
-			s.ShortLived++
-		}
-	}
-	s.LongLived = len(p.Tensors) - s.ShortLived
-	return s, nil
 }
 
 // SweepRequest asks for one whole experiment (a paper table or figure)

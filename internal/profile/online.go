@@ -11,6 +11,7 @@ package profile
 // the initial step's 5x-slowdown accounting.
 
 import (
+	"slices"
 	"strconv"
 
 	"sentinel/internal/alloc"
@@ -72,7 +73,7 @@ func NewSampler(rt *exec.Runtime, p *Profile, round, every int) *Sampler {
 	}
 	if len(ids) == 0 {
 		// Rotation overshot a tiny model; sample the hottest tensor.
-		ids = long[:1]
+		ids = append(ids, long[0])
 	}
 	s := &Sampler{
 		rt: rt, prof: p, round: round,
@@ -200,11 +201,21 @@ func roundLabel(round int) string { return "round " + strconv.Itoa(round) }
 // layer resolution; the old distribution is the best available shape).
 // Unsampled tensors keep their old counts. The input profile is not
 // modified — PerLayer may share the graph's ground-truth slices, so every
-// touched tensor gets copies, as applyNoise does.
+// touched tensor gets copies, as applyNoise does. The blended profile
+// sorts its own LongLived list.
 func Blend(old *Profile, obs *Observation, decay float64) *Profile {
-	q := *old
-	q.Tensors = make([]TensorStat, len(old.Tensors))
-	copy(q.Tensors, old.Tensors)
+	q := &Profile{
+		Model:          old.Model,
+		Batch:          old.Batch,
+		NumLayers:      old.NumLayers,
+		Tensors:        slices.Clone(old.Tensors),
+		LayerTime:      old.LayerTime,
+		PeakShortLived: old.PeakShortLived,
+		PeakMemory:     old.PeakMemory,
+		Faults:         old.Faults,
+		FaultTime:      old.FaultTime,
+		StepTime:       old.StepTime,
+	}
 	for i := range q.Tensors {
 		ts := &q.Tensors[i]
 		observed, ok := obs.Accesses[ts.ID]
@@ -236,5 +247,5 @@ func Blend(old *Profile, obs *Observation, decay float64) *Profile {
 			ts.Accesses = blended
 		}
 	}
-	return &q
+	return q
 }

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"sentinel/internal/alloc"
 	"sentinel/internal/chaos"
@@ -95,6 +96,12 @@ type Profile struct {
 	// StepTime is the profiled step's duration including fault
 	// overhead.
 	StepTime simtime.Duration
+
+	// longOnce guards long, the LongLived list, computed on first use:
+	// a cached profile is shared by goroutines that plan, sample and
+	// summarize it.
+	longOnce sync.Once
+	long     []tensor.ID
 }
 
 // ByID returns the stat for a tensor id, or nil.
@@ -107,8 +114,16 @@ func (p *Profile) ByID(id tensor.ID) *TensorStat {
 
 // LongLived returns ids of non-short-lived, non-preallocated tensors plus
 // preallocated ones (which are long-lived by definition), sorted by
-// descending access count, ties by ascending id.
+// descending access count, ties by ascending id. The list is computed
+// once per profile and shared by every caller, which must not modify
+// it; the profile's tensors must not change after the first call.
 func (p *Profile) LongLived() []tensor.ID {
+	p.longOnce.Do(func() { p.long = p.longLived() })
+	return p.long
+}
+
+// longLived sorts the long-lived tensors for LongLived.
+func (p *Profile) longLived() []tensor.ID {
 	n, packable := 0, true
 	for i := range p.Tensors {
 		if ts := &p.Tensors[i]; !ts.ShortLived() {

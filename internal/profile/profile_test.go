@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"reflect"
 	"slices"
 	"testing"
 
@@ -258,6 +259,30 @@ func TestProfileNoisePerturbsObservations(t *testing.T) {
 	for i := range noisy.Tensors {
 		if noisy.Tensors[i].Accesses != again.Tensors[i].Accesses {
 			t.Fatalf("%s: same seed produced different noise", noisy.Tensors[i].Name)
+		}
+	}
+}
+
+// TestBlendSortsItsOwnList checks that a blended profile keeps every
+// field of the old one but its tensors, and ranks its long-lived tensors
+// by the blended counts while the old profile's memoized list stays as
+// it was.
+func TestBlendSortsItsOwnList(t *testing.T) {
+	p := collect(t, "resnet32", 32)
+	old := slices.Clone(p.LongLived())
+	coldest := old[len(old)-1]
+	q := Blend(p, &Observation{Accesses: map[tensor.ID]int64{coldest: 1 << 40}}, 0)
+	if got := q.LongLived()[0]; got != coldest {
+		t.Errorf("blended hottest tensor %d, want %d", got, coldest)
+	}
+	if !slices.Equal(p.LongLived(), old) {
+		t.Error("blending changed the old profile's long-lived list")
+	}
+	pv, qv := reflect.ValueOf(p).Elem(), reflect.ValueOf(q).Elem()
+	for i := 0; i < pv.NumField(); i++ {
+		f := pv.Type().Field(i)
+		if f.IsExported() && f.Name != "Tensors" && !reflect.DeepEqual(pv.Field(i).Interface(), qv.Field(i).Interface()) {
+			t.Errorf("Blend changed %s", f.Name)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"net/http"
 	"regexp"
 	"strings"
@@ -43,9 +44,10 @@ var sampleLine = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*) \S+$`)
 // then one # HELP and one # TYPE per family, directly before its sample.
 func TestMetricsExposition(t *testing.T) {
 	h := New(Config{Quick: true}).Handler()
+	const simulate = `{"model":"resnet32","batch":32,"policy":"sentinel","steps":2}`
 	for _, req := range []struct{ target, body string }{
 		{"/v1/plan", `{"model":"resnet32","batch":32}`},
-		{"/v1/simulate", `{"model":"resnet32","batch":32,"policy":"sentinel","steps":2}`},
+		{"/v1/simulate", simulate},
 	} {
 		if w := doJSON(t, h, http.MethodPost, req.target, req.body, nil); w.Code != http.StatusOK {
 			t.Fatalf("POST %s: %d %s", req.target, w.Code, w.Body.String())
@@ -53,11 +55,13 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	lines := scrape(t, h)
 
-	t.Run("samples", func(t *testing.T) {
-		want := []string{
+	// samples lists the sample lines after n requests, hits of them
+	// answered from memory.
+	samples := func(n, hits int) []string {
+		return []string{
 			"sentinel_ready 1",
-			"sentinel_requests_accepted_total 2",
-			"sentinel_requests_completed_total 2",
+			fmt.Sprintf("sentinel_requests_accepted_total %d", n),
+			fmt.Sprintf("sentinel_requests_completed_total %d", n),
 			"sentinel_requests_failed_total 0",
 			"sentinel_requests_rejected_total 0",
 			"sentinel_requests_in_flight 0",
@@ -66,7 +70,7 @@ func TestMetricsExposition(t *testing.T) {
 			"sentinel_admission_admitted 0",
 			"sentinel_admission_running 0",
 			"sentinel_plan_cache_entries 2",
-			"sentinel_plan_cache_hits_total 0",
+			fmt.Sprintf("sentinel_plan_cache_hits_total %d", hits),
 			"sentinel_plan_cache_misses_total 2",
 			"sentinel_plan_cache_waits_total 0",
 			"sentinel_sweep_cells_done_total 0",
@@ -75,13 +79,29 @@ func TestMetricsExposition(t *testing.T) {
 			"sentinel_controller_recovered_runs_total 0",
 			"sentinel_controller_demand_only_total 0",
 		}
+	}
+	checkSamples := func(t *testing.T, lines, want []string) {
+		t.Helper()
 		if got := sampleLines(lines); strings.Join(got, "\n") != strings.Join(want, "\n") {
 			t.Errorf("sample lines:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 		}
+	}
+
+	t.Run("samples", func(t *testing.T) {
+		checkSamples(t, lines, samples(2, 0))
 	})
 
 	t.Run("families", func(t *testing.T) {
 		checkFamilies(t, lines)
+	})
+
+	// A repeated request is answered from memory: one more hit, and no
+	// new entry or miss.
+	t.Run("repeated", func(t *testing.T) {
+		if w := doJSON(t, h, http.MethodPost, "/v1/simulate", simulate, nil); w.Code != http.StatusOK {
+			t.Fatalf("POST /v1/simulate again: %d %s", w.Code, w.Body.String())
+		}
+		checkSamples(t, scrape(t, h), samples(3, 1))
 	})
 }
 

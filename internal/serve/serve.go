@@ -10,9 +10,9 @@
 // queue, 429 + Retry-After), health/readiness endpoints, a /metrics
 // endpoint, and graceful drain — while all simulation goes
 // through internal/experiment's request-shaped entry points
-// (experiment.RunPlan, experiment.RunCell, experiment.RunSweep), the
-// exact code path a sentinel-bench invocation takes. That is what makes
-// served sweep responses byte-identical to CLI runs.
+// (experiment.ServePlan, experiment.ServeCell, experiment.RunSweep). A
+// sweep takes the exact code path a sentinel-bench invocation takes.
+// That is what makes served sweep responses byte-identical to CLI runs.
 //
 // The HTTP API is documented endpoint by endpoint in docs/SERVING.md.
 package serve
@@ -168,17 +168,34 @@ type errorBody struct {
 func writeError(w http.ResponseWriter, status int, e apiError) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(errorBody{Error: e}) //nolint:errcheck // response already committed
+	encodeJSON(w, errorBody{Error: e}) //nolint:errcheck // response already committed
 }
 
 // writeJSON emits a 200 with an indented JSON body.
 func writeJSON(w http.ResponseWriter, v any) error {
 	w.Header().Set("Content-Type", "application/json")
+	return encodeJSON(w, v)
+}
+
+// encodeJSON writes v to w as indented JSON, the form of every JSON body.
+func encodeJSON(w io.Writer, v any) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(v)
+}
+
+// encodeBody is v as indented JSON, the body writeJSON writes.
+func encodeBody(v any) ([]byte, error) {
+	var b bytes.Buffer
+	err := encodeJSON(&b, v)
+	return b.Bytes(), err
+}
+
+// writeBody emits a 200 with an already encoded JSON body.
+func writeBody(w http.ResponseWriter, body []byte) error {
+	w.Header().Set("Content-Type", "application/json")
+	_, err := w.Write(body)
+	return err
 }
 
 // retryAfter stamps the backpressure hint onto a 429/503.
@@ -399,11 +416,13 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) error {
 	if err := decodeRequest(r, &req); err != nil {
 		return err
 	}
-	sum, err := experiment.RunPlan(s.options(r), req)
+	body, err := experiment.ServePlan(s.options(r), req, func(sum *experiment.PlanSummary) ([]byte, error) {
+		return encodeBody(sum)
+	})
 	if err != nil {
 		return err
 	}
-	return writeJSON(w, sum)
+	return writeBody(w, body)
 }
 
 // runSummary is the wire form of a simulated cell: identity, virtual
@@ -455,31 +474,50 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) error {
 	if err := decodeRequest(r, &req); err != nil {
 		return err
 	}
-	o := s.options(r)
 	if req.TraceFormat != "" {
-		if !tracecli.ValidFormat(req.TraceFormat) {
-			return &experiment.RequestError{Field: "trace_format",
-				Reason: fmt.Sprintf("unknown trace format %q (known: %v)", req.TraceFormat, trace.Formats())}
-		}
-		// A cached cell never re-executes and so emits no events; a
-		// traced request must bypass the cache to observe the run.
-		o.NoCache = true
-		o.Cache = nil
-		o.Trace = trace.NewBus(0)
+		return s.traceCell(w, r, req)
 	}
+	// A repeated request gets the stored reply and its run, which still
+	// counts its controller outcomes: a repeated online cell adds its
+	// replans again.
+	body, run, err := experiment.ServeCell(s.options(r), req.CellRequest, func(run *metrics.RunStats) ([]byte, error) {
+		return encodeBody(summarize(run, req.CellRequest))
+	})
+	if err != nil {
+		return err
+	}
+	s.reqs.ObserveRun(run)
+	return writeBody(w, body)
+}
+
+// traceCell answers a simulate request with trace_format: the cell
+// re-executes uncached with a private trace bus, because a cached cell
+// never re-executes and so emits no events, and the response body is the
+// exported event stream.
+func (s *Server) traceCell(w http.ResponseWriter, r *http.Request, req simulateRequest) error {
+	if !tracecli.ValidFormat(req.TraceFormat) {
+		return &experiment.RequestError{Field: "trace_format",
+			Reason: fmt.Sprintf("unknown trace format %q (known: %v)", req.TraceFormat, trace.Formats())}
+	}
+	o := s.options(r)
+	o.NoCache = true
+	o.Cache = nil
+	o.Trace = trace.NewBus(0)
 	run, err := experiment.RunCell(o, req.CellRequest)
 	if err != nil {
 		return err
 	}
 	s.reqs.ObserveRun(run)
-	if req.TraceFormat != "" {
-		if req.TraceFormat == trace.FormatChrome {
-			w.Header().Set("Content-Type", "application/json")
-		} else {
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		}
-		return tracecli.ExportBus(w, req.TraceFormat, o.Trace)
+	if req.TraceFormat == trace.FormatChrome {
+		w.Header().Set("Content-Type", "application/json")
+	} else {
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	}
+	return tracecli.ExportBus(w, req.TraceFormat, o.Trace)
+}
+
+// summarize is the runSummary of a run that req asked for.
+func summarize(run *metrics.RunStats, req experiment.CellRequest) runSummary {
 	st := run.SteadyStep()
 	sum := runSummary{
 		Model: run.Model, Batch: run.Batch, Policy: req.Policy,
@@ -501,7 +539,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) error {
 		sum.MigratedOutBytes = st.MigratedOut
 		sum.DemandMigrations = st.DemandMigrations
 	}
-	return writeJSON(w, sum)
+	return sum
 }
 
 // sweepRequest is a SweepRequest plus its rendering.
